@@ -54,10 +54,6 @@ class Manifest:
         with open(self.path, "w") as fh:
             json.dump(self.blob, fh, indent=2, sort_keys=True)
 
-    def set_config(self, config):
-        self.blob["resolved_config"] = config
-        self._write()
-
     def finish(self, status, error=None, **extra):
         self.blob["status"] = status
         self.blob["wall_clock_s"] = time.time() - self.started
@@ -82,15 +78,6 @@ def _manifest_scope(path, command, args, config=None):
         manifest.finish("success")
 
 
-def _thread_limits(threads: int):
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=threads)
-    except ImportError:
-        return contextlib.nullcontext()
-
-
 def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip() != ""]
 
@@ -107,6 +94,11 @@ def _resolve_train_config(args) -> trainer.TrainConfig:
                 blob = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ValueError(f"config file {args.config}: {e}") from None
+        if not isinstance(blob, dict):
+            raise ValueError(
+                f"config file {args.config}: expected a JSON object, "
+                f"got {type(blob).__name__}"
+            )
     overrides = {
         "epochs": args.epochs,
         "batch_size": args.batch_size,
@@ -390,7 +382,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_limits(args.threads):
+        with evaluator.blas_thread_limits(args.threads):
             return args.func(args)
     except (ValueError, OSError, trainer.TrainingDiverged) as e:
         print(f"error: {e}", file=sys.stderr)

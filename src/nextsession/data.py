@@ -2,8 +2,9 @@
 
 The raw input is a delimited text log with header columns
 ``user,item,session,timestamp,action`` (any extra columns become discrete
-side features).  ``action`` decides polarity: ``exposure`` rows are negative
-interactions, ``effective_view`` / ``click`` / ``purchase`` rows are positive.
+catalog-level item features, taken from each item's first occurrence).
+``action`` decides polarity: ``exposure`` rows are negative interactions,
+``effective_view`` / ``click`` / ``purchase`` rows are positive.
 
 Processing goes: ingest -> filter to a fixpoint -> dense id remap ->
 per-protocol splits.  A processed dataset can be persisted to a directory
@@ -54,10 +55,18 @@ class Session:
     items: list[int]
     positives: list[bool]
     timestamps: list[int]
-    features: list[tuple[int, ...]] = field(default_factory=list)
 
     def __len__(self):
         return len(self.items)
+
+    def take(self, indices) -> Session:
+        """A new Session holding the interactions at ``indices``, in that order."""
+        return Session(
+            self.session_id,
+            [self.items[i] for i in indices],
+            [self.positives[i] for i in indices],
+            [self.timestamps[i] for i in indices],
+        )
 
     def positive_items(self) -> list[int]:
         return [it for it, pos in zip(self.items, self.positives) if pos]
@@ -306,13 +315,6 @@ def filter_dataset(
                     items=[item_map[r.item] for r in group],
                     positives=[r.positive for r in group],
                     timestamps=[r.timestamp for r in group],
-                    features=[
-                        tuple(
-                            _encode_feature(feature_info[n], r.features[j])
-                            for j, n in enumerate(feature_names)
-                        )
-                        for r in group
-                    ],
                 )
             )
         sequences.append(SessionizedSequence(user_id=user, sessions=sessions))
@@ -359,15 +361,7 @@ def truncate_to_positive_budget(sessions: list[Session], max_positives: int) -> 
                 start -= 1
                 if sess.positives[start]:
                     budget -= 1
-            kept.append(
-                Session(
-                    session_id=sess.session_id,
-                    items=sess.items[start:],
-                    positives=sess.positives[start:],
-                    timestamps=sess.timestamps[start:],
-                    features=sess.features[start:],
-                )
-            )
+            kept.append(sess.take(range(start, len(sess))))
             budget = 0
         if budget == 0:
             break
@@ -419,15 +413,7 @@ def make_split(
             targets = [target_sess.items[ii]]
             train = list(seq.sessions[:si])
             if ii > 0:
-                train.append(
-                    Session(
-                        session_id=target_sess.session_id,
-                        items=target_sess.items[:ii],
-                        positives=target_sess.positives[:ii],
-                        timestamps=target_sess.timestamps[:ii],
-                        features=target_sess.features[:ii],
-                    )
-                )
+                train.append(target_sess.take(range(ii)))
         train = truncate_to_positive_budget(train, max_positive_len)
         if not train or not targets:
             skipped += 1
@@ -476,7 +462,6 @@ def save_dataset(
     stats = compute_stats(sequences, catalog.num_items)
 
     user_idx, sess_ord, items, positives, timestamps = [], [], [], [], []
-    feats = []
     session_ids = []
     for ui, seq in enumerate(sequences):
         session_ids.append([s.session_id for s in seq.sessions])
@@ -487,13 +472,6 @@ def save_dataset(
                 items.append(sess.items[i])
                 positives.append(sess.positives[i])
                 timestamps.append(sess.timestamps[i])
-                feats.append(sess.features[i] if sess.features else ())
-
-    num_feats = len(catalog.feature_names)
-    feat_arr = np.zeros((len(items), num_feats), dtype=np.int32)
-    for i, f in enumerate(feats):
-        for j in range(num_feats):
-            feat_arr[i, j] = f[j]
 
     np.savez(
         os.path.join(out_dir, "interactions.npz"),
@@ -502,7 +480,6 @@ def save_dataset(
         item=np.asarray(items, dtype=np.int32),
         positive=np.asarray(positives, dtype=bool),
         timestamp=np.asarray(timestamps, dtype=np.int64),
-        features=feat_arr,
         item_features=catalog.item_features,
     )
     with open(os.path.join(out_dir, "item_map.json"), "w") as fh:
@@ -531,6 +508,8 @@ def load_dataset(data_dir: str) -> tuple[list[SessionizedSequence], Catalog, dic
     """Load a dataset directory written by save_dataset.
 
     Returns (sequences, catalog, meta); meta includes max_positive_len.
+    A per-interaction ``features`` array in interactions.npz, written by
+    earlier versions, is ignored.
     """
     with open(os.path.join(data_dir, "meta.json")) as fh:
         meta = json.load(fh)
@@ -558,7 +537,7 @@ def load_dataset(data_dir: str) -> tuple[list[SessionizedSequence], Catalog, dic
         SessionizedSequence(
             user_id=u,
             sessions=[
-                Session(session_id=sid, items=[], positives=[], timestamps=[], features=[])
+                Session(session_id=sid, items=[], positives=[], timestamps=[])
                 for sid in session_ids[ui]
             ],
         )
@@ -569,11 +548,9 @@ def load_dataset(data_dir: str) -> tuple[list[SessionizedSequence], Catalog, dic
     it_arr = arrays["item"]
     pos_arr = arrays["positive"]
     ts_arr = arrays["timestamp"]
-    feat_arr = arrays["features"]
     for i in range(len(u_arr)):
         sess = sequences[u_arr[i]].sessions[s_arr[i]]
         sess.items.append(int(it_arr[i]))
         sess.positives.append(bool(pos_arr[i]))
         sess.timestamps.append(int(ts_arr[i]))
-        sess.features.append(tuple(int(v) for v in feat_arr[i]))
     return sequences, catalog, meta

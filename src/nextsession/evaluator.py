@@ -8,6 +8,7 @@ across platforms.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, replace
@@ -189,17 +190,8 @@ def _clip_sessions_to(sessions: list[Session], max_ts: int) -> list[Session]:
     out = []
     for s in sessions:
         keep = [i for i, ts in enumerate(s.timestamps) if ts <= max_ts]
-        if not keep:
-            continue
-        out.append(
-            Session(
-                session_id=s.session_id,
-                items=[s.items[i] for i in keep],
-                positives=[s.positives[i] for i in keep],
-                timestamps=[s.timestamps[i] for i in keep],
-                features=[s.features[i] for i in keep] if s.features else [],
-            )
-        )
+        if keep:
+            out.append(s.take(keep))
     return out
 
 
@@ -281,14 +273,13 @@ def scaling_table(rows, recall_k=500) -> str:
     return "\n".join(lines)
 
 
-def _pin_blas_threads():
+def blas_thread_limits(threads: int):
+    """Context manager capping BLAS threads; a no-op without threadpoolctl."""
     try:
         from threadpoolctl import threadpool_limits
 
-        return threadpool_limits(limits=1)
+        return threadpool_limits(limits=threads)
     except ImportError:
-        import contextlib
-
         return contextlib.nullcontext()
 
 
@@ -333,7 +324,7 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
                 best = min(best, time.perf_counter() - start)
         return best
 
-    with _pin_blas_threads():
+    with blas_thread_limits(1):
         item_time = timed(n_items)
         session_time = timed(m_sessions)
 

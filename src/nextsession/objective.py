@@ -18,22 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Session
+from .data import Session, encoder_views
 
 
 @dataclass
 class LossConfig:
     alpha: float = 0.2
     num_sampled_negatives: int = 128
-    sampling: str = "uniform"
 
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.num_sampled_negatives < 1:
             raise ValueError("num_sampled_negatives must be >= 1")
-        if self.sampling != "uniform":
-            raise ValueError(f"unsupported sampling {self.sampling!r}")
 
 
 @dataclass
@@ -63,21 +60,20 @@ def build_targets(
 ) -> tuple[list[list[int]], TrainingTargets]:
     """Turn a user's session sequence into model inputs and per-position targets.
 
-    Returns (input_views, targets): input_views is the positive-item list of
+    Returns (input_views, targets): input_views is ``encoder_views`` of
     sessions[:-1]; position i's targets come from sessions[i+1].  An item both
     exposed and positively interacted within one session counts as positive
     only.  Requires >= 2 sessions, each with >= 1 positive.
     """
     if len(sessions) < 2:
         raise ValueError("need at least two sessions to build training targets")
-    views = []
-    for s in sessions[:-1]:
-        pos = s.positive_items()
-        if not pos:
-            raise ValueError(
-                f"session {s.session_id!r} has no positives; filtering violated"
-            )
-        views.append(pos)
+    views = encoder_views(sessions[:-1])
+    if len(views) != len(sessions) - 1:
+        # a skipped input session would shift every later position's target
+        bad = next(s for s in sessions[:-1] if not s.num_positives())
+        raise ValueError(
+            f"session {bad.session_id!r} has no positives; filtering violated"
+        )
     positives, in_session, sampled = [], [], []
     for target in sessions[1:]:
         pos = sorted(set(target.positive_items()))

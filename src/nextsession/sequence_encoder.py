@@ -96,10 +96,3 @@ class SequenceEncoder:
             if rate > 0.0 and li < len(self.grus) - 1:
                 x = T.dropout(x, rate, dropout_rng)
         return x
-
-    def user_vector(self, tokens, training=False, dropout_rng=None):
-        """Last row of encode(); the inference-time user representation (d,)."""
-        out = self.encode(tokens, training=training, dropout_rng=dropout_rng)
-        m = out.shape[0]
-        last = T.gather(out, np.array([m - 1]))
-        return T.reshape(last, (self.dim,))

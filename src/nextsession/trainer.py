@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import Catalog, DatasetSplit, Session
+from .data import Catalog, DatasetSplit, Session, encoder_views
 from .model import ModelConfig, NextSessionModel
 from .objective import LossConfig, build_targets, total_loss
 from .session_encoder import IseConfig
@@ -28,7 +28,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     epochs: int = 200
     dropout: float = 0.2
-    optimizer: str = "adam"
     seed: int = 0
     dim: int = 64
     id_dim: int | None = None
@@ -44,30 +43,53 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer != "adam":
-            raise ValueError(f"unsupported optimizer {self.optimizer!r}")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-def config_from_dict(blob: dict) -> TrainConfig:
-    blob = copy.deepcopy(blob)
-    nested = {"loss": LossConfig, "ise": IseConfig, "sse": SseConfig}
+# Keys that older configs and checkpoint headers carry, each at the only
+# value it ever accepted; they are checked and dropped.
+_RETIRED_KEYS = {"optimizer": "adam", "loss.sampling": "uniform"}
+
+_FIELD_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "int | None": (int, type(None)),
+}
+
+
+def _field_values(cls, values: dict, prefix: str = "") -> dict:
+    """Check ``values`` against ``cls``'s fields, dropping retired keys."""
     kwargs = {}
-    for key, value in blob.items():
-        if key in nested:
-            if not isinstance(value, dict):
+    for key, value in values.items():
+        name = prefix + key
+        if name in _RETIRED_KEYS:
+            if value != _RETIRED_KEYS[name]:
+                raise ValueError(
+                    f"config field {name!r} only supports "
+                    f"{_RETIRED_KEYS[name]!r}, got {value!r}"
+                )
+            continue
+        if key not in cls.__dataclass_fields__:
+            raise ValueError(f"unknown config key {name!r}")
+        kind = cls.__dataclass_fields__[key].type
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+            raise ValueError(f"config field {name!r} must be {kind}, got {value!r}")
+        kwargs[key] = value
+    return kwargs
+
+
+def config_from_dict(blob: dict) -> TrainConfig:
+    nested = {"loss": LossConfig, "ise": IseConfig, "sse": SseConfig}
+    kwargs = _field_values(TrainConfig, {k: v for k, v in blob.items() if k not in nested})
+    for key, cls in nested.items():
+        if key in blob:
+            if not isinstance(blob[key], dict):
                 raise ValueError(f"config field {key!r} must be a mapping")
-            unknown = set(value) - {f for f in nested[key].__dataclass_fields__}
-            if unknown:
-                raise ValueError(f"unknown {key} config keys: {sorted(unknown)}")
-            kwargs[key] = nested[key](**value)
-        elif key in TrainConfig.__dataclass_fields__:
-            kwargs[key] = value
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+            kwargs[key] = cls(**_field_values(cls, blob[key], f"{key}."))
     return TrainConfig(**kwargs)
 
 
@@ -191,7 +213,7 @@ def _validation_recall(model, train_users, val_k):
     for sessions in train_users:
         if len(sessions) < 2:
             continue
-        views = [s.positive_items() for s in sessions[:-1]]
+        views = encoder_views(sessions[:-1])
         targets = sorted(set(sessions[-1].positive_items()))
         with T.no_grad():
             uvec = model.user_vector(views).data
@@ -440,7 +462,7 @@ def restore_model(
     the error names the first differing field.
     """
     if expected_config is not None and not force:
-        if config_hash(expected_config) != ckpt.config_hash:
+        if config_hash(expected_config) != config_hash(ckpt.config):
             want = config_to_dict(expected_config)
             got = config_to_dict(ckpt.config)
             for key in sorted(want):

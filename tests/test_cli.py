@@ -131,6 +131,21 @@ class TestErrors:
         assert code == 1
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,named", [
+        ("[1, 2]", "bad.json"),
+        ('{"epochs": "ten"}', "'epochs'"),
+        ('{"sse": {"layers": 1.5}}', "'sse.layers'"),
+    ])
+    def test_malformed_config_is_one_line(self, tmp_path, capsys, content, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        code = main(["train", "--data", str(tmp_path), "--out",
+                     str(tmp_path / "run"), "--config", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_failed_run_leaves_failed_manifest(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "run")
         code = main(["train", "--data", str(tmp_path / "missing"), "--out", out])

@@ -228,8 +228,7 @@ class TestFilterDataset:
         assert catalog.feature_names == ("color",)
         assert catalog.feature_vocab_sizes() == [2]
         assert catalog.item_features.shape == (3, 1)
-        vals = {f[0] for s in sequences for sess in s.sessions for f in sess.features}
-        assert vals <= {0, 1}
+        assert set(catalog.item_features[:, 0]) <= {0, 1}
 
 
 class TestBinning:
@@ -256,7 +255,6 @@ def make_session(sid, items, positives, t0=0):
         items=list(items),
         positives=list(positives),
         timestamps=list(range(t0, t0 + len(items))),
-        features=[() for _ in items],
     )
 
 
@@ -418,4 +416,20 @@ class TestPersistence:
         loaded, catalog2, _ = load_dataset(str(out))
         assert catalog2.feature_names == ("color",)
         np.testing.assert_array_equal(catalog2.item_features, catalog.item_features)
-        assert loaded[0].sessions[0].features == sequences[0].sessions[0].features
+
+    def test_legacy_per_interaction_features_ignored(self, tmp_path):
+        rows = [r + ("red" if i % 2 else "blue",) for i, r in enumerate(dense_corpus_rows())]
+        path = write_csv(tmp_path / "log.csv", rows,
+                         header="user,item,session,timestamp,action,color")
+        sequences, catalog = filter_dataset(*ingest(path))
+        out = tmp_path / "data"
+        save_dataset(str(out), sequences, catalog)
+        npz = out / "interactions.npz"
+        arrays = dict(np.load(npz))
+        assert "features" not in arrays
+        # earlier versions also stored one feature id row per interaction
+        arrays["features"] = np.ones((len(arrays["item"]), 1), dtype=np.int32)
+        np.savez(npz, **arrays)
+        loaded, catalog2, _ = load_dataset(str(out))
+        assert loaded == sequences
+        np.testing.assert_array_equal(catalog2.item_features, catalog.item_features)

@@ -136,8 +136,7 @@ class StubModel:
 
 
 def one_session(sid, items, positives):
-    return Session(sid, list(items), list(positives),
-                   list(range(len(items))), [() for _ in items])
+    return Session(sid, list(items), list(positives), list(range(len(items))))
 
 
 def split_for(users, catalog_size, protocol="session"):
@@ -210,8 +209,7 @@ def toy_split(num_users=10, num_sessions=4, catalog=20):
         for s in range(num_sessions):
             items = [sig, int(rng.integers(catalog))]
             ts = [s * 100, s * 100 + 1]
-            sessions.append(Session(f"u{u}-s{s}", items, [True, True], ts,
-                                    [(), ()]))
+            sessions.append(Session(f"u{u}-s{s}", items, [True, True], ts))
         users.append(UserSplit(f"u{u}", sessions, targets=[sig]))
     return DatasetSplit(protocol="session", users=users, catalog_size=catalog,
                         stats={})

@@ -29,7 +29,7 @@ class FixedEmbedding:
 
 def session(sid, items, positives, t0=0):
     return Session(sid, list(items), list(positives),
-                   list(range(t0, t0 + len(items))), [() for _ in items])
+                   list(range(t0, t0 + len(items))))
 
 
 def targets_for(positions):

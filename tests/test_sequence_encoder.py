@@ -76,12 +76,6 @@ class TestCausality:
 
 
 class TestUserVector:
-    def test_equals_last_row_of_encode(self):
-        enc = encoder(seed=2)
-        x = tokens(4, seed=5)
-        full = enc.encode(x).data
-        np.testing.assert_array_equal(enc.user_vector(x).data, full[-1])
-
     def test_eval_mode_deterministic(self):
         enc = encoder(dropout=0.5, seed=2)
         x = tokens(4, seed=5)

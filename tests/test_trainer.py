@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -39,9 +41,7 @@ def toy_split(num_users=12, num_sessions=4, catalog=24, extras_per_session=1):
                 items.append(int(rng.integers(catalog)))
                 positives.append(True)
             ts = [s * 100 + j for j in range(len(items))]
-            sessions.append(
-                Session(f"u{u}-s{s}", items, positives, ts, [() for _ in items])
-            )
+            sessions.append(Session(f"u{u}-s{s}", items, positives, ts))
         users.append(UserSplit(user_id=f"u{u}", train_sessions=sessions,
                                targets=[sig]))
     return DatasetSplit(protocol="session", users=users, catalog_size=catalog,
@@ -100,8 +100,10 @@ class TestConfig:
             small_config(batch_size=0)
         with pytest.raises(ValueError):
             small_config(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            small_config(optimizer="sgd")
+        blob = config_to_dict(small_config())
+        blob["optimizer"] = "sgd"
+        with pytest.raises(ValueError, match="'optimizer'"):
+            config_from_dict(blob)
 
 
 class TestAdam:
@@ -270,6 +272,43 @@ class TestCheckpoint:
         pa, pb = result.model.parameters(), restored.parameters()
         for name in pa:
             np.testing.assert_array_equal(pa[name].data, pb[name].data)
+
+    @staticmethod
+    def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform"):
+        """Rewrite a checkpoint's header as written before the retired
+        single-value keys were dropped, stored hash included."""
+        blob = open(path, "rb").read()
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16 : 16 + n])
+        header["config"]["optimizer"] = optimizer
+        header["config"]["loss"]["sampling"] = sampling
+        header["config_hash"] = hashlib.sha256(
+            json.dumps(header["config"], sort_keys=True).encode()
+        ).hexdigest()[:16]
+        raw = json.dumps(header, sort_keys=True).encode()
+        out = tmp_path / f"legacy-{optimizer}-{sampling}.bin"
+        out.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n :])
+        return str(out)
+
+    def test_legacy_header_keys_load(self, tmp_path):
+        result, cfg, path = self.trained(tmp_path)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        ckpt = load_checkpoint(self.legacy_copy(path, tmp_path))
+        assert ckpt.config == cfg
+        assert ckpt.config_hash != config_hash(cfg)
+        for expected in (None, cfg):
+            restored = restore_model(ckpt, expected_config=expected)
+            pa, pb = result.model.parameters(), restored.parameters()
+            for name in pa:
+                np.testing.assert_array_equal(pa[name].data, pb[name].data)
+
+    @pytest.mark.parametrize("kwargs,key", [({"optimizer": "sgd"}, "'optimizer'"),
+                                            ({"sampling": "popularity"}, "'loss.sampling'")])
+    def test_legacy_header_other_value_rejected(self, tmp_path, kwargs, key):
+        result, cfg, path = self.trained(tmp_path)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(self.legacy_copy(path, tmp_path, **kwargs))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
