@@ -239,8 +239,11 @@ def cmd_evaluate(args) -> int:
         model = trainer.restore_model(ckpt, catalog=catalog)
         cutoffs = tuple(args.cutoffs) if args.cutoffs else evaluator.DEFAULT_CUTOFFS
         cutoffs = tuple(sorted({min(k, catalog.num_items) for k in cutoffs}))
+        # the hash of the config as read today, so a checkpoint whose header
+        # still carries retired keys reports the same hash as a fresh one
         report = evaluator.evaluate(
-            model, split, cutoffs=cutoffs, config_hash=ckpt.config_hash
+            model, split, cutoffs=cutoffs,
+            config_hash=trainer.config_hash(ckpt.config),
         )
         print(report.to_json())
         if args.out:

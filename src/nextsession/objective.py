@@ -9,7 +9,13 @@ sampled uniformly with replacement (one shared draw per position, never the
 position's sibling positives), and the rank loss contrasts it against the
 target session's own exposure negatives.  Positions whose target session has
 no exposures simply contribute nothing to the rank term.
-"""
+
+How a user's loss is computed: the distinct ids among all of the user's
+positives and negatives are embedded once, every output row is scored
+against all of them with one matmul, and each loss is one
+``tensor.sampled_softmax_xent`` over that score matrix, with each
+position's positives and negatives given as padded column indices and
+masks.  The graph is the same size however many positives a position has."""
 
 from __future__ import annotations
 
@@ -93,36 +99,44 @@ def score(user_vec: T.Tensor, item_vecs: T.Tensor) -> T.Tensor:
     return T.matmul(item_vecs, user_vec)
 
 
-def _output_row(outputs: T.Tensor, i: int) -> T.Tensor:
-    d = outputs.shape[1]
-    return T.reshape(T.gather(outputs, np.array([i])), (d,))
+def _padded(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged id rows -> a (len(rows), widest) array padded with 0, and its validity mask."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    idx = np.zeros(mask.shape, dtype=np.int64)
+    idx[mask] = np.concatenate(rows)
+    return idx, mask
 
 
-def _contrastive_sum(outputs, positives, negatives_per_position, embedding):
-    """Shared loss body: sum over positions and positives of
-    -log softmax(positive | positive + that position's negatives).
+def _contrastive_sums(outputs, positives, negative_sets, embedding):
+    """Shared loss body, once per negative set in ``negative_sets``: the sum
+    over positions and positives of -log softmax(positive | positive + that
+    position's negatives), skipping positions with no negatives.
 
-    Positions with an empty negative set are skipped.  Returns (loss Tensor,
-    number of contributing positive terms).
+    Every distinct target id is embedded once and every position is scored
+    against all of them in one matmul; each negative set then costs one
+    fused op.  Returns one (loss Tensor, contributing positive-term count)
+    pair per negative set.
     """
-    total = None
-    count = 0
-    for i, (pos, negs) in enumerate(zip(positives, negatives_per_position)):
-        if len(negs) == 0:
-            continue
-        ids = np.concatenate([pos, negs])
-        vecs = embedding.embed_items(ids)
-        scores = score(_output_row(outputs, i), vecs)
-        n_pos = len(pos)
-        neg_idx = np.arange(n_pos, n_pos + len(negs))
-        for j in range(n_pos):
-            logits = T.gather(scores, np.concatenate([[j], neg_idx]))
-            term = T.softmax_xent_with_logits(logits, 0)
-            total = term if total is None else T.add(total, term)
-            count += 1
-    if total is None:
-        total = T.Tensor(np.zeros((), dtype=np.float32))
-    return total, count
+    padded = [_padded(rows) for rows in (positives, *negative_sets)]
+    ids = np.unique(np.concatenate([idx[mask] for idx, mask in padded]))
+    if outputs.shape[0] != len(positives):
+        # output rows past the last supervised position have no targets
+        outputs = T.gather(outputs, np.arange(len(positives)))
+    scores = T.matmul(outputs, T.transpose(embedding.embed_items(ids)))
+    # padding entries are id 0 and map to column 0; the masks drop them
+    (pos_cols, pos_mask), *negs = [(np.searchsorted(ids, idx), mask) for idx, mask in padded]
+    out = []
+    for neg_cols, neg_mask in negs:
+        loss = T.sampled_softmax_xent(scores, pos_cols, pos_mask, neg_cols, neg_mask)
+        out.append((loss, int(pos_mask[neg_mask.any(axis=1)].sum())))
+    return out
+
+
+def _check_positives(targets: TrainingTargets) -> None:
+    for i, pos in enumerate(targets.positives):
+        if len(pos) == 0:
+            raise ValueError(f"position {i} has no positive targets")
 
 
 def retrieval_loss(outputs, targets: TrainingTargets, embedding):
@@ -131,19 +145,19 @@ def retrieval_loss(outputs, targets: TrainingTargets, embedding):
     Returns (raw-sum loss Tensor, positive-term count); report the mean as
     sum/count, optimize the raw sum.
     """
-    for i, pos in enumerate(targets.positives):
-        if len(pos) == 0:
-            raise ValueError(f"position {i} has no positive targets")
-    return _contrastive_sum(
-        outputs, targets.positives, targets.sampled_negatives, embedding
+    _check_positives(targets)
+    [retr] = _contrastive_sums(
+        outputs, targets.positives, [targets.sampled_negatives], embedding
     )
+    return retr
 
 
 def rank_loss(outputs, targets: TrainingTargets, embedding):
     """Same form, negatives = the target session's own exposure items."""
-    return _contrastive_sum(
-        outputs, targets.positives, targets.in_session_negatives, embedding
+    [rank] = _contrastive_sums(
+        outputs, targets.positives, [targets.in_session_negatives], embedding
     )
+    return rank
 
 
 @dataclass
@@ -166,9 +180,18 @@ class LossValues:
 
 
 def total_loss(outputs, targets: TrainingTargets, embedding, cfg: LossConfig) -> LossValues:
-    """retrieval + alpha * rank, as raw sums over positive terms."""
-    retr, n_retr = retrieval_loss(outputs, targets, embedding)
-    rank, n_rank = rank_loss(outputs, targets, embedding)
+    """retrieval + alpha * rank, as raw sums over positive terms.
+
+    Both losses share one embedding of the user's target ids and one score
+    matrix.
+    """
+    _check_positives(targets)
+    (retr, n_retr), (rank, n_rank) = _contrastive_sums(
+        outputs,
+        targets.positives,
+        [targets.sampled_negatives, targets.in_session_negatives],
+        embedding,
+    )
     if cfg.alpha == 0.0:
         total = retr
     else:

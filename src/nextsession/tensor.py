@@ -1,9 +1,9 @@
 """numpy-backed tensors with reverse-mode automatic differentiation.
 
 The op set is deliberately small: matrix multiply, broadcast add/mul, a
-few activations, layer normalization, row-wise softmax, softmax
-cross-entropy, segment reductions, and gather. Everything else the
-model needs is composed from these, not added.
+few activations, layer normalization, row-wise softmax, the sampled
+softmax loss over a score matrix, segment reductions, and gather.
+Everything else the model needs is composed from these, not added.
 
 Each op records its parents and a closure that pushes the output
 gradient back to them. ``Tensor.backward`` replays the reachable nodes
@@ -44,7 +44,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -70,8 +70,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # an owned copy laid out like data: ops may later add into it in
+            # place, and the layout fixes how BLAS sums products of it
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse sweep from a scalar output through the recorded graph."""
@@ -251,9 +255,10 @@ def gather(a: Tensor, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        a._accumulate(buf)
+        # scatter the rows straight into a's gradient: O(rows), not O(len(a))
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx, g)
 
     return _result(data, (a,), backward)
 
@@ -339,25 +344,59 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _result(y, (x,), backward)
 
 
-def softmax_xent_with_logits(logits: Tensor, target_index: int) -> Tensor:
-    """-log softmax(logits)[target], computed with max subtraction."""
-    if logits.ndim != 1 or logits.shape[0] < 2:
-        raise ValueError(f"need a logit vector of length >= 2, got shape {logits.shape}")
-    if not 0 <= target_index < logits.shape[0]:
-        raise ValueError(f"target index {target_index} out of range for {logits.shape[0]} logits")
-    z = logits.data
-    m = z.max()
-    e = np.exp(z - m)
-    total = e.sum()
-    p = e / total
-    loss = np.asarray(np.log(total) + m - z[target_index], dtype=z.dtype)
+def sampled_softmax_xent(scores: Tensor, pos_cols, pos_mask, neg_cols, neg_mask) -> Tensor:
+    """Sum over valid positives of -log(e^s_p / (e^s_p + sum of e^s_n)).
+
+    ``scores`` is a (rows, U) matrix.  Row i's positives are the columns
+    ``pos_cols[i, j]`` where ``pos_mask[i, j]``; its negatives are the
+    columns ``neg_cols[i, k]`` where ``neg_mask[i, k]``.  Each positive is
+    contrasted only with its row's negatives, never with another positive;
+    a column listed twice among the negatives counts twice; a row with no
+    valid negative adds nothing.  Each term is computed stably as
+    softplus(logsumexp(negatives) - s_p).
+    """
+    s = scores.data
+    if s.ndim != 2:
+        raise ValueError(f"scores must be a matrix, got shape {s.shape}")
+    n_rows, n_cols = s.shape
+    pairs = []
+    for cols, mask in ((pos_cols, pos_mask), (neg_cols, neg_mask)):
+        cols = np.asarray(cols, dtype=np.int64)
+        mask = np.asarray(mask, dtype=bool)
+        if cols.ndim != 2 or cols.shape != mask.shape or cols.shape[0] != n_rows:
+            raise ValueError(
+                f"index {cols.shape} and mask {mask.shape} must both be "
+                f"({n_rows}, k) for scores of shape {s.shape}"
+            )
+        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+            raise IndexError(f"score column out of range for {n_cols} columns")
+        pairs.append((cols, mask))
+    (pos_cols, pos_mask), (neg_cols, neg_mask) = pairs
+
+    rows = np.arange(n_rows)[:, None]
+    has_neg = neg_mask.any(axis=1, keepdims=True)
+    live = pos_mask & has_neg
+    neg = np.where(neg_mask, s[rows, neg_cols], -np.inf)
+    m = np.where(has_neg, neg.max(axis=1, keepdims=True, initial=-np.inf), 0.0)
+    e = np.exp(neg - m)
+    total = np.where(has_neg, e.sum(axis=1, keepdims=True), 1.0)
+    lse = np.log(total) + m
+    x = lse - s[rows, pos_cols]
+    softplus = np.logaddexp(0.0, x)
+    loss = np.asarray(np.where(live, softplus, 0.0).sum(), dtype=s.dtype)
 
     def backward(g):
-        d = p * g
-        d[target_index] -= g
-        logits._accumulate(d.astype(z.dtype, copy=False))
+        # d/ds_p = -sigmoid(x); each negative takes its softmax share of
+        # the row's summed sigmoids
+        sig = np.where(live, np.exp(x - softplus), 0.0)
+        d_neg = sig.sum(axis=1, keepdims=True) * (e / total)
+        flat = np.concatenate([(rows * n_cols + pos_cols).ravel(),
+                               (rows * n_cols + neg_cols).ravel()])
+        vals = np.concatenate([-sig.ravel(), d_neg.ravel()]) * g
+        grad = np.bincount(flat, weights=vals, minlength=s.size)
+        scores._accumulate(grad.reshape(s.shape).astype(s.dtype, copy=False))
 
-    return _result(loss, (logits,), backward)
+    return _result(loss, (scores,), backward)
 
 
 def _segment_starts(segment_ids, n_rows: int):

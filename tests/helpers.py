@@ -1,5 +1,9 @@
 """Shared test utilities, kept independent of the library internals."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 
 from nextsession.tensor import Tensor
@@ -51,3 +55,20 @@ def check_op_gradient(build, arrays, tol=1e-4, eps=1e-5):
     for leaf, num in zip(leaves, numeric):
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(num)
         assert_grad_close(analytic, num, tol=tol)
+
+
+def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform"):
+    """Rewrite a checkpoint's header as written before the retired
+    single-value keys were dropped, stored hash included."""
+    blob = open(path, "rb").read()
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + n])
+    header["config"]["optimizer"] = optimizer
+    header["config"]["loss"]["sampling"] = sampling
+    header["config_hash"] = hashlib.sha256(
+        json.dumps(header["config"], sort_keys=True).encode()
+    ).hexdigest()[:16]
+    raw = json.dumps(header, sort_keys=True).encode()
+    out = tmp_path / f"legacy-{optimizer}-{sampling}.bin"
+    out.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n :])
+    return str(out)

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from helpers import legacy_copy
+from nextsession import trainer
 from nextsession.cli import main
 
 
@@ -88,6 +90,22 @@ class TestPipeline:
         assert code == 0
         blob = json.loads(capsys.readouterr().out)
         assert set(blob["recall"]) == {"5", str(n)}
+
+    def test_report_hash_is_the_same_for_a_legacy_header(self, workspace, tmp_path,
+                                                          capsys):
+        ckpt = os.path.join(workspace["run"], "checkpoint.bin")
+        old = legacy_copy(ckpt, tmp_path)
+        assert trainer.load_checkpoint(old).config_hash != \
+            trainer.load_checkpoint(ckpt).config_hash
+        hashes = []
+        for i, path in enumerate((ckpt, old)):
+            out = str(tmp_path / f"eval{i}")
+            assert main(["evaluate", "--checkpoint", path, "--data", workspace["data"],
+                         "--out", out]) == 0
+            capsys.readouterr()
+            hashes.append(json.load(open(os.path.join(out, "report.json")))["config_hash"])
+        cfg = trainer.load_checkpoint(ckpt).config
+        assert hashes == [trainer.config_hash(cfg)] * 2
 
     def test_item_protocol_evaluates(self, workspace, capsys):
         code = main(["evaluate",

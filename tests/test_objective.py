@@ -3,6 +3,7 @@ import pytest
 
 import nextsession.tensor as T
 from nextsession.data import Session
+from nextsession.embedding import EmbeddingSpace
 from nextsession.objective import (
     LossConfig,
     TrainingTargets,
@@ -30,6 +31,60 @@ class FixedEmbedding:
 def session(sid, items, positives, t0=0):
     return Session(sid, list(items), list(positives),
                    list(range(t0, t0 + len(items))))
+
+
+def per_positive_oracle(outputs, positives, negatives_per_position, embedding):
+    """The loss as one softmax per positive: for each position with
+    negatives, embed [positives ‖ negatives], score them against that
+    position's output row, and add -log softmax(positive | positive +
+    negatives) for each positive.  Returns (loss sum, term count)."""
+    total, count = 0.0, 0
+    with T.no_grad():
+        for i, (pos, negs) in enumerate(zip(positives, negatives_per_position)):
+            if len(negs) == 0:
+                continue
+            vecs = embedding.embed_items(np.concatenate([pos, negs])).data
+            scores = vecs @ outputs.data[i]
+            neg_scores = scores[len(pos):]
+            for j in range(len(pos)):
+                logits = np.concatenate([[scores[j]], neg_scores])
+                m = logits.max()
+                total += float(np.log(np.exp(logits - m).sum()) + m - scores[j])
+                count += 1
+    return total, count
+
+
+def random_targets(rng, positions, num_items, num_sampled):
+    """Targets with some empty exposure sets, duplicate sampled negatives and
+    positives that also appear among the sampled negatives."""
+    rows = []
+    for _ in range(positions):
+        k = int(rng.integers(1, 6))
+        pos = np.sort(rng.choice(num_items, size=k, replace=False))
+        rest = np.setdiff1d(np.arange(num_items), pos)
+        neg = np.sort(rng.choice(rest, size=int(rng.integers(0, 4)), replace=False))
+        sampled = rng.integers(0, num_items, size=num_sampled)
+        sampled[0] = sampled[1]          # a duplicate
+        sampled[2] = pos[0]              # a positive drawn as a negative
+        rows.append((pos, neg, sampled))
+    return targets_for(rows)
+
+
+def float64_embedding(num_items, dim, rng):
+    emb = EmbeddingSpace(num_items, dim, rng)
+    for p in emb.parameters().values():
+        p.data = p.data.astype(np.float64)
+    return emb
+
+
+def graph_size(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
 
 
 def targets_for(positions):
@@ -306,3 +361,64 @@ class TestGradients:
         for analytic, numeric in ((emb.table.grad, num_table), (outputs.grad, num_out)):
             err = np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))
             assert err < 1e-4
+
+    def test_loss_gradient_with_duplicates_and_overlap(self):
+        rng = np.random.default_rng(13)
+        table0 = rng.normal(size=(10, 4))
+        out0 = rng.normal(size=(4, 4))
+        tg = random_targets(rng, positions=4, num_items=10, num_sampled=5)
+        cfg = LossConfig(alpha=0.6, num_sampled_negatives=5)
+
+        emb = FixedEmbedding(table0.copy())
+        outputs = T.Tensor(out0.copy(), requires_grad=True)
+        total_loss(outputs, tg, emb, cfg).total.backward()
+
+        def make_loss(arrays):
+            return total_loss(T.Tensor(arrays[1]), tg, FixedEmbedding(arrays[0]),
+                              cfg).total.item()
+
+        num_table, num_out = finite_difference(make_loss, [table0.copy(), out0.copy()])
+        for analytic, numeric in ((emb.table.grad, num_table), (outputs.grad, num_out)):
+            err = np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))
+            assert err < 1e-4
+
+
+class TestPerPositiveOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_losses_and_counts_match_on_random_users(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        num_items, dim = 30, 6
+        emb = (float64_embedding(num_items, dim, rng) if seed % 2
+               else FixedEmbedding(rng.normal(size=(num_items, dim))))
+        positions = int(rng.integers(1, 7))
+        outputs = T.Tensor(rng.normal(size=(positions, dim)))
+        tg = random_targets(rng, positions, num_items, num_sampled=8)
+        cfg = LossConfig(alpha=float(rng.uniform(0.1, 1.0)), num_sampled_negatives=8)
+
+        want_retr = per_positive_oracle(outputs, tg.positives, tg.sampled_negatives, emb)
+        want_rank = per_positive_oracle(outputs, tg.positives,
+                                        tg.in_session_negatives, emb)
+        retr, n_retr = retrieval_loss(outputs, tg, emb)
+        rank, n_rank = rank_loss(outputs, tg, emb)
+        values = total_loss(outputs, tg, emb, cfg)
+
+        assert n_retr == values.retrieval_count == want_retr[1]
+        assert n_rank == values.rank_count == want_rank[1]
+        for got in (retr.item(), values.retrieval.item()):
+            np.testing.assert_allclose(got, want_retr[0], rtol=1e-6)
+        for got in (rank.item(), values.rank.item()):
+            np.testing.assert_allclose(got, want_rank[0], rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(values.total.item(),
+                                   want_retr[0] + cfg.alpha * want_rank[0], rtol=1e-6)
+
+    def test_graph_does_not_grow_with_positives(self):
+        rng = np.random.default_rng(21)
+        emb = float64_embedding(40, 4, rng)
+        outputs = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        cfg = LossConfig(alpha=0.5, num_sampled_negatives=6)
+        sizes = []
+        for k in (1, 4, 12):
+            tg = targets_for([(np.arange(k) + 10 * i, [30 + i], rng.integers(0, 40, 6))
+                              for i in range(3)])
+            sizes.append(graph_size(total_loss(outputs, tg, emb, cfg).total))
+        assert sizes[0] == sizes[1] == sizes[2], sizes

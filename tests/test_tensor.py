@@ -90,33 +90,88 @@ class TestSegmentReduce:
         np.testing.assert_array_equal(v.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def xent(scores, pos_rows, neg_rows):
+    """sampled_softmax_xent with ragged column lists padded to width."""
+
+    def pad(rows):
+        width = max((len(r) for r in rows), default=0)
+        cols = np.zeros((len(rows), width), dtype=np.int64)
+        mask = np.zeros((len(rows), width), dtype=bool)
+        for i, r in enumerate(rows):
+            cols[i, : len(r)] = r
+            mask[i, : len(r)] = True
+        return cols, mask
+
+    return nt.sampled_softmax_xent(scores, *pad(pos_rows), *pad(neg_rows))
+
+
 class TestSoftmaxXent:
+    """The sampled softmax loss, ``sampled_softmax_xent``."""
+
     def test_uniform_logits(self):
-        loss = nt.softmax_xent_with_logits(Tensor([0.0, 0.0]), 0)
-        assert loss.item() == pytest.approx(math.log(2.0), abs=1e-6)
+        loss = xent(Tensor(np.zeros((1, 2))), [[0]], [[1]])
+        assert loss.item() == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_spread_logits_closed_form(self):
         # -log(e^10 / (e^10 + e^-10)) = log(1 + e^-20)
-        loss = nt.softmax_xent_with_logits(Tensor(np.array([10.0, -10.0])), 0)
+        loss = xent(Tensor(np.array([[10.0, -10.0]])), [[0]], [[1]])
         assert loss.item() == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-9)
 
-    def test_probabilities_sum_to_one(self):
-        logits = Tensor(rand(7), requires_grad=True)
-        loss = nt.softmax_xent_with_logits(logits, 3)
-        loss.backward()
-        # gradient is softmax - onehot, so entries sum to zero
-        assert abs(logits.grad.sum()) < 1e-6
+    def test_extreme_scores_stay_finite(self):
+        loss = xent(Tensor(np.array([[-500.0, 500.0]])), [[0]], [[1]])
+        assert loss.item() == pytest.approx(1000.0, rel=1e-12)
 
-    def test_gradient(self):
-        check_op_gradient(lambda z: nt.softmax_xent_with_logits(z, 2), [rand(6)])
+    def test_duplicate_negative_counts_twice(self):
+        s = np.array([[0.3, -0.4]])
+        loss = xent(Tensor(s), [[0]], [[1, 1]])
+        expected = math.log1p(2.0 * math.exp(-0.4 - 0.3))
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
 
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError, match="target index"):
-            nt.softmax_xent_with_logits(Tensor([0.0, 1.0]), 2)
+    def test_positives_never_contrast_each_other(self):
+        # 25 vs 5 never meet: each positive only faces the -20 negative
+        loss = xent(Tensor(np.array([[5.0, 25.0, -20.0]])), [[0, 1]], [[2]])
+        assert loss.item() < 1e-8
 
     def test_needs_two_logits(self):
-        with pytest.raises(ValueError):
-            nt.softmax_xent_with_logits(Tensor([0.5]), 0)
+        # a positive with no negative is a one-logit softmax: no term
+        s = rand(2, 3)
+        both = xent(Tensor(s), [[0], [1, 2]], [[1], []])
+        first = xent(Tensor(s[:1]), [[0]], [[1]])
+        assert both.item() == first.item()
+        none = xent(Tensor(s), [[0], [1]], [[], []])
+        assert none.item() == 0.0
+
+    def test_probabilities_sum_to_one(self):
+        # each term's gradient is softmax - onehot over [positive, negatives],
+        # so a row's gradient sums to zero
+        scores = Tensor(rand(3, 7), requires_grad=True)
+        xent(scores, [[3], [0, 1], [6]], [[0, 1, 2], [4, 4, 5], [2]]).backward()
+        np.testing.assert_allclose(scores.grad.sum(axis=1), 0.0, atol=1e-12)
+
+    def test_gradient(self):
+        # padded positives, a row with no negatives, a duplicate sampled
+        # negative, and a positive column that is also among the negatives
+        pos = [[0, 2, 5], [1], [3, 4], [6]]
+        neg = [[1, 6, 6, 2], [], [0, 3, 7], [6, 1]]
+        check_op_gradient(lambda s: xent(s, pos, neg), [rand(4, 8)])
+
+    def test_gradient_reaches_rows_through_a_matmul(self):
+        pos = [[0, 1], [2]]
+        neg = [[2, 3, 3], [0, 2]]
+        check_op_gradient(
+            lambda u, v: xent(nt.matmul(u, nt.transpose(v)), pos, neg),
+            [rand(2, 3), rand(4, 3)],
+        )
+
+    def test_target_out_of_range(self):
+        with pytest.raises(IndexError, match="out of range"):
+            xent(Tensor(rand(1, 2)), [[0]], [[2]])
+
+    def test_shape_mismatch_names_shapes(self):
+        cols = np.zeros((2, 1), dtype=np.int64)
+        mask = np.ones((2, 1), dtype=bool)
+        with pytest.raises(ValueError, match=r"\(2, 1\)"):
+            nt.sampled_softmax_xent(Tensor(rand(3, 2)), cols, mask, cols, mask)
 
 
 class TestSoftmaxRows:
@@ -197,6 +252,37 @@ class TestGatherConcat:
         with pytest.raises(IndexError):
             nt.gather(Tensor(rand(3, 2)), [0, 3])
 
+    def test_gather_into_a_leaf_that_holds_a_gradient(self):
+        # dyadic values keep every sum exact, whatever the order
+        x = Tensor(np.zeros((4, 2)), requires_grad=True)
+        x.grad = np.full((4, 2), 0.25)
+        w1 = np.array([[1.0, 2.0], [0.5, -1.0], [4.0, 0.125]])
+        w2 = np.array([[-2.0, 8.0], [0.75, 3.0]])
+        loss = nt.add(nt.sum_all(nt.mul(nt.gather(x, [0, 2, 2]), w1)),
+                      nt.sum_all(nt.mul(nt.gather(x, [2, 1]), w2)))
+        loss.backward()
+        expected = np.full((4, 2), 0.25)
+        np.add.at(expected, [0, 2, 2], w1)
+        np.add.at(expected, [2, 1], w2)
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_gather_from_a_non_leaf(self):
+        # per-step rows of one intermediate, as the GRU and the session
+        # encoder take them
+        x = Tensor(rand(4, 3), requires_grad=True)
+        y = nt.mul(x, 2.0)
+        w = [np.full((1, 3), float(t + 1)) for t in range(4)]
+        terms = [nt.sum_all(nt.mul(nt.gather(y, [t]), w[t])) for t in range(4)]
+        terms.append(nt.sum_all(nt.gather(y, [3, 1, 3])))
+        loss = terms[0]
+        for t in terms[1:]:
+            loss = nt.add(loss, t)
+        loss.backward()
+        dy = np.concatenate(w)
+        np.add.at(dy, [3, 1, 3], 1.0)
+        np.testing.assert_array_equal(y.grad, dy)
+        np.testing.assert_array_equal(x.grad, 2.0 * dy)
+
     def test_gather_gradient(self):
         check_op_gradient(
             lambda x: nt.sum_all(nt.mul(nt.gather(x, [0, 2, 2, 1]), 2.0)), [rand(3, 4)]
@@ -243,9 +329,20 @@ class TestGraphMechanics:
             Tensor(np.zeros(3, dtype=np.float32)),
         )
         assert y.dtype == np.float32
-        loss = nt.softmax_xent_with_logits(nt.reshape(nt.gather(y, [0]), (3,)), 1)
+        loss = xent(y, [[1], [0, 2], [2]], [[0, 2], [1], []])
         loss.backward()
+        assert loss.dtype == np.float32
         assert x.grad.dtype == np.float32
+
+    def test_first_gradient_is_an_owned_copy_laid_out_like_data(self):
+        # a transposed gradient arrives Fortran-ordered; the buffer must
+        # still match data, or later BLAS products change their rounding
+        x = Tensor(rand(3, 4).astype(np.float32), requires_grad=True)
+        y = nt.transpose(x)
+        nt.sum_all(nt.mul(y, Tensor(rand(4, 3).astype(np.float32)))).backward()
+        assert x.grad.flags.c_contiguous
+        assert x.grad.dtype == np.float32
+        assert not np.shares_memory(x.grad, y.grad)
 
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError, match="scalar"):

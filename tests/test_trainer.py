@@ -1,7 +1,5 @@
 import dataclasses
-import hashlib
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from nextsession.data import DatasetSplit, Session, UserSplit
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
+from helpers import legacy_copy
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -273,27 +272,10 @@ class TestCheckpoint:
         for name in pa:
             np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
-    @staticmethod
-    def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform"):
-        """Rewrite a checkpoint's header as written before the retired
-        single-value keys were dropped, stored hash included."""
-        blob = open(path, "rb").read()
-        (n,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16 : 16 + n])
-        header["config"]["optimizer"] = optimizer
-        header["config"]["loss"]["sampling"] = sampling
-        header["config_hash"] = hashlib.sha256(
-            json.dumps(header["config"], sort_keys=True).encode()
-        ).hexdigest()[:16]
-        raw = json.dumps(header, sort_keys=True).encode()
-        out = tmp_path / f"legacy-{optimizer}-{sampling}.bin"
-        out.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n :])
-        return str(out)
-
     def test_legacy_header_keys_load(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
-        ckpt = load_checkpoint(self.legacy_copy(path, tmp_path))
+        ckpt = load_checkpoint(legacy_copy(path, tmp_path))
         assert ckpt.config == cfg
         assert ckpt.config_hash != config_hash(cfg)
         for expected in (None, cfg):
@@ -308,7 +290,7 @@ class TestCheckpoint:
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
         with pytest.raises(ValueError, match=key):
-            load_checkpoint(self.legacy_copy(path, tmp_path, **kwargs))
+            load_checkpoint(legacy_copy(path, tmp_path, **kwargs))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
