@@ -94,11 +94,6 @@ def build_targets(
     return views, TrainingTargets(positives, in_session, sampled)
 
 
-def score(user_vec: T.Tensor, item_vecs: T.Tensor) -> T.Tensor:
-    """Dot-product scores: (d,) user vector against (k, d) item vectors -> (k,)."""
-    return T.matmul(item_vecs, user_vec)
-
-
 def _padded(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Ragged id rows -> a (len(rows), widest) array padded with 0, and its validity mask."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+import nextsession.evaluator as evaluator
 import nextsession.tensor as T
 from nextsession.data import DatasetSplit, Session, UserSplit
 from nextsession.evaluator import (
@@ -23,6 +24,44 @@ from nextsession.sequence_encoder import SseConfig
 from nextsession.trainer import TrainConfig
 
 
+def lexsort_top_k(user_vec, item_vecs, k):
+    """The former ``top_k`` body: sort every score by (-score, id), keep k."""
+    scores = item_vecs @ user_vec
+    n = scores.shape[0]
+    if k > n:
+        raise ValueError(f"k={k} exceeds catalog size {n}")
+    order = np.lexsort((np.arange(n), -scores))
+    return order[:k]
+
+
+def assert_matches_lexsort(u, items, k):
+    got, want = top_k(u, items, k), lexsort_top_k(u, items, k)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def scalar_items(scores, dtype):
+    """A (n, 1) item matrix and a unit user vector whose scores are ``scores``."""
+    return np.ones(1, dtype=dtype), np.asarray(scores, dtype=dtype)[:, None]
+
+
+def loop_recall_at_k(ranked, targets, k):
+    """The former per-rank loop of ``recall_at_k``."""
+    tset = set(int(t) for t in targets)
+    return sum(1 for it in ranked[:k] if int(it) in tset) / len(tset)
+
+
+def loop_ndcg_at_k(ranked, targets, k):
+    """The former per-rank loop of ``ndcg_at_k``."""
+    tset = set(int(t) for t in targets)
+    dcg = 0.0
+    for p, it in enumerate(ranked[:k], start=1):
+        if int(it) in tset:
+            dcg += 1.0 / np.log2(p + 1)
+    ideal = sum(1.0 / np.log2(p + 1) for p in range(1, min(k, len(tset)) + 1))
+    return dcg / ideal
+
+
 def sorted_oracle(user_vec, item_vecs, k):
     """Reference ranking via python sort on (-score, id) pairs."""
     scores = item_vecs @ user_vec
@@ -30,18 +69,25 @@ def sorted_oracle(user_vec, item_vecs, k):
     return np.asarray(order[:k])
 
 
+DTYPES = (np.float32, np.float64)
+SPECIALS = (np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0)
+
+
 class TestTopK:
+    """Exact ranking; the partition-based body returns what a full lexsort does."""
+
     def test_matches_sort_oracle_on_random_instances(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
+        for i in range(200):
             n = int(rng.integers(1, 40))
             d = int(rng.integers(1, 6))
-            k = int(rng.integers(1, n + 1))
-            u = rng.normal(size=d)
-            items = rng.normal(size=(n, d))
+            k = int(rng.integers(0, n + 1))
+            u = rng.normal(size=d).astype(DTYPES[i % 2])
+            items = rng.normal(size=(n, d)).astype(DTYPES[i % 2])
             np.testing.assert_array_equal(
                 top_k(u, items, k), sorted_oracle(u, items, k)
             )
+            assert_matches_lexsort(u, items, k)
 
     def test_ties_break_by_ascending_id(self):
         items = np.array([[1.0], [2.0], [2.0], [0.5], [2.0]])
@@ -59,6 +105,58 @@ class TestTopK:
     def test_k_beyond_catalog_rejected(self):
         with pytest.raises(ValueError, match="catalog"):
             top_k(np.ones(2), np.ones((3, 2)), 4)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k=-2"):
+            top_k(np.ones(2), np.ones((3, 2)), -2)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_tie_groups_straddle_the_kth_score(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            scores = rng.integers(0, 4, size=n)
+            u, items = scalar_items(scores, dtype)
+            order = lexsort_top_k(u, items, n)
+            ranked = items[order, 0]
+            # every k whose k-th and (k+1)-th scores tie cuts a tie group
+            for k in np.flatnonzero(ranked[:-1] == ranked[1:]) + 1:
+                assert_matches_lexsort(u, items, int(k))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_all_scores_equal(self, dtype):
+        u, items = scalar_items(np.full(17, 0.25), dtype)
+        for k in range(18):
+            assert_matches_lexsort(u, items, k)
+        np.testing.assert_array_equal(top_k(u, items, 5), np.arange(5))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_inf_nan_and_signed_zeros(self, dtype):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            u, items = scalar_items(rng.choice(SPECIALS, size=n), dtype)
+            assert_matches_lexsort(u, items, int(rng.integers(0, n + 1)))
+        # -0.0 and 0.0 are one tie group, ordered by id
+        u, items = scalar_items([0.0, -0.0, 0.0, -0.0, -1.0], dtype)
+        np.testing.assert_array_equal(top_k(u, items, 3), [0, 1, 2])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_k_zero_one_and_n(self, dtype):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            u, items = scalar_items(rng.integers(-2, 3, size=n), dtype)
+            for k in (0, 1, n):
+                assert_matches_lexsort(u, items, k)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_quantized_large_catalog(self, dtype):
+        rng = np.random.default_rng(14)
+        items = rng.integers(-3, 4, size=(50_000, 4)).astype(dtype)
+        u = np.array([1.0, 0.5, 0.25, 2.0], dtype=dtype)
+        for k in (1, 10, 500, 4_999):
+            assert_matches_lexsort(u, items, k)
 
 
 class TestRecall:
@@ -117,6 +215,16 @@ class TestNdcg:
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError):
             ndcg_at_k(np.array([1, 2]), [], 2)
+
+    def test_recall_and_ndcg_equal_the_per_rank_loop_exactly(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            ranked = rng.permutation(n)
+            targets = rng.integers(0, n + 5, size=int(rng.integers(1, 10))).tolist()
+            k = int(rng.integers(1, n + 1))
+            assert recall_at_k(ranked, targets, k) == loop_recall_at_k(ranked, targets, k)
+            assert ndcg_at_k(ranked, targets, k) == loop_ndcg_at_k(ranked, targets, k)
 
 
 class StubModel:
@@ -189,6 +297,25 @@ class TestEvaluate:
         a = evaluate(model, self.oracle_split(), cutoffs=(1, 4)).to_json()
         b = evaluate(model, self.oracle_split(), cutoffs=(1, 4)).to_json()
         assert a == b
+
+    def test_report_matches_lexsort_and_loop_metrics_byte_for_byte(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        catalog = 40
+        # binary item vectors: many items share each score, so ties straddle
+        # every cutoff
+        model = StubModel(rng.integers(0, 2, size=(catalog, 3)))
+        users = []
+        for u in range(12):
+            items = rng.choice(catalog, size=3, replace=False)
+            targets = rng.choice(catalog, size=int(rng.integers(1, 6)), replace=False)
+            users.append(UserSplit(f"u{u}", [one_session(f"s{u}", items, [True] * 3)],
+                                   targets=[int(t) for t in targets]))
+        split = split_for(users, catalog)
+        new = evaluate(model, split, cutoffs=(1, 5, 10, 25)).to_json()
+        monkeypatch.setattr(evaluator, "top_k", lexsort_top_k)
+        monkeypatch.setattr(evaluator, "recall_at_k", loop_recall_at_k)
+        monkeypatch.setattr(evaluator, "ndcg_at_k", loop_ndcg_at_k)
+        assert evaluate(model, split, cutoffs=(1, 5, 10, 25)).to_json() == new
 
     def test_report_json_and_table(self):
         report = evaluate(StubModel(np.eye(8)), self.oracle_split(),

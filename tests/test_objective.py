@@ -11,7 +11,6 @@ from nextsession.objective import (
     rank_loss,
     retrieval_loss,
     sample_negatives,
-    score,
     total_loss,
 )
 
@@ -150,25 +149,6 @@ class TestBuildTargets:
         seqs[1] = session("s1", [9], [False], t0=10)
         with pytest.raises(ValueError, match="no positives"):
             build_targets(seqs, 10, 4, np.random.default_rng(0))
-
-
-class TestScore:
-    def test_zero_user_vector(self):
-        items = T.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        out = score(T.Tensor(np.zeros(3)), items)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
-
-    def test_orthonormal_items(self):
-        items = T.Tensor(np.eye(3))
-        out = score(T.Tensor(np.array([0.0, 1.0, 0.0])), items)
-        np.testing.assert_allclose(out.data, [0, 1, 0])
-
-    def test_equals_matmul(self):
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=5)
-        items = rng.normal(size=(7, 5))
-        out = score(T.Tensor(u), T.Tensor(items))
-        np.testing.assert_allclose(out.data, items @ u)
 
 
 class TestRetrievalLoss:
