@@ -121,7 +121,8 @@ class EncoderBlock:
 
 
 class GRUCell:
-    """Standard gated recurrent cell; operates on (1, dim) row tensors."""
+    """Standard gated recurrent cell; operates on (rows, dim) tensors, one
+    independent hidden state per row."""
 
     def __init__(self, in_dim, hidden_dim, rng, name="gru"):
         self.name = name

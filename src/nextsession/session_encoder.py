@@ -5,6 +5,12 @@ then max pooling), recurrent (gated recurrent cell over the session's items
 in log order, last hidden state), and attention (bidirectional self-attention
 within the session — no causal mask, since items in one session arrive
 together and carry no internal ordering — followed by mean pooling).
+
+The recurrent kind advances all of a user's sessions together: sessions are
+ordered longest first, and step t feeds item t of every session that still
+has one through a single cell step on an (active, d) block of hidden rows,
+so the graph grows with the longest session, not with the number of items.
+A session's row stops changing once its items run out.
 """
 
 from __future__ import annotations
@@ -74,18 +80,36 @@ class SessionEncoder:
         if kind == "max_relu":
             return T.segment_reduce(T.relu(item_vecs), seg_ids, "max")
 
-        # sequential variants work session by session
+        if kind == "recurrent":
+            return self._recurrent(item_vecs, np.asarray(lengths, dtype=np.int64))
+
+        # attention works session by session
         tokens = []
         start = 0
         for ln in lengths:
-            rows = T.gather(item_vecs, np.arange(start, start + ln))
-            if kind == "recurrent":
-                tokens.append(self.gru.run(rows)[-1])
-            else:  # attention
-                x = rows
-                mask = full_mask(ln)
-                for block in self.blocks:
-                    x = block(x, mask)
-                tokens.append(T.segment_reduce(x, np.zeros(ln, dtype=np.int64), "mean"))
+            x = T.gather(item_vecs, np.arange(start, start + ln))
+            mask = full_mask(ln)
+            for block in self.blocks:
+                x = block(x, mask)
+            tokens.append(T.segment_reduce(x, np.zeros(ln, dtype=np.int64), "mean"))
             start += ln
         return tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
+
+    def _recurrent(self, item_vecs, lengths):
+        """Last GRU state of every session, one cell step per item position."""
+        order = np.argsort(-lengths, kind="stable")
+        first = (np.cumsum(lengths) - lengths)[order]
+        sorted_lengths = lengths[order]
+        h = T.Tensor(np.zeros((len(order), self.dim), dtype=item_vecs.dtype))
+        finished = []  # blocks of rows, in the order they stop
+        for t in range(sorted_lengths[0]):
+            # the sessions with an item t form a prefix of `order`
+            a = int(np.count_nonzero(sorted_lengths > t))
+            if a < h.shape[0]:
+                finished.append(T.gather(h, np.arange(a, h.shape[0])))
+                h = T.gather(h, np.arange(a))
+            h = self.gru.step(T.gather(item_vecs, first[:a] + t), h)
+        # a block that stops later holds longer sessions, which come earlier
+        rows = [h] + finished[::-1]
+        out = rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+        return T.gather(out, np.argsort(order))

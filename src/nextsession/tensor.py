@@ -430,14 +430,19 @@ def segment_reduce(values: Tensor, segment_ids, mode: str) -> Tensor:
 
     elif mode == "max":
         data = np.maximum.reduceat(values.data, starts, axis=0)
-        cols = np.arange(values.shape[1])
 
         def backward(g):
+            n = values.shape[0]
+            # row index where a row attains its segment's column max, else n;
+            # a column with no such row (a NaN max) routes to the segment's
+            # first row
+            hits = values.data == np.repeat(data, counts, axis=0)
+            rows = np.where(hits, np.arange(n)[:, None], n)
+            first = np.minimum.reduceat(rows, starts, axis=0)
+            first = np.where(first < n, first, starts[:, None])
+            # segments are disjoint, so every (row, column) pair is unique
             buf = np.zeros_like(values.data)
-            for s, (lo, c) in enumerate(zip(starts, counts)):
-                seg = values.data[lo : lo + c]
-                first_arg = np.argmax(seg == data[s], axis=0)
-                buf[lo + first_arg, cols] += g[s]
+            buf[first, np.arange(values.shape[1])] += g
             values._accumulate(buf)
 
     else:

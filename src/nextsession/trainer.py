@@ -173,6 +173,15 @@ def _param_norm(params: dict) -> float:
                              for p in params.values())))
 
 
+def _first_nonfinite_grad(params: dict) -> str:
+    """Name the first parameter, in sorted order, with a non-finite gradient."""
+    for name in sorted(params):
+        g = params[name].grad
+        if g is not None and not np.isfinite(g).all():
+            return f"first non-finite gradient in {name}"
+    return "no parameter gradient is non-finite"
+
+
 @dataclass
 class TrainResult:
     model: NextSessionModel
@@ -287,7 +296,8 @@ def train(
                 users = [train_users[ui][0] for ui in batch]
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} on batch users {users}; "
-                    f"parameter norm {_param_norm(params):.4g}"
+                    f"parameter norm {_param_norm(params):.4g}; "
+                    f"{_first_nonfinite_grad(params)}"
                 )
             opt.step()
 

@@ -57,6 +57,17 @@ def check_op_gradient(build, arrays, tol=1e-4, eps=1e-5):
         assert_grad_close(analytic, num, tol=tol)
 
 
+def graph_size(root):
+    """Number of distinct nodes reachable from `root` through its parents."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
 def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform"):
     """Rewrite a checkpoint's header as written before the retired
     single-value keys were dropped, stored hash included."""

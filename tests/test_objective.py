@@ -14,7 +14,7 @@ from nextsession.objective import (
     total_loss,
 )
 
-from helpers import finite_difference
+from helpers import finite_difference, graph_size
 
 
 class FixedEmbedding:
@@ -74,16 +74,6 @@ def float64_embedding(num_items, dim, rng):
     for p in emb.parameters().values():
         p.data = p.data.astype(np.float64)
     return emb
-
-
-def graph_size(root):
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return len(seen)
 
 
 def targets_for(positions):

@@ -89,6 +89,35 @@ class TestSegmentReduce:
         out.backward()
         np.testing.assert_array_equal(v.grad, [[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_gradient_equals_the_per_segment_loop_bitwise(self, dtype):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            counts = rng.integers(1, 5, size=rng.integers(1, 7))
+            ids = np.repeat(np.arange(counts.size), counts)
+            # few distinct values, so columns tie inside a segment; NaN and
+            # signed zeros take the fallback and sign paths
+            x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan],
+                           size=(ids.size, 3), p=[.2, .15, .15, .2, .25, .05]).astype(dtype)
+            g = rng.choice([-0.0, 1.5, -2.0], size=(counts.size, 3)).astype(dtype)
+            v = Tensor(x, requires_grad=True)
+            out = nt.segment_reduce(v, ids, "max")
+            out._backward(g)
+            want = loop_max_backward(x, out.data, counts, g)
+            np.testing.assert_array_equal(v.grad.view(np.uint8), want.view(np.uint8))
+
+
+def loop_max_backward(x, maxima, counts, g):
+    """The segment max backward as one loop per segment (the old body)."""
+    buf = np.zeros_like(x)
+    cols = np.arange(x.shape[1])
+    lo = 0
+    for s, c in enumerate(counts):
+        first_arg = np.argmax(x[lo : lo + c] == maxima[s], axis=0)
+        buf[lo + first_arg, cols] += g[s]
+        lo += c
+    return buf
+
 
 def xent(scores, pos_rows, neg_rows):
     """sampled_softmax_xent with ragged column lists padded to width."""

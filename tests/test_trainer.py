@@ -205,6 +205,20 @@ class TestTrain:
             train(toy_split(), small_config(epochs=1))
         except TrainingDiverged as e:
             assert "parameter norm" in str(e)
+            # every gradient is NaN; the first name in sorted order is reported
+            assert "first non-finite gradient in emb.fuse_b1" in str(e)
+
+    def test_divergence_without_a_nonfinite_gradient_says_so(self, monkeypatch):
+        real = trainer_mod.total_loss
+
+        def detached_nan(outputs, targets, embedding, cfg):
+            values = real(outputs, targets, embedding, cfg)
+            # a NaN total with no graph behind it: no gradient reaches a parameter
+            return dataclasses.replace(values, total=T.Tensor(np.float32("nan")))
+
+        monkeypatch.setattr(trainer_mod, "total_loss", detached_nan)
+        with pytest.raises(TrainingDiverged, match="no parameter gradient is non-finite"):
+            train(toy_split(), small_config(epochs=1))
 
     def test_recurrent_backbone_trains(self):
         cfg = small_config(epochs=1, sse=SseConfig(backbone="recurrent", layers=1,
