@@ -121,13 +121,9 @@ def _resolve_train_config(args) -> trainer.TrainConfig:
 
 
 def _load_split(args):
-    sequences, catalog, meta = load_dataset(args.data)
-    split = make_split(
-        sequences,
-        args.protocol,
-        catalog.num_items,
-        max_positive_len=meta.get("max_positive_len", 200),
-    )
+    dataset, catalog, meta = load_dataset(args.data)
+    split = make_split(dataset, args.protocol, catalog.num_items,
+                       max_positive_len=meta.get("max_positive_len", 200))
     return split, catalog
 
 
@@ -179,12 +175,22 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare_data(args) -> int:
-    with _manifest_scope(os.path.join(args.output, "manifest.json"), "prepare-data", args):
-        interactions, feature_names = ingest(args.input)
-        sequences, catalog = filter_dataset(
-            interactions, feature_names, bin_count=args.bin_count
-        )
-        save_dataset(args.output, sequences, catalog, max_positive_len=args.max_pos_len)
+    path = os.path.join(args.output, "manifest.json")
+    with _manifest_scope(path, "prepare-data", args) as manifest:
+        start = time.perf_counter()
+        log, feature_names = ingest(args.input)
+        ingested = time.perf_counter()
+        dataset, catalog = filter_dataset(log, feature_names, bin_count=args.bin_count)
+        filtered = time.perf_counter()
+        save_dataset(args.output, dataset, catalog, max_positive_len=args.max_pos_len)
+        saved = time.perf_counter()
+        manifest.blob["stage_seconds"] = {
+            "ingest": ingested - start, "filter": filtered - ingested, "save": saved - filtered,
+        }
+        manifest.blob["counts"] = {
+            "rows_in": len(log), "rows_kept": dataset.sessions.num_interactions(),
+            "users": len(dataset), "sessions": len(dataset.sessions), "items": catalog.num_items,
+        }
         with open(os.path.join(args.output, "stats.json")) as fh:
             print(fh.read())
     return 0
@@ -231,11 +237,7 @@ def cmd_evaluate(args) -> int:
     manifest_path = os.path.join(args.out, "manifest.json") if args.out else None
     with _manifest_scope(manifest_path, "evaluate", args):
         ckpt = trainer.load_checkpoint(args.checkpoint)
-        sequences, catalog, meta = load_dataset(args.data)
-        split = make_split(
-            sequences, args.protocol, catalog.num_items,
-            max_positive_len=meta.get("max_positive_len", 200),
-        )
+        split, catalog = _load_split(args)
         model = trainer.restore_model(ckpt, catalog=catalog)
         cutoffs = tuple(args.cutoffs) if args.cutoffs else evaluator.DEFAULT_CUTOFFS
         cutoffs = tuple(sorted({min(k, catalog.num_items) for k in cutoffs}))

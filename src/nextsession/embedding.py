@@ -20,8 +20,7 @@ class EmbeddingSpace:
 
     feature_schema is a list of (name, vocab_size) pairs; item_features, when
     the schema is non-empty, is an (num_items, num_features) int array giving
-    each catalog item's default feature values (used when embed_items is
-    called without explicit features, and by output_item_vectors).
+    each catalog item's feature values, which every item vector uses.
     """
 
     INIT_STD = 0.02
@@ -45,6 +44,10 @@ class EmbeddingSpace:
                     f"item_features shape {item_features.shape} does not match "
                     f"({num_items}, {len(self.feature_schema)})"
                 )
+            for j, (name, vocab) in enumerate(self.feature_schema):
+                col = item_features[:, j]
+                if (col < 0).any() or (col >= vocab).any():
+                    raise IndexError(f"feature {name!r} value out of range")
         self.item_features = item_features
 
         def init(*shape):
@@ -73,11 +76,10 @@ class EmbeddingSpace:
             params[f"emb.feat.{name}"] = self.feature_tables[name]
         return params
 
-    def embed_items(self, ids, features=None):
+    def embed_items(self, ids):
         """Fused vectors for a list of item ids -> Tensor (len(ids), dim).
 
-        features, when given, is an (n, num_features) array of feature value
-        ids overriding the catalog defaults.  Out-of-vocabulary ids raise.
+        Out-of-vocabulary ids raise.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
@@ -91,20 +93,8 @@ class EmbeddingSpace:
                 f"(catalog size {self.num_items})"
             )
         parts = [T.gather(self.item_table, ids)]
-        if self.feature_schema:
-            if features is None:
-                features = self.item_features[ids]
-            features = np.asarray(features, dtype=np.int64)
-            if features.shape != (ids.size, len(self.feature_schema)):
-                raise ValueError(
-                    f"features shape {features.shape} does not match "
-                    f"({ids.size}, {len(self.feature_schema)})"
-                )
-            for j, (name, vocab) in enumerate(self.feature_schema):
-                col = features[:, j]
-                if (col < 0).any() or (col >= vocab).any():
-                    raise IndexError(f"feature {name!r} value out of range")
-                parts.append(T.gather(self.feature_tables[name], col))
+        for j, (name, _) in enumerate(self.feature_schema):
+            parts.append(T.gather(self.feature_tables[name], self.item_features[ids, j]))
         x = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
         h = T.tanh(T.add(T.matmul(x, self.fuse_w1), self.fuse_b1))
         return T.add(T.matmul(h, self.fuse_w2), self.fuse_b2)

@@ -146,19 +146,6 @@ class Adam:
             vhat = self.v[n][mask] / bc2
             p.data[mask] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def state(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {n: self.m[n].copy() for n in self.names},
-            "v": {n: self.v[n].copy() for n in self.names},
-        }
-
-    def load_state(self, state: dict):
-        self.t = int(state["t"])
-        for n in self.names:
-            self.m[n][...] = state["m"][n]
-            self.v[n][...] = state["v"][n]
-
 
 def _trainable_sessions(sessions: list[Session]) -> list[Session]:
     """Drop trailing positive-free sessions (split-truncation artifacts)."""
@@ -332,7 +319,7 @@ def train(
 
 # ---------------------------------------------------------------------------
 # checkpoint format: magic, version, little-endian u64 header length, JSON
-# header (config + tensor manifest + optimizer scalars), raw tensor blobs.
+# header (config, hashes, epoch, metrics, tensor manifest), raw tensor blobs.
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"NSCK"
@@ -345,7 +332,6 @@ def save_checkpoint(
     cfg: TrainConfig,
     epoch: int,
     metrics: dict | None = None,
-    opt: Adam | None = None,
     data_hash: str = "",
 ) -> None:
     params = model.parameters()
@@ -371,12 +357,6 @@ def save_checkpoint(
 
     for name in sorted(params):
         add_tensor(name, params[name].data)
-    opt_blob = None
-    if opt is not None:
-        opt_blob = {"t": opt.t}
-        for name in sorted(params):
-            add_tensor(f"opt.m.{name}", opt.m[name])
-            add_tensor(f"opt.v.{name}", opt.v[name])
 
     header = {
         "config": config_to_dict(cfg),
@@ -385,7 +365,6 @@ def save_checkpoint(
         "epoch": epoch,
         "metrics": metrics or {},
         "tensors": manifest,
-        "opt": opt_blob,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -405,7 +384,6 @@ class CheckpointData:
     epoch: int
     metrics: dict
     tensors: dict
-    opt: dict | None
 
 
 def load_checkpoint(path: str) -> CheckpointData:
@@ -427,6 +405,8 @@ def load_checkpoint(path: str) -> CheckpointData:
 
     tensors = {}
     for entry in header["tensors"]:
+        if entry["name"].startswith("opt."):
+            continue  # optimizer moments, which earlier versions could store
         start = header_end + entry["offset"]
         end = start + entry["nbytes"]
         if end > len(blob):
@@ -436,19 +416,6 @@ def load_checkpoint(path: str) -> CheckpointData:
         arr = np.frombuffer(blob[start:end], dtype=np.dtype(entry["dtype"]))
         tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
 
-    opt = None
-    if header.get("opt") is not None:
-        opt = {
-            "t": header["opt"]["t"],
-            "m": {
-                k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")
-            },
-            "v": {
-                k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")
-            },
-        }
-        tensors = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-
     return CheckpointData(
         config=config_from_dict(header["config"]),
         config_hash=header["config_hash"],
@@ -456,7 +423,6 @@ def load_checkpoint(path: str) -> CheckpointData:
         epoch=header["epoch"],
         metrics=header.get("metrics", {}),
         tensors=tensors,
-        opt=opt,
     )
 
 

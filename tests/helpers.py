@@ -83,3 +83,189 @@ def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform"):
     out = tmp_path / f"legacy-{optimizer}-{sampling}.bin"
     out.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n :])
     return str(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference data pipeline: the row-object implementation that the columnar
+# data layer replaced (one object per log row, dicts keyed by raw ids).  The
+# columnar code must write exactly what this writes.
+# ---------------------------------------------------------------------------
+
+_REF_COLUMNS = ("user", "item", "session", "timestamp", "action")
+_REF_POLARITY = {"exposure": False, "effective_view": True, "click": True, "purchase": True}
+
+
+class _RefRow:
+    __slots__ = ("user", "item", "session", "timestamp", "positive", "features")
+
+    def __init__(self, user, item, session, timestamp, positive, features):
+        self.user, self.item, self.session = user, item, session
+        self.timestamp, self.positive, self.features = timestamp, positive, features
+
+
+def _ref_ingest(path):
+    import csv
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return [], ()
+        header = [h.strip() for h in header]
+        for col in _REF_COLUMNS:
+            if col not in header:
+                raise ValueError(f"missing required column {col!r} in {path}")
+        idx = {col: header.index(col) for col in _REF_COLUMNS}
+        feature_names = tuple(h for h in header if h not in _REF_COLUMNS)
+        feat_idx = [header.index(h) for h in feature_names]
+        out = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            action = row[idx["action"]].strip().lower().replace("-", "_")
+            if action not in _REF_POLARITY:
+                raise ValueError(f"line {lineno}: unknown action {row[idx['action']]!r}")
+            try:
+                ts = int(row[idx["timestamp"]])
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: timestamp {row[idx['timestamp']]!r} is not an integer"
+                ) from None
+            out.append(_RefRow(row[idx["user"]], row[idx["item"]], row[idx["session"]], ts,
+                               _REF_POLARITY[action], tuple(row[j] for j in feat_idx)))
+    out.sort(key=lambda r: (r.user, r.timestamp))
+    return out, feature_names
+
+
+def _ref_fixpoint_filter(rows):
+    while True:
+        item_counts, user_counts, session_pos, user_sessions = {}, {}, {}, {}
+        for r in rows:
+            item_counts[r.item] = item_counts.get(r.item, 0) + 1
+            user_counts[r.user] = user_counts.get(r.user, 0) + 1
+            key = (r.user, r.session)
+            session_pos[key] = session_pos.get(key, False) or r.positive
+            user_sessions.setdefault(r.user, set()).add(r.session)
+        kept = [
+            r for r in rows
+            if item_counts[r.item] >= 5 and user_counts[r.user] >= 5
+            and session_pos[(r.user, r.session)] and len(user_sessions[r.user]) >= 3
+        ]
+        if len(kept) == len(rows):
+            return kept
+        rows = kept
+
+
+def _ref_is_float(s):
+    try:
+        float(s)
+    except ValueError:
+        return False
+    return True
+
+
+def _ref_feature_info(rows, feature_names, bin_count):
+    info = {}
+    for j, name in enumerate(feature_names):
+        raw = [r.features[j] for r in rows]
+        distinct = sorted(set(raw))
+        if len(distinct) > bin_count and all(_ref_is_float(v) for v in distinct):
+            qs = np.linspace(0, 1, bin_count + 1)[1:-1]
+            edges = np.unique(np.quantile(np.array([float(v) for v in raw]), qs))
+            info[name] = {"kind": "binned", "edges": [float(e) for e in edges]}
+        else:
+            info[name] = {"kind": "categorical", "values": {v: i for i, v in enumerate(distinct)}}
+    return info
+
+
+def _ref_encode_feature(info, raw):
+    if info["kind"] == "categorical":
+        return info["values"][raw]
+    return int(np.searchsorted(np.asarray(info["edges"]), float(raw), side="right"))
+
+
+def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
+    """ingest -> fixpoint filter -> remap and sessionize -> save, one Python
+    object per row; writes the dataset directory layout (format version 1)."""
+    import os
+
+    interactions, feature_names = _ref_ingest(log_path)
+    rows = _ref_fixpoint_filter(interactions)
+    if not rows:
+        raise ValueError("dataset degenerate")
+    item_ids = sorted({r.item for r in rows})
+    item_map = {raw: i for i, raw in enumerate(item_ids)}
+    feature_info = _ref_feature_info(rows, feature_names, bin_count)
+    item_features = np.zeros((len(item_ids), len(feature_names)), dtype=np.int32)
+    seen = set()
+    for r in rows:
+        di = item_map[r.item]
+        if di not in seen:
+            seen.add(di)
+            for j, name in enumerate(feature_names):
+                item_features[di, j] = _ref_encode_feature(feature_info[name], r.features[j])
+
+    by_user = {}
+    for r in rows:
+        by_user.setdefault(r.user, {}).setdefault(r.session, []).append(r)
+    users, session_ids = [], []
+    user_idx, sess_ord, items, positives, timestamps = [], [], [], [], []
+    num_positives = 0
+    for ui, user in enumerate(sorted(by_user)):
+        ordered = sorted(by_user[user].items(), key=lambda kv: min(r.timestamp for r in kv[1]))
+        users.append(user)
+        session_ids.append([sid for sid, _ in ordered])
+        for so, (_, group) in enumerate(ordered):
+            for r in group:
+                user_idx.append(ui)
+                sess_ord.append(so)
+                items.append(item_map[r.item])
+                positives.append(r.positive)
+                timestamps.append(r.timestamp)
+                num_positives += r.positive
+
+    os.makedirs(out_dir, exist_ok=True)
+    np.savez(
+        os.path.join(out_dir, "interactions.npz"),
+        user_idx=np.asarray(user_idx, dtype=np.int32),
+        session_ord=np.asarray(sess_ord, dtype=np.int32),
+        item=np.asarray(items, dtype=np.int32),
+        positive=np.asarray(positives, dtype=bool),
+        timestamp=np.asarray(timestamps, dtype=np.int64),
+        item_features=item_features,
+    )
+    with open(os.path.join(out_dir, "item_map.json"), "w") as fh:
+        json.dump(item_map, fh)
+    with open(os.path.join(out_dir, "users.json"), "w") as fh:
+        json.dump({"users": users, "session_ids": session_ids}, fh)
+    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
+        json.dump({"format_version": 1, "feature_names": list(feature_names),
+                   "feature_info": feature_info, "max_positive_len": max_positive_len,
+                   "num_items": len(item_map)}, fh, indent=2)
+    n_users, n_sessions, n_rows = len(users), sum(map(len, session_ids)), len(items)
+    stats = {
+        "num_users": n_users,
+        "num_items": len(item_map),
+        "num_interactions": n_rows,
+        "num_sessions": n_sessions,
+        "avg_length": n_rows / n_users,
+        "avg_positive_length": num_positives / n_users,
+        "avg_session_length": n_rows / n_sessions,
+    }
+    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
+        json.dump(stats, fh, indent=2, sort_keys=True)
+
+
+def dataset_files(data_dir):
+    """Every array and JSON file of a dataset directory, for comparison."""
+    import os
+
+    with np.load(os.path.join(data_dir, "interactions.npz")) as archive:
+        blob = {name: archive[name] for name in archive.files}
+    for name in ("item_map.json", "users.json", "meta.json", "stats.json"):
+        with open(os.path.join(data_dir, name)) as fh:
+            blob[name] = fh.read()
+    return blob

@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from helpers import legacy_copy
@@ -47,6 +49,22 @@ class TestPipeline:
                 "interactions.npz", "manifest.json"} <= names
         stats = json.load(open(os.path.join(workspace["data"], "stats.json")))
         assert stats["num_users"] == 30
+
+    def test_prepare_manifest_records_stage_times_and_counts(self, workspace):
+        manifest = json.load(open(os.path.join(workspace["data"], "manifest.json")))
+        stats = json.load(open(os.path.join(workspace["data"], "stats.json")))
+        assert manifest["status"] == "success"
+        assert sorted(manifest["stage_seconds"]) == ["filter", "ingest", "save"]
+        assert all(t >= 0 for t in manifest["stage_seconds"].values())
+        with open(workspace["log"]) as fh:
+            rows_in = sum(1 for _ in fh) - 1
+        assert manifest["counts"] == {
+            "rows_in": rows_in,
+            "rows_kept": stats["num_interactions"],
+            "users": stats["num_users"],
+            "sessions": stats["num_sessions"],
+            "items": stats["num_items"],
+        }
 
     def test_train_artifacts(self, workspace):
         run = workspace["run"]
@@ -171,6 +189,28 @@ class TestErrors:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["status"] == "failed"
         assert "error" in manifest
+
+    @pytest.mark.parametrize("damage,named", [
+        ("drop-item-array", "interactions.npz: missing array 'item'"),
+        ("users-one-short", "users.json"),
+    ])
+    def test_corrupt_dataset_is_one_line(self, workspace, tmp_path, capsys, damage, named):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        if damage == "drop-item-array":
+            arrays = dict(np.load(data / "interactions.npz"))
+            del arrays["item"]
+            np.savez(data / "interactions.npz", **arrays)
+        else:
+            blob = json.loads((data / "users.json").read_text())
+            blob["users"].pop()
+            blob["session_ids"].pop()
+            (data / "users.json").write_text(json.dumps(blob))
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     def test_bad_checkpoint_exits_1(self, workspace, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

@@ -1,11 +1,18 @@
+import csv
+import json
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dataset_files, reference_prepare
+from nextsession import data, synth
 from nextsession.data import (
+    Dataset,
     Session,
-    SessionizedSequence,
+    Sessions,
     compute_stats,
     encoder_views,
     equal_frequency_edges,
@@ -50,22 +57,22 @@ class TestIngest:
                 ("u1", "i3", "s2", 102, "purchase"),
             ],
         )
-        interactions, features = ingest(path)
-        assert len(interactions) == 3
+        log, features = ingest(path)
+        assert len(log) == 3
         assert features == ()
-        assert [r.positive for r in interactions] == [True, False, True]
+        assert log.positive.tolist() == [True, False, True]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        interactions, features = ingest(str(path))
-        assert interactions == []
+        log, features = ingest(str(path))
+        assert len(log) == 0 and features == ()
 
     def test_header_only(self, tmp_path):
         path = write_csv(tmp_path / "h.csv", [])
-        assert ingest(path)[0] == []
+        assert len(ingest(path)[0]) == 0
 
-    def test_rows_sorted_by_user_then_time(self, tmp_path):
+    def test_rows_kept_in_log_order(self, tmp_path):
         path = write_csv(
             tmp_path / "log.csv",
             [
@@ -74,10 +81,12 @@ class TestIngest:
                 ("u1", "i3", "s1", 10, "click"),
             ],
         )
-        interactions, _ = ingest(path)
-        assert [(r.user, r.timestamp) for r in interactions] == [
-            ("u1", 10), ("u1", 99), ("u2", 50),
-        ]
+        log, _ = ingest(path)
+        assert [log.user.names[c] for c in log.user.codes] == ["u2", "u1", "u1"]
+        assert [log.item.names[c] for c in log.item.codes] == ["i1", "i2", "i3"]
+        assert log.timestamp.tolist() == [50, 99, 10]
+        # each distinct string is stored once
+        assert log.user.names == ["u2", "u1"] and log.session.names == ["s1"]
 
     def test_unknown_action_names_line(self, tmp_path):
         path = write_csv(
@@ -106,8 +115,8 @@ class TestIngest:
 
     def test_hyphenated_action_accepted(self, tmp_path):
         path = write_csv(tmp_path / "log.csv", [("u1", "i1", "s1", 1, "effective-view")])
-        interactions, _ = ingest(path)
-        assert interactions[0].positive
+        log, _ = ingest(path)
+        assert log.positive.tolist() == [True]
 
     def test_extra_columns_become_features(self, tmp_path):
         path = write_csv(
@@ -115,9 +124,36 @@ class TestIngest:
             [("u1", "i1", "s1", 1, "click", "sports", "3.5")],
             header="user,item,session,timestamp,action,topic,price",
         )
-        interactions, features = ingest(path)
+        log, features = ingest(path)
         assert features == ("topic", "price")
-        assert interactions[0].features == ("sports", "3.5")
+        assert [col.names[col.codes[0]] for col in log.features] == ["sports", "3.5"]
+
+    def test_quoted_fields_and_blank_lines(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text('user,item,session,timestamp,action\n'
+                        '"u,1",i1,s1,5,click\n\n'
+                        'u2,"i ""2""",s1,6,exposure\n')
+        log, _ = ingest(str(path))
+        assert log.user.names == ["u,1", "u2"]
+        assert log.item.names == ["i1", 'i "2"']
+        assert log.positive.tolist() == [True, False]
+
+    def test_first_fault_in_line_order_is_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CHUNK_ROWS", 3)  # lines 5-7 form one block
+        path = tmp_path / "log.csv"
+        path.write_text("user,item,session,timestamp,action\n"
+                        "u1,i1,s1,1,click\n\n"
+                        "u1,i1,s1,2,click\n"
+                        "u1,i1,s1,later,click\n"
+                        "u1,i1,s1\n"
+                        "u1,i1,s1,3,hover\n")
+        with pytest.raises(ValueError, match="line 5: timestamp .later. is not a 64-bit integer"):
+            ingest(str(path))
+
+    def test_timestamp_outside_int64_names_line(self, tmp_path):
+        path = write_csv(tmp_path / "log.csv", [("u1", "i1", "s1", 2**63, "click")])
+        with pytest.raises(ValueError, match="line 2: timestamp .* is not a 64-bit integer"):
+            ingest(path)
 
 
 class TestFilterDataset:
@@ -258,17 +294,41 @@ def make_session(sid, items, positives, t0=0):
     )
 
 
+def dataset_of(users):
+    """A Dataset holding ``users``, a dict of user id -> list of Session."""
+    sessions = [s for group in users.values() for s in group]
+    return Dataset(
+        Sessions(
+            np.array([it for s in sessions for it in s.items], np.int32),
+            np.array([p for s in sessions for p in s.positives], bool),
+            np.array([t for s in sessions for t in s.timestamps], np.int64),
+            np.cumsum([0] + [len(s) for s in sessions]),
+            [s.session_id for s in sessions],
+        ),
+        np.cumsum([0] + [len(group) for group in users.values()]),
+        list(users),
+    )
+
+
+def truncated(sessions, budget):
+    """The train view that make_split keeps of ``sessions`` under ``budget``."""
+    target = make_session("target", [0], [True], t0=10_000)
+    split = make_split(dataset_of({"u": sessions + [target]}), "session", 100,
+                       max_positive_len=budget)
+    return list(split.users[0].train_sessions)
+
+
 class TestTruncation:
     def test_budget_larger_than_history_keeps_all(self):
         sessions = [make_session("a", [0, 1], [True, True])]
-        assert truncate_to_positive_budget(sessions, 10) == sessions
+        assert truncated(sessions, 10) == sessions
 
     def test_cut_splits_a_session_at_item_granularity(self):
         sessions = [
             make_session("a", [0, 1, 2], [True, True, True], t0=0),
             make_session("b", [3, 4], [True, True], t0=10),
         ]
-        kept = truncate_to_positive_budget(sessions, 3)
+        kept = truncated(sessions, 3)
         assert [s.session_id for s in kept] == ["a", "b"]
         assert kept[0].items == [2]
         assert kept[1].items == [3, 4]
@@ -279,29 +339,44 @@ class TestTruncation:
             make_session("b", [1], [True], t0=5),
             make_session("c", [2], [True], t0=9),
         ]
-        kept = truncate_to_positive_budget(sessions, 2)
+        kept = truncated(sessions, 2)
         assert [s.session_id for s in kept] == ["b", "c"]
 
     def test_negatives_ride_along_with_kept_suffix(self):
         sessions = [
             make_session("a", [0, 1, 2], [False, True, True]),
         ]
-        kept = truncate_to_positive_budget(sessions, 1)
+        kept = truncated(sessions, 1)
         # the cut lands on the last positive; the leading exposure drops out
         assert kept[0].items == [2]
+
+    def test_exact_fit_keeps_leading_exposures_and_nothing_earlier(self):
+        sessions = [
+            make_session("a", [5], [False]),
+            make_session("b", [0, 1, 2], [False, True, True], t0=10),
+        ]
+        assert truncated(sessions, 2) == sessions[1:]
+        assert truncated(sessions, 3) == sessions
+
+    def test_row_ranges_are_cut_independently(self):
+        view = dataset_of({"u": [make_session("a", [0, 1, 2, 3], [True, False, True, True])],
+                           "v": [make_session("b", [4, 5], [True, True])]}).sessions
+        begins = truncate_to_positive_budget(view, [0, 4], [4, 6], 2)
+        assert begins.tolist() == [2, 4]
+        with pytest.raises(ValueError, match="max_positives"):
+            truncate_to_positive_budget(view, [0], [4], 0)
 
 
 class TestMakeSplit:
     def build_sequences(self):
-        seqs = []
-        for u in range(3):
-            sessions = [
+        return dataset_of({
+            f"u{u}": [
                 make_session(f"u{u}-s{k}", [u * 10 + k, u * 10 + k + 1, 99],
                              [True, True, False], t0=k * 100)
                 for k in range(3)
             ]
-            seqs.append(SessionizedSequence(user_id=f"u{u}", sessions=sessions))
-        return seqs
+            for u in range(3)
+        })
 
     def test_session_protocol_definition(self):
         split = make_split(self.build_sequences(), "session", catalog_size=120)
@@ -319,14 +394,9 @@ class TestMakeSplit:
         assert user.train_sessions[-1].items == [2]
 
     def test_single_session_user_skipped_with_count(self):
-        seqs = self.build_sequences()
-        seqs.append(
-            SessionizedSequence(
-                user_id="u9",
-                sessions=[make_session("u9-s0", [1, 2], [True, True])],
-            )
-        )
-        split = make_split(seqs, "session", catalog_size=120)
+        users = {seq.user_id: list(seq.sessions) for seq in self.build_sequences()}
+        users["u9"] = [make_session("u9-s0", [1, 2], [True, True])]
+        split = make_split(dataset_of(users), "session", catalog_size=120)
         assert split.stats["skipped_users"] == 1
         assert len(split.users) == 3
 
@@ -362,9 +432,15 @@ class TestMakeSplit:
             )
             assert train_count == full_count - 1
 
+    def test_item_protocol_needs_two_positives(self):
+        dataset = dataset_of({"u": [make_session("a", [1, 2], [False, True])],
+                              "v": [make_session("b", [3], [False])]})
+        split = make_split(dataset, "item", catalog_size=5)
+        assert split.users == [] and split.stats["skipped_users"] == 2
+
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="protocol"):
-            make_split([], "weekly", catalog_size=5)
+            make_split(dataset_of({}), "weekly", catalog_size=5)
 
     def test_stats_session_totals_consistent(self):
         seqs = self.build_sequences()
@@ -431,5 +507,169 @@ class TestPersistence:
         arrays["features"] = np.ones((len(arrays["item"]), 1), dtype=np.int32)
         np.savez(npz, **arrays)
         loaded, catalog2, _ = load_dataset(str(out))
-        assert loaded == sequences
+        assert_same_dataset(loaded, sequences)
         np.testing.assert_array_equal(catalog2.item_features, catalog.item_features)
+
+
+def assert_same_dataset(a, b):
+    for name in ("item", "positive", "timestamp", "offsets"):
+        np.testing.assert_array_equal(getattr(a.sessions, name), getattr(b.sessions, name))
+    assert a.sessions.session_ids == b.sessions.session_ids
+    np.testing.assert_array_equal(a.user_offsets, b.user_offsets)
+    assert a.user_ids == b.user_ids
+
+
+def prepared(tmp_path, rows=None):
+    """A dataset directory written from ``rows`` (the dense corpus by default)."""
+    path = write_csv(tmp_path / "log.csv", rows or dense_corpus_rows())
+    out = tmp_path / "data"
+    save_dataset(str(out), *filter_dataset(*ingest(path)))
+    return out
+
+
+class TestCorruptDirectory:
+    def test_missing_array_names_file_and_array(self, tmp_path):
+        out = prepared(tmp_path)
+        arrays = dict(np.load(out / "interactions.npz"))
+        del arrays["item"]
+        np.savez(out / "interactions.npz", **arrays)
+        with pytest.raises(ValueError, match=r"interactions\.npz: missing array 'item'"):
+            load_dataset(str(out))
+
+    def test_users_json_one_user_short(self, tmp_path):
+        out = prepared(tmp_path)
+        blob = json.loads((out / "users.json").read_text())
+        blob["users"].pop()
+        blob["session_ids"].pop()
+        (out / "users.json").write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=r"user_idx names a user that .*users\.json"):
+            load_dataset(str(out))
+
+    def test_session_without_rows(self, tmp_path):
+        out = prepared(tmp_path)
+        blob = json.loads((out / "users.json").read_text())
+        blob["session_ids"][0].append("ghost")
+        (out / "users.json").write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="has no rows"):
+            load_dataset(str(out))
+
+    def test_offsets_must_cover_the_rows(self, tmp_path):
+        out = prepared(tmp_path)
+        arrays = dict(np.load(out / "interactions.npz"))
+        arrays["session_ord"][-1] = 7  # the last user has 3 sessions
+        np.savez(out / "interactions.npz", **arrays)
+        with pytest.raises(ValueError, match="session offsets do not cover the rows"):
+            load_dataset(str(out))
+
+    def test_unequal_array_lengths(self, tmp_path):
+        out = prepared(tmp_path)
+        arrays = dict(np.load(out / "interactions.npz"))
+        arrays["timestamp"] = arrays["timestamp"][:-1]
+        np.savez(out / "interactions.npz", **arrays)
+        with pytest.raises(ValueError, match="'timestamp' is not one value per row"):
+            load_dataset(str(out))
+
+    def test_not_an_archive(self, tmp_path):
+        out = prepared(tmp_path)
+        (out / "interactions.npz").write_bytes(b"PK\x03\x04 not really a zip")
+        with pytest.raises(ValueError, match=r"interactions\.npz"):
+            load_dataset(str(out))
+
+
+# ---------------------------------------------------------------------------
+# the columnar pipeline against the row-object reference (tests/helpers.py)
+# ---------------------------------------------------------------------------
+
+
+def random_log(path, seed):
+    """A log with equal timestamps, session ids shared between users,
+    sessions interleaved in time and in log order, quoted fields, blank
+    lines, a categorical, a binned and a numeric-but-categorical feature."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for u in range(int(rng.integers(10, 20))):
+        for k in range(int(rng.integers(2, 6))):
+            sid = f"s{k}" if rng.random() < 0.5 else f"u{u}-s{k}"
+            t0 = int(rng.integers(0, 20))
+            for _ in range(int(rng.integers(1, 6))):
+                item = f"i{int(rng.zipf(1.3)) % 30}"
+                if item.endswith("7"):
+                    item = f'i,"{item}"'
+                rows.append([f"u{u}", item, sid, t0 + int(rng.integers(0, 3)),
+                             str(rng.choice(["click", "exposure", "Purchase", "effective-view"])),
+                             str(rng.choice(["red", "green", "blue"])),
+                             f"{rng.normal(10, 3):.2f}", str(int(rng.integers(0, 3)))])
+    order = rng.permutation(len(rows))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user", "item", "session", "timestamp", "action",
+                         "color", "price", "size"])
+        for i in order:
+            writer.writerow(rows[i])
+            if rng.random() < 0.05:
+                fh.write("\r\n")
+    return str(path)
+
+
+def cascade_rows():
+    """The dense corpus plus users that the filter removes only over several
+    passes: the rare item goes, then user w (5 rows -> 4), then item d
+    (5 rows -> 3), then user x (its third session held only d)."""
+    rows = dense_corpus_rows()
+    for t, (user, item, sid) in enumerate([
+        ("w", "a", "w0"), ("w", "rare", "w0"), ("w", "d", "w1"), ("w", "d", "w2"),
+        ("w", "a", "w2"), ("x", "d", "x0"), ("x", "a", "x0"), ("x", "d", "x1"),
+        ("x", "b", "x1"), ("x", "d", "x2"),
+    ]):
+        rows.append((user, item, sid, 500 + t, "click"))
+    return rows
+
+
+def assert_matches_reference(log_path, tmp_path, bin_count=16):
+    ours, ref = tmp_path / "ours", tmp_path / "ref"
+    shutil.rmtree(ours, ignore_errors=True)
+    shutil.rmtree(ref, ignore_errors=True)
+    save_dataset(str(ours), *filter_dataset(*ingest(log_path), bin_count=bin_count))
+    reference_prepare(log_path, str(ref), bin_count=bin_count)
+    a, b = dataset_files(ours), dataset_files(ref)
+    assert a.keys() == b.keys()
+    for name in a:
+        if isinstance(a[name], str):
+            assert a[name] == b[name], name
+        else:
+            assert a[name].dtype == b[name].dtype, name
+            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_logs(self, tmp_path, seed):
+        assert_matches_reference(random_log(tmp_path / "log.csv", seed), tmp_path,
+                                 bin_count=4 + seed)
+
+    def test_random_log_parsed_in_small_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CHUNK_ROWS", 7)
+        assert_matches_reference(random_log(tmp_path / "log.csv", 11), tmp_path)
+
+    def test_filter_needing_several_passes(self, tmp_path):
+        path = write_csv(tmp_path / "log.csv", cascade_rows())
+        assert_matches_reference(path, tmp_path)
+        dataset, catalog = filter_dataset(*ingest(path))
+        assert dataset.user_ids == ["u0", "u1", "u2"]
+        assert sorted(catalog.item_map) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("pattern", synth.PATTERNS)
+    def test_synth_patterns(self, tmp_path, pattern):
+        kwargs = {} if pattern == "hard-negative-sessions" else {"catalog": 80}
+        rows = synth.generate(pattern, num_users=40, num_sessions=6, seed=3, **kwargs)
+        synth.write_log(str(tmp_path / "log.csv"), rows)
+        assert_matches_reference(str(tmp_path / "log.csv"), tmp_path)
+
+    def test_loads_a_directory_written_by_the_reference(self, tmp_path):
+        path = random_log(tmp_path / "log.csv", 5)
+        reference_prepare(path, str(tmp_path / "ref"), max_positive_len=7)
+        loaded, catalog, meta = load_dataset(str(tmp_path / "ref"))
+        dataset, ours = filter_dataset(*ingest(path))
+        assert_same_dataset(loaded, dataset)
+        assert catalog.item_map == ours.item_map and meta["max_positive_len"] == 7
+        np.testing.assert_array_equal(catalog.item_features, ours.item_features)

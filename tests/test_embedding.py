@@ -50,15 +50,13 @@ class TestEmbedItems:
             make_space().embed_items([])
 
     def test_feature_width_validated(self):
-        space = make_space(features=True)
-        with pytest.raises(ValueError, match="features shape"):
-            space.embed_items([0, 1], features=np.zeros((2, 3), dtype=int))
-
-    def test_explicit_features_override_catalog(self):
-        space = make_space(features=True)
-        default = space.embed_items([0])
-        overridden = space.embed_items([0], features=(space.item_features[[0]] + 1) % 3)
-        assert not np.array_equal(default.data, overridden.data)
+        schema = (("topic", 3), ("price_bin", 3))
+        with pytest.raises(ValueError, match="item_features shape"):
+            EmbeddingSpace(4, 6, np.random.default_rng(0), feature_schema=schema,
+                           item_features=np.zeros((4, 3), dtype=int))
+        with pytest.raises(IndexError, match="'price_bin' value out of range"):
+            EmbeddingSpace(4, 6, np.random.default_rng(0), feature_schema=schema,
+                           item_features=np.array([[0, 1], [2, 3], [1, 1], [0, 0]]))
 
 
 class TestTiedOutputVectors:
