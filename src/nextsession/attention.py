@@ -1,9 +1,12 @@
-"""Shared network blocks: multi-head self-attention, feed-forward, gated
-recurrent cell, and the pre-normalization encoder block built from them.
+"""Shared network blocks: multi-head self-attention, feed-forward, the
+pre-normalization encoder block built from them, and a gated recurrent cell.
 
-Everything here is shape (m, d) in / (m, d) out and mask-driven, so the same
-blocks serve both the within-session encoder (full mask) and the causal
-sequence encoder (lower-triangular mask).
+The attention blocks are shape (m, d) in / (m, d) out and mask-driven, so
+the same blocks serve both the within-session encoder (full mask) and the
+causal sequence encoder (lower-triangular mask).  The recurrent cell takes
+packed ragged sequences and their lengths and returns every hidden state,
+one ``tensor.gru`` op per call: the within-session encoder passes one
+sequence per session, the sequence encoder one sequence per user.
 """
 
 from __future__ import annotations
@@ -121,12 +124,11 @@ class EncoderBlock:
 
 
 class GRUCell:
-    """Standard gated recurrent cell; operates on (rows, dim) tensors, one
-    independent hidden state per row."""
+    """The nine parameters of a gated recurrent cell; calling it runs
+    ``tensor.gru`` over packed ragged sequences with them."""
 
     def __init__(self, in_dim, hidden_dim, rng, name="gru"):
         self.name = name
-        self.hidden_dim = hidden_dim
         self.wz = _init(rng, in_dim, hidden_dim)
         self.uz = _init(rng, hidden_dim, hidden_dim)
         self.bz = T.parameter(np.zeros(hidden_dim))
@@ -147,20 +149,8 @@ class GRUCell:
             ]
         }
 
-    def step(self, x, h):
-        z = T.sigmoid(T.add(T.add(T.matmul(x, self.wz), T.matmul(h, self.uz)), self.bz))
-        r = T.sigmoid(T.add(T.add(T.matmul(x, self.wr), T.matmul(h, self.ur)), self.br))
-        hh = T.tanh(T.add(T.add(T.matmul(x, self.wh), T.matmul(T.mul(r, h), self.uh)), self.bh))
-        one_minus_z = T.add(T.mul(z, -1.0), 1.0)
-        return T.add(T.mul(one_minus_z, h), T.mul(z, hh))
-
-    def run(self, x_rows):
-        """Run over an (m, in_dim) tensor; returns list of m (1, hidden) states."""
-        m = x_rows.data.shape[0]
-        h = T.Tensor(np.zeros((1, self.hidden_dim), dtype=np.float32))
-        states = []
-        for t in range(m):
-            xt = T.gather(x_rows, np.array([t]))
-            h = self.step(xt, h)
-            states.append(h)
-        return states
+    def __call__(self, x, lengths):
+        """(n, in_dim) rows of sequences of ``lengths`` rows each -> (n, hidden)
+        states; every sequence starts from a zero state."""
+        return T.gru(x, lengths, self.wz, self.uz, self.bz, self.wr, self.ur, self.br,
+                     self.wh, self.uh, self.bh)

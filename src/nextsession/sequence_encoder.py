@@ -4,7 +4,9 @@ interest vectors.
 Backbones: ``causal_attention`` (learned absolute position embeddings, then
 pre-normalization blocks of masked multi-head self-attention + feed-forward,
 closed by a final layer norm) and ``recurrent`` (stacked gated recurrent
-cells).  Row i of the output is conditioned on tokens 0..i only.
+layers, each one ``tensor.gru`` op over the whole token sequence, with
+dropout between layers in training).  Row i of the output is conditioned on
+tokens 0..i only.
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ class SequenceEncoder:
 
         x = tokens
         for li, gru in enumerate(self.grus):
-            states = gru.run(x)
-            x = states[0] if len(states) == 1 else T.concat(states, axis=0)
+            x = gru(x, [m])
             if rate > 0.0 and li < len(self.grus) - 1:
                 x = T.dropout(x, rate, dropout_rng)
         return x

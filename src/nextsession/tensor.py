@@ -2,8 +2,13 @@
 
 The op set is deliberately small: matrix multiply, broadcast add/mul, a
 few activations, layer normalization, row-wise softmax, the sampled
-softmax loss over a score matrix, segment reductions, and gather.
-Everything else the model needs is composed from these, not added.
+softmax loss over a score matrix, segment reductions, gather, and one
+fused recurrent op, ``gru``.  Everything else the model needs is composed
+from these, not added.  ``gru`` exists because a recurrence composed from
+the elementary ops records about 17 nodes per row and step, so the graph
+and its backward would grow with sequence length; as one op it takes
+every input projection in one matmul, runs backpropagation through time
+in its own closure, and is one node whatever the length.
 
 Each op records its parents and a closure that pushes the output
 gradient back to them. ``Tensor.backward`` replays the reachable nodes
@@ -288,11 +293,14 @@ def tanh(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-x) for x >= 0, else e^x / (1 + e^x): exp never overflows
+    e = np.exp(-np.abs(x))
+    return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(x.dtype, copy=False)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # split by sign to avoid exp overflow
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    data = data.astype(x.dtype, copy=False)
+    data = _sigmoid(a.data)
 
     def backward(g):
         a._accumulate(g * data * (1.0 - data))
@@ -448,6 +456,115 @@ def segment_reduce(values: Tensor, segment_ids, mode: str) -> Tensor:
     else:
         raise ValueError(f"unknown segment_reduce mode {mode!r}")
     return _result(data, (values,), backward)
+
+
+def gru(x: Tensor, lengths, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
+        br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
+    """Every hidden state of gated recurrent sequences packed row-wise in x.
+
+    ``x`` is (n, in): the ``lengths[0]`` rows of sequence 0, then those of
+    sequence 1, and so on.  Each sequence starts from a zero state; row j of
+    the (n, d) output is its state after row j.  With h the previous state:
+
+        z  = sigmoid((x·wz + h·uz) + bz)
+        r  = sigmoid((x·wr + h·ur) + br)
+        h~ = tanh((x·wh + (r*h)·uh) + bh)
+        h' = (1 - z)*h + z*h~
+
+    The input projections of all rows are one matmul.  Sequences are taken
+    longest first, so those still running at step t are a prefix, and step t
+    advances them together.  Backward runs through time inside the op and
+    forms each weight gradient as one matmul over all rows.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0:
+        raise ValueError(f"gru: lengths must be a non-empty list, got {lengths.tolist()}")
+    if lengths.min() < 1:
+        raise ValueError(f"gru: every sequence needs a row, got lengths {lengths.tolist()}")
+    if x.ndim != 2 or lengths.sum() != x.shape[0]:
+        raise ValueError(f"gru: lengths sum to {lengths.sum()} but x has shape {x.shape}")
+    n, d = x.shape[0], uz.shape[0]
+    for name, p, shape in (("wz", wz, (x.shape[1], d)), ("wr", wr, (x.shape[1], d)),
+                           ("wh", wh, (x.shape[1], d)), ("uz", uz, (d, d)), ("ur", ur, (d, d)),
+                           ("uh", uh, (d, d)), ("bz", bz, (d,)), ("br", br, (d,)), ("bh", bh, (d,))):
+        if p.shape != shape:
+            raise ValueError(f"gru: {name} has shape {p.shape}, expected {shape}")
+    parents = (x, wz, uz, bz, wr, ur, br, wh, uh, bh)
+    keep = _grad_enabled and any(p.requires_grad for p in parents)
+
+    # step-major layout: step t's rows are block bounds[t]:bounds[t + 1],
+    # sequences longest first (stable); position k holds packed row rows[k]
+    order = np.argsort(-lengths, kind="stable")
+    active = np.count_nonzero(lengths[:, None] > np.arange(lengths.max()), axis=0)
+    bounds = np.r_[0, np.cumsum(active)]
+    step = np.repeat(np.arange(active.size), active)
+    first = (np.cumsum(lengths) - lengths)[order]
+    rows = first[np.arange(n) - bounds[step]] + step
+    back = np.empty_like(rows)  # packed row j sits at position back[j]
+    back[rows] = np.arange(n)
+    xs = x.data[rows]
+
+    w = np.concatenate([wz.data, wr.data, wh.data], axis=1)
+    u_zr = np.concatenate([uz.data, ur.data], axis=1)
+    b_zr = np.concatenate([bz.data, br.data])
+    xw = xs @ w
+    hs = np.empty((n, d), dtype=xw.dtype)
+    if keep:
+        zr_all, hh_all = np.empty((n, 2 * d), dtype=xw.dtype), np.empty_like(hs)
+    h = np.zeros((active[0], d), dtype=xw.dtype)
+    for t, a in enumerate(active):
+        lo, hi = bounds[t], bounds[t + 1]
+        h = h[:a]
+        # z and r side by side: the same per-element sums as gate by gate
+        zr = _sigmoid((xw[lo:hi, : 2 * d] + h @ u_zr) + b_zr)
+        z, r = zr[:, :d], zr[:, d:]
+        hh = np.tanh((xw[lo:hi, 2 * d :] + (r * h) @ uh.data) + bh.data)
+        h = (z * -1.0 + 1.0) * h + z * hh
+        hs[lo:hi] = h
+        if keep:
+            zr_all[lo:hi], hh_all[lo:hi] = zr, hh
+    data = hs[back]
+    if not keep:
+        return Tensor(data)
+
+    def backward(g):
+        gs = g[rows]
+        # each position's previous state: the matching row of the step before
+        hp = np.zeros_like(hs)
+        later = np.arange(active[0], n)
+        hp[later] = hs[later - active[step[later] - 1]]
+        # the factors that do not depend on the incoming gradient, all rows at once
+        z_all, r_all = zr_all[:, :d], zr_all[:, d:]
+        one_minus_zr = 1.0 - zr_all
+        hh_minus_h = hh_all - hp
+        tanh_slope = 1.0 - hh_all * hh_all
+        # gradient of the z, r and h~ pre-activations, step-major
+        pre = np.empty((n, 3 * d), dtype=hs.dtype)
+        carry = None  # gradient reaching step t's states from step t + 1
+        for t in range(active.size - 1, -1, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            dh = gs[lo:hi]
+            if carry is not None:
+                dh = dh.copy()
+                dh[: carry.shape[0]] += carry
+            z, r, one_minus_z = z_all[lo:hi], r_all[lo:hi], one_minus_zr[lo:hi, :d]
+            d_hh = dh * z * tanh_slope[lo:hi]
+            d_rh = d_hh @ uh.data.T
+            pre[lo:hi, :d] = dh * hh_minus_h[lo:hi] * z * one_minus_z
+            pre[lo:hi, d : 2 * d] = d_rh * hp[lo:hi] * r * one_minus_zr[lo:hi, d:]
+            pre[lo:hi, 2 * d :] = d_hh
+            if t:
+                carry = dh * one_minus_z + d_rh * r + pre[lo:hi, : 2 * d] @ u_zr.T
+        dx, dw = (pre @ w.T)[back], xs.T @ pre
+        du, db = hp.T @ pre[:, : 2 * d], pre.sum(axis=0)
+        duh = (r_all * hp).T @ pre[:, 2 * d :]
+        for p, grad in ((x, dx), (wz, dw[:, :d]), (wr, dw[:, d : 2 * d]), (wh, dw[:, 2 * d :]),
+                        (uz, du[:, :d]), (ur, du[:, d:]), (uh, duh),
+                        (bz, db[:d]), (br, db[d : 2 * d]), (bh, db[2 * d :])):
+            if p.requires_grad:
+                p._accumulate(grad)
+
+    return _result(data, parents, backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 
+from nextsession import tensor as T
 from nextsession.tensor import Tensor
 
 
@@ -66,6 +67,29 @@ def graph_size(root):
                 seen.add(id(p))
                 stack.append(p)
     return len(seen)
+
+
+def composite_gru_step(cell, x, h):
+    """One step of a gated recurrent cell composed from elementary ops, on
+    (rows, d) tensors; the reference that ``tensor.gru`` must match."""
+    z = T.sigmoid(T.add(T.add(T.matmul(x, cell.wz), T.matmul(h, cell.uz)), cell.bz))
+    r = T.sigmoid(T.add(T.add(T.matmul(x, cell.wr), T.matmul(h, cell.ur)), cell.br))
+    hh = T.tanh(T.add(T.add(T.matmul(x, cell.wh), T.matmul(T.mul(r, h), cell.uh)), cell.bh))
+    one_minus_z = T.add(T.mul(z, -1.0), 1.0)
+    return T.add(T.mul(one_minus_z, h), T.mul(z, hh))
+
+
+def composite_gru(cell, x, lengths):
+    """Every state of packed ragged sequences, one composite step per row:
+    sequence by sequence, each from a zero state."""
+    states, start = [], 0
+    for ln in lengths:
+        h = Tensor(np.zeros((1, cell.uz.shape[0]), dtype=x.dtype))
+        for t in range(start, start + ln):
+            h = composite_gru_step(cell, T.gather(x, [t]), h)
+            states.append(h)
+        start += ln
+    return states[0] if len(states) == 1 else T.concat(states, axis=0)
 
 
 def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform"):

@@ -3,18 +3,21 @@ import pytest
 
 import nextsession.tensor as T
 from nextsession.model import ModelConfig, NextSessionModel
+from nextsession.objective import LossConfig, TrainingTargets, total_loss
 from nextsession.session_encoder import IseConfig
 from nextsession.sequence_encoder import SseConfig
 
+from helpers import graph_size
+
 
 def make_model(num_items=20, dim=8, ise_kind="mean", backbone="causal_attention",
-               layers=2, seed=0):
+               layers=2, seed=0, dropout=0.0, max_positions=16):
     cfg = ModelConfig(
         num_items=num_items,
         dim=dim,
         ise=IseConfig(kind=ise_kind),
-        sse=SseConfig(backbone=backbone, layers=layers, heads=2, dropout=0.0,
-                      max_positions=16),
+        sse=SseConfig(backbone=backbone, layers=layers, heads=2, dropout=dropout,
+                      max_positions=max_positions),
     )
     return NextSessionModel(cfg, np.random.default_rng(seed))
 
@@ -44,6 +47,26 @@ class TestForward:
         assert any(n.startswith("emb.") for n in names)
         assert any(n.startswith("ise.") for n in names)
         assert any(n.startswith("sse.") for n in names)
+
+
+class TestGraphSize:
+    @pytest.mark.parametrize("ise_kind", ["mean", "recurrent"])
+    def test_recurrent_loss_graph_does_not_grow_with_history(self, ise_kind):
+        model = make_model(ise_kind=ise_kind, backbone="recurrent", dropout=0.2,
+                           max_positions=64)
+        rng = np.random.default_rng(4)
+        sizes = []
+        for m in (3, 60):
+            sessions = [list(rng.integers(0, 20, size=rng.integers(1, 5))) for _ in range(m)]
+            outputs = model.forward_sessions(sessions, training=True, dropout_rng=rng)
+            targets = TrainingTargets(
+                [rng.integers(0, 20, size=2) for _ in range(m)],
+                [rng.integers(0, 20, size=3) for _ in range(m)],
+                [rng.integers(0, 20, size=4) for _ in range(m)],
+            )
+            loss = total_loss(outputs, targets, model.embedding, LossConfig())
+            sizes.append(graph_size(loss.total))
+        assert sizes[0] == sizes[1], sizes
 
 
 class TestItemLevelDegeneracy:

@@ -4,7 +4,7 @@ import pytest
 import nextsession.tensor as T
 from nextsession.session_encoder import KINDS, IseConfig, SessionEncoder
 
-from helpers import finite_difference, graph_size
+from helpers import composite_gru, finite_difference, graph_size
 
 
 def encoder(kind, dim=6, seed=0, **kw):
@@ -146,13 +146,10 @@ class TestGradients:
 
 
 def loop_recurrent(enc, item_vecs, lengths):
-    """The recurrent kind as one cell run per session (the old body)."""
-    tokens, start = [], 0
-    for ln in lengths:
-        rows = T.gather(item_vecs, np.arange(start, start + ln))
-        tokens.append(enc.gru.run(rows)[-1])
-        start += ln
-    return tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
+    """The recurrent kind as one composite cell run per session, keeping
+    each session's last state."""
+    states = composite_gru(enc.gru, item_vecs, lengths)
+    return T.gather(states, np.cumsum(lengths) - 1)
 
 
 def float64_encoder(kind, dim, seed):
@@ -251,4 +248,13 @@ class TestParallelRecurrent:
         for m in (2, 40):
             x = T.Tensor(rng.normal(size=(3 * m, 4)).astype(np.float32), requires_grad=True)
             sizes.append(graph_size(enc.encode_sessions(x, [3] * m)))
+        assert sizes[0] == sizes[1], sizes
+
+    def test_graph_does_not_grow_with_session_length(self):
+        enc = encoder("recurrent", dim=4, seed=0)
+        rng = np.random.default_rng(1)
+        sizes = []
+        for ln in (1, 12):
+            x = T.Tensor(rng.normal(size=(3 * ln, 4)).astype(np.float32), requires_grad=True)
+            sizes.append(graph_size(enc.encode_sessions(x, [ln] * 3)))
         assert sizes[0] == sizes[1], sizes

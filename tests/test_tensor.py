@@ -5,15 +5,18 @@ oracle (float64, eps=1e-5, relative error < 1e-4) on random inputs in
 [-1, 1], per the library's contract.
 """
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nextsession import tensor as nt
+from nextsession.attention import GRUCell
 from nextsession.tensor import Tensor
 
-from helpers import check_op_gradient
+from helpers import check_op_gradient, composite_gru
 
 RNG = np.random.default_rng(20240811)
 
@@ -388,3 +391,125 @@ class TestDropout:
         x = Tensor(np.ones((200, 50)))
         y = nt.dropout(x, 0.3, rng)
         assert y.data.mean() == pytest.approx(1.0, abs=0.05)
+
+
+GRU_NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+
+
+def gru_cell(in_dim, dim, seed, dtype=np.float64):
+    """A GRUCell with weights drawn uniformly from [-1, 1], in ``dtype``."""
+    cell = GRUCell(in_dim, dim, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for name in GRU_NAMES:
+        p = getattr(cell, name)
+        p.data = rng.uniform(-1.0, 1.0, p.shape).astype(dtype)
+    return cell
+
+
+def gru_outputs_and_grads(run, x0, w, cell):
+    """Value of run(x) and the gradients of sum(run(x) * w) for x and every
+    parameter of the cell, in GRU_NAMES order."""
+    x = Tensor(x0.copy(), requires_grad=True)
+    for name in GRU_NAMES:
+        getattr(cell, name).grad = None
+    out = run(x)
+    nt.sum_all(nt.mul(out, Tensor(w))).backward()
+    return out.data, [x.grad] + [getattr(cell, n).grad for n in GRU_NAMES]
+
+
+class TestGru:
+    """The fused recurrent op, ``gru``."""
+
+    @pytest.mark.parametrize("lengths", [[1, 3, 2, 3], [5]])
+    def test_gradient(self, lengths):
+        n, in_dim, d = sum(lengths), 3, 4
+        w = rand(n, d)
+        check_op_gradient(
+            lambda x, *p: nt.sum_all(nt.mul(nt.gru(x, lengths, *p), Tensor(w))),
+            [rand(n, in_dim), rand(in_dim, d), rand(d, d), rand(d),
+             rand(in_dim, d), rand(d, d), rand(d), rand(in_dim, d), rand(d, d), rand(d)],
+        )
+
+    def compare_to_composite(self, lengths, seed, dtype, **tol):
+        rng = np.random.default_rng(seed)
+        cell = gru_cell(3, 5, seed, dtype)
+        x0 = rng.uniform(-1.0, 1.0, (sum(lengths), 3)).astype(dtype)
+        w = rng.normal(size=(sum(lengths), 5)).astype(dtype)
+        got, got_g = gru_outputs_and_grads(lambda x: cell(x, lengths), x0, w, cell)
+        want, want_g = gru_outputs_and_grads(
+            lambda x: composite_gru(cell, x, lengths), x0, w, cell)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, **tol)
+        for name, g, wg in zip(("x",) + GRU_NAMES, got_g, want_g):
+            assert g.dtype == dtype, name
+            np.testing.assert_allclose(g, wg, err_msg=name, **tol)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_composite_cell_in_float64(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        lengths = [int(v) for v in rng.integers(1, 8, size=rng.integers(1, 8))]
+        self.compare_to_composite(lengths, seed, np.float64, rtol=0, atol=1e-12)
+
+    def test_matches_the_composite_cell_in_float32(self):
+        self.compare_to_composite([4, 1, 7, 7, 2], 5, np.float32, rtol=1e-5, atol=1e-6)
+
+    def test_input_without_grad(self):
+        lengths = [2, 4, 1]
+        cell = gru_cell(3, 4, 6)
+        x0, w = rand(7, 3), rand(7, 4)
+        _, want = gru_outputs_and_grads(lambda x: cell(x, lengths), x0, w, cell)
+        for name in GRU_NAMES:
+            getattr(cell, name).grad = None
+        nt.sum_all(nt.mul(cell(Tensor(x0), lengths), Tensor(w))).backward()
+        for name, g in zip(GRU_NAMES, want[1:]):
+            np.testing.assert_array_equal(getattr(cell, name).grad, g, err_msg=name)
+
+    @pytest.mark.parametrize("frozen", ["wr", "uh", "bz"])
+    def test_parameter_without_grad(self, frozen):
+        lengths = [3, 3, 2]
+        cell = gru_cell(3, 4, 7)
+        x0, w = rand(8, 3), rand(8, 4)
+        _, want = gru_outputs_and_grads(lambda x: cell(x, lengths), x0, w, cell)
+        getattr(cell, frozen).requires_grad = False
+        _, got = gru_outputs_and_grads(lambda x: cell(x, lengths), x0, w, cell)
+        for name, g, wg in zip(("x",) + GRU_NAMES, got, want):
+            if name == frozen:
+                assert g is None
+            else:
+                np.testing.assert_array_equal(g, wg, err_msg=name)
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([], "non-empty"),
+        ([2, 0, 1], "needs a row"),
+        ([2, 2], "sum to 4"),
+        ([[1, 2]], "non-empty"),
+    ])
+    def test_bad_lengths_fail_with_one_line(self, lengths, match):
+        cell = gru_cell(3, 4, 0)
+        with pytest.raises(ValueError, match=match) as err:
+            cell(Tensor(rand(3, 3)), lengths)
+        assert "\n" not in str(err.value)
+
+    def test_no_grad_keeps_no_backward_buffers(self):
+        lengths = [40] * 50
+        cell = gru_cell(8, 8, 1)
+        x = Tensor(rand(sum(lengths), 8), requires_grad=True)
+        held, peak = {}, {}
+        for mode, ctx in (("grad", contextlib.nullcontext()), ("no_grad", nt.no_grad())):
+            tracemalloc.start()
+            try:
+                with ctx:
+                    out = cell(x, lengths)
+                held[mode], peak[mode] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if mode == "grad":
+                want = out.data
+                del out
+        unit = want.nbytes  # one (n, d) array
+        # with grad, z, r and h~ of every row are stored for backward; without,
+        # they are never written, and only the output is held afterwards
+        assert peak["grad"] - peak["no_grad"] > 2.5 * unit, (peak, unit)
+        assert held["grad"] > 4 * unit and held["no_grad"] < 1.5 * unit, (held, unit)
+        assert out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, want)
