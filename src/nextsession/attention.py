@@ -2,11 +2,12 @@
 pre-normalization encoder block built from them, and a gated recurrent cell.
 
 The attention blocks are shape (m, d) in / (m, d) out and mask-driven, so
-the same blocks serve both the within-session encoder (full mask) and the
-causal sequence encoder (lower-triangular mask).  The recurrent cell takes
-packed ragged sequences and their lengths and returns every hidden state,
-one ``tensor.gru`` op per call: the within-session encoder passes one
-sequence per session, the sequence encoder one sequence per user.
+the same blocks serve both the within-session encoder (block-diagonal mask,
+one block per session) and the causal sequence encoder (lower-triangular
+mask).  The recurrent cell takes packed ragged sequences and their lengths
+and returns every hidden state, one ``tensor.gru`` op per call: the
+within-session encoder passes one sequence per session, the sequence
+encoder one sequence per user.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ def _init(rng, *shape):
 def causal_mask(m: int) -> np.ndarray:
     """Row i may attend to columns 0..i."""
     return np.tril(np.ones((m, m), dtype=bool))
-
-
-def full_mask(m: int) -> np.ndarray:
-    return np.ones((m, m), dtype=bool)
 
 
 class MultiHeadAttention:

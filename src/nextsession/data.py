@@ -10,7 +10,9 @@ Processing goes: ingest -> filter to a fixpoint -> dense id remap ->
 per-protocol splits.  A processed dataset can be persisted to a directory
 (``save_dataset``) and reloaded (``load_dataset``).  The stages hold arrays,
 not one Python object per row: a ``Log`` of per-row codes, a ``Dataset`` of
-CSR arrays, and ``Sessions`` views into those for each split user.
+CSR arrays, and ``Sessions`` views into those for each split user.  A
+``Sessions`` view is the only form a history takes: targets, training and
+evaluation read its arrays, and no object is built per session.
 """
 
 from __future__ import annotations
@@ -44,42 +46,12 @@ MIN_USER_SESSIONS = 3
 CHUNK_ROWS = 2048  # csv records converted at a time; a small block keeps few row lists alive
 
 
-@dataclass
-class Session:
-    """One session's interactions in log order (parallel lists)."""
-
-    session_id: str
-    items: list[int]
-    positives: list[bool]
-    timestamps: list[int]
-
-    def __len__(self):
-        return len(self.items)
-
-    def take(self, indices) -> Session:
-        """A new Session holding the interactions at ``indices``, in that order."""
-        return Session(
-            self.session_id,
-            [self.items[i] for i in indices],
-            [self.positives[i] for i in indices],
-            [self.timestamps[i] for i in indices],
-        )
-
-    def positive_items(self) -> list[int]:
-        return [it for it, pos in zip(self.items, self.positives) if pos]
-
-    def negative_items(self) -> list[int]:
-        return [it for it, pos in zip(self.items, self.positives) if not pos]
-
-    def num_positives(self) -> int:
-        return sum(1 for p in self.positives if p)
-
-
-class Sessions(Sequence):
+class Sessions:
     """Consecutive sessions over shared row arrays: session k is rows
     ``offsets[k]:offsets[k + 1]`` of ``item`` (int32 dense ids),
-    ``positive`` (bool) and ``timestamp`` (int64).  Indexing builds a
-    ``Session``; slicing gives another view and copies no rows."""
+    ``positive`` (bool) and ``timestamp`` (int64).  This is the one form of
+    a history: consumers read those arrays, and a slice ``[a:b]`` gives
+    another view of sessions a..b-1 that copies no rows."""
 
     def __init__(self, item, positive, timestamp, offsets, session_ids):
         self.item, self.positive, self.timestamp = item, positive, timestamp
@@ -89,19 +61,33 @@ class Sessions(Sequence):
     def __len__(self):
         return len(self.session_ids)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            start, stop, _ = k.indices(len(self))
-            stop = max(start, stop)
-            return Sessions(self.item, self.positive, self.timestamp,
-                            self.offsets[start:stop + 1], self.session_ids[start:stop])
-        k = range(len(self))[k]
-        a, b = self.offsets[k], self.offsets[k + 1]
-        return Session(self.session_ids[k], self.item[a:b].tolist(),
-                       self.positive[a:b].tolist(), self.timestamp[a:b].tolist())
+    def __getitem__(self, k: slice) -> Sessions:
+        start, stop, step = k.indices(len(self))
+        if step != 1:
+            raise ValueError(f"Sessions slices take no step, got step {k.step}")
+        stop = max(start, stop)
+        return Sessions(self.item, self.positive, self.timestamp,
+                        self.offsets[start:stop + 1], self.session_ids[start:stop])
+
+    def rows(self) -> slice:
+        """The view's rows of the shared arrays."""
+        return slice(self.offsets[0], self.offsets[-1])
 
     def num_interactions(self) -> int:
         return int(self.offsets[-1] - self.offsets[0])
+
+    def positive_bounds(self) -> list[int]:
+        """Positive rows before each offset, counted from the view's first
+        row: session k holds positives ``bounds[k]:bounds[k + 1]`` of the
+        view's positive rows."""
+        rows = self.rows()
+        before = np.zeros(rows.stop - rows.start + 1, np.int64)
+        np.cumsum(self.positive[rows], out=before[1:])
+        return before[self.offsets - rows.start].tolist()
+
+    def positive_counts(self) -> np.ndarray:
+        """The number of positive rows in each session."""
+        return np.diff(self.positive_bounds())
 
 
 @dataclass
@@ -182,7 +168,7 @@ class Catalog:
 @dataclass
 class UserSplit:
     user_id: str
-    train_sessions: Sequence[Session]  # a Sessions view, or a list
+    train_sessions: Sessions
     targets: list[int]  # dense item ids, sorted ascending
 
 
@@ -465,15 +451,18 @@ def make_split(dataset: Dataset, protocol: str, catalog_size: int,
     return DatasetSplit(protocol, users, catalog_size, stats)
 
 
-def encoder_views(sessions: Sequence[Session]) -> list[list[int]]:
-    """Positive item lists per session, skipping positive-free sessions.
+def encoder_views(sessions: Sessions) -> list[np.ndarray]:
+    """Positive item ids per session (int64 arrays), skipping positive-free
+    sessions.
 
     This is the model-facing view of a session sequence: the encoders consume
-    positively interacted items only; exposure negatives are retained on the
-    Session solely for the rank loss.
+    positively interacted items only; exposure negatives stay in the
+    ``Sessions`` arrays solely for the rank loss.
     """
-    views = [s.positive_items() for s in sessions]
-    return [v for v in views if v]
+    rows = sessions.rows()
+    positives = sessions.item[rows][sessions.positive[rows]].astype(np.int64)
+    bounds = sessions.positive_bounds()
+    return [positives[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .data import DatasetSplit, Session, UserSplit, encoder_views
+from .data import DatasetSplit, Sessions, UserSplit, encoder_views
 
 DEFAULT_CUTOFFS = (10, 100, 500)
 
@@ -207,13 +207,15 @@ def sweep_table(rows, cutoffs=DEFAULT_CUTOFFS) -> str:
     return "\n".join(lines)
 
 
-def _clip_sessions_to(sessions: list[Session], max_ts: int) -> list[Session]:
-    out = []
-    for s in sessions:
-        keep = [i for i, ts in enumerate(s.timestamps) if ts <= max_ts]
-        if keep:
-            out.append(s.take(keep))
-    return out
+def _clip_sessions_to(sessions: Sessions, max_ts: int) -> Sessions:
+    """The rows at or before ``max_ts``, dropping the sessions left empty."""
+    rows = sessions.rows()
+    keep = sessions.timestamp[rows] <= max_ts
+    kept_before = np.r_[0, np.cumsum(keep)][sessions.offsets - sessions.offsets[0]]
+    nonempty = np.flatnonzero(np.diff(kept_before)).tolist()
+    return Sessions(sessions.item[rows][keep], sessions.positive[rows][keep],
+                    sessions.timestamp[rows][keep], np.unique(kept_before),
+                    [sessions.session_ids[k] for k in nonempty])
 
 
 def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500, log_fn=None):
@@ -230,15 +232,11 @@ def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500,
         if not 0.0 < f <= 1.0:
             raise ValueError(f"fractions must be in (0, 1], got {f}")
 
-    all_ts = [
-        ts
-        for user in split.users
-        for s in user.train_sessions
-        for ts in s.timestamps
-    ]
-    if not all_ts:
+    views = [user.train_sessions for user in split.users]
+    all_ts = np.concatenate([np.zeros(0, np.int64)] + [v.timestamp[v.rows()] for v in views])
+    if not all_ts.size:
         raise ValueError("split has no train interactions")
-    t0, t1 = min(all_ts), max(all_ts)
+    t0, t1 = int(all_ts.min()), int(all_ts.max())
 
     rows = []
     for f in sorted(fractions):
@@ -247,9 +245,9 @@ def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500,
         train_items = 0
         for user in split.users:
             clipped = _clip_sessions_to(user.train_sessions, max_ts)
-            if not clipped:
+            if not len(clipped):
                 continue
-            train_items += sum(s.num_positives() for s in clipped)
+            train_items += int(np.count_nonzero(clipped.positive))
             users.append(UserSplit(user.user_id, clipped, user.targets))
         row = {"fraction": f, "train_items": train_items}
         if not users:
@@ -327,7 +325,6 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
             backbone="causal_attention",
             layers=layers,
             heads=heads,
-            dropout=0.0,
             max_positions=n_items,
         ),
         dim,

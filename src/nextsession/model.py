@@ -19,6 +19,7 @@ class ModelConfig:
     id_dim: int | None = None
     feature_dim: int = 16
     feature_schema: tuple = ()
+    dropout: float = 0.2  # the sequence encoder's, in training
     ise: IseConfig = field(default_factory=IseConfig)
     sse: SseConfig = field(default_factory=SseConfig)
 
@@ -26,8 +27,9 @@ class ModelConfig:
 class NextSessionModel:
     """Maps a user's session history to per-position interest vectors.
 
-    The forward input is the model-facing view of a history: one list of
-    positively interacted item ids per session, chronological, each non-empty.
+    The forward input is the model-facing view of a history
+    (``data.encoder_views``): one array or list of positively interacted item
+    ids per session, chronological, each non-empty.
     """
 
     def __init__(self, cfg: ModelConfig, rng, item_features=None):
@@ -42,7 +44,7 @@ class NextSessionModel:
             item_features=item_features,
         )
         self.session_encoder = SessionEncoder(cfg.ise, cfg.dim, rng)
-        self.sequence_encoder = SequenceEncoder(cfg.sse, cfg.dim, rng)
+        self.sequence_encoder = SequenceEncoder(cfg.sse, cfg.dim, rng, cfg.dropout)
 
     def parameters(self):
         params = {}
@@ -52,7 +54,7 @@ class NextSessionModel:
         return params
 
     def forward_sessions(self, session_items, training=False, dropout_rng=None):
-        """list of per-session positive-item lists -> (m, d) output rows."""
+        """per-session positive item ids -> (m, d) output rows."""
         if not session_items:
             raise ValueError("need at least one session")
         lengths = [len(s) for s in session_items]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Session, encoder_views
+from .data import Sessions, encoder_views
 
 
 @dataclass
@@ -47,51 +47,64 @@ class TrainingTargets:
     in_session_negatives: list[np.ndarray]
     sampled_negatives: list[np.ndarray]
 
-    def num_positions(self) -> int:
-        return len(self.positives)
 
-
-def sample_negatives(catalog_size: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform with replacement over the full catalog; positives not excluded."""
+def sample_negatives(catalog_size: int, count, rng: np.random.Generator) -> np.ndarray:
+    """Uniform with replacement over the full catalog; positives not excluded.
+    ``count`` is a size or a shape."""
     if catalog_size < 1:
         raise ValueError("catalog_size must be >= 1")
     return rng.integers(0, catalog_size, size=count, dtype=np.int64)
 
 
 def build_targets(
-    sessions: list[Session],
+    sessions: Sessions,
     catalog_size: int,
     num_sampled: int,
     rng: np.random.Generator,
-) -> tuple[list[list[int]], TrainingTargets]:
+) -> tuple[list[np.ndarray], TrainingTargets]:
     """Turn a user's session sequence into model inputs and per-position targets.
 
     Returns (input_views, targets): input_views is ``encoder_views`` of
-    sessions[:-1]; position i's targets come from sessions[i+1].  An item both
-    exposed and positively interacted within one session counts as positive
-    only.  Requires >= 2 sessions, each with >= 1 positive.
+    sessions[:-1]; position i's targets come from the rows of session i+1:
+    its distinct positive items, its distinct exposed items that are not
+    also positive (an item both exposed and positively interacted within one
+    session counts as positive only), and ``num_sampled`` catalog draws.
+    Each is an int64 array, the first two sorted.  The draws of all
+    positions are one (positions, num_sampled) call, row i for position i,
+    which yields the same numbers as one call per position.  Requires >= 2
+    sessions, each with >= 1 positive.
     """
     if len(sessions) < 2:
         raise ValueError("need at least two sessions to build training targets")
-    views = encoder_views(sessions[:-1])
-    if len(views) != len(sessions) - 1:
+    counts = sessions.positive_counts()
+    if not counts.all():
         # a skipped input session would shift every later position's target
-        bad = next(s for s in sessions[:-1] if not s.num_positives())
+        k = int(np.argmin(counts))
+        role = "target session" if k == len(sessions) - 1 else "session"
         raise ValueError(
-            f"session {bad.session_id!r} has no positives; filtering violated"
+            f"{role} {sessions.session_ids[k]!r} has no positives; filtering violated"
         )
-    positives, in_session, sampled = [], [], []
-    for target in sessions[1:]:
-        pos = sorted(set(target.positive_items()))
-        if not pos:
-            raise ValueError(
-                f"target session {target.session_id!r} has no positives; filtering violated"
-            )
-        neg = sorted(set(target.negative_items()) - set(pos))
-        positives.append(np.asarray(pos, dtype=np.int64))
-        in_session.append(np.asarray(neg, dtype=np.int64))
-        sampled.append(sample_negatives(catalog_size, num_sampled, rng))
-    return views, TrainingTargets(positives, in_session, sampled)
+    targets = sessions[1:]
+    rows = targets.rows()
+    item = targets.item[rows].astype(np.int64)
+    positive = targets.positive[rows]
+    m, width = len(targets), int(item.max()) + 1
+    # one key per (position, item), so a sorted key array groups by position
+    key = np.repeat(np.arange(m), np.diff(targets.offsets)) * width + item
+    pos = np.unique(key[positive])
+    neg = np.unique(key[~positive])
+    neg = neg[pos[np.searchsorted(pos, neg).clip(max=len(pos) - 1)] != neg]  # not also positive
+    sampled = list(sample_negatives(catalog_size, (m, num_sampled), rng))
+    return encoder_views(sessions[:-1]), TrainingTargets(
+        _by_position(pos, m, width), _by_position(neg, m, width), sampled)
+
+
+def _by_position(keys: np.ndarray, m: int, width: int) -> list[np.ndarray]:
+    """Sorted ``position * width + item`` keys -> the items of each of the
+    m positions."""
+    bounds = np.searchsorted(keys, np.arange(m + 1) * width).tolist()
+    items = keys % width
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _padded(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -132,27 +145,6 @@ def _check_positives(targets: TrainingTargets) -> None:
     for i, pos in enumerate(targets.positives):
         if len(pos) == 0:
             raise ValueError(f"position {i} has no positive targets")
-
-
-def retrieval_loss(outputs, targets: TrainingTargets, embedding):
-    """Sampled cross-entropy against the shared uniform negatives.
-
-    Returns (raw-sum loss Tensor, positive-term count); report the mean as
-    sum/count, optimize the raw sum.
-    """
-    _check_positives(targets)
-    [retr] = _contrastive_sums(
-        outputs, targets.positives, [targets.sampled_negatives], embedding
-    )
-    return retr
-
-
-def rank_loss(outputs, targets: TrainingTargets, embedding):
-    """Same form, negatives = the target session's own exposure items."""
-    [rank] = _contrastive_sums(
-        outputs, targets.positives, [targets.in_session_negatives], embedding
-    )
-    return rank
 
 
 @dataclass

@@ -26,18 +26,19 @@ class SseConfig:
     backbone: str = "causal_attention"
     layers: int = 4
     heads: int = 2
-    dropout: float = 0.2
     max_positions: int = 512
 
 
 class SequenceEncoder:
-    def __init__(self, cfg: SseConfig, dim: int, rng):
+    def __init__(self, cfg: SseConfig, dim: int, rng, dropout: float = 0.0):
+        """``dropout`` is the rate applied in training between layers."""
         if cfg.backbone not in BACKBONES:
             raise ValueError(f"unknown sequence backbone {cfg.backbone!r}")
-        if not 0.0 <= cfg.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {cfg.dropout}")
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {dropout}")
         self.cfg = cfg
         self.dim = dim
+        self.dropout = dropout
         self.blocks = []
         self.grus = []
         if cfg.backbone == "causal_attention":
@@ -80,7 +81,7 @@ class SequenceEncoder:
                 f"sequence of {m} sessions exceeds max_positions="
                 f"{self.cfg.max_positions}; truncate upstream"
             )
-        rate = self.cfg.dropout if training else 0.0
+        rate = self.dropout if training else 0.0
         if rate > 0.0 and dropout_rng is None:
             raise ValueError("training-mode encode needs a dropout rng")
 

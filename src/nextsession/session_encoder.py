@@ -9,6 +9,10 @@ together and carry no internal ordering — followed by mean pooling).
 The recurrent kind runs every session of a user through one ``tensor.gru``
 op, each session a sequence of its own, and gathers each session's last
 state: two graph nodes, whatever the number and length of the sessions.
+The attention kind runs all of a user's items through its blocks at once
+under a block-diagonal mask, so an item attends only within its session,
+then mean-pools each session: its graph does not grow with the number of
+sessions either.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderBlock, GRUCell, full_mask
+from .attention import EncoderBlock, GRUCell
 
 KINDS = ("mean", "max", "max_relu", "recurrent", "attention")
 
@@ -81,14 +85,9 @@ class SessionEncoder:
             states = self.gru(item_vecs, lengths)
             return T.gather(states, np.cumsum(lengths) - 1)
 
-        # attention works session by session
-        tokens = []
-        start = 0
-        for ln in lengths:
-            x = T.gather(item_vecs, np.arange(start, start + ln))
-            mask = full_mask(ln)
-            for block in self.blocks:
-                x = block(x, mask)
-            tokens.append(T.segment_reduce(x, np.zeros(ln, dtype=np.int64), "mean"))
-            start += ln
-        return tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
+        # an item attends to every item of its own session and to no other
+        x = item_vecs
+        mask = seg_ids[:, None] == seg_ids[None, :]
+        for block in self.blocks:
+            x = block(x, mask)
+        return T.segment_reduce(x, seg_ids, "mean")

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import Catalog, DatasetSplit, Session, encoder_views
+from .data import Catalog, DatasetSplit, Sessions, encoder_views
 from .model import ModelConfig, NextSessionModel
 from .objective import LossConfig, build_targets, total_loss
 from .session_encoder import IseConfig
@@ -52,6 +52,9 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 # Keys that older configs and checkpoint headers carry, each at the only
 # value it ever accepted; they are checked and dropped.
 _RETIRED_KEYS = {"optimizer": "adam", "loss.sampling": "uniform"}
+# Carried by older configs and checkpoint headers but never read: the
+# top-level dropout always replaced it.  Any rate in [0, 1) is dropped.
+_UNREAD_RATE = "sse.dropout"
 
 _FIELD_TYPES = {
     "int": (int,),
@@ -72,6 +75,10 @@ def _field_values(cls, values: dict, prefix: str = "") -> dict:
                     f"config field {name!r} only supports "
                     f"{_RETIRED_KEYS[name]!r}, got {value!r}"
                 )
+            continue
+        if name == _UNREAD_RATE:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
+                raise ValueError(f"config field {name!r} must be in [0, 1), got {value!r}")
             continue
         if key not in cls.__dataclass_fields__:
             raise ValueError(f"unknown config key {name!r}")
@@ -147,12 +154,10 @@ class Adam:
             p.data[mask] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _trainable_sessions(sessions: list[Session]) -> list[Session]:
+def _trainable_sessions(sessions: Sessions) -> Sessions:
     """Drop trailing positive-free sessions (split-truncation artifacts)."""
-    out = list(sessions)
-    while out and out[-1].num_positives() == 0:
-        out.pop()
-    return out
+    last = np.flatnonzero(sessions.positive_counts()).max(initial=-1)  # last with a positive
+    return sessions[:int(last) + 1]
 
 
 def _param_norm(params: dict) -> float:
@@ -184,16 +189,15 @@ def build_model(cfg: TrainConfig, catalog_size: int, rng, catalog: Catalog | Non
     if catalog is not None and catalog.feature_names:
         schema = tuple(zip(catalog.feature_names, catalog.feature_vocab_sizes()))
         item_features = catalog.item_features
-    sse = copy.deepcopy(cfg.sse)
-    sse.dropout = cfg.dropout
     mcfg = ModelConfig(
         num_items=catalog_size,
         dim=cfg.dim,
         id_dim=cfg.id_dim,
         feature_dim=cfg.feature_dim,
         feature_schema=schema,
+        dropout=cfg.dropout,
         ise=copy.deepcopy(cfg.ise),
-        sse=sse,
+        sse=copy.deepcopy(cfg.sse),
     )
     return NextSessionModel(mcfg, rng, item_features=item_features)
 
@@ -210,7 +214,7 @@ def _validation_recall(model, train_users, val_k):
         if len(sessions) < 2:
             continue
         views = encoder_views(sessions[:-1])
-        targets = sorted(set(sessions[-1].positive_items()))
+        [targets] = encoder_views(sessions[-1:])
         with T.no_grad():
             uvec = model.user_vector(views).data
         ranked = top_k(uvec, item_matrix, k)

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
 from nextsession import tensor as T
+from nextsession.data import Dataset, Sessions, make_split
 from nextsession.tensor import Tensor
 
 
@@ -92,19 +94,21 @@ def composite_gru(cell, x, lengths):
     return states[0] if len(states) == 1 else T.concat(states, axis=0)
 
 
-def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform"):
+def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform", sse_dropout=0.2):
     """Rewrite a checkpoint's header as written before the retired
-    single-value keys were dropped, stored hash included."""
+    single-value keys and the unread ``sse.dropout`` were dropped, stored
+    hash included."""
     blob = open(path, "rb").read()
     (n,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + n])
     header["config"]["optimizer"] = optimizer
     header["config"]["loss"]["sampling"] = sampling
+    header["config"]["sse"]["dropout"] = sse_dropout
     header["config_hash"] = hashlib.sha256(
         json.dumps(header["config"], sort_keys=True).encode()
     ).hexdigest()[:16]
     raw = json.dumps(header, sort_keys=True).encode()
-    out = tmp_path / f"legacy-{optimizer}-{sampling}.bin"
+    out = tmp_path / f"legacy-{optimizer}-{sampling}-{sse_dropout}.bin"
     out.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n :])
     return str(out)
 
@@ -293,3 +297,128 @@ def dataset_files(data_dir):
         with open(os.path.join(data_dir, name)) as fh:
             blob[name] = fh.read()
     return blob
+
+
+# ---------------------------------------------------------------------------
+# Histories.  ``history`` builds the ``Sessions`` view that the library
+# reads; ``sessions_of`` reads one back as one ``ListSession`` per session,
+# the list form that the reference implementations below take.
+# ---------------------------------------------------------------------------
+
+
+def history(*sessions, ids=None):
+    """A ``Sessions`` view of sessions given as ``(items, positives)`` or
+    ``(items, positives, timestamps)`` rows.  Rows without timestamps are
+    stamped with their row number over the whole history.  Session k is
+    named ``ids[k]``, by default ``f"s{k}"``."""
+    items, positives, stamps, offsets = [], [], [], [0]
+    for row in sessions:
+        start, n = offsets[-1], len(row[0])
+        items += list(row[0])
+        positives += list(row[1])
+        stamps += list(row[2]) if len(row) > 2 else list(range(start, start + n))
+        offsets.append(start + n)
+    return Sessions(
+        np.array(items, np.int32),
+        np.array(positives, bool),
+        np.array(stamps, np.int64),
+        np.array(offsets),
+        list(ids) if ids is not None else [f"s{k}" for k in range(len(sessions))],
+    )
+
+
+class ListSession(NamedTuple):
+    """One session as parallel lists, in log order."""
+
+    session_id: str
+    items: list
+    positives: list
+    timestamps: list
+
+
+def sessions_of(view):
+    """The sessions of a ``Sessions`` view, one ``ListSession`` each."""
+    bounds = view.offsets.tolist()
+    return [ListSession(sid, view.item[a:b].tolist(), view.positive[a:b].tolist(),
+                        view.timestamp[a:b].tolist())
+            for sid, a, b in zip(view.session_ids, bounds, bounds[1:])]
+
+
+def reference_encoder_views(sessions):
+    """Positive item lists per ``ListSession``, skipping positive-free
+    sessions: the list-based ``data.encoder_views`` that the array one
+    replaced."""
+    views = [[it for it, pos in zip(s.items, s.positives) if pos] for s in sessions]
+    return [v for v in views if v]
+
+
+def reference_build_targets(sessions, catalog_size, num_sampled, rng):
+    """The list-based ``objective.build_targets`` that the array one
+    replaced, over ``ListSession``s: one sorted set difference and one draw
+    of ``num_sampled`` negatives per target session."""
+    if len(sessions) < 2:
+        raise ValueError("need at least two sessions to build training targets")
+    views = reference_encoder_views(sessions[:-1])
+    if len(views) != len(sessions) - 1:
+        bad = next(s for s in sessions[:-1] if not any(s.positives))
+        raise ValueError(f"session {bad.session_id!r} has no positives; filtering violated")
+    positives, in_session, sampled = [], [], []
+    for target in sessions[1:]:
+        pos = sorted({it for it, p in zip(target.items, target.positives) if p})
+        if not pos:
+            raise ValueError(
+                f"target session {target.session_id!r} has no positives; filtering violated"
+            )
+        neg = sorted({it for it, p in zip(target.items, target.positives) if not p} - set(pos))
+        positives.append(np.asarray(pos, dtype=np.int64))
+        in_session.append(np.asarray(neg, dtype=np.int64))
+        sampled.append(rng.integers(0, catalog_size, size=num_sampled, dtype=np.int64))
+    return views, positives, in_session, sampled
+
+
+def reference_clip_sessions_to(sessions, max_ts):
+    """The list-based ``evaluator._clip_sessions_to`` that the array one
+    replaced: each ``ListSession``'s rows at or before ``max_ts``, dropping
+    the sessions left empty."""
+    out = []
+    for s in sessions:
+        keep = [i for i, ts in enumerate(s.timestamps) if ts <= max_ts]
+        if keep:
+            out.append(ListSession(s.session_id, [s.items[i] for i in keep],
+                                   [s.positives[i] for i in keep],
+                                   [s.timestamps[i] for i in keep]))
+    return out
+
+
+def _exposed_and_clicked(session):
+    clicked = {it for it, pos in zip(session.items, session.positives) if pos}
+    return any(not pos and it in clicked for it, pos in zip(session.items, session.positives))
+
+
+def random_train_views(seed, users=40, catalog=12):
+    """The session-protocol train views of random ragged users, cut to a
+    small positive budget, and which of the cases the list-based references
+    must be compared on they hold: a first session cut mid-session, an
+    inner and a trailing positive-free session, and an item both exposed
+    and clicked in one session.  Timestamps are random, so rows are not in
+    time order."""
+    rng = np.random.default_rng(seed)
+    rows, user_offsets = [], [0]
+    for _ in range(users):
+        for _ in range(int(rng.integers(2, 7))):
+            n = int(rng.integers(1, 7))
+            rows.append((rng.integers(0, catalog, n), rng.random(n) < 0.5,
+                         rng.integers(0, 100, n)))
+        user_offsets.append(len(rows))
+    dataset = Dataset(history(*rows), np.array(user_offsets), [f"u{u}" for u in range(users)])
+    split = make_split(dataset, "session", catalog, max_positive_len=int(rng.integers(2, 8)))
+    views = [user.train_sessions for user in split.users]
+    starts = set(dataset.sessions.offsets.tolist())
+    cases = {
+        "cut first session": any(int(v.offsets[0]) not in starts for v in views),
+        "inner positive-free": any((v.positive_counts()[:-1] == 0).any() for v in views),
+        "trailing positive-free": any(v.positive_counts()[-1] == 0 for v in views),
+        "exposed and clicked": any(map(_exposed_and_clicked,
+                                       (s for v in views for s in sessions_of(v)))),
+    }
+    return views, cases

@@ -21,7 +21,6 @@ import nextsession.tensor as T
 from nextsession import cli
 from nextsession.data import (
     DatasetSplit,
-    Session,
     UserSplit,
     filter_dataset,
     ingest,
@@ -42,7 +41,7 @@ from nextsession.sequence_encoder import SequenceEncoder, SseConfig
 from nextsession.synth import generate, write_log
 from nextsession.trainer import TrainConfig, train
 
-from helpers import assert_grad_close, finite_difference
+from helpers import assert_grad_close, finite_difference, history
 
 ISE_KINDS = ("mean", "max", "max_relu", "recurrent", "attention")
 BACKBONES = ("causal_attention", "recurrent")
@@ -82,9 +81,10 @@ def test_criterion_01_gradients_match_finite_differences():
         cfg = ModelConfig(
             num_items=num_items,
             dim=dim,
+            dropout=0.0,
             ise=IseConfig(kind=ISE_KINDS[idx % len(ISE_KINDS)], layers=1, heads=2),
             sse=SseConfig(backbone=BACKBONES[idx % len(BACKBONES)], layers=1,
-                          heads=2, dropout=0.0, max_positions=8),
+                          heads=2, max_positions=8),
         )
         model = NextSessionModel(cfg, rng)
         _promote_to_float64(model)
@@ -94,14 +94,10 @@ def test_criterion_01_gradients_match_finite_differences():
             pos = rng.choice(num_items, size=int(rng.integers(1, 4)), replace=False)
             neg = rng.choice(num_items, size=int(rng.integers(0, 3)), replace=False)
             items = list(map(int, pos)) + list(map(int, neg))
-            sessions.append(Session(
-                session_id=f"s{s}",
-                items=items,
-                positives=[True] * len(pos) + [False] * len(neg),
-                timestamps=list(range(s * 100, s * 100 + len(items))),
-            ))
+            sessions.append((items, [True] * len(pos) + [False] * len(neg),
+                             list(range(s * 100, s * 100 + len(items)))))
         num_sampled = int(rng.integers(2, 9))
-        views, targets = build_targets(sessions, num_items, num_sampled, rng)
+        views, targets = build_targets(history(*sessions), num_items, num_sampled, rng)
         loss_cfg = LossConfig(alpha=float(rng.choice([0.0, 0.25, 0.8])),
                               num_sampled_negatives=num_sampled)
 
@@ -216,7 +212,7 @@ def test_criterion_03_causality_and_leakage():
         m = int(rng.integers(2, 11))
         enc = SequenceEncoder(
             SseConfig(backbone=BACKBONES[trial % 2], layers=1 + trial % 2,
-                      heads=2, dropout=0.0, max_positions=16),
+                      heads=2, max_positions=16),
             4, rng,
         )
         x = rng.normal(0, 1, (m, 4)).astype(np.float32)
@@ -233,9 +229,9 @@ def test_criterion_03_causality_and_leakage():
     for trial in range(100):
         rng = np.random.default_rng(3000 + trial)
         model = NextSessionModel(
-            ModelConfig(num_items=20, dim=4, ise=IseConfig(kind="mean"),
+            ModelConfig(num_items=20, dim=4, dropout=0.0, ise=IseConfig(kind="mean"),
                         sse=SseConfig(backbone=BACKBONES[trial % 2], layers=1,
-                                      heads=2, dropout=0.0, max_positions=8)),
+                                      heads=2, max_positions=8)),
             rng,
         )
 
@@ -248,13 +244,11 @@ def test_criterion_03_causality_and_leakage():
                 sessions = []
                 for s in range(3):
                     items = list(map(int, rng_sessions[u][s]))
-                    sessions.append(Session(
-                        session_id=f"u{u}-s{s}", items=items,
-                        positives=[True] * len(items),
-                        timestamps=[s * 10 + i for i in range(len(items))],
-                    ))
+                    sessions.append((items, [True] * len(items),
+                                     [s * 10 + i for i in range(len(items))]))
                 targets = sorted(map(int, target_rng.choice(20, 2, replace=False)))
-                users.append(UserSplit(f"u{u}", sessions, targets))
+                ids = [f"u{u}-s{s}" for s in range(3)]
+                users.append(UserSplit(f"u{u}", history(*sessions, ids=ids), targets))
             return users
         split_a = DatasetSplit("session", make_users(np.random.default_rng(1)),
                                20, {})
@@ -278,9 +272,9 @@ def test_criterion_04_item_level_degeneracy():
     pipeline that skips the session stage entirely, bitwise."""
     for backbone in BACKBONES:
         model = NextSessionModel(
-            ModelConfig(num_items=20, dim=8, ise=IseConfig(kind="mean"),
+            ModelConfig(num_items=20, dim=8, dropout=0.0, ise=IseConfig(kind="mean"),
                         sse=SseConfig(backbone=backbone, layers=2, heads=2,
-                                      dropout=0.0, max_positions=16)),
+                                      max_positions=16)),
             np.random.default_rng(11),
         )
         items = [3, 7, 1, 12, 5]
@@ -335,7 +329,7 @@ def test_criterion_06_learnability_copy_task(tmp_path):
         dim=32, val_interval=5, val_k=10,
         loss=LossConfig(alpha=0.2, num_sampled_negatives=128),
         ise=IseConfig(kind="mean"),
-        sse=SseConfig(backbone="recurrent", layers=1, dropout=0.0),
+        sse=SseConfig(backbone="recurrent", layers=1),
     )
     assert cfg.epochs <= 50
     result = train(split, cfg, catalog=catalog)
@@ -365,7 +359,7 @@ def test_criterion_07_rank_loss_effect(tmp_path):
         dim=32, val_interval=0, val_k=500,
         loss=LossConfig(alpha=0.2, num_sampled_negatives=32),
         ise=IseConfig(kind="mean"),
-        sse=SseConfig(backbone="recurrent", layers=1, dropout=0.0),
+        sse=SseConfig(backbone="recurrent", layers=1),
     )
     reports = {}
     for alpha in (0.0, 0.2, 2.0):
@@ -495,7 +489,7 @@ def test_criterion_10_scaling_harness(tmp_path):
         dim=8, val_interval=0, val_k=10,
         loss=LossConfig(alpha=0.2, num_sampled_negatives=8),
         ise=IseConfig(kind="mean"),
-        sse=SseConfig(backbone="recurrent", layers=1, dropout=0.0),
+        sse=SseConfig(backbone="recurrent", layers=1),
     )
     points = scaling_run(split, cfg, fractions=(0.25, 0.5, 0.75, 1.0),
                          catalog=catalog, recall_k=500)

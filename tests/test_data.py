@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_files, reference_prepare
+from helpers import (
+    dataset_files,
+    history,
+    random_train_views,
+    reference_encoder_views,
+    reference_prepare,
+    sessions_of,
+)
 from nextsession import data, synth
 from nextsession.data import (
     Dataset,
-    Session,
-    Sessions,
     compute_stats,
     encoder_views,
     equal_frequency_edges,
@@ -187,7 +192,7 @@ class TestFilterDataset:
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", rows))
         sequences, _ = filter_dataset(interactions)
         u0 = next(s for s in sequences if s.user_id == "u0")
-        assert [s.session_id for s in u0.sessions] == ["s0-0", "s0-1", "s0-2"]
+        assert u0.sessions.session_ids == ["s0-0", "s0-1", "s0-2"]
 
     def test_rare_item_dropped(self, tmp_path):
         rows = dense_corpus_rows()
@@ -217,7 +222,7 @@ class TestFilterDataset:
         inv_map = {v: k for k, v in catalog.item_map.items()}
         rows2 = []
         for seq in sequences:
-            for sess in seq.sessions:
+            for sess in sessions_of(seq.sessions):
                 for it, pos, ts in zip(sess.items, sess.positives, sess.timestamps):
                     rows2.append(
                         (seq.user_id, inv_map[it], sess.session_id, ts,
@@ -240,14 +245,14 @@ class TestFilterDataset:
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", dense_corpus_rows()))
         sequences, catalog = filter_dataset(interactions)
         assert sorted(catalog.item_map.values()) == list(range(catalog.num_items))
-        seen = {it for s in sequences for sess in s.sessions for it in sess.items}
+        seen = {it for s in sequences for sess in sessions_of(s.sessions) for it in sess.items}
         assert seen == set(range(catalog.num_items))
 
     def test_sessions_ordered_by_earliest_timestamp(self, tmp_path):
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", dense_corpus_rows()))
         sequences, _ = filter_dataset(interactions)
         for seq in sequences:
-            starts = [min(s.timestamps) for s in seq.sessions]
+            starts = [min(s.timestamps) for s in sessions_of(seq.sessions)]
             assert starts == sorted(starts)
 
     def test_categorical_features_encoded(self, tmp_path):
@@ -285,82 +290,55 @@ class TestBinning:
         assert (np.diff(bins) >= 0).all()
 
 
-def make_session(sid, items, positives, t0=0):
-    return Session(
-        session_id=sid,
-        items=list(items),
-        positives=list(positives),
-        timestamps=list(range(t0, t0 + len(items))),
-    )
+def one_user(sessions):
+    """A Dataset of one user, "u", holding the ``Sessions`` view ``sessions``."""
+    return Dataset(sessions, np.array([0, len(sessions)]), ["u"])
 
 
-def dataset_of(users):
-    """A Dataset holding ``users``, a dict of user id -> list of Session."""
-    sessions = [s for group in users.values() for s in group]
-    return Dataset(
-        Sessions(
-            np.array([it for s in sessions for it in s.items], np.int32),
-            np.array([p for s in sessions for p in s.positives], bool),
-            np.array([t for s in sessions for t in s.timestamps], np.int64),
-            np.cumsum([0] + [len(s) for s in sessions]),
-            [s.session_id for s in sessions],
-        ),
-        np.cumsum([0] + [len(group) for group in users.values()]),
-        list(users),
-    )
+def truncated(sessions, budget, ids="abc"):
+    """The sessions of the train view that make_split keeps of ``sessions``,
+    ``(items, positives)`` rows named by ``ids``, under ``budget``."""
+    target = ([0], [True])
+    dataset = one_user(history(*sessions, target, ids=[*ids[:len(sessions)], "target"]))
+    split = make_split(dataset, "session", 100, max_positive_len=budget)
+    return sessions_of(split.users[0].train_sessions)
 
 
-def truncated(sessions, budget):
-    """The train view that make_split keeps of ``sessions`` under ``budget``."""
-    target = make_session("target", [0], [True], t0=10_000)
-    split = make_split(dataset_of({"u": sessions + [target]}), "session", 100,
-                       max_positive_len=budget)
-    return list(split.users[0].train_sessions)
+def listed(*sessions, ids="abc"):
+    """``(items, positives)`` rows named by ``ids`` as ``ListSession``s."""
+    return sessions_of(history(*sessions, ids=ids[:len(sessions)]))
 
 
 class TestTruncation:
     def test_budget_larger_than_history_keeps_all(self):
-        sessions = [make_session("a", [0, 1], [True, True])]
-        assert truncated(sessions, 10) == sessions
+        sessions = [([0, 1], [True, True])]
+        assert truncated(sessions, 10) == listed(*sessions)
 
     def test_cut_splits_a_session_at_item_granularity(self):
-        sessions = [
-            make_session("a", [0, 1, 2], [True, True, True], t0=0),
-            make_session("b", [3, 4], [True, True], t0=10),
-        ]
+        sessions = [([0, 1, 2], [True, True, True]), ([3, 4], [True, True])]
         kept = truncated(sessions, 3)
         assert [s.session_id for s in kept] == ["a", "b"]
         assert kept[0].items == [2]
         assert kept[1].items == [3, 4]
 
     def test_whole_old_sessions_dropped(self):
-        sessions = [
-            make_session("a", [0], [True]),
-            make_session("b", [1], [True], t0=5),
-            make_session("c", [2], [True], t0=9),
-        ]
+        sessions = [([0], [True]), ([1], [True]), ([2], [True])]
         kept = truncated(sessions, 2)
         assert [s.session_id for s in kept] == ["b", "c"]
 
     def test_negatives_ride_along_with_kept_suffix(self):
-        sessions = [
-            make_session("a", [0, 1, 2], [False, True, True]),
-        ]
+        sessions = [([0, 1, 2], [False, True, True])]
         kept = truncated(sessions, 1)
         # the cut lands on the last positive; the leading exposure drops out
         assert kept[0].items == [2]
 
     def test_exact_fit_keeps_leading_exposures_and_nothing_earlier(self):
-        sessions = [
-            make_session("a", [5], [False]),
-            make_session("b", [0, 1, 2], [False, True, True], t0=10),
-        ]
-        assert truncated(sessions, 2) == sessions[1:]
-        assert truncated(sessions, 3) == sessions
+        sessions = [([5], [False]), ([0, 1, 2], [False, True, True])]
+        assert truncated(sessions, 2) == listed(*sessions)[1:]
+        assert truncated(sessions, 3) == listed(*sessions)
 
     def test_row_ranges_are_cut_independently(self):
-        view = dataset_of({"u": [make_session("a", [0, 1, 2, 3], [True, False, True, True])],
-                           "v": [make_session("b", [4, 5], [True, True])]}).sessions
+        view = history(([0, 1, 2, 3], [True, False, True, True]), ([4, 5], [True, True]))
         begins = truncate_to_positive_budget(view, [0, 4], [4, 6], 2)
         assert begins.tolist() == [2, 4]
         with pytest.raises(ValueError, match="max_positives"):
@@ -369,20 +347,16 @@ class TestTruncation:
 
 class TestMakeSplit:
     def build_sequences(self):
-        return dataset_of({
-            f"u{u}": [
-                make_session(f"u{u}-s{k}", [u * 10 + k, u * 10 + k + 1, 99],
-                             [True, True, False], t0=k * 100)
-                for k in range(3)
-            ]
-            for u in range(3)
-        })
+        rows = [([u * 10 + k, u * 10 + k + 1, 99], [True, True, False])
+                for u in range(3) for k in range(3)]
+        ids = [f"u{u}-s{k}" for u in range(3) for k in range(3)]
+        return Dataset(history(*rows, ids=ids), np.array([0, 3, 6, 9]), ["u0", "u1", "u2"])
 
     def test_session_protocol_definition(self):
         split = make_split(self.build_sequences(), "session", catalog_size=120)
         assert split.protocol == "session"
         user = split.users[0]
-        assert [s.session_id for s in user.train_sessions] == ["u0-s0", "u0-s1"]
+        assert user.train_sessions.session_ids == ["u0-s0", "u0-s1"]
         assert user.targets == [2, 3]  # positives of session 3, sorted
 
     def test_item_protocol_definition(self):
@@ -390,13 +364,14 @@ class TestMakeSplit:
         user = split.users[0]
         # last positive of u0 is item 3 (second row of the third session)
         assert user.targets == [3]
-        assert [s.session_id for s in user.train_sessions][-1] == "u0-s2"
-        assert user.train_sessions[-1].items == [2]
+        assert user.train_sessions.session_ids[-1] == "u0-s2"
+        assert sessions_of(user.train_sessions)[-1].items == [2]
 
     def test_single_session_user_skipped_with_count(self):
-        users = {seq.user_id: list(seq.sessions) for seq in self.build_sequences()}
-        users["u9"] = [make_session("u9-s0", [1, 2], [True, True])]
-        split = make_split(dataset_of(users), "session", catalog_size=120)
+        rows = [(s.items, s.positives) for s in sessions_of(self.build_sequences().sessions)]
+        dataset = Dataset(history(*rows, ([1, 2], [True, True])), np.array([0, 3, 6, 9, 10]),
+                          ["u0", "u1", "u2", "u9"])
+        split = make_split(dataset, "session", catalog_size=120)
         assert split.stats["skipped_users"] == 1
         assert len(split.users) == 3
 
@@ -404,17 +379,17 @@ class TestMakeSplit:
         split = make_split(self.build_sequences(), "session", catalog_size=120,
                            max_positive_len=2)
         user = split.users[0]
-        assert sum(s.num_positives() for s in user.train_sessions) == 2
-        assert [s.session_id for s in user.train_sessions] == ["u0-s1"]
+        assert sum(sum(s.positives) for s in sessions_of(user.train_sessions)) == 2
+        assert user.train_sessions.session_ids == ["u0-s1"]
 
     def test_no_target_session_in_train_view(self):
         split = make_split(self.build_sequences(), "session", catalog_size=120)
         for seq, user in zip(self.build_sequences(), split.users):
-            target_sid = seq.sessions[-1].session_id
-            train_sids = [s.session_id for s in user.train_sessions]
-            assert target_sid not in train_sids
-            max_train_ts = max(ts for s in user.train_sessions for ts in s.timestamps)
-            assert max_train_ts < min(seq.sessions[-1].timestamps)
+            target = sessions_of(seq.sessions)[-1]
+            assert target.session_id not in user.train_sessions.session_ids
+            max_train_ts = max(ts for s in sessions_of(user.train_sessions)
+                               for ts in s.timestamps)
+            assert max_train_ts < min(target.timestamps)
 
     def test_item_protocol_excludes_target_event(self):
         for seq, user in zip(
@@ -423,24 +398,24 @@ class TestMakeSplit:
         ):
             target = user.targets[0]
             full_count = sum(
-                1 for s in seq.sessions for it, p in zip(s.items, s.positives)
+                1 for s in sessions_of(seq.sessions) for it, p in zip(s.items, s.positives)
                 if p and it == target
             )
             train_count = sum(
-                1 for s in user.train_sessions
+                1 for s in sessions_of(user.train_sessions)
                 for it, p in zip(s.items, s.positives) if p and it == target
             )
             assert train_count == full_count - 1
 
     def test_item_protocol_needs_two_positives(self):
-        dataset = dataset_of({"u": [make_session("a", [1, 2], [False, True])],
-                              "v": [make_session("b", [3], [False])]})
+        dataset = Dataset(history(([1, 2], [False, True]), ([3], [False])),
+                          np.array([0, 1, 2]), ["u", "v"])
         split = make_split(dataset, "item", catalog_size=5)
         assert split.users == [] and split.stats["skipped_users"] == 2
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="protocol"):
-            make_split(dataset_of({}), "weekly", catalog_size=5)
+            make_split(Dataset(history(), np.array([0]), []), "weekly", catalog_size=5)
 
     def test_stats_session_totals_consistent(self):
         seqs = self.build_sequences()
@@ -452,12 +427,29 @@ class TestMakeSplit:
 
 class TestEncoderViews:
     def test_skips_positive_free_sessions(self):
-        sessions = [
-            make_session("a", [1, 2], [True, False]),
-            make_session("b", [3], [False]),
-            make_session("c", [4], [True]),
-        ]
-        assert encoder_views(sessions) == [[1], [4]]
+        sessions = history(([1, 2], [True, False]), ([3], [False]), ([4], [True]))
+        assert [v.tolist() for v in encoder_views(sessions)] == [[1], [4]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_matches_the_list_reference_on_random_users(self, seed):
+        views, cases = random_train_views(seed)
+        assert all(cases.values()), cases
+        for view in views:
+            got = encoder_views(view)
+            assert all(v.dtype == np.int64 for v in got)
+            assert [v.tolist() for v in got] == reference_encoder_views(sessions_of(view))
+
+
+class TestSessionsSlicing:
+    def test_slices_are_views_and_a_step_is_rejected(self):
+        s = history(([1], [True]), ([2], [True]), ([3], [True]), ids="abc")
+        assert s[1:].session_ids == ["b", "c"] and s[1:].item is s.item
+        assert s[-1:].offsets.tolist() == [2, 3]
+        assert len(s[2:1]) == 0 and s[2:1].offsets.tolist() == [2]
+        assert s[::1].session_ids == ["a", "b", "c"]
+        for step in (2, -1):
+            with pytest.raises(ValueError, match="step"):
+                s[::step]
 
 
 class TestPersistence:
@@ -474,12 +466,7 @@ class TestPersistence:
         assert len(loaded) == len(sequences)
         for a, b in zip(loaded, sequences):
             assert a.user_id == b.user_id
-            assert len(a.sessions) == len(b.sessions)
-            for sa, sb in zip(a.sessions, b.sessions):
-                assert sa.session_id == sb.session_id
-                assert sa.items == sb.items
-                assert sa.positives == sb.positives
-                assert sa.timestamps == sb.timestamps
+            assert sessions_of(a.sessions) == sessions_of(b.sessions)
 
     def test_round_trip_preserves_features(self, tmp_path):
         rows = [r + ("red" if i % 2 else "blue",) for i, r in enumerate(dense_corpus_rows())]

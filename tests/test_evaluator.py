@@ -6,7 +6,7 @@ import pytest
 
 import nextsession.evaluator as evaluator
 import nextsession.tensor as T
-from nextsession.data import DatasetSplit, Session, UserSplit
+from nextsession.data import DatasetSplit, UserSplit
 from nextsession.evaluator import (
     EvalReport,
     alpha_sweep,
@@ -22,6 +22,8 @@ from nextsession.evaluator import (
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.trainer import TrainConfig
+
+from helpers import history, random_train_views, reference_clip_sessions_to, sessions_of
 
 
 def lexsort_top_k(user_vec, item_vecs, k):
@@ -243,10 +245,6 @@ class StubModel:
         return T.Tensor(self.item_matrix[views[-1][-1]])
 
 
-def one_session(sid, items, positives):
-    return Session(sid, list(items), list(positives), list(range(len(items))))
-
-
 def split_for(users, catalog_size, protocol="session"):
     return DatasetSplit(protocol=protocol, users=users,
                         catalog_size=catalog_size, stats={})
@@ -255,8 +253,8 @@ def split_for(users, catalog_size, protocol="session"):
 class TestEvaluate:
     def oracle_split(self):
         users = [
-            UserSplit("u0", [one_session("a", [3], [True])], targets=[3]),
-            UserSplit("u1", [one_session("b", [1, 5], [True, True])], targets=[5]),
+            UserSplit("u0", history(([3], [True])), targets=[3]),
+            UserSplit("u1", history(([1, 5], [True, True])), targets=[5]),
         ]
         return split_for(users, catalog_size=8)
 
@@ -278,16 +276,16 @@ class TestEvaluate:
 
     def test_users_without_views_or_targets_are_skipped(self):
         users = [
-            UserSplit("ok", [one_session("a", [3], [True])], targets=[3]),
-            UserSplit("no-pos", [one_session("b", [2], [False])], targets=[1]),
-            UserSplit("no-target", [one_session("c", [4], [True])], targets=[]),
+            UserSplit("ok", history(([3], [True])), targets=[3]),
+            UserSplit("no-pos", history(([2], [False])), targets=[1]),
+            UserSplit("no-target", history(([4], [True])), targets=[]),
         ]
         report = evaluate(StubModel(np.eye(8)), split_for(users, 8), cutoffs=(1,))
         assert report.num_users == 1
         assert report.skipped_users == 2
 
     def test_all_users_skipped_is_an_error(self):
-        users = [UserSplit("u", [one_session("a", [2], [False])], targets=[1])]
+        users = [UserSplit("u", history(([2], [False])), targets=[1])]
         with pytest.raises(ValueError, match="no evaluable users"):
             evaluate(StubModel(np.eye(8)), split_for(users, 8), cutoffs=(1,))
 
@@ -308,7 +306,7 @@ class TestEvaluate:
         for u in range(12):
             items = rng.choice(catalog, size=3, replace=False)
             targets = rng.choice(catalog, size=int(rng.integers(1, 6)), replace=False)
-            users.append(UserSplit(f"u{u}", [one_session(f"s{u}", items, [True] * 3)],
+            users.append(UserSplit(f"u{u}", history((items, [True] * 3)),
                                    targets=[int(t) for t in targets]))
         split = split_for(users, catalog)
         new = evaluate(model, split, cutoffs=(1, 5, 10, 25)).to_json()
@@ -336,8 +334,9 @@ def toy_split(num_users=10, num_sessions=4, catalog=20):
         for s in range(num_sessions):
             items = [sig, int(rng.integers(catalog))]
             ts = [s * 100, s * 100 + 1]
-            sessions.append(Session(f"u{u}-s{s}", items, [True, True], ts))
-        users.append(UserSplit(f"u{u}", sessions, targets=[sig]))
+            sessions.append((items, [True, True], ts))
+        ids = [f"u{u}-s{s}" for s in range(num_sessions)]
+        users.append(UserSplit(f"u{u}", history(*sessions, ids=ids), targets=[sig]))
     return DatasetSplit(protocol="session", users=users, catalog_size=catalog,
                         stats={})
 
@@ -347,7 +346,7 @@ def sweep_config(epochs=1):
         batch_size=16, learning_rate=0.05, epochs=epochs, dropout=0.0, seed=0,
         dim=8, val_interval=0, val_k=10,
         loss=LossConfig(alpha=0.2, num_sampled_negatives=4),
-        sse=SseConfig(layers=1, heads=2, dropout=0.0, max_positions=16),
+        sse=SseConfig(layers=1, heads=2, max_positions=16),
     )
 
 
@@ -395,6 +394,15 @@ class TestScalingRun:
         for row in rows:
             assert "skipped" not in row
             assert np.isfinite(row["recall@10"])
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_clipping_matches_the_list_reference_on_random_users(self, seed):
+        views, cases = random_train_views(seed)
+        assert all(cases.values()), cases
+        for max_ts in (-1, 0, 30, 60, 99):
+            for view in views:
+                got = evaluator._clip_sessions_to(view, max_ts)
+                assert sessions_of(got) == reference_clip_sessions_to(sessions_of(view), max_ts)
 
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="fractions"):

@@ -15,9 +15,9 @@ def make_model(num_items=20, dim=8, ise_kind="mean", backbone="causal_attention"
     cfg = ModelConfig(
         num_items=num_items,
         dim=dim,
+        dropout=dropout,
         ise=IseConfig(kind=ise_kind),
-        sse=SseConfig(backbone=backbone, layers=layers, heads=2, dropout=dropout,
-                      max_positions=max_positions),
+        sse=SseConfig(backbone=backbone, layers=layers, heads=2, max_positions=max_positions),
     )
     return NextSessionModel(cfg, np.random.default_rng(seed))
 

@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 
 import nextsession.tensor as T
-from nextsession.data import Session
 from nextsession.embedding import EmbeddingSpace
 from nextsession.objective import (
     LossConfig,
     TrainingTargets,
     build_targets,
-    rank_loss,
-    retrieval_loss,
     sample_negatives,
     total_loss,
 )
+from nextsession.trainer import _trainable_sessions
 
-from helpers import finite_difference, graph_size
+from helpers import (
+    finite_difference,
+    graph_size,
+    history,
+    random_train_views,
+    reference_build_targets,
+    sessions_of,
+)
 
 
 class FixedEmbedding:
@@ -27,9 +32,16 @@ class FixedEmbedding:
         return T.gather(self.table, np.asarray(ids, dtype=np.int64))
 
 
-def session(sid, items, positives, t0=0):
-    return Session(sid, list(items), list(positives),
-                   list(range(t0, t0 + len(items))))
+def retrieval_loss(outputs, targets, embedding):
+    """The retrieval term of ``total_loss`` and its positive-term count."""
+    values = total_loss(outputs, targets, embedding, LossConfig())
+    return values.retrieval, values.retrieval_count
+
+
+def rank_loss(outputs, targets, embedding):
+    """The rank term of ``total_loss`` and its positive-term count."""
+    values = total_loss(outputs, targets, embedding, LossConfig())
+    return values.rank, values.rank_count
 
 
 def per_positive_oracle(outputs, positives, negatives_per_position, embedding):
@@ -112,17 +124,17 @@ class TestSampleNegatives:
 
 class TestBuildTargets:
     def sequences(self):
-        return [
-            session("s0", [1, 2, 9], [True, True, False]),
-            session("s1", [3, 9, 3], [True, False, True], t0=10),
-            session("s2", [4, 5, 4], [True, False, False], t0=20),
-        ]
+        return history(
+            ([1, 2, 9], [True, True, False]),
+            ([3, 9, 3], [True, False, True]),
+            ([4, 5, 4], [True, False, False]),
+        )
 
     def test_alignment_and_dedupe(self):
         views, tg = build_targets(self.sequences(), catalog_size=10, num_sampled=4,
                                   rng=np.random.default_rng(0))
-        assert views == [[1, 2], [3, 3]]
-        assert tg.num_positions() == 2
+        assert [v.tolist() for v in views] == [[1, 2], [3, 3]]
+        assert len(tg.positives) == 2
         np.testing.assert_array_equal(tg.positives[0], [3])   # session s1 positives
         np.testing.assert_array_equal(tg.positives[1], [4])
         np.testing.assert_array_equal(tg.in_session_negatives[0], [9])
@@ -135,10 +147,39 @@ class TestBuildTargets:
             build_targets(self.sequences()[:1], 10, 4, np.random.default_rng(0))
 
     def test_positive_free_session_rejected(self):
-        seqs = self.sequences()
-        seqs[1] = session("s1", [9], [False], t0=10)
+        seqs = history(([1, 2, 9], [True, True, False]), ([9], [False]),
+                       ([4, 5, 4], [True, False, False]))
         with pytest.raises(ValueError, match="no positives"):
             build_targets(seqs, 10, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_matches_the_list_reference_on_random_users(self, seed):
+        views, cases = random_train_views(seed)
+        assert all(cases.values()), cases
+        for k, view in enumerate(views):
+            # untrimmed views end in positive-free sessions, and inner ones
+            # are rejected: both sides must raise the same error
+            for sessions in (view, _trainable_sessions(view)):
+                if len(sessions) < 2:
+                    continue
+                rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+                try:
+                    want = reference_build_targets(sessions_of(sessions), 12, 5, ref_rng)
+                except ValueError as e:
+                    with pytest.raises(ValueError) as got:
+                        build_targets(sessions, 12, 5, rng)
+                    assert str(got.value) == str(e)
+                    continue
+                got_views, tg = build_targets(sessions, 12, 5, rng)
+                assert [v.tolist() for v in got_views] == want[0]
+                for got, ref in zip((tg.positives, tg.in_session_negatives,
+                                     tg.sampled_negatives), want[1:]):
+                    assert len(got) == len(ref)
+                    for a, b in zip(got, ref):
+                        assert a.dtype == np.int64
+                        np.testing.assert_array_equal(a, b)
+                assert all(v.dtype == np.int64 for v in got_views)
+                assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
 class TestRetrievalLoss:

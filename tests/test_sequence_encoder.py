@@ -10,9 +10,8 @@ from helpers import finite_difference
 
 def encoder(backbone="causal_attention", dim=8, layers=2, heads=2, dropout=0.0,
             max_positions=16, seed=0):
-    cfg = SseConfig(backbone=backbone, layers=layers, heads=heads,
-                    dropout=dropout, max_positions=max_positions)
-    return SequenceEncoder(cfg, dim, np.random.default_rng(seed))
+    cfg = SseConfig(backbone=backbone, layers=layers, heads=heads, max_positions=max_positions)
+    return SequenceEncoder(cfg, dim, np.random.default_rng(seed), dropout)
 
 
 def tokens(m, dim=8, seed=1):

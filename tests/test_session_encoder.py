@@ -170,26 +170,29 @@ RAGGED = {
 }
 
 
+def outputs_and_grads(enc, x0, lengths, w, run):
+    """``run``'s session tokens for input rows ``x0``, and the gradients of
+    their ``w``-weighted sum with respect to the input and each parameter."""
+    params = enc.parameters()
+    for p in params.values():
+        p.grad = None
+    x = T.Tensor(x0.copy(), requires_grad=True)
+    out = run(x, lengths)
+    T.sum_all(T.mul(out, T.Tensor(w))).backward()
+    grads = [x.grad] + [params[n].grad for n in sorted(params)]
+    return out.data, grads
+
+
 class TestParallelRecurrent:
     """The session-parallel recurrent kind against the per-session loop."""
-
-    def outputs_and_grads(self, enc, x0, lengths, w, run):
-        params = enc.parameters()
-        for p in params.values():
-            p.grad = None
-        x = T.Tensor(x0.copy(), requires_grad=True)
-        out = run(x, lengths)
-        T.sum_all(T.mul(out, T.Tensor(w))).backward()
-        grads = [x.grad] + [params[n].grad for n in sorted(params)]
-        return out.data, grads
 
     def compare(self, lengths, seed):
         rng = np.random.default_rng(seed)
         enc = float64_encoder("recurrent", 5, seed)
         x0 = rng.normal(size=(sum(lengths), 5))
         w = rng.normal(size=(len(lengths), 5))
-        got, got_g = self.outputs_and_grads(enc, x0, lengths, w, enc.encode_sessions)
-        want, want_g = self.outputs_and_grads(
+        got, got_g = outputs_and_grads(enc, x0, lengths, w, enc.encode_sessions)
+        want, want_g = outputs_and_grads(
             enc, x0, lengths, w, lambda x, ln: loop_recurrent(enc, x, ln)
         )
         assert got.dtype == np.float64
@@ -257,4 +260,50 @@ class TestParallelRecurrent:
         for ln in (1, 12):
             x = T.Tensor(rng.normal(size=(3 * ln, 4)).astype(np.float32), requires_grad=True)
             sizes.append(graph_size(enc.encode_sessions(x, [ln] * 3)))
+        assert sizes[0] == sizes[1], sizes
+
+
+def loop_attention(enc, item_vecs, lengths):
+    """The attention kind session by session: each session's items through
+    the blocks under a full mask, then mean-pooled."""
+    tokens, start = [], 0
+    for ln in lengths:
+        x = T.gather(item_vecs, np.arange(start, start + ln))
+        for block in enc.blocks:
+            x = block(x, np.ones((ln, ln), dtype=bool))
+        tokens.append(T.segment_reduce(x, np.zeros(ln, dtype=np.int64), "mean"))
+        start += ln
+    return tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
+
+
+class TestBlockDiagonalAttention:
+    """The attention kind, one pass under a block-diagonal mask, against
+    the per-session loop."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_per_session_loop_in_float64(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        lengths = [int(v) for v in rng.integers(1, 7, size=rng.integers(1, 8))]
+        enc = encoder("attention", dim=4, seed=seed, layers=int(rng.integers(1, 3)), heads=2)
+        for p in enc.parameters().values():
+            # large weights make sharp attention, so a leak across sessions shows
+            p.data = p.data.astype(np.float64) * 20.0
+        x0 = rng.normal(size=(sum(lengths), 4))
+        w = rng.normal(size=(len(lengths), 4))
+        got, got_g = outputs_and_grads(enc, x0, lengths, w, enc.encode_sessions)
+        want, want_g = outputs_and_grads(
+            enc, x0, lengths, w, lambda x, ln: loop_attention(enc, x, ln)
+        )
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        for g, wg in zip(got_g, want_g):
+            np.testing.assert_allclose(g, wg, rtol=0, atol=1e-9)
+
+    def test_graph_does_not_grow_with_session_count(self):
+        enc = encoder("attention", dim=4, seed=0, layers=2, heads=2)
+        rng = np.random.default_rng(0)
+        sizes = []
+        for m in (2, 40):
+            x = T.Tensor(rng.normal(size=(3 * m, 4)).astype(np.float32), requires_grad=True)
+            sizes.append(graph_size(enc.encode_sessions(x, [3] * m)))
         assert sizes[0] == sizes[1], sizes

@@ -7,11 +7,11 @@ import pytest
 
 import nextsession.tensor as T
 import nextsession.trainer as trainer_mod
-from nextsession.data import DatasetSplit, Session, UserSplit
+from nextsession.data import DatasetSplit, UserSplit
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
-from helpers import legacy_copy
+from helpers import history, legacy_copy
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -41,8 +41,9 @@ def toy_split(num_users=12, num_sessions=4, catalog=24, extras_per_session=1):
                 items.append(int(rng.integers(catalog)))
                 positives.append(True)
             ts = [s * 100 + j for j in range(len(items))]
-            sessions.append(Session(f"u{u}-s{s}", items, positives, ts))
-        users.append(UserSplit(user_id=f"u{u}", train_sessions=sessions,
+            sessions.append((items, positives, ts))
+        ids = [f"u{u}-s{s}" for s in range(num_sessions)]
+        users.append(UserSplit(user_id=f"u{u}", train_sessions=history(*sessions, ids=ids),
                                targets=[sig]))
     return DatasetSplit(protocol="session", users=users, catalog_size=catalog,
                         stats={"num_users": num_users})
@@ -60,8 +61,7 @@ def small_config(**overrides):
         val_k=10,
         loss=LossConfig(alpha=0.2, num_sampled_negatives=8),
         ise=IseConfig(kind="mean"),
-        sse=SseConfig(backbone="causal_attention", layers=1, heads=2,
-                      dropout=0.0, max_positions=16),
+        sse=SseConfig(backbone="causal_attention", layers=1, heads=2, max_positions=16),
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -104,6 +104,17 @@ class TestConfig:
         blob["optimizer"] = "sgd"
         with pytest.raises(ValueError, match="'optimizer'"):
             config_from_dict(blob)
+
+    def test_unread_sse_dropout_is_dropped_at_any_valid_rate(self):
+        cfg = small_config()
+        for rate in (0, 0.0, 0.2, 0.99):
+            blob = config_to_dict(cfg)
+            blob["sse"]["dropout"] = rate
+            assert config_from_dict(blob) == cfg
+        for rate in (1.0, -0.1, "0.2", True, None):
+            blob["sse"]["dropout"] = rate
+            with pytest.raises(ValueError, match=r"'sse.dropout' must be in \[0, 1\)"):
+                config_from_dict(blob)
 
 
 class TestAdam:
@@ -208,8 +219,7 @@ class TestTrain:
             train(toy_split(), small_config(epochs=1))
 
     def test_recurrent_backbone_trains(self):
-        cfg = small_config(epochs=1, sse=SseConfig(backbone="recurrent", layers=1,
-                                                   dropout=0.0))
+        cfg = small_config(epochs=1, sse=SseConfig(backbone="recurrent", layers=1))
         result = train(toy_split(num_users=6), cfg)
         assert np.isfinite(result.history[0]["train_total_mean"])
 
@@ -294,7 +304,8 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
     @pytest.mark.parametrize("kwargs,key", [({"optimizer": "sgd"}, "'optimizer'"),
-                                            ({"sampling": "popularity"}, "'loss.sampling'")])
+                                            ({"sampling": "popularity"}, "'loss.sampling'"),
+                                            ({"sse_dropout": 1.0}, "'sse.dropout'")])
     def test_legacy_header_other_value_rejected(self, tmp_path, kwargs, key):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
@@ -332,8 +343,12 @@ class TestBuildModel:
     def test_dropout_propagates_to_sequence_encoder(self):
         cfg = small_config(dropout=0.35)
         model = build_model(cfg, 10, np.random.default_rng(0))
-        assert model.cfg.sse.dropout == 0.35
-        assert cfg.sse.dropout == 0.0  # caller's config object is untouched
+        assert model.cfg.dropout == model.sequence_encoder.dropout == 0.35
+
+    @pytest.mark.parametrize("rate", [1.0, -0.1])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got "):
+            build_model(small_config(dropout=rate), 10, np.random.default_rng(0))
 
     def test_same_rng_same_init(self):
         cfg = small_config()
