@@ -76,18 +76,12 @@ class Sessions:
     def num_interactions(self) -> int:
         return int(self.offsets[-1] - self.offsets[0])
 
-    def positive_bounds(self) -> list[int]:
-        """Positive rows before each offset, counted from the view's first
-        row: session k holds positives ``bounds[k]:bounds[k + 1]`` of the
-        view's positive rows."""
-        rows = self.rows()
-        before = np.zeros(rows.stop - rows.start + 1, np.int64)
-        np.cumsum(self.positive[rows], out=before[1:])
-        return before[self.offsets - rows.start].tolist()
-
     def positive_counts(self) -> np.ndarray:
-        """The number of positive rows in each session."""
-        return np.diff(self.positive_bounds())
+        """The number of positive rows in each session, int64."""
+        rows = self.rows()
+        before = np.zeros(rows.stop - rows.start + 1, np.int64)  # positives before each row
+        np.cumsum(self.positive[rows], out=before[1:])
+        return np.diff(before[self.offsets - rows.start])
 
 
 @dataclass
@@ -451,18 +445,18 @@ def make_split(dataset: Dataset, protocol: str, catalog_size: int,
     return DatasetSplit(protocol, users, catalog_size, stats)
 
 
-def encoder_views(sessions: Sessions) -> list[np.ndarray]:
-    """Positive item ids per session (int64 arrays), skipping positive-free
-    sessions.
+def encoder_views(sessions: Sessions) -> tuple[np.ndarray, np.ndarray]:
+    """The positive item ids of the view, in row order, and the positive
+    count of each session that has one (both int64): a session's ids are
+    the next ``count`` of ``ids``, and positive-free sessions are skipped.
 
     This is the model-facing view of a session sequence: the encoders consume
     positively interacted items only; exposure negatives stay in the
     ``Sessions`` arrays solely for the rank loss.
     """
     rows = sessions.rows()
-    positives = sessions.item[rows][sessions.positive[rows]].astype(np.int64)
-    bounds = sessions.positive_bounds()
-    return [positives[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    counts = sessions.positive_counts()
+    return sessions.item[rows][sessions.positive[rows]].astype(np.int64), counts[counts > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +536,8 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
         raise ValueError(f"{users_path}: 'users' and 'session_ids' differ in length")
     path = os.path.join(data_dir, "interactions.npz")
     try:
-        with np.load(path) as archive:
+        # np.load leaves a file it opened itself open when it is not a zip
+        with open(path, "rb") as fh, np.load(fh) as archive:
             arrays = {name: archive[name] for name in ARRAYS if name in archive.files}
     except (OSError, EOFError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path}: unreadable archive: {e}") from None

@@ -126,12 +126,12 @@ def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash=""
     n = 0
     skipped = 0
     for user in split.users:
-        views = encoder_views(user.train_sessions)
-        if not views or not user.targets:
+        ids, lengths = encoder_views(user.train_sessions)
+        if not lengths.size or not user.targets:
             skipped += 1
             continue
         with T.no_grad():
-            uvec = model.user_vector(views).data
+            uvec = model.user_vector((ids, lengths)).data
         ranked = top_k(uvec, item_matrix, k_max)
         for k in cutoffs:
             recall_sums[k] += recall_at_k(ranked, user.targets, k)

@@ -28,8 +28,9 @@ class NextSessionModel:
     """Maps a user's session history to per-position interest vectors.
 
     The forward input is the model-facing view of a history
-    (``data.encoder_views``): one array or list of positively interacted item
-    ids per session, chronological, each non-empty.
+    (``data.encoder_views``): a pair ``(ids, lengths)`` of a flat int64
+    array of positively interacted item ids and the number of them in each
+    session, chronological, every length >= 1.
     """
 
     def __init__(self, cfg: ModelConfig, rng, item_features=None):
@@ -53,22 +54,22 @@ class NextSessionModel:
         params.update(self.sequence_encoder.parameters())
         return params
 
-    def forward_sessions(self, session_items, training=False, dropout_rng=None):
-        """per-session positive item ids -> (m, d) output rows."""
-        if not session_items:
-            raise ValueError("need at least one session")
-        lengths = [len(s) for s in session_items]
-        if any(ln == 0 for ln in lengths):
+    def forward_sessions(self, view, training=False, dropout_rng=None):
+        """``(ids, lengths)`` -> (len(lengths), d) output rows."""
+        ids, lengths = view
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or lengths.size == 0:
+            raise ValueError(f"need at least one session, got lengths of shape {lengths.shape}")
+        if lengths.min() < 1:
             raise ValueError("sessions passed to the model must be non-empty")
-        flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in session_items])
-        item_vecs = self.embedding.embed_items(flat)
+        item_vecs = self.embedding.embed_items(ids)
         tokens = self.session_encoder.encode_sessions(item_vecs, lengths)
         return self.sequence_encoder.encode(
             tokens, training=training, dropout_rng=dropout_rng
         )
 
-    def user_vector(self, session_items):
+    def user_vector(self, view):
         """Inference-time user representation: last output row, shape (d,)."""
-        out = self.forward_sessions(session_items, training=False)
+        out = self.forward_sessions(view, training=False)
         last = T.gather(out, np.array([out.shape[0] - 1]))
         return T.reshape(last, (self.cfg.dim,))

@@ -13,9 +13,11 @@ no exposures simply contribute nothing to the rank term.
 How a user's loss is computed: the distinct ids among all of the user's
 positives and negatives are embedded once, every output row is scored
 against all of them with one matmul, and each loss is one
-``tensor.sampled_softmax_xent`` over that score matrix, with each
-position's positives and negatives given as padded column indices and
-masks.  The graph is the same size however many positives a position has."""
+``tensor.sampled_softmax_xent`` over that score matrix.  Positives and
+in-session negatives arrive ragged, as a flat item array plus a count per
+position, and are padded to column indices and masks; the sampled
+negatives are already one (positions, C) array.  The graph is the same
+size however many positives a position has."""
 
 from __future__ import annotations
 
@@ -41,11 +43,16 @@ class LossConfig:
 
 @dataclass
 class TrainingTargets:
-    """Per supervised position: positives, in-session negatives, sampled negatives."""
+    """Per supervised position: positives, in-session negatives, sampled negatives.
 
-    positives: list[np.ndarray]
-    in_session_negatives: list[np.ndarray]
-    sampled_negatives: list[np.ndarray]
+    The first two are ``(items, counts)`` pairs of int64 arrays: position
+    i's items are the ``counts[i]`` entries of ``items`` after those of the
+    positions before it.  ``sampled_negatives`` is a (positions, C) array.
+    """
+
+    positives: tuple[np.ndarray, np.ndarray]
+    in_session_negatives: tuple[np.ndarray, np.ndarray]
+    sampled_negatives: np.ndarray
 
 
 def sample_negatives(catalog_size: int, count, rng: np.random.Generator) -> np.ndarray:
@@ -61,17 +68,18 @@ def build_targets(
     catalog_size: int,
     num_sampled: int,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], TrainingTargets]:
+) -> tuple[tuple[np.ndarray, np.ndarray], TrainingTargets]:
     """Turn a user's session sequence into model inputs and per-position targets.
 
-    Returns (input_views, targets): input_views is ``encoder_views`` of
-    sessions[:-1]; position i's targets come from the rows of session i+1:
-    its distinct positive items, its distinct exposed items that are not
-    also positive (an item both exposed and positively interacted within one
-    session counts as positive only), and ``num_sampled`` catalog draws.
-    Each is an int64 array, the first two sorted.  The draws of all
-    positions are one (positions, num_sampled) call, row i for position i,
-    which yields the same numbers as one call per position.  Requires >= 2
+    Returns (input_view, targets): input_view is the ``(ids, lengths)`` of
+    ``encoder_views(sessions[:-1])``; position i's targets come from the
+    rows of session i+1: its distinct positive items, its distinct exposed
+    items that are not also positive (an item both exposed and positively
+    interacted within one session counts as positive only), and
+    ``num_sampled`` catalog draws.  The first two are ``(items, counts)``
+    pairs with each position's items sorted.  The draws of all positions
+    are one (positions, num_sampled) call, row i for position i, which
+    yields the same numbers as one call per position.  Requires >= 2
     sessions, each with >= 1 positive.
     """
     if len(sessions) < 2:
@@ -94,25 +102,18 @@ def build_targets(
     pos = np.unique(key[positive])
     neg = np.unique(key[~positive])
     neg = neg[pos[np.searchsorted(pos, neg).clip(max=len(pos) - 1)] != neg]  # not also positive
-    sampled = list(sample_negatives(catalog_size, (m, num_sampled), rng))
-    return encoder_views(sessions[:-1]), TrainingTargets(
-        _by_position(pos, m, width), _by_position(neg, m, width), sampled)
+    positives, in_session = ((keys % width, np.bincount(keys // width, minlength=m))
+                             for keys in (pos, neg))
+    sampled = sample_negatives(catalog_size, (m, num_sampled), rng)
+    return encoder_views(sessions[:-1]), TrainingTargets(positives, in_session, sampled)
 
 
-def _by_position(keys: np.ndarray, m: int, width: int) -> list[np.ndarray]:
-    """Sorted ``position * width + item`` keys -> the items of each of the
-    m positions."""
-    bounds = np.searchsorted(keys, np.arange(m + 1) * width).tolist()
-    items = keys % width
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _padded(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged id rows -> a (len(rows), widest) array padded with 0, and its validity mask."""
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+def _padded(items: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged id rows, ``items`` flat with ``counts`` per row -> a
+    (len(counts), widest) array padded with 0, and its validity mask."""
+    mask = np.arange(counts.max(initial=0)) < counts[:, None]
     idx = np.zeros(mask.shape, dtype=np.int64)
-    idx[mask] = np.concatenate(rows)
+    idx[mask] = items
     return idx, mask
 
 
@@ -120,17 +121,20 @@ def _contrastive_sums(outputs, positives, negative_sets, embedding):
     """Shared loss body, once per negative set in ``negative_sets``: the sum
     over positions and positives of -log softmax(positive | positive + that
     position's negatives), skipping positions with no negatives.
+    ``positives`` and each negative set are padded ``(ids, mask)`` pairs,
+    one row per position.
 
     Every distinct target id is embedded once and every position is scored
     against all of them in one matmul; each negative set then costs one
     fused op.  Returns one (loss Tensor, contributing positive-term count)
     pair per negative set.
     """
-    padded = [_padded(rows) for rows in (positives, *negative_sets)]
+    padded = (positives, *negative_sets)
     ids = np.unique(np.concatenate([idx[mask] for idx, mask in padded]))
-    if outputs.shape[0] != len(positives):
+    positions = len(positives[0])
+    if outputs.shape[0] != positions:
         # output rows past the last supervised position have no targets
-        outputs = T.gather(outputs, np.arange(len(positives)))
+        outputs = T.gather(outputs, np.arange(positions))
     scores = T.matmul(outputs, T.transpose(embedding.embed_items(ids)))
     # padding entries are id 0 and map to column 0; the masks drop them
     (pos_cols, pos_mask), *negs = [(np.searchsorted(ids, idx), mask) for idx, mask in padded]
@@ -139,12 +143,6 @@ def _contrastive_sums(outputs, positives, negative_sets, embedding):
         loss = T.sampled_softmax_xent(scores, pos_cols, pos_mask, neg_cols, neg_mask)
         out.append((loss, int(pos_mask[neg_mask.any(axis=1)].sum())))
     return out
-
-
-def _check_positives(targets: TrainingTargets) -> None:
-    for i, pos in enumerate(targets.positives):
-        if len(pos) == 0:
-            raise ValueError(f"position {i} has no positive targets")
 
 
 @dataclass
@@ -172,11 +170,14 @@ def total_loss(outputs, targets: TrainingTargets, embedding, cfg: LossConfig) ->
     Both losses share one embedding of the user's target ids and one score
     matrix.
     """
-    _check_positives(targets)
+    counts = targets.positives[1]
+    if not counts.all():
+        raise ValueError(f"position {int(np.argmin(counts))} has no positive targets")
+    sampled = targets.sampled_negatives
     (retr, n_retr), (rank, n_rank) = _contrastive_sums(
         outputs,
-        targets.positives,
-        [targets.sampled_negatives, targets.in_session_negatives],
+        _padded(*targets.positives),
+        [(sampled, np.ones(sampled.shape, dtype=bool)), _padded(*targets.in_session_negatives)],
         embedding,
     )
     if cfg.alpha == 0.0:

@@ -58,18 +58,19 @@ class SessionEncoder:
         return params
 
     def encode_sessions(self, item_vecs, lengths):
-        """(n, d) item vectors + per-session lengths -> (m, d) session tokens.
+        """(n, d) item vectors + an array of per-session lengths -> (m, d)
+        session tokens.
 
         lengths must be positive and sum to n; rows are grouped contiguously
         and chronologically.
         """
-        lengths = list(lengths)
-        if any(ln < 1 for ln in lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if (lengths < 1).any():
             raise ValueError("empty session passed to the session encoder")
         n = item_vecs.shape[0]
-        if sum(lengths) != n:
+        if lengths.sum() != n:
             raise ValueError(
-                f"session lengths sum to {sum(lengths)} but got {n} item rows"
+                f"session lengths sum to {lengths.sum()} but got {n} item rows"
             )
         seg_ids = np.repeat(np.arange(len(lengths)), lengths)
 

@@ -213,10 +213,9 @@ def _validation_recall(model, train_users, val_k):
     for sessions in train_users:
         if len(sessions) < 2:
             continue
-        views = encoder_views(sessions[:-1])
-        [targets] = encoder_views(sessions[-1:])
+        targets, _ = encoder_views(sessions[-1:])
         with T.no_grad():
-            uvec = model.user_vector(views).data
+            uvec = model.user_vector(encoder_views(sessions[:-1])).data
         ranked = top_k(uvec, item_matrix, k)
         total += recall_at_k(ranked, targets, k)
         n += 1
@@ -269,11 +268,11 @@ def train(
             batch_total = 0.0
             for ui in batch:
                 _, sessions = train_users[ui]
-                views, targets = build_targets(
+                view, targets = build_targets(
                     sessions, split.catalog_size, cfg.loss.num_sampled_negatives, neg_rng
                 )
                 outputs = model.forward_sessions(
-                    views, training=True, dropout_rng=drop_rng
+                    view, training=True, dropout_rng=drop_rng
                 )
                 losses = total_loss(outputs, targets, model.embedding, cfg.loss)
                 losses.total.backward()

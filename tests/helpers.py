@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +99,7 @@ def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform", sse_dropou
     """Rewrite a checkpoint's header as written before the retired
     single-value keys and the unread ``sse.dropout`` were dropped, stored
     hash included."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (n,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + n])
     header["config"]["optimizer"] = optimizer
@@ -325,6 +326,13 @@ def history(*sessions, ids=None):
         np.array(offsets),
         list(ids) if ids is not None else [f"s{k}" for k in range(len(sessions))],
     )
+
+
+def ragged(rows):
+    """Rows given as lists -> the ``(flat int64 ids, int64 count per row)``
+    pair that the model and the losses take."""
+    ids = np.concatenate([np.zeros(0, np.int64)] + [np.asarray(r, np.int64) for r in rows])
+    return ids, np.array([len(r) for r in rows], dtype=np.int64)
 
 
 class ListSession(NamedTuple):

@@ -41,7 +41,7 @@ from nextsession.sequence_encoder import SequenceEncoder, SseConfig
 from nextsession.synth import generate, write_log
 from nextsession.trainer import TrainConfig, train
 
-from helpers import assert_grad_close, finite_difference, history
+from helpers import assert_grad_close, finite_difference, history, ragged
 
 ISE_KINDS = ("mean", "max", "max_relu", "recurrent", "attention")
 BACKBONES = ("causal_attention", "recurrent")
@@ -97,12 +97,12 @@ def test_criterion_01_gradients_match_finite_differences():
             sessions.append((items, [True] * len(pos) + [False] * len(neg),
                              list(range(s * 100, s * 100 + len(items)))))
         num_sampled = int(rng.integers(2, 9))
-        views, targets = build_targets(history(*sessions), num_items, num_sampled, rng)
+        view, targets = build_targets(history(*sessions), num_items, num_sampled, rng)
         loss_cfg = LossConfig(alpha=float(rng.choice([0.0, 0.25, 0.8])),
                               num_sampled_negatives=num_sampled)
 
         params = list(model.parameters().items())
-        out = model.forward_sessions(views)
+        out = model.forward_sessions(view)
         total_loss(out, targets, model.embedding, loss_cfg).total.backward()
         analytic = [
             p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
@@ -113,7 +113,7 @@ def test_criterion_01_gradients_match_finite_differences():
             for (_, p), a in zip(params, arrays):
                 p.data = a
             with T.no_grad():
-                out = model.forward_sessions(views)
+                out = model.forward_sessions(view)
                 return float(total_loss(out, targets, model.embedding,
                                         loss_cfg).total.data)
 
@@ -151,9 +151,9 @@ def test_criterion_02_closed_form_losses():
     emb = _TableEmbedding(np.zeros((4, 3)))
     outputs = T.Tensor(np.zeros((1, 3)))
     targets = TrainingTargets(
-        positives=[np.array([0])],
-        in_session_negatives=[np.array([], dtype=np.int64)],
-        sampled_negatives=[np.array([1])],
+        positives=ragged([[0]]),
+        in_session_negatives=ragged([[]]),
+        sampled_negatives=np.array([[1]]),
     )
     values = total_loss(outputs, targets, emb,
                         LossConfig(alpha=0.7, num_sampled_negatives=1))
@@ -168,9 +168,9 @@ def test_criterion_02_closed_form_losses():
     emb = _TableEmbedding(rng.normal(0, 1, (8, 5)))
     outputs = T.Tensor(rng.normal(0, 1, (2, 5)))
     targets = TrainingTargets(
-        positives=[np.array([1, 2]), np.array([3])],
-        in_session_negatives=[np.array([4]), np.array([5, 6])],
-        sampled_negatives=[np.array([0, 7]), np.array([2, 4])],
+        positives=ragged([[1, 2], [3]]),
+        in_session_negatives=ragged([[4], [5, 6]]),
+        sampled_negatives=np.array([[0, 7], [2, 4]]),
     )
 
     def loss_at(alpha):
@@ -198,8 +198,8 @@ class _SpyModel:
         self.embedding = model.embedding
         self.seen = []
 
-    def user_vector(self, views):
-        out = self._model.user_vector(views)
+    def user_vector(self, view):
+        out = self._model.user_vector(view)
         self.seen.append(out.data.copy())
         return out
 
@@ -278,7 +278,7 @@ def test_criterion_04_item_level_degeneracy():
             np.random.default_rng(11),
         )
         items = [3, 7, 1, 12, 5]
-        full = model.forward_sessions([[it] for it in items]).data
+        full = model.forward_sessions(ragged([[it] for it in items])).data
         with T.no_grad():
             vecs = model.embedding.embed_items(np.asarray(items))
             bypass = model.sequence_encoder.encode(vecs).data

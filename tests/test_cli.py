@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from helpers import legacy_copy
 from nextsession import trainer
 from nextsession.cli import main
+
+
+def load_json(path):
+    return json.loads(Path(path).read_text())
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +44,7 @@ class TestPipeline:
         with open(workspace["log"]) as fh:
             header = fh.readline().strip()
         assert header == "user,item,session,timestamp,action"
-        manifest = json.load(open(workspace["log"] + ".manifest.json"))
+        manifest = load_json(workspace["log"] + ".manifest.json")
         assert manifest["status"] == "success"
         assert manifest["command"] == "synth"
 
@@ -47,12 +52,12 @@ class TestPipeline:
         names = set(os.listdir(workspace["data"]))
         assert {"meta.json", "stats.json", "item_map.json", "users.json",
                 "interactions.npz", "manifest.json"} <= names
-        stats = json.load(open(os.path.join(workspace["data"], "stats.json")))
+        stats = load_json(os.path.join(workspace["data"], "stats.json"))
         assert stats["num_users"] == 30
 
     def test_prepare_manifest_records_stage_times_and_counts(self, workspace):
-        manifest = json.load(open(os.path.join(workspace["data"], "manifest.json")))
-        stats = json.load(open(os.path.join(workspace["data"], "stats.json")))
+        manifest = load_json(os.path.join(workspace["data"], "manifest.json"))
+        stats = load_json(os.path.join(workspace["data"], "stats.json"))
         assert manifest["status"] == "success"
         assert sorted(manifest["stage_seconds"]) == ["filter", "ingest", "save"]
         assert all(t >= 0 for t in manifest["stage_seconds"].values())
@@ -70,14 +75,14 @@ class TestPipeline:
         run = workspace["run"]
         assert os.path.exists(os.path.join(run, "checkpoint.bin"))
         history = [json.loads(line)
-                   for line in open(os.path.join(run, "history.jsonl"))]
+                   for line in Path(run, "history.jsonl").read_text().splitlines()]
         assert [h["epoch"] for h in history] == [0, 1]
-        manifest = json.load(open(os.path.join(run, "manifest.json")))
+        manifest = load_json(os.path.join(run, "manifest.json"))
         assert manifest["status"] == "success"
         assert manifest["wall_clock_s"] > 0
 
     def test_flags_override_config_file(self, workspace):
-        manifest = json.load(open(os.path.join(workspace["run"], "manifest.json")))
+        manifest = load_json(os.path.join(workspace["run"], "manifest.json"))
         resolved = manifest["resolved_config"]
         assert resolved["epochs"] == 2           # flag wins over file's 5
         assert resolved["learning_rate"] == 0.05  # file wins over default
@@ -91,15 +96,15 @@ class TestPipeline:
                      "--data", workspace["data"], "--out", out])
         assert code == 0
         blob = json.loads(capsys.readouterr().out)
-        stats = json.load(open(os.path.join(workspace["data"], "stats.json")))
+        stats = load_json(os.path.join(workspace["data"], "stats.json"))
         # 100 and 500 both clamp to the filtered catalog size
         assert set(blob["recall"]) == {"10", str(stats["num_items"])}
         assert all(0.0 <= v <= 1.0 for v in blob["recall"].values())
         assert os.path.exists(os.path.join(out, "report.json"))
-        assert "Recall@K" in open(os.path.join(out, "report.txt")).read()
+        assert "Recall@K" in Path(out, "report.txt").read_text()
 
     def test_evaluate_cutoff_clamp_dedupes(self, workspace, capsys):
-        stats = json.load(open(os.path.join(workspace["data"], "stats.json")))
+        stats = load_json(os.path.join(workspace["data"], "stats.json"))
         n = stats["num_items"]
         code = main(["evaluate",
                      "--checkpoint", os.path.join(workspace["run"], "checkpoint.bin"),
@@ -121,7 +126,7 @@ class TestPipeline:
             assert main(["evaluate", "--checkpoint", path, "--data", workspace["data"],
                          "--out", out]) == 0
             capsys.readouterr()
-            hashes.append(json.load(open(os.path.join(out, "report.json")))["config_hash"])
+            hashes.append(load_json(os.path.join(out, "report.json"))["config_hash"])
         cfg = trainer.load_checkpoint(ckpt).config
         assert hashes == [trainer.config_hash(cfg)] * 2
 
@@ -186,7 +191,7 @@ class TestErrors:
         out = str(tmp_path / "run")
         code = main(["train", "--data", str(tmp_path / "missing"), "--out", out])
         assert code == 1
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"] == "failed"
         assert "error" in manifest
 
@@ -235,9 +240,9 @@ class TestBench:
         code = main(["bench", "--n", "32", "--m", "4", "--dim", "8",
                      "--layers", "1", "--repeats", "1", "--out", out])
         assert code == 0
-        blob = json.load(open(os.path.join(out, "bench.json")))
+        blob = load_json(os.path.join(out, "bench.json"))
         assert blob["pair_ratio"] == 16.0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"] == "success"
 
 
@@ -249,9 +254,9 @@ class TestSweepAndScaling:
                      "--epochs", "1", "--dim", "8", "--dropout", "0.0",
                      "--val-k", "10"])
         assert code == 0
-        rows = json.load(open(os.path.join(out, "sweep.json")))
+        rows = load_json(os.path.join(out, "sweep.json"))
         assert [r["alpha"] for r in rows] == [0.0, 0.2]
-        tsv = open(os.path.join(out, "sweep.tsv")).read().splitlines()
+        tsv = Path(out, "sweep.tsv").read_text().splitlines()
         assert tsv[0].startswith("alpha\t")
         assert len(tsv) == 3
 
@@ -262,7 +267,7 @@ class TestSweepAndScaling:
                      "--config", workspace["cfg"], "--epochs", "1",
                      "--dim", "8", "--dropout", "0.0", "--val-k", "10"])
         assert code == 0
-        rows = json.load(open(os.path.join(out, "scaling.json")))
+        rows = load_json(os.path.join(out, "scaling.json"))
         assert len(rows) == 2
         assert rows[0]["train_items"] <= rows[1]["train_items"]
         assert os.path.exists(os.path.join(out, "scaling.tsv"))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     dataset_files,
     history,
+    ragged,
     random_train_views,
     reference_encoder_views,
     reference_prepare,
@@ -428,16 +429,20 @@ class TestMakeSplit:
 class TestEncoderViews:
     def test_skips_positive_free_sessions(self):
         sessions = history(([1, 2], [True, False]), ([3], [False]), ([4], [True]))
-        assert [v.tolist() for v in encoder_views(sessions)] == [[1], [4]]
+        ids, lengths = encoder_views(sessions)
+        assert ids.tolist() == [1, 4] and lengths.tolist() == [1, 1]
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4])
     def test_matches_the_list_reference_on_random_users(self, seed):
         views, cases = random_train_views(seed)
         assert all(cases.values()), cases
         for view in views:
-            got = encoder_views(view)
-            assert all(v.dtype == np.int64 for v in got)
-            assert [v.tolist() for v in got] == reference_encoder_views(sessions_of(view))
+            ids, lengths = encoder_views(view)
+            assert ids.dtype == lengths.dtype == np.int64
+            assert (lengths >= 1).all() and lengths.sum() == ids.size
+            want_ids, want_lengths = ragged(reference_encoder_views(sessions_of(view)))
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(lengths, want_lengths)
 
 
 class TestSessionsSlicing:

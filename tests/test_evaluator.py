@@ -241,8 +241,9 @@ class StubModel:
             output_item_vectors=lambda: T.Tensor(self.item_matrix)
         )
 
-    def user_vector(self, views):
-        return T.Tensor(self.item_matrix[views[-1][-1]])
+    def user_vector(self, view):
+        ids, _ = view
+        return T.Tensor(self.item_matrix[ids[-1]])
 
 
 def split_for(users, catalog_size, protocol="session"):

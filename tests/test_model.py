@@ -7,7 +7,7 @@ from nextsession.objective import LossConfig, TrainingTargets, total_loss
 from nextsession.session_encoder import IseConfig
 from nextsession.sequence_encoder import SseConfig
 
-from helpers import graph_size
+from helpers import graph_size, ragged
 
 
 def make_model(num_items=20, dim=8, ise_kind="mean", backbone="causal_attention",
@@ -25,21 +25,33 @@ def make_model(num_items=20, dim=8, ise_kind="mean", backbone="causal_attention"
 class TestForward:
     def test_output_one_row_per_session(self):
         model = make_model()
-        out = model.forward_sessions([[1, 2, 3], [4], [5, 6]])
+        out = model.forward_sessions(ragged([[1, 2, 3], [4], [5, 6]]))
         assert out.shape == (3, 8)
 
     def test_user_vector_is_last_row(self):
         model = make_model(seed=3)
-        sessions = [[1, 2], [3]]
-        full = model.forward_sessions(sessions).data
-        np.testing.assert_array_equal(model.user_vector(sessions).data, full[-1])
+        view = ragged([[1, 2], [3]])
+        full = model.forward_sessions(view).data
+        np.testing.assert_array_equal(model.user_vector(view).data, full[-1])
 
     def test_empty_input_rejected(self):
         model = make_model()
         with pytest.raises(ValueError, match="at least one session"):
-            model.forward_sessions([])
+            model.forward_sessions(ragged([]))
         with pytest.raises(ValueError, match="non-empty"):
-            model.forward_sessions([[1], []])
+            model.forward_sessions(ragged([[1], []]))
+
+    @pytest.mark.parametrize("ids, lengths, message", [
+        ([1, 2, 3], [1, 1], "lengths sum to 2 but got 3"),
+        ([1, 2, 3], [4], "lengths sum to 4 but got 3"),
+        ([[1, 2], [3, 4]], [2, 2], "one-dimensional"),
+        ([1, 2], [[1, 1]], "at least one session"),
+    ])
+    def test_malformed_view_is_one_value_error(self, ids, lengths, message):
+        model = make_model(ise_kind="recurrent")
+        view = (np.array(ids, dtype=np.int64), np.array(lengths, dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            model.forward_sessions(view)
 
     def test_parameters_cover_all_submodules(self):
         model = make_model(ise_kind="recurrent")
@@ -58,11 +70,11 @@ class TestGraphSize:
         sizes = []
         for m in (3, 60):
             sessions = [list(rng.integers(0, 20, size=rng.integers(1, 5))) for _ in range(m)]
-            outputs = model.forward_sessions(sessions, training=True, dropout_rng=rng)
+            outputs = model.forward_sessions(ragged(sessions), training=True, dropout_rng=rng)
             targets = TrainingTargets(
-                [rng.integers(0, 20, size=2) for _ in range(m)],
-                [rng.integers(0, 20, size=3) for _ in range(m)],
-                [rng.integers(0, 20, size=4) for _ in range(m)],
+                ragged([rng.integers(0, 20, size=2) for _ in range(m)]),
+                ragged([rng.integers(0, 20, size=3) for _ in range(m)]),
+                np.array([rng.integers(0, 20, size=4) for _ in range(m)]),
             )
             loss = total_loss(outputs, targets, model.embedding, LossConfig())
             sizes.append(graph_size(loss.total))
@@ -77,8 +89,7 @@ class TestItemLevelDegeneracy:
     def test_bitwise_equal_to_bypassing_session_stage(self, backbone):
         model = make_model(ise_kind="mean", backbone=backbone, seed=11)
         items = [3, 7, 1, 12, 5]
-        sessions = [[it] for it in items]
-        full = model.forward_sessions(sessions).data
+        full = model.forward_sessions(ragged([[it] for it in items])).data
 
         with T.no_grad():
             vecs = model.embedding.embed_items(np.asarray(items))
@@ -87,7 +98,7 @@ class TestItemLevelDegeneracy:
 
     def test_degeneracy_breaks_with_longer_sessions(self):
         model = make_model(ise_kind="mean", seed=11)
-        out_sess = model.forward_sessions([[3, 7], [1]]).data
+        out_sess = model.forward_sessions(ragged([[3, 7], [1]])).data
         with T.no_grad():
             vecs = model.embedding.embed_items(np.asarray([3, 7, 1]))
             out_items = model.sequence_encoder.encode(vecs).data

@@ -16,6 +16,7 @@ from helpers import (
     finite_difference,
     graph_size,
     history,
+    ragged,
     random_train_views,
     reference_build_targets,
     sessions_of,
@@ -44,11 +45,17 @@ def rank_loss(outputs, targets, embedding):
     return values.rank, values.rank_count
 
 
+def rows_of(items, counts):
+    """An ``(items, counts)`` pair split back into one array per row."""
+    return np.split(items, np.cumsum(counts)[:-1])
+
+
 def per_positive_oracle(outputs, positives, negatives_per_position, embedding):
     """The loss as one softmax per positive: for each position with
     negatives, embed [positives ‖ negatives], score them against that
     position's output row, and add -log softmax(positive | positive +
-    negatives) for each positive.  Returns (loss sum, term count)."""
+    negatives) for each positive.  Takes one id array per position.
+    Returns (loss sum, term count)."""
     total, count = 0.0, 0
     with T.no_grad():
         for i, (pos, negs) in enumerate(zip(positives, negatives_per_position)):
@@ -91,9 +98,9 @@ def float64_embedding(num_items, dim, rng):
 def targets_for(positions):
     """positions: list of (positives, in_session_negs, sampled_negs)."""
     return TrainingTargets(
-        positives=[np.asarray(p, dtype=np.int64) for p, _, _ in positions],
-        in_session_negatives=[np.asarray(n, dtype=np.int64) for _, n, _ in positions],
-        sampled_negatives=[np.asarray(s, dtype=np.int64) for _, _, s in positions],
+        positives=ragged([p for p, _, _ in positions]),
+        in_session_negatives=ragged([n for _, n, _ in positions]),
+        sampled_negatives=np.array([s for _, _, s in positions], dtype=np.int64),
     )
 
 
@@ -131,16 +138,17 @@ class TestBuildTargets:
         )
 
     def test_alignment_and_dedupe(self):
-        views, tg = build_targets(self.sequences(), catalog_size=10, num_sampled=4,
-                                  rng=np.random.default_rng(0))
-        assert [v.tolist() for v in views] == [[1, 2], [3, 3]]
-        assert len(tg.positives) == 2
-        np.testing.assert_array_equal(tg.positives[0], [3])   # session s1 positives
-        np.testing.assert_array_equal(tg.positives[1], [4])
-        np.testing.assert_array_equal(tg.in_session_negatives[0], [9])
+        (ids, lengths), tg = build_targets(self.sequences(), catalog_size=10, num_sampled=4,
+                                           rng=np.random.default_rng(0))
+        assert ids.tolist() == [1, 2, 3, 3] and lengths.tolist() == [2, 2]
+        positives, pos_counts = tg.positives
+        assert pos_counts.tolist() == [1, 1]
+        assert positives.tolist() == [3, 4]   # the positives of sessions s1 and s2
+        negatives, neg_counts = tg.in_session_negatives
+        assert neg_counts.tolist() == [1, 1]
         # item 4 is both exposed and positive in s2: counts as positive only
-        np.testing.assert_array_equal(tg.in_session_negatives[1], [5])
-        assert all(len(s) == 4 for s in tg.sampled_negatives)
+        assert negatives.tolist() == [9, 5]
+        assert tg.sampled_negatives.shape == (2, 4)
 
     def test_requires_two_sessions(self):
         with pytest.raises(ValueError, match="two sessions"):
@@ -170,15 +178,14 @@ class TestBuildTargets:
                         build_targets(sessions, 12, 5, rng)
                     assert str(got.value) == str(e)
                     continue
-                got_views, tg = build_targets(sessions, 12, 5, rng)
-                assert [v.tolist() for v in got_views] == want[0]
-                for got, ref in zip((tg.positives, tg.in_session_negatives,
-                                     tg.sampled_negatives), want[1:]):
-                    assert len(got) == len(ref)
-                    for a, b in zip(got, ref):
+                got_view, tg = build_targets(sessions, 12, 5, rng)
+                for got, ref in zip((got_view, tg.positives, tg.in_session_negatives),
+                                    want[:3]):
+                    for a, b in zip(got, ragged(ref)):  # items, then counts
                         assert a.dtype == np.int64
                         np.testing.assert_array_equal(a, b)
-                assert all(v.dtype == np.int64 for v in got_views)
+                assert tg.sampled_negatives.dtype == np.int64
+                np.testing.assert_array_equal(tg.sampled_negatives, np.array(want[3]))
                 assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
@@ -406,9 +413,10 @@ class TestPerPositiveOracle:
         tg = random_targets(rng, positions, num_items, num_sampled=8)
         cfg = LossConfig(alpha=float(rng.uniform(0.1, 1.0)), num_sampled_negatives=8)
 
-        want_retr = per_positive_oracle(outputs, tg.positives, tg.sampled_negatives, emb)
-        want_rank = per_positive_oracle(outputs, tg.positives,
-                                        tg.in_session_negatives, emb)
+        positives = rows_of(*tg.positives)
+        want_retr = per_positive_oracle(outputs, positives, tg.sampled_negatives, emb)
+        want_rank = per_positive_oracle(outputs, positives,
+                                        rows_of(*tg.in_session_negatives), emb)
         retr, n_retr = retrieval_loss(outputs, tg, emb)
         rank, n_rank = rank_loss(outputs, tg, emb)
         values = total_loss(outputs, tg, emb, cfg)

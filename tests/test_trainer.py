@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nextsession.data import DatasetSplit, UserSplit
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
-from helpers import history, legacy_copy
+from helpers import history, legacy_copy, ragged
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -242,10 +243,10 @@ class TestCheckpoint:
         assert ckpt.config == cfg
         assert ckpt.metrics["val_recall"] == result.best_metric
         restored = restore_model(ckpt)
-        views = [[1, 2], [3]]
+        view = ragged([[1, 2], [3]])
         with T.no_grad():
-            want = result.model.forward_sessions(views).data
-            got = restored.forward_sessions(views).data
+            want = result.model.forward_sessions(view).data
+            got = restored.forward_sessions(view).data
         np.testing.assert_array_equal(got, want)
 
     def test_legacy_optimizer_blobs_ignored(self, tmp_path):
@@ -253,7 +254,7 @@ class TestCheckpoint:
         save_checkpoint(path, result.model, cfg, epoch=0)
         # earlier versions could append Adam's moments as opt.m.* / opt.v.*
         # tensors plus an "opt" header entry; write such a file by hand
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         (n,) = struct.unpack_from("<Q", blob, 8)
         header = json.loads(blob[16 : 16 + n])
         tensors = blob[16 + n :]
@@ -321,7 +322,7 @@ class TestCheckpoint:
     def test_truncation_always_a_value_error(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         for cut in [0, 3, 7, 15, 40, len(blob) // 2, len(blob) - 16, len(blob) - 1]:
             partial = tmp_path / f"cut{cut}.bin"
             partial.write_bytes(blob[:cut])
@@ -331,7 +332,7 @@ class TestCheckpoint:
     def test_wrong_version(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4] = 99
         bad = tmp_path / "badver.bin"
         bad.write_bytes(bytes(blob))
