@@ -34,7 +34,6 @@ class MultiHeadAttention:
     def __init__(self, dim, heads, rng, name="mha"):
         if dim % heads:
             raise ValueError(f"heads ({heads}) must divide dim ({dim})")
-        self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
         self.name = name
@@ -111,13 +110,9 @@ class EncoderBlock:
 
     def __call__(self, x, mask, dropout_rate=0.0, dropout_rng=None):
         a = self.mha(T.layer_norm(x, self.ln1_g, self.ln1_b), mask)
-        if dropout_rate > 0.0:
-            a = T.dropout(a, dropout_rate, dropout_rng)
-        x = T.add(x, a)
+        x = T.add(x, T.dropout(a, dropout_rate, dropout_rng))
         f = self.ffn(T.layer_norm(x, self.ln2_g, self.ln2_b))
-        if dropout_rate > 0.0:
-            f = T.dropout(f, dropout_rate, dropout_rng)
-        return T.add(x, f)
+        return T.add(x, T.dropout(f, dropout_rate, dropout_rng))
 
 
 class GRUCell:

@@ -30,10 +30,8 @@ class EmbeddingSpace:
         if num_items < 1:
             raise ValueError("num_items must be >= 1")
         self.num_items = num_items
-        self.dim = dim
         self.id_dim = dim if id_dim is None else id_dim
         self.feature_schema = tuple(feature_schema)
-        self.feature_dim = feature_dim
 
         if self.feature_schema:
             if item_features is None:

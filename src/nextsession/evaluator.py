@@ -6,6 +6,9 @@ and the best k ids come out by descending score with ties broken by ascending
 item id, so reports are reproducible across platforms.  Selection is one
 partition that finds the k-th best score plus a sort of the c candidates that
 reach it, O(N + c log c) per user instead of sorting all N scores.
+
+``ranked`` is the one ranking loop: ``evaluate`` and the trainer's
+validation both hand it their users' histories and read back top-k ids.
 """
 
 from __future__ import annotations
@@ -110,33 +113,41 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def ranked(model, views, k: int):
+    """Yield each view's exact top-k item ids, in the order of ``views``.
+
+    The catalog is embedded once, on the first request; each ``(ids,
+    lengths)`` view is then encoded to its user vector and ranked with
+    ``top_k``.  Views are pulled one at a time, so a lazy iterable keeps
+    one user in memory.
+    """
+    with T.no_grad():
+        item_matrix = model.embedding.output_item_vectors().data
+    for view in views:
+        with T.no_grad():
+            user_vec = model.user_vector(view).data
+        yield top_k(user_vec, item_matrix, k)
+
+
 def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash="") -> EvalReport:
     """Rank the full catalog for every user and average the metrics."""
-    if model.cfg.num_items != split.catalog_size:
+    if model.embedding.num_items != split.catalog_size:
         raise ValueError(
-            f"catalog mismatch: model has {model.cfg.num_items} items, "
+            f"catalog mismatch: model has {model.embedding.num_items} items, "
             f"dataset has {split.catalog_size}"
         )
     cutoffs = tuple(sorted(set(cutoffs)))
     k_max = min(max(cutoffs), split.catalog_size)
-    with T.no_grad():
-        item_matrix = model.embedding.output_item_vectors().data
     recall_sums = {k: 0.0 for k in cutoffs}
     ndcg_sums = {k: 0.0 for k in cutoffs}
-    n = 0
-    skipped = 0
-    for user in split.users:
-        ids, lengths = encoder_views(user.train_sessions)
-        if not lengths.size or not user.targets:
-            skipped += 1
-            continue
-        with T.no_grad():
-            uvec = model.user_vector((ids, lengths)).data
-        ranked = top_k(uvec, item_matrix, k_max)
+    users = [u for u in split.users if u.targets and u.train_sessions.positive_counts().any()]
+    views = (encoder_views(user.train_sessions) for user in users)
+    for user, top in zip(users, ranked(model, views, k_max)):
         for k in cutoffs:
-            recall_sums[k] += recall_at_k(ranked, user.targets, k)
-            ndcg_sums[k] += ndcg_at_k(ranked, user.targets, k)
-        n += 1
+            recall_sums[k] += recall_at_k(top, user.targets, k)
+            ndcg_sums[k] += ndcg_at_k(top, user.targets, k)
+    n = len(users)
+    skipped = len(split.users) - n
     if n == 0:
         raise ValueError("no evaluable users in split")
     return EvalReport(
@@ -277,14 +288,17 @@ def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500,
 
 
 def scaling_table(rows, recall_k=500) -> str:
-    lines = ["\t".join(["fraction", "train_items", f"recall@{recall_k}", "skipped"])]
+    """Delimited (tab) table of scaling rows; a skipped fraction's recall
+    cell is empty."""
+    key = f"recall@{recall_k}"
+    lines = ["\t".join(["fraction", "train_items", key, "skipped"])]
     for row in rows:
         lines.append(
             "\t".join(
                 [
                     repr(row["fraction"]),
                     str(row["train_items"]),
-                    repr(row.get(f"recall@{recall_k}", "")),
+                    repr(row[key]) if key in row else "",
                     row.get("skipped", ""),
                 ]
             )

@@ -2,30 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .embedding import EmbeddingSpace
-from .session_encoder import IseConfig, SessionEncoder
-from .sequence_encoder import SequenceEncoder, SseConfig
+from .session_encoder import SessionEncoder
+from .sequence_encoder import SequenceEncoder
 
-
-@dataclass
-class ModelConfig:
-    num_items: int
-    dim: int = 64
-    id_dim: int | None = None
-    feature_dim: int = 16
-    feature_schema: tuple = ()
-    dropout: float = 0.2  # the sequence encoder's, in training
-    ise: IseConfig = field(default_factory=IseConfig)
-    sse: SseConfig = field(default_factory=SseConfig)
+if TYPE_CHECKING:
+    from .data import Catalog
+    from .trainer import TrainConfig
 
 
 class NextSessionModel:
     """Maps a user's session history to per-position interest vectors.
+
+    Built from the experiment config that checkpoints store: ``dim``,
+    ``id_dim``, ``feature_dim``, ``dropout`` (the sequence encoder's, in
+    training), ``ise`` and ``sse``, plus the catalog size.  A ``catalog``
+    with side features gives the embedding its feature tables.  The
+    embedding, the session encoder and the sequence encoder draw their
+    initial weights from ``rng`` in that order.
 
     The forward input is the model-facing view of a history
     (``data.encoder_views``): a pair ``(ids, lengths)`` of a flat int64
@@ -33,14 +32,19 @@ class NextSessionModel:
     session, chronological, every length >= 1.
     """
 
-    def __init__(self, cfg: ModelConfig, rng, item_features=None):
+    def __init__(self, cfg: TrainConfig, num_items: int, rng, catalog: Catalog | None = None):
         self.cfg = cfg
+        schema = ()
+        item_features = None
+        if catalog is not None and catalog.feature_names:
+            schema = tuple(zip(catalog.feature_names, catalog.feature_vocab_sizes()))
+            item_features = catalog.item_features
         self.embedding = EmbeddingSpace(
-            cfg.num_items,
+            num_items,
             cfg.dim,
             rng,
             id_dim=cfg.id_dim,
-            feature_schema=cfg.feature_schema,
+            feature_schema=schema,
             feature_dim=cfg.feature_dim,
             item_features=item_features,
         )

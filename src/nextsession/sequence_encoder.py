@@ -37,7 +37,6 @@ class SequenceEncoder:
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {dropout}")
         self.cfg = cfg
-        self.dim = dim
         self.dropout = dropout
         self.blocks = []
         self.grus = []
@@ -95,6 +94,6 @@ class SequenceEncoder:
         x = tokens
         for li, gru in enumerate(self.grus):
             x = gru(x, [m])
-            if rate > 0.0 and li < len(self.grus) - 1:
+            if li < len(self.grus) - 1:
                 x = T.dropout(x, rate, dropout_rng)
         return x

@@ -170,27 +170,17 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2D x 2D product, or 2D x 1D matrix-vector product."""
-    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
+    """2D x 2D matrix product."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-    if b.ndim == 2:
 
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
-    else:
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-
-    return _result(data, (a, b), backward)
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:

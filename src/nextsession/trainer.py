@@ -1,8 +1,13 @@
-"""Training loop, optimizer, experiment config, and checkpoint I/O."""
+"""Training loop, optimizer, experiment config, and checkpoint I/O.
+
+``TrainConfig`` is the one config: ``train`` builds the model from it,
+checkpoints store it, and ``restore_model`` rebuilds the model from the
+stored copy.  Validation ranks users with ``evaluator.ranked``, the loop
+that ``evaluator.evaluate`` uses.
+"""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import struct
@@ -10,9 +15,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .data import Catalog, DatasetSplit, Sessions, encoder_views
-from .model import ModelConfig, NextSessionModel
+from .model import NextSessionModel
 from .objective import LossConfig, build_targets, total_loss
 from .session_encoder import IseConfig
 from .sequence_encoder import SseConfig
@@ -180,46 +184,21 @@ class TrainResult:
     history: list
     best_epoch: int
     best_metric: float
-    config: TrainConfig
-
-
-def build_model(cfg: TrainConfig, catalog_size: int, rng, catalog: Catalog | None = None):
-    schema = ()
-    item_features = None
-    if catalog is not None and catalog.feature_names:
-        schema = tuple(zip(catalog.feature_names, catalog.feature_vocab_sizes()))
-        item_features = catalog.item_features
-    mcfg = ModelConfig(
-        num_items=catalog_size,
-        dim=cfg.dim,
-        id_dim=cfg.id_dim,
-        feature_dim=cfg.feature_dim,
-        feature_schema=schema,
-        dropout=cfg.dropout,
-        ise=copy.deepcopy(cfg.ise),
-        sse=copy.deepcopy(cfg.sse),
-    )
-    return NextSessionModel(mcfg, rng, item_features=item_features)
 
 
 def _validation_recall(model, train_users, val_k):
     """Recall@val_k of each user's last train session given the earlier ones."""
-    from .evaluator import recall_at_k, top_k
+    # looked up per call, so a rebound ``evaluator.recall_at_k`` is the one used
+    from .evaluator import ranked, recall_at_k
 
-    k = min(val_k, model.cfg.num_items)
-    with T.no_grad():
-        item_matrix = model.embedding.output_item_vectors().data
-    total, n = 0.0, 0
-    for sessions in train_users:
-        if len(sessions) < 2:
-            continue
+    k = min(val_k, model.embedding.num_items)
+    users = [sessions for sessions in train_users if len(sessions) >= 2]
+    views = (encoder_views(sessions[:-1]) for sessions in users)
+    total = 0.0
+    for sessions, top in zip(users, ranked(model, views, k)):
         targets, _ = encoder_views(sessions[-1:])
-        with T.no_grad():
-            uvec = model.user_vector(encoder_views(sessions[:-1])).data
-        ranked = top_k(uvec, item_matrix, k)
-        total += recall_at_k(ranked, targets, k)
-        n += 1
-    return total / n if n else 0.0
+        total += recall_at_k(top, targets, k)
+    return total / len(users) if users else 0.0
 
 
 def train(
@@ -238,7 +217,7 @@ def train(
     init_rng, neg_rng, drop_rng, shuffle_rng = (
         np.random.default_rng(s) for s in ss.spawn(4)
     )
-    model = build_model(cfg, split.catalog_size, init_rng, catalog)
+    model = NextSessionModel(cfg, split.catalog_size, init_rng, catalog)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)
 
@@ -316,7 +295,6 @@ def train(
         history=history,
         best_epoch=best_epoch,
         best_metric=best_metric,
-        config=cfg,
     )
 
 
@@ -453,10 +431,8 @@ def restore_model(
                     )
             raise ValueError("checkpoint config hash mismatch (pass force to override)")
 
-    cfg = ckpt.config
     num_items = ckpt.tensors["emb.item_table"].shape[0]
-    rng = np.random.default_rng(0)
-    model = build_model(cfg, num_items, rng, catalog)
+    model = NextSessionModel(ckpt.config, num_items, np.random.default_rng(0), catalog)
     params = model.parameters()
     missing = sorted(set(params) - set(ckpt.tensors))
     extra = sorted(set(ckpt.tensors) - set(params))

@@ -34,7 +34,7 @@ from nextsession.evaluator import (
     scaling_run,
     top_k,
 )
-from nextsession.model import ModelConfig, NextSessionModel
+from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig, TrainingTargets, build_targets, total_loss
 from nextsession.session_encoder import IseConfig
 from nextsession.sequence_encoder import SequenceEncoder, SseConfig
@@ -78,15 +78,14 @@ def test_criterion_01_gradients_match_finite_differences():
         rng = np.random.default_rng(900 + idx)
         dim = int(rng.choice([4, 6]))
         num_items = int(rng.integers(6, 11))
-        cfg = ModelConfig(
-            num_items=num_items,
+        cfg = TrainConfig(
             dim=dim,
             dropout=0.0,
             ise=IseConfig(kind=ISE_KINDS[idx % len(ISE_KINDS)], layers=1, heads=2),
             sse=SseConfig(backbone=BACKBONES[idx % len(BACKBONES)], layers=1,
                           heads=2, max_positions=8),
         )
-        model = NextSessionModel(cfg, rng)
+        model = NextSessionModel(cfg, num_items, rng)
         _promote_to_float64(model)
 
         sessions = []
@@ -229,9 +228,10 @@ def test_criterion_03_causality_and_leakage():
     for trial in range(100):
         rng = np.random.default_rng(3000 + trial)
         model = NextSessionModel(
-            ModelConfig(num_items=20, dim=4, dropout=0.0, ise=IseConfig(kind="mean"),
+            TrainConfig(dim=4, dropout=0.0, ise=IseConfig(kind="mean"),
                         sse=SseConfig(backbone=BACKBONES[trial % 2], layers=1,
                                       heads=2, max_positions=8)),
+            20,
             rng,
         )
 
@@ -272,9 +272,10 @@ def test_criterion_04_item_level_degeneracy():
     pipeline that skips the session stage entirely, bitwise."""
     for backbone in BACKBONES:
         model = NextSessionModel(
-            ModelConfig(num_items=20, dim=8, dropout=0.0, ise=IseConfig(kind="mean"),
+            TrainConfig(dim=8, dropout=0.0, ise=IseConfig(kind="mean"),
                         sse=SseConfig(backbone=backbone, layers=2, heads=2,
                                       max_positions=16)),
+            20,
             np.random.default_rng(11),
         )
         items = [3, 7, 1, 12, 5]

@@ -17,13 +17,14 @@ from nextsession.evaluator import (
     scaling_run,
     scaling_table,
     sweep_table,
+    ranked,
     top_k,
 )
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.trainer import TrainConfig
 
-from helpers import history, random_train_views, reference_clip_sessions_to, sessions_of
+from helpers import history, ragged, random_train_views, reference_clip_sessions_to, sessions_of
 
 
 def lexsort_top_k(user_vec, item_vecs, k):
@@ -236,9 +237,9 @@ class StubModel:
 
     def __init__(self, item_matrix):
         self.item_matrix = np.asarray(item_matrix, dtype=np.float64)
-        self.cfg = types.SimpleNamespace(num_items=self.item_matrix.shape[0])
         self.embedding = types.SimpleNamespace(
-            output_item_vectors=lambda: T.Tensor(self.item_matrix)
+            num_items=self.item_matrix.shape[0],
+            output_item_vectors=lambda: T.Tensor(self.item_matrix),
         )
 
     def user_vector(self, view):
@@ -324,6 +325,37 @@ class TestEvaluate:
         assert blob["recall"]["1"] == 1.0
         text = report.table()
         assert "Recall@K" in text and "protocol: session" in text
+
+
+class TestRanked:
+    def test_embeds_catalog_once_and_ranks_each_view(self):
+        model = StubModel(np.eye(8))
+        embed = model.embedding.output_item_vectors
+        calls = []
+        model.embedding.output_item_vectors = lambda: calls.append(1) or embed()
+        views = iter([ragged([[3]]), ragged([[1, 5]]), ragged([[2], [6]])])
+        got = []
+        for top in ranked(model, views, 3):
+            assert T._grad_enabled, "no_grad is held across a yield"
+            got.append(top)
+        assert len(calls) == 1
+        assert [int(top[0]) for top in got] == [3, 5, 6]
+        np.testing.assert_array_equal(got[0], top_k(np.eye(8)[3], np.eye(8), 3))
+
+    def test_evaluate_and_validation_rank_through_it(self, monkeypatch):
+        import nextsession.trainer as trainer_mod
+
+        ks = []
+
+        def spy(model, views, k):
+            ks.append(k)
+            return ranked(model, views, k)
+
+        monkeypatch.setattr(evaluator, "ranked", spy)
+        evaluate(StubModel(np.eye(8)), TestEvaluate().oracle_split(), cutoffs=(1, 3))
+        users = [history(([3], [True]), ([3], [True])), history(([5], [True]))]
+        assert trainer_mod._validation_recall(StubModel(np.eye(8)), users, val_k=100) == 1.0
+        assert ks == [3, 8]
 
 
 def toy_split(num_users=10, num_sessions=4, catalog=20):
@@ -426,6 +458,8 @@ class TestScalingRun:
         text = scaling_table(rows, recall_k=10)
         assert text.splitlines()[0] == "fraction\ttrain_items\trecall@10\tskipped"
         assert len(text.splitlines()) == 3
+        assert text.splitlines()[1].split("\t") == ["0.5", "10", "0.25", ""]
+        assert text.splitlines()[2].split("\t") == ["0.1", "2", "", "no users"]
 
 
 class TestComplexityBench:

@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 import nextsession.tensor as T
-from nextsession.model import ModelConfig, NextSessionModel
+from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig, TrainingTargets, total_loss
 from nextsession.session_encoder import IseConfig
 from nextsession.sequence_encoder import SseConfig
+from nextsession.trainer import TrainConfig
 
 from helpers import graph_size, ragged
 
 
 def make_model(num_items=20, dim=8, ise_kind="mean", backbone="causal_attention",
                layers=2, seed=0, dropout=0.0, max_positions=16):
-    cfg = ModelConfig(
-        num_items=num_items,
+    cfg = TrainConfig(
         dim=dim,
         dropout=dropout,
         ise=IseConfig(kind=ise_kind),
         sse=SseConfig(backbone=backbone, layers=layers, heads=2, max_positions=max_positions),
     )
-    return NextSessionModel(cfg, np.random.default_rng(seed))
+    return NextSessionModel(cfg, num_items, np.random.default_rng(seed))
 
 
 class TestForward:

@@ -8,7 +8,8 @@ import pytest
 
 import nextsession.tensor as T
 import nextsession.trainer as trainer_mod
-from nextsession.data import DatasetSplit, UserSplit
+from nextsession.data import Catalog, DatasetSplit, UserSplit
+from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
@@ -17,7 +18,6 @@ from nextsession.trainer import (
     Adam,
     TrainConfig,
     TrainingDiverged,
-    build_model,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -343,18 +343,79 @@ class TestCheckpoint:
 class TestBuildModel:
     def test_dropout_propagates_to_sequence_encoder(self):
         cfg = small_config(dropout=0.35)
-        model = build_model(cfg, 10, np.random.default_rng(0))
+        model = NextSessionModel(cfg, 10, np.random.default_rng(0))
         assert model.cfg.dropout == model.sequence_encoder.dropout == 0.35
 
     @pytest.mark.parametrize("rate", [1.0, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got "):
-            build_model(small_config(dropout=rate), 10, np.random.default_rng(0))
+            NextSessionModel(small_config(dropout=rate), 10, np.random.default_rng(0))
 
     def test_same_rng_same_init(self):
         cfg = small_config()
-        a = build_model(cfg, 10, np.random.default_rng(5))
-        b = build_model(cfg, 10, np.random.default_rng(5))
+        a = NextSessionModel(cfg, 10, np.random.default_rng(5))
+        b = NextSessionModel(cfg, 10, np.random.default_rng(5))
         pa, pb = a.parameters(), b.parameters()
         for name in pa:
             np.testing.assert_array_equal(pa[name].data, pb[name].data)
+
+
+# Checkpoint tensor names and shapes of a tiny model (dim 4, id_dim 3,
+# feature_dim 2, one categorical feature of 3 values, 5 items, one layer
+# of each encoder, 2 heads, max_positions 3), as written before the model
+# was built from ``TrainConfig``.  A renamed or reshaped tensor makes
+# every older checkpoint fail to load.
+_EMB_TENSORS = [
+    ("emb.feat.topic", (3, 2)), ("emb.fuse_b1", (8,)), ("emb.fuse_b2", (4,)),
+    ("emb.fuse_w1", (5, 8)), ("emb.fuse_w2", (8, 4)), ("emb.item_table", (5, 3)),
+]
+
+
+def _gru_tensors(prefix):
+    return [(f"{prefix}.{g}", (4,)) for g in ("bh", "br", "bz")] + [
+        (f"{prefix}.{g}", (4, 4)) for g in ("uh", "ur", "uz", "wh", "wr", "wz")]
+
+
+def _block_tensors(prefix):
+    return [
+        (f"{prefix}.ffn.b1", (16,)), (f"{prefix}.ffn.b2", (4,)),
+        (f"{prefix}.ffn.w1", (4, 16)), (f"{prefix}.ffn.w2", (16, 4)),
+        (f"{prefix}.ln1_b", (4,)), (f"{prefix}.ln1_g", (4,)),
+        (f"{prefix}.ln2_b", (4,)), (f"{prefix}.ln2_g", (4,)),
+        (f"{prefix}.mha.h0.wk", (4, 2)), (f"{prefix}.mha.h0.wq", (4, 2)),
+        (f"{prefix}.mha.h0.wv", (4, 2)), (f"{prefix}.mha.h1.wk", (4, 2)),
+        (f"{prefix}.mha.h1.wq", (4, 2)), (f"{prefix}.mha.h1.wv", (4, 2)),
+        (f"{prefix}.mha.wo", (4, 4)),
+    ]
+
+
+_ISE_TENSORS = {
+    "mean": [], "max": [], "max_relu": [],
+    "recurrent": _gru_tensors("ise.gru"),
+    "attention": _block_tensors("ise.block0"),
+}
+_SSE_TENSORS = {
+    "causal_attention": _block_tensors("sse.block0") + [
+        ("sse.final_b", (4,)), ("sse.final_g", (4,)), ("sse.pos_table", (3, 4))],
+    "recurrent": _gru_tensors("sse.gru0"),
+}
+
+
+class TestCheckpointTensorNames:
+    @pytest.mark.parametrize("backbone", sorted(_SSE_TENSORS))
+    @pytest.mark.parametrize("kind", sorted(_ISE_TENSORS))
+    def test_names_and_shapes_are_pinned(self, kind, backbone):
+        catalog = Catalog(
+            item_map={f"i{i}": i for i in range(5)},
+            feature_names=("topic",),
+            feature_info={"topic": {"kind": "categorical",
+                                    "values": {"a": 0, "b": 1, "c": 2}}},
+            item_features=np.array([[0], [1], [2], [0], [1]], np.int32),
+        )
+        cfg = TrainConfig(dim=4, id_dim=3, feature_dim=2,
+                          ise=IseConfig(kind=kind, layers=1, heads=2),
+                          sse=SseConfig(backbone=backbone, layers=1, heads=2,
+                                        max_positions=3))
+        model = NextSessionModel(cfg, 5, np.random.default_rng(0), catalog)
+        got = sorted((name, p.shape) for name, p in model.parameters().items())
+        assert got == sorted(_EMB_TENSORS + _ISE_TENSORS[kind] + _SSE_TENSORS[backbone])
