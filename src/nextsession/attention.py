@@ -3,11 +3,12 @@ pre-normalization encoder block built from them, and a gated recurrent cell.
 
 The attention blocks are shape (m, d) in / (m, d) out and mask-driven, so
 the same blocks serve both the within-session encoder (block-diagonal mask,
-one block per session) and the causal sequence encoder (lower-triangular
-mask).  The recurrent cell takes packed ragged sequences and their lengths
-and returns every hidden state, one ``tensor.gru`` op per call: the
-within-session encoder passes one sequence per session, the sequence
-encoder one sequence per user.
+one block per session) and the causal sequence encoder (block-diagonal and
+lower-triangular, one block per user).  ``over_groups`` bounds the rows
+that one packed mask covers.  The recurrent cell takes packed ragged
+sequences and their lengths and returns every hidden state, one
+``tensor.gru`` op per call: the within-session encoder passes one sequence
+per session, the sequence encoder one sequence per user.
 """
 
 from __future__ import annotations
@@ -26,6 +27,38 @@ def _init(rng, *shape):
 def causal_mask(m: int) -> np.ndarray:
     """Row i may attend to columns 0..i."""
     return np.tril(np.ones((m, m), dtype=bool))
+
+
+def block_mask(lengths, causal: bool) -> np.ndarray:
+    """The mask of sequences of ``lengths`` rows packed one after another:
+    a row attends only within its own sequence, and with ``causal`` only
+    to that sequence's rows up to its own."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    mask = seg[:, None] == seg[None, :]
+    return mask & causal_mask(seg.size) if causal else mask
+
+
+def over_groups(x, lengths, budget: int, fn):
+    """``fn(rows, lengths)`` over groups of consecutive sequences packed
+    row-wise in ``x``, the outputs stacked in order.
+
+    A packed mask costs the square of its rows, so sequences are grouped
+    greedily, in order, into runs of at most ``budget`` rows; a longer
+    sequence is a group of its own.  When every sequence fits in one group,
+    ``fn`` sees ``x`` itself.
+    """
+    bounds, total = [0], 0
+    for i, n in enumerate(lengths.tolist()):
+        if total and total + n > budget:
+            bounds.append(i)
+            total = 0
+        total += n
+    bounds.append(len(lengths))
+    if len(bounds) == 2:
+        return fn(x, lengths)
+    starts = np.r_[0, np.cumsum(lengths)]
+    return T.concat([fn(T.gather(x, np.arange(starts[a], starts[b])), lengths[a:b])
+                     for a, b in zip(bounds, bounds[1:])], axis=0)
 
 
 class MultiHeadAttention:

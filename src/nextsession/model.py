@@ -29,7 +29,12 @@ class NextSessionModel:
     The forward input is the model-facing view of a history
     (``data.encoder_views``): a pair ``(ids, lengths)`` of a flat int64
     array of positively interacted item ids and the number of them in each
-    session, chronological, every length >= 1.
+    session, chronological, every length >= 1.  A minibatch packs its users
+    by appending their views and passes the session count of each user as
+    ``sessions_per_user``: every session of the batch goes through the
+    session encoder at once, and the sequence encoder keeps each user's
+    positions apart (see ``SequenceEncoder.encode``).  By default the view
+    is one user's.
     """
 
     def __init__(self, cfg: TrainConfig, num_items: int, rng, catalog: Catalog | None = None):
@@ -58,8 +63,9 @@ class NextSessionModel:
         params.update(self.sequence_encoder.parameters())
         return params
 
-    def forward_sessions(self, view, training=False, dropout_rng=None):
-        """``(ids, lengths)`` -> (len(lengths), d) output rows."""
+    def forward_sessions(self, view, training=False, dropout_rng=None, sessions_per_user=None):
+        """``(ids, lengths)`` -> (len(lengths), d) output rows, each user's
+        rows in the order of its sessions."""
         ids, lengths = view
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0:
@@ -69,7 +75,7 @@ class NextSessionModel:
         item_vecs = self.embedding.embed_items(ids)
         tokens = self.session_encoder.encode_sessions(item_vecs, lengths)
         return self.sequence_encoder.encode(
-            tokens, training=training, dropout_rng=dropout_rng
+            tokens, training=training, dropout_rng=dropout_rng, lengths=sessions_per_user
         )
 
     def user_vector(self, view):

@@ -10,17 +10,21 @@ position's sibling positives), and the rank loss contrasts it against the
 target session's own exposure negatives.  Positions whose target session has
 no exposures simply contribute nothing to the rank term.
 
-How a user's loss is computed: the distinct ids among all of the user's
-positives and negatives are embedded once, every output row is scored
-against all of them with one matmul, and each loss is one
+How a minibatch's loss is computed: its users' positions are packed one
+after another, as ``build_targets`` returns them, so the batch is scored
+as one set of positions; a user alone is a batch of one.  The distinct ids
+among all of their positives and negatives are embedded once, every output
+row is scored against all of them with one matmul, and each loss is one
 ``tensor.sampled_softmax_xent`` over that score matrix.  Positives and
 in-session negatives arrive ragged, as a flat item array plus a count per
 position, and are padded to column indices and masks; the sampled
 negatives are already one (positions, C) array.  The graph is the same
-size however many positives a position has."""
+size however many positives a position has, and however many users the
+batch packs."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,48 +68,66 @@ def sample_negatives(catalog_size: int, count, rng: np.random.Generator) -> np.n
 
 
 def build_targets(
-    sessions: Sessions,
+    users: Sessions | Sequence[Sessions],
     catalog_size: int,
     num_sampled: int,
     rng: np.random.Generator,
-) -> tuple[tuple[np.ndarray, np.ndarray], TrainingTargets]:
-    """Turn a user's session sequence into model inputs and per-position targets.
+):
+    """Turn the session sequences of a minibatch's users into one packed
+    model input and the targets of every supervised position.
 
-    Returns (input_view, targets): input_view is the ``(ids, lengths)`` of
-    ``encoder_views(sessions[:-1])``; position i's targets come from the
-    rows of session i+1: its distinct positive items, its distinct exposed
-    items that are not also positive (an item both exposed and positively
-    interacted within one session counts as positive only), and
-    ``num_sampled`` catalog draws.  The first two are ``(items, counts)``
-    pairs with each position's items sorted.  The draws of all positions
-    are one (positions, num_sampled) call, row i for position i, which
-    yields the same numbers as one call per position.  Requires >= 2
-    sessions, each with >= 1 positive.
+    For a list of users, returns ``(view, sessions_per_user, targets)``:
+    ``view`` appends the users' ``encoder_views(sessions[:-1])`` into one
+    ``(ids, lengths)`` pair, and ``sessions_per_user`` counts each user's
+    input sessions, which is also its number of positions.  A single
+    ``Sessions`` is one user and returns ``(view, targets)``, the view the
+    model takes by default.
+
+    A user's position i takes its targets from the rows of its session
+    i+1: its distinct positive items, its distinct exposed items that are
+    not also positive (an item both exposed and positively interacted
+    within one session counts as positive only), and ``num_sampled``
+    catalog draws.  The first two are ``(items, counts)`` pairs with each
+    position's items sorted.  The draws of all positions are one
+    (positions, num_sampled) call, row i for position i, which yields the
+    same numbers as one call per position or per user, in order.  Each
+    user needs >= 2 sessions, each with >= 1 positive.
     """
-    if len(sessions) < 2:
-        raise ValueError("need at least two sessions to build training targets")
-    counts = sessions.positive_counts()
-    if not counts.all():
-        # a skipped input session would shift every later position's target
-        k = int(np.argmin(counts))
-        role = "target session" if k == len(sessions) - 1 else "session"
-        raise ValueError(
-            f"{role} {sessions.session_ids[k]!r} has no positives; filtering violated"
-        )
-    targets = sessions[1:]
-    rows = targets.rows()
-    item = targets.item[rows].astype(np.int64)
-    positive = targets.positive[rows]
-    m, width = len(targets), int(item.max()) + 1
+    one_user = isinstance(users, Sessions)
+    batch = [users] if one_user else users
+    inputs, items, positives, rows_per_position = [], [], [], []
+    for sessions in batch:
+        if len(sessions) < 2:
+            raise ValueError("need at least two sessions to build training targets")
+        counts = sessions.positive_counts()
+        if not counts.all():
+            # a skipped input session would shift every later position's target
+            k = int(np.argmin(counts))
+            role = "target session" if k == len(sessions) - 1 else "session"
+            raise ValueError(
+                f"{role} {sessions.session_ids[k]!r} has no positives; filtering violated"
+            )
+        inputs.append(encoder_views(sessions[:-1]))
+        targets = sessions[1:]
+        rows = targets.rows()
+        items.append(targets.item[rows])
+        positives.append(targets.positive[rows])
+        rows_per_position.append(np.diff(targets.offsets))
+    item = np.concatenate(items).astype(np.int64)
+    positive = np.concatenate(positives)
+    sessions_per_user = np.array([len(sessions) - 1 for sessions in batch], dtype=np.int64)
+    m, width = int(sessions_per_user.sum()), int(item.max()) + 1
     # one key per (position, item), so a sorted key array groups by position
-    key = np.repeat(np.arange(m), np.diff(targets.offsets)) * width + item
+    key = np.repeat(np.arange(m), np.concatenate(rows_per_position)) * width + item
     pos = np.unique(key[positive])
     neg = np.unique(key[~positive])
     neg = neg[pos[np.searchsorted(pos, neg).clip(max=len(pos) - 1)] != neg]  # not also positive
-    positives, in_session = ((keys % width, np.bincount(keys // width, minlength=m))
-                             for keys in (pos, neg))
+    pos_targets, in_session = ((keys % width, np.bincount(keys // width, minlength=m))
+                               for keys in (pos, neg))
     sampled = sample_negatives(catalog_size, (m, num_sampled), rng)
-    return encoder_views(sessions[:-1]), TrainingTargets(positives, in_session, sampled)
+    view = tuple(np.concatenate(part) for part in zip(*inputs))
+    targets = TrainingTargets(pos_targets, in_session, sampled)
+    return (view, targets) if one_user else (view, sessions_per_user, targets)
 
 
 def _padded(items: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +158,11 @@ def _contrastive_sums(outputs, positives, negative_sets, embedding):
         # output rows past the last supervised position have no targets
         outputs = T.gather(outputs, np.arange(positions))
     scores = T.matmul(outputs, T.transpose(embedding.embed_items(ids)))
-    # padding entries are id 0 and map to column 0; the masks drop them
-    (pos_cols, pos_mask), *negs = [(np.searchsorted(ids, idx), mask) for idx, mask in padded]
+    # each id's score column, by lookup; padding entries are id 0 and map
+    # to column 0, and the masks drop them
+    column = np.zeros(ids[-1] + 1, dtype=np.int64)
+    column[ids] = np.arange(ids.size)
+    (pos_cols, pos_mask), *negs = [(column[idx], mask) for idx, mask in padded]
     out = []
     for neg_cols, neg_mask in negs:
         loss = T.sampled_softmax_xent(scores, pos_cols, pos_mask, neg_cols, neg_mask)

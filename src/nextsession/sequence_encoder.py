@@ -5,8 +5,9 @@ Backbones: ``causal_attention`` (learned absolute position embeddings, then
 pre-normalization blocks of masked multi-head self-attention + feed-forward,
 closed by a final layer norm) and ``recurrent`` (stacked gated recurrent
 layers, each one ``tensor.gru`` op over the whole token sequence, with
-dropout between layers in training).  Row i of the output is conditioned on
-tokens 0..i only.
+dropout between layers in training).  The tokens may pack several users'
+sequences; row i of a user's output is conditioned on that user's tokens
+0..i only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import INIT_STD, EncoderBlock, GRUCell, causal_mask
+from .attention import INIT_STD, EncoderBlock, GRUCell, block_mask, over_groups
 
 BACKBONES = ("causal_attention", "recurrent")
 
@@ -70,14 +71,29 @@ class SequenceEncoder:
                 params.update(g.parameters())
         return params
 
-    def encode(self, tokens, training=False, dropout_rng=None):
-        """(m, d) session tokens -> (m, d) per-position interest vectors."""
+    def encode(self, tokens, training=False, dropout_rng=None, lengths=None):
+        """(m, d) session tokens -> (m, d) per-position interest vectors.
+
+        ``lengths`` is the token count of each user, whose sequences are
+        packed row-wise in ``tokens``; by default the rows are one user's.
+        Row i of a user is conditioned on that user's tokens up to i only.
+        The recurrent backbone runs every user as one sequence of one
+        ``tensor.gru`` per layer.  The attention backbone gives each user
+        positions from 0 and a causal mask within its own block, and groups
+        consecutive users under ``max_positions`` tokens per mask, so a
+        mask is never larger than one user's longest allowed history.
+        """
         m = tokens.shape[0]
         if m == 0:
             raise ValueError("cannot encode an empty session sequence")
-        if m > self.cfg.max_positions:
+        lengths = np.array([m]) if lengths is None else np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != m:
             raise ValueError(
-                f"sequence of {m} sessions exceeds max_positions="
+                f"user lengths {lengths.tolist()} must be positive and sum to the {m} tokens"
+            )
+        if lengths.max() > self.cfg.max_positions:
+            raise ValueError(
+                f"sequence of {lengths.max()} sessions exceeds max_positions="
                 f"{self.cfg.max_positions}; truncate upstream"
             )
         rate = self.dropout if training else 0.0
@@ -85,15 +101,20 @@ class SequenceEncoder:
             raise ValueError("training-mode encode needs a dropout rng")
 
         if self.cfg.backbone == "causal_attention":
-            x = T.add(tokens, T.gather(self.pos_table, np.arange(m)))
-            mask = causal_mask(m)
-            for block in self.blocks:
-                x = block(x, mask, dropout_rate=rate, dropout_rng=dropout_rng)
-            return T.layer_norm(x, self.final_g, self.final_b)
+            def attend(x, lengths):
+                # each user's positions count from 0
+                pos = np.arange(x.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+                x = T.add(x, T.gather(self.pos_table, pos))
+                mask = block_mask(lengths, causal=True)
+                for block in self.blocks:
+                    x = block(x, mask, dropout_rate=rate, dropout_rng=dropout_rng)
+                return T.layer_norm(x, self.final_g, self.final_b)
+
+            return over_groups(tokens, lengths, self.cfg.max_positions, attend)
 
         x = tokens
         for li, gru in enumerate(self.grus):
-            x = gru(x, [m])
+            x = gru(x, lengths)
             if li < len(self.grus) - 1:
                 x = T.dropout(x, rate, dropout_rng)
         return x

@@ -13,7 +13,13 @@ in its own closure, and is one node whatever the length.
 Each op records its parents and a closure that pushes the output
 gradient back to them. ``Tensor.backward`` replays the reachable nodes
 in reverse creation order; because ops execute eagerly, creation order
-is a valid topological order of the computation record.
+is a valid topological order of the computation record.  Once a node's
+closure has run, backward drops the node's gradient, its closure and its
+links to its parents, so each intermediate's buffers are freed as soon as
+the sweep is past it, and the peak memory of a step is not the forward
+graph plus every intermediate gradient.  A graph is therefore
+back-propagated once; leaf tensors (parameters and inputs) keep their
+gradients, which accumulate over backward calls until reset.
 
 Training runs in float32; verification (gradient checks) constructs the
 same graphs in float64. Ops never promote dtypes on their own.
@@ -45,7 +51,8 @@ def no_grad():
 class Tensor:
     """A dense float array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_nid")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_nid",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -97,10 +104,16 @@ class Tensor:
                     seen.add(id(p))
                     stack.append(p)
         self._accumulate(np.ones_like(self.data))
-        # creation order is topological; visit in exact reverse
-        for t in sorted(nodes, key=lambda n: n._nid, reverse=True):
-            if t._backward is not None and t.grad is not None:
+        # creation order is topological; visit in exact reverse, popping
+        # each node so that this list does not keep a spent one alive
+        nodes.sort(key=lambda n: n._nid)
+        while nodes:
+            t = nodes.pop()
+            if t._backward is None:
+                continue  # a leaf keeps its gradient
+            if t.grad is not None:
                 t._backward(t.grad)
+            t.grad, t._backward, t._parents = None, None, ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -368,9 +381,16 @@ def sampled_softmax_xent(scores: Tensor, pos_cols, pos_mask, neg_cols, neg_mask)
         d_neg = sig.sum(axis=1, keepdims=True) * (e / total)
         flat = np.concatenate([(rows * n_cols + pos_cols).ravel(),
                                (rows * n_cols + neg_cols).ravel()])
-        vals = np.concatenate([-sig.ravel(), d_neg.ravel()]) * g
-        grad = np.bincount(flat, weights=vals, minlength=s.size)
-        scores._accumulate(grad.reshape(s.shape).astype(s.dtype, copy=False))
+        vals = np.concatenate([-sig.ravel(), d_neg.ravel()])
+        vals *= g
+        # sum each touched cell's terms in float64, in the order listed,
+        # round once to the scores' dtype, and add into the gradient in
+        # place: the cells are distinct, and untouched cells stay as they are
+        cells, slot = np.unique(flat, return_inverse=True)
+        sums = np.bincount(slot, weights=vals, minlength=cells.size).astype(s.dtype)
+        if scores.grad is None:
+            scores.grad = np.zeros(s.shape, dtype=s.dtype)
+        scores.grad.flat[cells] += sums
 
     return _result(loss, (scores,), backward)
 

@@ -22,6 +22,16 @@ from .session_encoder import IseConfig
 from .sequence_encoder import SseConfig
 
 
+# Users packed into one training graph; a larger minibatch is trained as
+# consecutive graphs of this many.  Packing all of a minibatch's users is
+# faster (train_users_per_s on long-history-gru at batch 8: 2.4x one graph
+# per user, against 1.3x at 2), but the traced smoke runs in
+# perfbench/tests, with 3 to 5 minibatches per round, need at least 20
+# graphs for a step-latency percentile, and 2 is the largest size that
+# gives them that.
+PACK_USERS = 2
+
+
 class TrainingDiverged(RuntimeError):
     pass
 
@@ -209,9 +219,12 @@ def train(
 ) -> TrainResult:
     """Run the full optimization loop and return the best-validation model.
 
-    Per epoch: shuffle users, form minibatches, accumulate gradients of the
-    raw-sum loss across the batch's users, take one optimizer step.  Model
-    selection is by validation recall on each user's final train session.
+    Per epoch: shuffle users and form minibatches.  A minibatch is trained
+    as graphs of ``PACK_USERS`` consecutive users: each graph packs its
+    users into one model input, scores all of their positions with one
+    raw-sum loss and is back-propagated once; the graphs' gradients add up
+    before the minibatch's one optimizer step.  Model selection is by
+    validation recall on each user's final train session.
     """
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, neg_rng, drop_rng, shuffle_rng = (
@@ -245,22 +258,23 @@ def train(
             batch = order[start : start + cfg.batch_size]
             opt.zero_grad()
             batch_total = 0.0
-            for ui in batch:
-                _, sessions = train_users[ui]
-                view, targets = build_targets(
-                    sessions, split.catalog_size, cfg.loss.num_sampled_negatives, neg_rng
+            for lo in range(0, len(batch), PACK_USERS):
+                view, sessions_per_user, targets = build_targets(
+                    [train_users[ui][1] for ui in batch[lo : lo + PACK_USERS]],
+                    split.catalog_size, cfg.loss.num_sampled_negatives, neg_rng,
                 )
                 outputs = model.forward_sessions(
-                    view, training=True, dropout_rng=drop_rng
+                    view, training=True, dropout_rng=drop_rng,
+                    sessions_per_user=sessions_per_user,
                 )
                 losses = total_loss(outputs, targets, model.embedding, cfg.loss)
                 losses.total.backward()
                 batch_total += losses.total.item()
-                epoch_total += losses.total.item()
                 epoch_retr += losses.retrieval.item()
                 epoch_rank += losses.rank.item()
                 n_pos += losses.retrieval_count
                 n_rank += losses.rank_count
+            epoch_total += batch_total
             if not np.isfinite(batch_total):
                 users = [train_users[ui][0] for ui in batch]
                 raise TrainingDiverged(

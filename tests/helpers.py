@@ -10,6 +10,7 @@ import numpy as np
 
 from nextsession import tensor as T
 from nextsession.data import Dataset, Sessions, make_split
+from nextsession.objective import build_targets, total_loss
 from nextsession.tensor import Tensor
 
 
@@ -93,6 +94,47 @@ def composite_gru(cell, x, lengths):
             states.append(h)
         start += ln
     return states[0] if len(states) == 1 else T.concat(states, axis=0)
+
+
+def reference_xent_grad(s, pos_cols, pos_mask, neg_cols, neg_mask):
+    """The ``tensor.sampled_softmax_xent`` gradient of a unit loss as the op
+    once formed it: every term summed by one float64 ``bincount`` over all
+    cells of the score matrix, then cast to the scores' dtype."""
+    n_rows, n_cols = s.shape
+    pos_cols, neg_cols = np.asarray(pos_cols), np.asarray(neg_cols)
+    pos_mask, neg_mask = np.asarray(pos_mask, bool), np.asarray(neg_mask, bool)
+    rows = np.arange(n_rows)[:, None]
+    has_neg = neg_mask.any(axis=1, keepdims=True)
+    live = pos_mask & has_neg
+    neg = np.where(neg_mask, s[rows, neg_cols], -np.inf)
+    m = np.where(has_neg, neg.max(axis=1, keepdims=True, initial=-np.inf), 0.0)
+    e = np.exp(neg - m)
+    total = np.where(has_neg, e.sum(axis=1, keepdims=True), 1.0)
+    x = np.log(total) + m - s[rows, pos_cols]
+    softplus = np.logaddexp(0.0, x)
+    sig = np.where(live, np.exp(x - softplus), 0.0)
+    d_neg = sig.sum(axis=1, keepdims=True) * (e / total)
+    flat = np.concatenate([(rows * n_cols + pos_cols).ravel(),
+                           (rows * n_cols + neg_cols).ravel()])
+    vals = np.concatenate([-sig.ravel(), d_neg.ravel()]) * np.ones((), s.dtype)
+    grad = np.bincount(flat, weights=vals, minlength=s.size)
+    return grad.reshape(s.shape).astype(s.dtype, copy=False)
+
+
+def per_user_step(model, users, catalog_size, loss_cfg, rng):
+    """The training step as one graph per user: each user's targets, forward,
+    loss and backward in turn, gradients accumulating in the parameters.
+    The reference that the packed minibatch must match; returns the summed
+    (total, retrieval, rank, retrieval count, rank count)."""
+    sums = np.zeros(5)
+    for sessions in users:
+        view, targets = build_targets(sessions, catalog_size,
+                                      loss_cfg.num_sampled_negatives, rng)
+        losses = total_loss(model.forward_sessions(view), targets, model.embedding, loss_cfg)
+        losses.total.backward()
+        sums += [losses.total.item(), losses.retrieval.item(), losses.rank.item(),
+                 losses.retrieval_count, losses.rank_count]
+    return sums
 
 
 def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform", sse_dropout=0.2):

@@ -188,6 +188,25 @@ class TestBuildTargets:
                 np.testing.assert_array_equal(tg.sampled_negatives, np.array(want[3]))
                 assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_batch_appends_its_users_in_order(self, seed):
+        views, _ = random_train_views(seed)
+        users = [u for u in map(_trainable_sessions, views)
+                 if len(u) >= 2 and u.positive_counts().all()]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        (ids, lengths), per_user, tg = build_targets(users, 12, 5, rng)
+        want = [build_targets(u, 12, 5, ref_rng) for u in users]
+        assert per_user.tolist() == [len(u) - 1 for u in users]
+        for got, parts in ((ids, [v[0] for v, _ in want]), (lengths, [v[1] for v, _ in want]),
+                           (tg.sampled_negatives, [t.sampled_negatives for _, t in want])):
+            np.testing.assert_array_equal(got, np.concatenate(parts))
+        for field in ("positives", "in_session_negatives"):
+            for k in range(2):  # items, then counts
+                np.testing.assert_array_equal(
+                    getattr(tg, field)[k],
+                    np.concatenate([getattr(t, field)[k] for _, t in want]))
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
 
 class TestRetrievalLoss:
     def test_uniform_logits_give_ln2(self):

@@ -8,6 +8,7 @@ oracle (float64, eps=1e-5, relative error < 1e-4) on random inputs in
 import contextlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from nextsession import tensor as nt
 from nextsession.attention import GRUCell
 from nextsession.tensor import Tensor
 
-from helpers import check_op_gradient, composite_gru
+from helpers import check_op_gradient, composite_gru, reference_xent_grad
 
 RNG = np.random.default_rng(20240811)
 
@@ -191,6 +192,28 @@ class TestSoftmaxXent:
             [rand(2, 3), rand(4, 3)],
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_equals_the_full_size_bincount_bytewise(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            rows, cols = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+            s = rng.normal(scale=3.0, size=(rows, cols)).astype(dtype)
+            pos_cols = rng.integers(0, cols, size=(rows, int(rng.integers(1, 4))))
+            neg_cols = rng.integers(0, cols, size=(rows, int(rng.integers(2, 7))))
+            neg_cols[:, 0] = pos_cols[:, 0]  # a positive column among the negatives
+            neg_cols[:, -1] = neg_cols[:, 1]  # a duplicated negative
+            pos_mask = rng.random(pos_cols.shape) < 0.8
+            neg_mask = rng.random(neg_cols.shape) < 0.8
+            neg_mask[rng.random(rows) < 0.3] = False  # rows with every negative masked
+            scores = Tensor(s, requires_grad=True)
+            nt.sampled_softmax_xent(scores, pos_cols, pos_mask, neg_cols, neg_mask).backward()
+            want = reference_xent_grad(s, pos_cols, pos_mask, neg_cols, neg_mask)
+            assert scores.grad.dtype == dtype
+            np.testing.assert_array_equal(scores.grad.view(np.uint8), want.view(np.uint8))
+            # a second loss adds into the gradient that the first one left
+            nt.sampled_softmax_xent(scores, pos_cols, pos_mask, neg_cols, neg_mask).backward()
+            np.testing.assert_array_equal(scores.grad, want + want)
+
     def test_target_out_of_range(self):
         with pytest.raises(IndexError, match="out of range"):
             xent(Tensor(rand(1, 2)), [[0]], [[2]])
@@ -308,7 +331,7 @@ class TestGatherConcat:
         loss.backward()
         dy = np.concatenate(w)
         np.add.at(dy, [3, 1, 3], 1.0)
-        np.testing.assert_array_equal(y.grad, dy)
+        assert y.grad is None  # an intermediate's gradient is freed once spent
         np.testing.assert_array_equal(x.grad, 2.0 * dy)
 
     def test_gather_gradient(self):
@@ -371,6 +394,20 @@ class TestGraphMechanics:
         assert x.grad.flags.c_contiguous
         assert x.grad.dtype == np.float32
         assert not np.shares_memory(x.grad, y.grad)
+
+    def test_backward_frees_spent_intermediates_and_keeps_leaf_gradients(self):
+        x = Tensor(rand(3, 4), requires_grad=True)
+        w = Tensor(rand(4, 2), requires_grad=True)
+        h = nt.tanh(nt.matmul(x, w))
+        spent = weakref.ref(h)
+        loss = nt.sum_all(h)
+        del h
+        loss.backward()
+        assert spent() is None
+        assert loss._parents == () and loss.grad is None
+        dh = 1.0 - np.tanh(x.data @ w.data) ** 2
+        np.testing.assert_allclose(x.grad, dh @ w.data.T, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, x.data.T @ dh, rtol=1e-12)
 
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError, match="scalar"):

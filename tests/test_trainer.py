@@ -219,6 +219,47 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="no parameter gradient is non-finite"):
             train(toy_split(), small_config(epochs=1))
 
+    @pytest.mark.parametrize("pack, built_per_epoch", [(8, [8, 4]), (3, [3, 3, 2, 3, 1])])
+    def test_each_minibatch_trains_as_graphs_of_pack_users(
+        self, monkeypatch, pack, built_per_epoch
+    ):
+        built, backwards, steps = [], [], []
+        real_build, real_backward = trainer_mod.build_targets, T.Tensor.backward
+        real_step = trainer_mod.Adam.step
+
+        def build(users, *args):
+            built.append(len(users))
+            return real_build(users, *args)
+
+        def backward(self):
+            backwards.append(1)
+            return real_backward(self)
+
+        def step(self):
+            steps.append(1)
+            return real_step(self)
+
+        monkeypatch.setattr(trainer_mod, "PACK_USERS", pack)
+        monkeypatch.setattr(trainer_mod, "build_targets", build)
+        monkeypatch.setattr(T.Tensor, "backward", backward)
+        monkeypatch.setattr(trainer_mod.Adam, "step", step)
+        train(toy_split(num_users=12), small_config(epochs=2, batch_size=8, val_interval=0))
+        assert built == built_per_epoch * 2
+        assert len(backwards) == len(built) and len(steps) == 4
+
+    def test_graph_size_changes_only_the_rounding(self, monkeypatch):
+        # the graphs of a minibatch sum into one gradient before its step, so
+        # one graph per user and one per minibatch train the same model
+        trained = []
+        for pack in (1, 8):
+            monkeypatch.setattr(trainer_mod, "PACK_USERS", pack)
+            result = train(toy_split(num_users=12),
+                           small_config(epochs=2, batch_size=8, val_interval=0))
+            trained.append(result.model.parameters())
+        for name, p in trained[0].items():
+            np.testing.assert_allclose(trained[1][name].data, p.data, rtol=0, atol=1e-3,
+                                       err_msg=name)
+
     def test_recurrent_backbone_trains(self):
         cfg = small_config(epochs=1, sse=SseConfig(backbone="recurrent", layers=1))
         result = train(toy_split(num_users=6), cfg)
