@@ -1,14 +1,13 @@
 """Shared network blocks: multi-head self-attention, feed-forward, the
 pre-normalization encoder block built from them, and a gated recurrent cell.
 
-The attention blocks are shape (m, d) in / (m, d) out and mask-driven, so
-the same blocks serve both the within-session encoder (block-diagonal mask,
-one block per session) and the causal sequence encoder (block-diagonal and
-lower-triangular, one block per user).  ``over_groups`` bounds the rows
-that one packed mask covers.  The recurrent cell takes packed ragged
-sequences and their lengths and returns every hidden state, one
-``tensor.gru`` op per call: the within-session encoder passes one sequence
-per session, the sequence encoder one sequence per user.
+Both the attention blocks and the recurrent cell take packed ragged
+sequences, (n, d) rows plus the row count of each sequence, and keep the
+sequences apart.  Attention is one ``tensor.attention`` op per block,
+within each sequence and, when ``causal``, only to the rows up to its
+own; the recurrent cell is one ``tensor.gru`` op per call and returns
+every hidden state.  The within-session encoder passes one sequence per
+session, the sequence encoder one sequence per user.
 """
 
 from __future__ import annotations
@@ -24,43 +23,6 @@ def _init(rng, *shape):
     return T.parameter(rng.normal(0.0, INIT_STD, size=shape))
 
 
-def causal_mask(m: int) -> np.ndarray:
-    """Row i may attend to columns 0..i."""
-    return np.tril(np.ones((m, m), dtype=bool))
-
-
-def block_mask(lengths, causal: bool) -> np.ndarray:
-    """The mask of sequences of ``lengths`` rows packed one after another:
-    a row attends only within its own sequence, and with ``causal`` only
-    to that sequence's rows up to its own."""
-    seg = np.repeat(np.arange(len(lengths)), lengths)
-    mask = seg[:, None] == seg[None, :]
-    return mask & causal_mask(seg.size) if causal else mask
-
-
-def over_groups(x, lengths, budget: int, fn):
-    """``fn(rows, lengths)`` over groups of consecutive sequences packed
-    row-wise in ``x``, the outputs stacked in order.
-
-    A packed mask costs the square of its rows, so sequences are grouped
-    greedily, in order, into runs of at most ``budget`` rows; a longer
-    sequence is a group of its own.  When every sequence fits in one group,
-    ``fn`` sees ``x`` itself.
-    """
-    bounds, total = [0], 0
-    for i, n in enumerate(lengths.tolist()):
-        if total and total + n > budget:
-            bounds.append(i)
-            total = 0
-        total += n
-    bounds.append(len(lengths))
-    if len(bounds) == 2:
-        return fn(x, lengths)
-    starts = np.r_[0, np.cumsum(lengths)]
-    return T.concat([fn(T.gather(x, np.arange(starts[a], starts[b])), lengths[a:b])
-                     for a, b in zip(bounds, bounds[1:])], axis=0)
-
-
 class MultiHeadAttention:
     """Scaled dot-product self-attention with per-head projections."""
 
@@ -68,11 +30,11 @@ class MultiHeadAttention:
         if dim % heads:
             raise ValueError(f"heads ({heads}) must divide dim ({dim})")
         self.heads = heads
-        self.head_dim = dim // heads
         self.name = name
-        self.wq = [_init(rng, dim, self.head_dim) for _ in range(heads)]
-        self.wk = [_init(rng, dim, self.head_dim) for _ in range(heads)]
-        self.wv = [_init(rng, dim, self.head_dim) for _ in range(heads)]
+        head_dim = dim // heads
+        self.wq = [_init(rng, dim, head_dim) for _ in range(heads)]
+        self.wk = [_init(rng, dim, head_dim) for _ in range(heads)]
+        self.wv = [_init(rng, dim, head_dim) for _ in range(heads)]
         self.wo = _init(rng, dim, dim)
 
     def parameters(self):
@@ -83,18 +45,10 @@ class MultiHeadAttention:
             params[f"{self.name}.h{h}.wv"] = self.wv[h]
         return params
 
-    def __call__(self, x, mask):
-        scale = 1.0 / np.sqrt(self.head_dim)
-        outs = []
-        for h in range(self.heads):
-            q = T.matmul(x, self.wq[h])
-            k = T.matmul(x, self.wk[h])
-            v = T.matmul(x, self.wv[h])
-            scores = T.mul(T.matmul(q, T.transpose(k)), scale)
-            probs = T.softmax_rows(scores, mask)
-            outs.append(T.matmul(probs, v))
-        merged = outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
-        return T.matmul(merged, self.wo)
+    def __call__(self, x, lengths, causal):
+        """Attention within each sequence of ``lengths`` rows packed in x;
+        see ``tensor.attention``."""
+        return T.attention(x, lengths, causal, self.wq, self.wk, self.wv, self.wo)
 
 
 class FeedForward:
@@ -141,8 +95,8 @@ class EncoderBlock:
         params.update(self.ffn.parameters())
         return params
 
-    def __call__(self, x, mask, dropout_rate=0.0, dropout_rng=None):
-        a = self.mha(T.layer_norm(x, self.ln1_g, self.ln1_b), mask)
+    def __call__(self, x, lengths, causal, dropout_rate=0.0, dropout_rng=None):
+        a = self.mha(T.layer_norm(x, self.ln1_g, self.ln1_b), lengths, causal)
         x = T.add(x, T.dropout(a, dropout_rate, dropout_rng))
         f = self.ffn(T.layer_norm(x, self.ln2_g, self.ln2_b))
         return T.add(x, T.dropout(f, dropout_rate, dropout_rng))

@@ -68,7 +68,7 @@ def sample_negatives(catalog_size: int, count, rng: np.random.Generator) -> np.n
 
 
 def build_targets(
-    users: Sessions | Sequence[Sessions],
+    users: Sequence[Sessions],
     catalog_size: int,
     num_sampled: int,
     rng: np.random.Generator,
@@ -76,12 +76,10 @@ def build_targets(
     """Turn the session sequences of a minibatch's users into one packed
     model input and the targets of every supervised position.
 
-    For a list of users, returns ``(view, sessions_per_user, targets)``:
-    ``view`` appends the users' ``encoder_views(sessions[:-1])`` into one
-    ``(ids, lengths)`` pair, and ``sessions_per_user`` counts each user's
-    input sessions, which is also its number of positions.  A single
-    ``Sessions`` is one user and returns ``(view, targets)``, the view the
-    model takes by default.
+    Returns ``(view, sessions_per_user, targets)``: ``view`` appends the
+    users' ``encoder_views(sessions[:-1])`` into one ``(ids, lengths)``
+    pair, and ``sessions_per_user`` counts each user's input sessions,
+    which is also its number of positions.  One user is a list of one.
 
     A user's position i takes its targets from the rows of its session
     i+1: its distinct positive items, its distinct exposed items that are
@@ -93,10 +91,8 @@ def build_targets(
     same numbers as one call per position or per user, in order.  Each
     user needs >= 2 sessions, each with >= 1 positive.
     """
-    one_user = isinstance(users, Sessions)
-    batch = [users] if one_user else users
     inputs, items, positives, rows_per_position = [], [], [], []
-    for sessions in batch:
+    for sessions in users:
         if len(sessions) < 2:
             raise ValueError("need at least two sessions to build training targets")
         counts = sessions.positive_counts()
@@ -115,7 +111,7 @@ def build_targets(
         rows_per_position.append(np.diff(targets.offsets))
     item = np.concatenate(items).astype(np.int64)
     positive = np.concatenate(positives)
-    sessions_per_user = np.array([len(sessions) - 1 for sessions in batch], dtype=np.int64)
+    sessions_per_user = np.array([len(sessions) - 1 for sessions in users], dtype=np.int64)
     m, width = int(sessions_per_user.sum()), int(item.max()) + 1
     # one key per (position, item), so a sorted key array groups by position
     key = np.repeat(np.arange(m), np.concatenate(rows_per_position)) * width + item
@@ -126,8 +122,7 @@ def build_targets(
                                for keys in (pos, neg))
     sampled = sample_negatives(catalog_size, (m, num_sampled), rng)
     view = tuple(np.concatenate(part) for part in zip(*inputs))
-    targets = TrainingTargets(pos_targets, in_session, sampled)
-    return (view, targets) if one_user else (view, sessions_per_user, targets)
+    return view, sessions_per_user, TrainingTargets(pos_targets, in_session, sampled)
 
 
 def _padded(items: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 interest vectors.
 
 Backbones: ``causal_attention`` (learned absolute position embeddings, then
-pre-normalization blocks of masked multi-head self-attention + feed-forward,
+pre-normalization blocks of causal multi-head self-attention + feed-forward,
 closed by a final layer norm) and ``recurrent`` (stacked gated recurrent
 layers, each one ``tensor.gru`` op over the whole token sequence, with
 dropout between layers in training).  The tokens may pack several users'
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import INIT_STD, EncoderBlock, GRUCell, block_mask, over_groups
+from .attention import INIT_STD, EncoderBlock, GRUCell
 
 BACKBONES = ("causal_attention", "recurrent")
 
@@ -77,11 +77,9 @@ class SequenceEncoder:
         ``lengths`` is the token count of each user, whose sequences are
         packed row-wise in ``tokens``; by default the rows are one user's.
         Row i of a user is conditioned on that user's tokens up to i only.
-        The recurrent backbone runs every user as one sequence of one
-        ``tensor.gru`` per layer.  The attention backbone gives each user
-        positions from 0 and a causal mask within its own block, and groups
-        consecutive users under ``max_positions`` tokens per mask, so a
-        mask is never larger than one user's longest allowed history.
+        Each backbone runs every user as one sequence of one op per layer,
+        ``tensor.gru`` or causal ``tensor.attention``; the attention
+        backbone gives each user positions from 0.
         """
         m = tokens.shape[0]
         if m == 0:
@@ -101,16 +99,11 @@ class SequenceEncoder:
             raise ValueError("training-mode encode needs a dropout rng")
 
         if self.cfg.backbone == "causal_attention":
-            def attend(x, lengths):
-                # each user's positions count from 0
-                pos = np.arange(x.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-                x = T.add(x, T.gather(self.pos_table, pos))
-                mask = block_mask(lengths, causal=True)
-                for block in self.blocks:
-                    x = block(x, mask, dropout_rate=rate, dropout_rng=dropout_rng)
-                return T.layer_norm(x, self.final_g, self.final_b)
-
-            return over_groups(tokens, lengths, self.cfg.max_positions, attend)
+            pos = np.arange(m) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            x = T.add(tokens, T.gather(self.pos_table, pos))
+            for block in self.blocks:
+                x = block(x, lengths, causal=True, dropout_rate=rate, dropout_rng=dropout_rng)
+            return T.layer_norm(x, self.final_g, self.final_b)
 
         x = tokens
         for li, gru in enumerate(self.grus):

@@ -6,15 +6,14 @@ in log order, last hidden state), and attention (bidirectional self-attention
 within the session — no causal mask, since items in one session arrive
 together and carry no internal ordering — followed by mean pooling).
 
-The recurrent kind runs every session of a user through one ``tensor.gru``
-op, each session a sequence of its own, and gathers each session's last
-state: two graph nodes, whatever the number and length of the sessions.
-The attention kind runs the items of many sessions through its blocks at
-once under a block-diagonal mask, so an item attends only within its
-session, then mean-pools each session.  Consecutive sessions are grouped
-under ``GROUP_ITEMS`` items per mask, so a packed batch pays for its groups'
-masks, not for one mask over all its items; within one group the graph
-does not grow with the number of sessions.
+The recurrent kind runs every session through one ``tensor.gru`` op, each
+session a sequence of its own, and gathers each session's last state: two
+graph nodes, whatever the number and length of the sessions.  The
+attention kind runs the items of every session through its blocks at once,
+one ``tensor.attention`` op per block with one sequence per session, so an
+item attends only within its session, then mean-pools each session.  Its
+cost is the sum of the squared session lengths, and its graph does not
+grow with the number of sessions.
 """
 
 from __future__ import annotations
@@ -24,12 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderBlock, GRUCell, block_mask, over_groups
+from .attention import EncoderBlock, GRUCell
 
 KINDS = ("mean", "max", "max_relu", "recurrent", "attention")
-# items under one attention mask, which costs their square; of 64..1024,
-# 128 was fastest forward plus backward at dim 32 for 720 and 1920 items
-GROUP_ITEMS = 128
 
 
 @dataclass
@@ -91,11 +87,8 @@ class SessionEncoder:
             states = self.gru(item_vecs, lengths)
             return T.gather(states, np.cumsum(lengths) - 1)
 
-        def attend(x, lengths):
-            # an item attends to every item of its own session and to no other
-            mask = block_mask(lengths, causal=False)
-            for block in self.blocks:
-                x = block(x, mask)
-            return T.segment_reduce(x, np.repeat(np.arange(len(lengths)), lengths), "mean")
-
-        return over_groups(item_vecs, lengths, GROUP_ITEMS, attend)
+        # an item attends to every item of its own session and to no other
+        x = item_vecs
+        for block in self.blocks:
+            x = block(x, lengths, causal=False)
+        return T.segment_reduce(x, seg_ids, "mean")

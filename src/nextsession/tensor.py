@@ -1,14 +1,20 @@
 """numpy-backed tensors with reverse-mode automatic differentiation.
 
 The op set is deliberately small: matrix multiply, broadcast add/mul, a
-few activations, layer normalization, row-wise softmax, the sampled
-softmax loss over a score matrix, segment reductions, gather, and one
-fused recurrent op, ``gru``.  Everything else the model needs is composed
+few activations, layer normalization, the sampled softmax loss over a
+score matrix, segment reductions, gather, and two fused sequence ops,
+``gru`` and ``attention``.  Everything else the model needs is composed
 from these, not added.  ``gru`` exists because a recurrence composed from
 the elementary ops records about 17 nodes per row and step, so the graph
 and its backward would grow with sequence length; as one op it takes
 every input projection in one matmul, runs backpropagation through time
-in its own closure, and is one node whatever the length.
+in its own closure, and is one node whatever the length.  ``attention``
+exists for the same reason: composed, multi-head attention records about
+eight nodes per head, and keeping packed sequences apart takes a dense
+mask over all their rows, so cost grows with the square of the total
+length; as one op it takes every projection in one matmul, scores each
+sequence only against itself, and is one node whatever the number and
+length of the sequences.
 
 Each op records its parents and a closure that pushes the output
 gradient back to them. ``Tensor.backward`` replays the reachable nodes
@@ -311,28 +317,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(data, (x, gain, bias), backward)
 
 
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax; entries where mask is False get probability 0.
-
-    Every row must keep at least one entry.
-    """
-    s = x.data
-    if mask is not None:
-        if not mask.any(axis=-1).all():
-            raise ValueError("softmax_rows: some row is fully masked")
-        s = np.where(mask, s, -np.inf)
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-    y = y.astype(x.dtype, copy=False)
-
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        x._accumulate(y * (g - inner))
-
-    return _result(y, (x,), backward)
-
-
 def sampled_softmax_xent(scores: Tensor, pos_cols, pos_mask, neg_cols, neg_mask) -> Tensor:
     """Sum over valid positives of -log(e^s_p / (e^s_p + sum of e^s_n)).
 
@@ -551,6 +535,97 @@ def gru(x: Tensor, lengths, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: 
                         (bz, db[:d]), (br, db[d : 2 * d]), (bh, db[2 * d :])):
             if p.requires_grad:
                 p._accumulate(grad)
+
+    return _result(data, parents, backward)
+
+
+def attention(x: Tensor, lengths, causal: bool, wq: Sequence[Tensor], wk: Sequence[Tensor],
+              wv: Sequence[Tensor], wo: Tensor) -> Tensor:
+    """Multi-head scaled dot-product self-attention within each of the
+    sequences packed row-wise in x.
+
+    ``x`` is (n, d): the ``lengths[0]`` rows of sequence 0, then those of
+    sequence 1, and so on.  A row attends only to the rows of its own
+    sequence, and with ``causal`` only to those up to itself.  ``wq``,
+    ``wk`` and ``wv`` hold one (d, d / heads) projection per head and
+    ``wo`` is the (d, d') output projection; per head,
+
+        softmax((x·wq)(x·wk)ᵀ / sqrt(d / heads)) · (x·wv)
+
+    and the heads side by side are multiplied by ``wo``.  The queries, keys
+    and values of all heads are one matmul.  Sequences of equal length are
+    stacked into one batched matmul, so the scores cost the sum of squared
+    lengths, and no mask is formed but the causal triangle.  Backward runs
+    inside the op.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0:
+        raise ValueError(f"attention: lengths must be a non-empty list, got {lengths.tolist()}")
+    if lengths.min() < 1:
+        raise ValueError(f"attention: every sequence needs a row, got lengths {lengths.tolist()}")
+    if x.ndim != 2 or lengths.sum() != x.shape[0]:
+        raise ValueError(f"attention: lengths sum to {lengths.sum()} but x has shape {x.shape}")
+    n, d, heads = x.shape[0], x.shape[1], len(wq)
+    if not heads or d % heads or len(wk) != heads or len(wv) != heads:
+        raise ValueError(f"attention: {heads} query, {len(wk)} key and {len(wv)} value heads "
+                         f"must be equal in number and divide d = {d}")
+    hd = d // heads
+    for name, ws in (("wq", wq), ("wk", wk), ("wv", wv)):
+        for p in ws:
+            if p.shape != (d, hd):
+                raise ValueError(f"attention: {name} has shape {p.shape}, expected {(d, hd)}")
+    if wo.ndim != 2 or wo.shape[0] != d:
+        raise ValueError(f"attention: wo has shape {wo.shape}, expected ({d}, k)")
+    parents = (x, *wq, *wk, *wv, wo)
+    keep = _grad_enabled and any(p.requires_grad for p in parents)
+
+    w = np.concatenate([p.data for p in (*wq, *wk, *wv)], axis=1)
+    qkv = x.data @ w
+    scale = 1.0 / np.sqrt(hd)
+    starts = np.cumsum(lengths) - lengths
+    groups = []  # (rows, probabilities) of each length's sequences
+    merged = np.empty((n, d), dtype=qkv.dtype)
+    for ln in np.unique(lengths):
+        rows = starts[lengths == ln][:, None] + np.arange(ln)  # (b, ln)
+        # (3, b, heads, ln, hd): queries, keys, values per sequence and head
+        q, k, v = qkv[rows].reshape(rows.shape + (3, heads, hd)).transpose(2, 0, 3, 1, 4)
+        s = q @ k.swapaxes(-1, -2)
+        s *= scale
+        if causal:
+            np.copyto(s, -np.inf, where=~np.tri(ln, dtype=bool))
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        merged[rows] = (s @ v).transpose(0, 2, 1, 3).reshape(rows.shape + (d,))
+        if keep:
+            groups.append((rows, s))
+    data = merged @ wo.data
+    if not keep:
+        return Tensor(data)
+
+    def backward(g):
+        d_merged = g @ wo.data.T
+        d_qkv = np.empty_like(qkv)
+        for rows, p in groups:
+            q, k, v = qkv[rows].reshape(rows.shape + (3, heads, hd)).transpose(2, 0, 3, 1, 4)
+            d_o = d_merged[rows].reshape(rows.shape + (heads, hd)).transpose(0, 2, 1, 3)
+            d_v = p.swapaxes(-1, -2) @ d_o
+            # softmax backward: p * (dp - rowsum(dp * p)), then the scale
+            d_s = d_o @ v.swapaxes(-1, -2)
+            d_s -= (d_s * p).sum(axis=-1, keepdims=True)
+            d_s *= p
+            d_s *= scale
+            d_q, d_k = d_s @ k, d_s.swapaxes(-1, -2) @ q
+            d_qkv[rows] = np.stack([d_q, d_k, d_v], axis=2).transpose(0, 3, 2, 1, 4).reshape(
+                rows.shape + (3 * d,))
+        d_w = x.data.T @ d_qkv
+        if x.requires_grad:
+            x._accumulate(d_qkv @ w.T)
+        for i, p in enumerate((*wq, *wk, *wv)):
+            if p.requires_grad:
+                p._accumulate(d_w[:, i * hd : (i + 1) * hd])
+        if wo.requires_grad:
+            wo._accumulate(merged.T @ g)
 
     return _result(data, parents, backward)
 

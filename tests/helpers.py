@@ -96,6 +96,49 @@ def composite_gru(cell, x, lengths):
     return states[0] if len(states) == 1 else T.concat(states, axis=0)
 
 
+def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax; entries where mask is False get probability 0.
+
+    Every row must keep at least one entry.
+    """
+    s = x.data
+    if mask is not None:
+        if not mask.any(axis=-1).all():
+            raise ValueError("softmax_rows: some row is fully masked")
+        s = np.where(mask, s, -np.inf)
+    m = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - m)
+    y = e / e.sum(axis=-1, keepdims=True)
+    y = y.astype(x.dtype, copy=False)
+
+    def backward(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        x._accumulate(y * (g - inner))
+
+    return T._result(y, (x,), backward)
+
+
+def composite_attention(x, lengths, causal, wq, wk, wv, wo):
+    """Multi-head self-attention composed from elementary ops, head by head,
+    over one dense mask that keeps the packed sequences of ``lengths`` rows
+    apart (and, with ``causal``, each row to the rows up to its own); the
+    reference that ``tensor.attention`` must match."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    mask = seg[:, None] == seg[None, :]
+    if causal:
+        mask &= np.tri(seg.size, dtype=bool)
+    scale = 1.0 / np.sqrt(wq[0].shape[1])
+    outs = []
+    for h in range(len(wq)):
+        q = T.matmul(x, wq[h])
+        k = T.matmul(x, wk[h])
+        v = T.matmul(x, wv[h])
+        scores = T.mul(T.matmul(q, T.transpose(k)), scale)
+        outs.append(T.matmul(softmax_rows(scores, mask), v))
+    merged = outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
+    return T.matmul(merged, wo)
+
+
 def reference_xent_grad(s, pos_cols, pos_mask, neg_cols, neg_mask):
     """The ``tensor.sampled_softmax_xent`` gradient of a unit loss as the op
     once formed it: every term summed by one float64 ``bincount`` over all
@@ -128,8 +171,8 @@ def per_user_step(model, users, catalog_size, loss_cfg, rng):
     (total, retrieval, rank, retrieval count, rank count)."""
     sums = np.zeros(5)
     for sessions in users:
-        view, targets = build_targets(sessions, catalog_size,
-                                      loss_cfg.num_sampled_negatives, rng)
+        view, _, targets = build_targets([sessions], catalog_size,
+                                         loss_cfg.num_sampled_negatives, rng)
         losses = total_loss(model.forward_sessions(view), targets, model.embedding, loss_cfg)
         losses.total.backward()
         sums += [losses.total.item(), losses.retrieval.item(), losses.rank.item(),

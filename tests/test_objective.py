@@ -138,8 +138,8 @@ class TestBuildTargets:
         )
 
     def test_alignment_and_dedupe(self):
-        (ids, lengths), tg = build_targets(self.sequences(), catalog_size=10, num_sampled=4,
-                                           rng=np.random.default_rng(0))
+        (ids, lengths), _, tg = build_targets([self.sequences()], catalog_size=10,
+                                              num_sampled=4, rng=np.random.default_rng(0))
         assert ids.tolist() == [1, 2, 3, 3] and lengths.tolist() == [2, 2]
         positives, pos_counts = tg.positives
         assert pos_counts.tolist() == [1, 1]
@@ -152,13 +152,13 @@ class TestBuildTargets:
 
     def test_requires_two_sessions(self):
         with pytest.raises(ValueError, match="two sessions"):
-            build_targets(self.sequences()[:1], 10, 4, np.random.default_rng(0))
+            build_targets([self.sequences()[:1]], 10, 4, np.random.default_rng(0))
 
     def test_positive_free_session_rejected(self):
         seqs = history(([1, 2, 9], [True, True, False]), ([9], [False]),
                        ([4, 5, 4], [True, False, False]))
         with pytest.raises(ValueError, match="no positives"):
-            build_targets(seqs, 10, 4, np.random.default_rng(0))
+            build_targets([seqs], 10, 4, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4])
     def test_matches_the_list_reference_on_random_users(self, seed):
@@ -175,10 +175,10 @@ class TestBuildTargets:
                     want = reference_build_targets(sessions_of(sessions), 12, 5, ref_rng)
                 except ValueError as e:
                     with pytest.raises(ValueError) as got:
-                        build_targets(sessions, 12, 5, rng)
+                        build_targets([sessions], 12, 5, rng)
                     assert str(got.value) == str(e)
                     continue
-                got_view, tg = build_targets(sessions, 12, 5, rng)
+                got_view, _, tg = build_targets([sessions], 12, 5, rng)
                 for got, ref in zip((got_view, tg.positives, tg.in_session_negatives),
                                     want[:3]):
                     for a, b in zip(got, ragged(ref)):  # items, then counts
@@ -195,16 +195,17 @@ class TestBuildTargets:
                  if len(u) >= 2 and u.positive_counts().all()]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         (ids, lengths), per_user, tg = build_targets(users, 12, 5, rng)
-        want = [build_targets(u, 12, 5, ref_rng) for u in users]
+        want = [build_targets([u], 12, 5, ref_rng) for u in users]
         assert per_user.tolist() == [len(u) - 1 for u in users]
-        for got, parts in ((ids, [v[0] for v, _ in want]), (lengths, [v[1] for v, _ in want]),
-                           (tg.sampled_negatives, [t.sampled_negatives for _, t in want])):
+        for got, parts in ((ids, [v[0] for v, _, _ in want]),
+                           (lengths, [v[1] for v, _, _ in want]),
+                           (tg.sampled_negatives, [t.sampled_negatives for _, _, t in want])):
             np.testing.assert_array_equal(got, np.concatenate(parts))
         for field in ("positives", "in_session_negatives"):
             for k in range(2):  # items, then counts
                 np.testing.assert_array_equal(
                     getattr(tg, field)[k],
-                    np.concatenate([getattr(t, field)[k] for _, t in want]))
+                    np.concatenate([getattr(t, field)[k] for _, _, t in want]))
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 

@@ -5,7 +5,6 @@ of its graph."""
 import numpy as np
 import pytest
 
-import nextsession.session_encoder as session_encoder_mod
 import nextsession.tensor as T
 from nextsession.data import encoder_views
 from nextsession.model import NextSessionModel
@@ -65,15 +64,12 @@ def zero_grads(model):
 
 class TestMatchesThePerUserStep:
     @pytest.mark.parametrize("backbone", BACKBONES)
-    @pytest.mark.parametrize("ise, ise_budget",
-                             [(k, session_encoder_mod.GROUP_ITEMS) for k in KINDS]
-                             + [("attention", 9)])
-    def test_loss_and_every_gradient_in_float64(self, ise, backbone, ise_budget, monkeypatch):
-        # max_positions=8, and a small ISE budget, spread the attention
-        # encoders over several masks; the reference packs no two users
-        monkeypatch.setattr(session_encoder_mod, "GROUP_ITEMS", ise_budget)
+    @pytest.mark.parametrize("ise", KINDS)
+    def test_loss_and_every_gradient_in_float64(self, ise, backbone):
+        # the batch packs more tokens than max_positions=8; the reference
+        # packs no two users
         model = float64_model(ise, backbone, max_positions=8)
-        users = ragged_users(seed=KINDS.index(ise) + 10 * ise_budget, count=6)
+        users = ragged_users(seed=1280 + KINDS.index(ise), count=6)
         loss_cfg = LossConfig(alpha=0.7, num_sampled_negatives=5)
         targets = build_targets(users, CATALOG, 5, np.random.default_rng(0))[2]
         assert (targets.in_session_negatives[1] == 0).any()
@@ -94,7 +90,7 @@ class TestMatchesThePerUserStep:
 
     @pytest.mark.parametrize("backbone", BACKBONES)
     def test_outputs_past_the_attention_budget_equal_the_per_user_outputs(self, backbone):
-        # five users of 2..7 input sessions under max_positions=8: several groups
+        # five users of 2..7 input sessions, more tokens than max_positions=8
         model = float64_model("attention", backbone, max_positions=8, seed=2)
         users = ragged_users(seed=5, count=5, max_sessions=8)
         view, per_user, _ = build_targets(users, CATALOG, 1, np.random.default_rng(0))
@@ -109,8 +105,7 @@ class TestMatchesThePerUserStep:
 class TestGradientOfAPackedBatch:
     @pytest.mark.parametrize("ise, backbone", [("attention", "causal_attention"),
                                                ("recurrent", "recurrent")])
-    def test_matches_finite_differences_in_float64(self, ise, backbone, monkeypatch):
-        monkeypatch.setattr(session_encoder_mod, "GROUP_ITEMS", 9)
+    def test_matches_finite_differences_in_float64(self, ise, backbone):
         model = float64_model(ise, backbone, max_positions=8, seed=1, dim=4)
         for name, p in model.parameters().items():
             if name.startswith("emb."):
@@ -150,5 +145,10 @@ class TestGraphSize:
 
     def test_attention_nodes_do_not_grow_with_users_inside_one_group(self):
         model = float64_model("mean", "causal_attention", max_positions=128)
+        users = ragged_users(seed=4, count=16)
+        assert self.nodes(model, users[:2]) == self.nodes(model, users)
+
+    def test_attention_nodes_do_not_grow_with_users_past_max_positions(self):
+        model = float64_model("mean", "causal_attention", max_positions=8)
         users = ragged_users(seed=4, count=16)
         assert self.nodes(model, users[:2]) == self.nodes(model, users)

@@ -265,20 +265,20 @@ class TestParallelRecurrent:
 
 def loop_attention(enc, item_vecs, lengths):
     """The attention kind session by session: each session's items through
-    the blocks under a full mask, then mean-pooled."""
+    the blocks as one sequence, then mean-pooled."""
     tokens, start = [], 0
     for ln in lengths:
         x = T.gather(item_vecs, np.arange(start, start + ln))
         for block in enc.blocks:
-            x = block(x, np.ones((ln, ln), dtype=bool))
+            x = block(x, [ln], False)
         tokens.append(T.segment_reduce(x, np.zeros(ln, dtype=np.int64), "mean"))
         start += ln
     return tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
 
 
 class TestBlockDiagonalAttention:
-    """The attention kind, one pass under a block-diagonal mask, against
-    the per-session loop."""
+    """The attention kind, every session in one pass, against the
+    per-session loop."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_the_per_session_loop_in_float64(self, seed):
@@ -306,4 +306,15 @@ class TestBlockDiagonalAttention:
         for m in (2, 40):
             x = T.Tensor(rng.normal(size=(3 * m, 4)).astype(np.float32), requires_grad=True)
             sizes.append(graph_size(enc.encode_sessions(x, [3] * m)))
+        assert sizes[0] == sizes[1], sizes
+
+    def test_graph_does_not_grow_past_many_sessions_of_many_items(self):
+        enc = encoder("attention", dim=4, seed=0, layers=2, heads=2)
+        rng = np.random.default_rng(2)
+        sizes = []
+        for lengths in ([2, 1, 3], rng.integers(1, 7, size=60)):
+            x = T.Tensor(rng.normal(size=(sum(lengths), 4)).astype(np.float32),
+                         requires_grad=True)
+            sizes.append(graph_size(enc.encode_sessions(x, lengths)))
+        assert sum(lengths) > 128
         assert sizes[0] == sizes[1], sizes

@@ -17,7 +17,13 @@ from nextsession import tensor as nt
 from nextsession.attention import GRUCell
 from nextsession.tensor import Tensor
 
-from helpers import check_op_gradient, composite_gru, reference_xent_grad
+from helpers import (
+    check_op_gradient,
+    composite_attention,
+    composite_gru,
+    reference_xent_grad,
+    softmax_rows,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -227,12 +233,12 @@ class TestSoftmaxXent:
 
 class TestSoftmaxRows:
     def test_rows_sum_to_one(self):
-        y = nt.softmax_rows(Tensor(rand(5, 9)))
+        y = softmax_rows(Tensor(rand(5, 9)))
         np.testing.assert_allclose(y.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_masked_entries_are_zero(self):
         mask = np.tril(np.ones((4, 4), dtype=bool))
-        y = nt.softmax_rows(Tensor(rand(4, 4)), mask=mask)
+        y = softmax_rows(Tensor(rand(4, 4)), mask=mask)
         assert np.all(y.data[~mask] == 0.0)
         np.testing.assert_allclose(y.data.sum(axis=1), 1.0, atol=1e-6)
 
@@ -240,18 +246,18 @@ class TestSoftmaxRows:
         mask = np.zeros((2, 3), dtype=bool)
         mask[0] = True
         with pytest.raises(ValueError, match="fully masked"):
-            nt.softmax_rows(Tensor(rand(2, 3)), mask=mask)
+            softmax_rows(Tensor(rand(2, 3)), mask=mask)
 
     def test_gradient(self):
         check_op_gradient(
-            lambda x, w: nt.sum_all(nt.mul(nt.softmax_rows(x), w)),
+            lambda x, w: nt.sum_all(nt.mul(softmax_rows(x), w)),
             [rand(4, 5), rand(4, 5)],
         )
 
     def test_masked_gradient(self):
         mask = np.tril(np.ones((4, 4), dtype=bool))
         check_op_gradient(
-            lambda x, w: nt.sum_all(nt.mul(nt.softmax_rows(x, mask=mask), w)),
+            lambda x, w: nt.sum_all(nt.mul(softmax_rows(x, mask=mask), w)),
             [rand(4, 4), rand(4, 4)],
         )
 
@@ -546,3 +552,102 @@ class TestGru:
         assert held["grad"] > 4 * unit and held["no_grad"] < 1.5 * unit, (held, unit)
         assert out._backward is None and out._parents == ()
         np.testing.assert_array_equal(out.data, want)
+
+
+def attention_weights(d, heads, seed, dtype=np.float64):
+    """Leaf query, key and value projections per head, and an output
+    projection, uniform in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(-1.0, 1.0, shape).astype(dtype), requires_grad=True)
+
+    return tuple([leaf(d, d // heads) for _ in range(heads)] for _ in range(3)), leaf(d, d)
+
+
+def attention_outputs_and_grads(run, x0, w, weights):
+    """Value of run(x, *weights) and the gradients of sum(run(...) * w) for
+    x and every weight: the query, key and value heads, then wo."""
+    (wq, wk, wv), wo = weights
+    leaves = [*wq, *wk, *wv, wo]
+    for p in leaves:
+        p.grad = None
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = run(x, wq, wk, wv, wo)
+    nt.sum_all(nt.mul(out, Tensor(w))).backward()
+    return out.data, [x.grad] + [p.grad for p in leaves]
+
+
+class TestAttention:
+    """The fused ragged self-attention op, ``attention``."""
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("lengths", [[1, 3, 2, 3], [4], [1, 1]])
+    def test_gradient(self, lengths, causal):
+        n, d = sum(lengths), 4
+        w = rand(n, d)
+
+        def build(x, q0, q1, k0, k1, v0, v1, wo):
+            out = nt.attention(x, lengths, causal, [q0, q1], [k0, k1], [v0, v1], wo)
+            return nt.sum_all(nt.mul(out, Tensor(w)))
+
+        check_op_gradient(build, [rand(n, d)] + [rand(d, d // 2) for _ in range(6)]
+                          + [rand(d, d)])
+
+    def compare_to_composite(self, lengths, causal, seed, dtype, heads=2, **tol):
+        rng = np.random.default_rng(seed)
+        d = 2 * heads
+        weights = attention_weights(d, heads, seed, dtype)
+        x0 = rng.uniform(-1.0, 1.0, (sum(lengths), d)).astype(dtype)
+        w = rng.normal(size=(sum(lengths), d)).astype(dtype)
+        got, got_g = attention_outputs_and_grads(
+            lambda x, *p: nt.attention(x, lengths, causal, *p), x0, w, weights)
+        want, want_g = attention_outputs_and_grads(
+            lambda x, *p: composite_attention(x, lengths, causal, *p), x0, w, weights)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, **tol)
+        for k, (g, wg) in enumerate(zip(got_g, want_g)):
+            assert g.dtype == dtype, k
+            np.testing.assert_allclose(g, wg, err_msg=f"gradient {k}", **tol)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_composite_heads_in_float64(self, seed, causal):
+        rng = np.random.default_rng(400 + seed)
+        lengths = [int(v) for v in rng.integers(1, 6, size=rng.integers(1, 9))]
+        self.compare_to_composite(lengths, causal, seed, np.float64, heads=1 + seed % 3,
+                                  rtol=0, atol=1e-12)
+
+    def test_matches_the_composite_heads_in_float32(self):
+        self.compare_to_composite([3, 1, 5, 5, 2], True, 9, np.float32, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("frozen", ["x", "wq", "wo"])
+    def test_an_input_without_grad_gets_none(self, frozen):
+        (wq, wk, wv), wo = attention_weights(4, 2, 3)
+        x = Tensor(rand(5, 4), requires_grad=True)
+        leaves = {"x": x, "wq": wq[1], "wo": wo}
+        leaves[frozen].requires_grad = False
+        nt.sum_all(nt.attention(x, [2, 3], True, wq, wk, wv, wo)).backward()
+        for name, leaf in leaves.items():
+            assert (leaf.grad is None) == (name == frozen), name
+
+    def test_no_grad_records_no_parents(self):
+        (wq, wk, wv), wo = attention_weights(4, 2, 1)
+        x = Tensor(rand(6, 4), requires_grad=True)
+        want = nt.attention(x, [2, 4], False, wq, wk, wv, wo)
+        with nt.no_grad():
+            out = nt.attention(x, [2, 4], False, wq, wk, wv, wo)
+        assert want._parents and out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, want.data)
+
+    @pytest.mark.parametrize("lengths, match", [
+        ([], "non-empty"),
+        ([2, 0, 1], "needs a row"),
+        ([2, 2], "sum to 4"),
+        ([[1, 2]], "non-empty"),
+    ])
+    def test_bad_lengths_fail_with_one_line(self, lengths, match):
+        (wq, wk, wv), wo = attention_weights(4, 2, 0)
+        with pytest.raises(ValueError, match=match) as err:
+            nt.attention(Tensor(rand(3, 4)), lengths, False, wq, wk, wv, wo)
+        assert "\n" not in str(err.value)
