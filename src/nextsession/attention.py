@@ -1,6 +1,10 @@
 """Shared network blocks: multi-head self-attention, feed-forward, the
 pre-normalization encoder block built from them, and a gated recurrent cell.
 
+Each block declares its weights in the model's ``tensor.Parameters`` store
+under the name prefix it is given, in a fixed order: that order is the
+order of the initial draws.
+
 Both the attention blocks and the recurrent cell take packed ragged
 sequences, (n, d) rows plus the row count of each sequence, and keep the
 sequences apart.  Attention is one ``tensor.attention`` op per block,
@@ -12,38 +16,20 @@ session, the sequence encoder one sequence per user.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
-
-INIT_STD = 0.02
-
-
-def _init(rng, *shape):
-    return T.parameter(rng.normal(0.0, INIT_STD, size=shape))
 
 
 class MultiHeadAttention:
     """Scaled dot-product self-attention with per-head projections."""
 
-    def __init__(self, dim, heads, rng, name="mha"):
+    def __init__(self, dim, heads, params, name):
         if dim % heads:
             raise ValueError(f"heads ({heads}) must divide dim ({dim})")
-        self.heads = heads
-        self.name = name
         head_dim = dim // heads
-        self.wq = [_init(rng, dim, head_dim) for _ in range(heads)]
-        self.wk = [_init(rng, dim, head_dim) for _ in range(heads)]
-        self.wv = [_init(rng, dim, head_dim) for _ in range(heads)]
-        self.wo = _init(rng, dim, dim)
-
-    def parameters(self):
-        params = {f"{self.name}.wo": self.wo}
-        for h in range(self.heads):
-            params[f"{self.name}.h{h}.wq"] = self.wq[h]
-            params[f"{self.name}.h{h}.wk"] = self.wk[h]
-            params[f"{self.name}.h{h}.wv"] = self.wv[h]
-        return params
+        self.wq = [params.new(f"{name}.h{h}.wq", (dim, head_dim)) for h in range(heads)]
+        self.wk = [params.new(f"{name}.h{h}.wk", (dim, head_dim)) for h in range(heads)]
+        self.wv = [params.new(f"{name}.h{h}.wv", (dim, head_dim)) for h in range(heads)]
+        self.wo = params.new(f"{name}.wo", (dim, dim))
 
     def __call__(self, x, lengths, causal):
         """Attention within each sequence of ``lengths`` rows packed in x;
@@ -52,20 +38,13 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    def __init__(self, dim, rng, hidden_mult=4, name="ffn"):
-        self.name = name
-        self.w1 = _init(rng, dim, hidden_mult * dim)
-        self.b1 = T.parameter(np.zeros(hidden_mult * dim))
-        self.w2 = _init(rng, hidden_mult * dim, dim)
-        self.b2 = T.parameter(np.zeros(dim))
+    """Two-layer ReLU perceptron with a hidden width of 4 * dim."""
 
-    def parameters(self):
-        return {
-            f"{self.name}.w1": self.w1,
-            f"{self.name}.b1": self.b1,
-            f"{self.name}.w2": self.w2,
-            f"{self.name}.b2": self.b2,
-        }
+    def __init__(self, dim, params, name):
+        self.w1 = params.new(f"{name}.w1", (dim, 4 * dim))
+        self.b1 = params.new(f"{name}.b1", (4 * dim,), fill=0.0)
+        self.w2 = params.new(f"{name}.w2", (4 * dim, dim))
+        self.b2 = params.new(f"{name}.b2", (dim,), fill=0.0)
 
     def __call__(self, x):
         h = T.relu(T.add(T.matmul(x, self.w1), self.b1))
@@ -75,25 +54,13 @@ class FeedForward:
 class EncoderBlock:
     """Pre-normalization block: x + MHA(LN(x)), then x + FFN(LN(x))."""
 
-    def __init__(self, dim, heads, rng, name="block"):
-        self.name = name
-        self.mha = MultiHeadAttention(dim, heads, rng, name=f"{name}.mha")
-        self.ffn = FeedForward(dim, rng, name=f"{name}.ffn")
-        self.ln1_g = T.parameter(np.ones(dim))
-        self.ln1_b = T.parameter(np.zeros(dim))
-        self.ln2_g = T.parameter(np.ones(dim))
-        self.ln2_b = T.parameter(np.zeros(dim))
-
-    def parameters(self):
-        params = {
-            f"{self.name}.ln1_g": self.ln1_g,
-            f"{self.name}.ln1_b": self.ln1_b,
-            f"{self.name}.ln2_g": self.ln2_g,
-            f"{self.name}.ln2_b": self.ln2_b,
-        }
-        params.update(self.mha.parameters())
-        params.update(self.ffn.parameters())
-        return params
+    def __init__(self, dim, heads, params, name):
+        self.mha = MultiHeadAttention(dim, heads, params, f"{name}.mha")
+        self.ffn = FeedForward(dim, params, f"{name}.ffn")
+        self.ln1_g = params.new(f"{name}.ln1_g", (dim,), fill=1.0)
+        self.ln1_b = params.new(f"{name}.ln1_b", (dim,), fill=0.0)
+        self.ln2_g = params.new(f"{name}.ln2_g", (dim,), fill=1.0)
+        self.ln2_b = params.new(f"{name}.ln2_b", (dim,), fill=0.0)
 
     def __call__(self, x, lengths, causal, dropout_rate=0.0, dropout_rng=None):
         a = self.mha(T.layer_norm(x, self.ln1_g, self.ln1_b), lengths, causal)
@@ -106,27 +73,16 @@ class GRUCell:
     """The nine parameters of a gated recurrent cell; calling it runs
     ``tensor.gru`` over packed ragged sequences with them."""
 
-    def __init__(self, in_dim, hidden_dim, rng, name="gru"):
-        self.name = name
-        self.wz = _init(rng, in_dim, hidden_dim)
-        self.uz = _init(rng, hidden_dim, hidden_dim)
-        self.bz = T.parameter(np.zeros(hidden_dim))
-        self.wr = _init(rng, in_dim, hidden_dim)
-        self.ur = _init(rng, hidden_dim, hidden_dim)
-        self.br = T.parameter(np.zeros(hidden_dim))
-        self.wh = _init(rng, in_dim, hidden_dim)
-        self.uh = _init(rng, hidden_dim, hidden_dim)
-        self.bh = T.parameter(np.zeros(hidden_dim))
-
-    def parameters(self):
-        return {
-            f"{self.name}.{k}": v
-            for k, v in [
-                ("wz", self.wz), ("uz", self.uz), ("bz", self.bz),
-                ("wr", self.wr), ("ur", self.ur), ("br", self.br),
-                ("wh", self.wh), ("uh", self.uh), ("bh", self.bh),
-            ]
-        }
+    def __init__(self, in_dim, hidden_dim, params, name):
+        self.wz = params.new(f"{name}.wz", (in_dim, hidden_dim))
+        self.uz = params.new(f"{name}.uz", (hidden_dim, hidden_dim))
+        self.bz = params.new(f"{name}.bz", (hidden_dim,), fill=0.0)
+        self.wr = params.new(f"{name}.wr", (in_dim, hidden_dim))
+        self.ur = params.new(f"{name}.ur", (hidden_dim, hidden_dim))
+        self.br = params.new(f"{name}.br", (hidden_dim,), fill=0.0)
+        self.wh = params.new(f"{name}.wh", (in_dim, hidden_dim))
+        self.uh = params.new(f"{name}.uh", (hidden_dim, hidden_dim))
+        self.bh = params.new(f"{name}.bh", (hidden_dim,), fill=0.0)
 
     def __call__(self, x, lengths):
         """(n, in_dim) rows of sequences of ``lengths`` rows each -> (n, hidden)

@@ -5,7 +5,8 @@ fuse is a one-hidden-layer perceptron (width 2d, tanh) ending at the model
 width d.  The same path produces both the input-side vectors consumed by the
 encoders and the catalog-side vectors used for scoring — the tables are tied,
 so ``output_item_vectors()[i]`` and ``embed_items([i])`` are the same
-computation.
+computation.  The tables and the perceptron's weights are declared in the
+model's ``tensor.Parameters`` store under ``emb.``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ class EmbeddingSpace:
     each catalog item's feature values, which every item vector uses.
     """
 
-    INIT_STD = 0.02
-
-    def __init__(self, num_items, dim, rng, id_dim=None, feature_schema=(),
+    def __init__(self, num_items, dim, params, id_dim=None, feature_schema=(),
                  feature_dim=16, item_features=None):
         if num_items < 1:
             raise ValueError("num_items must be >= 1")
@@ -48,31 +47,17 @@ class EmbeddingSpace:
                     raise IndexError(f"feature {name!r} value out of range")
         self.item_features = item_features
 
-        def init(*shape):
-            return T.parameter(rng.normal(0.0, self.INIT_STD, size=shape))
-
-        self.item_table = init(num_items, self.id_dim)
+        self.item_table = params.new("emb.item_table", (num_items, self.id_dim))
         self.feature_tables = {
-            name: init(vocab, feature_dim) for name, vocab in self.feature_schema
+            name: params.new(f"emb.feat.{name}", (vocab, feature_dim))
+            for name, vocab in self.feature_schema
         }
         in_width = self.id_dim + feature_dim * len(self.feature_schema)
         hidden = 2 * dim
-        self.fuse_w1 = init(in_width, hidden)
-        self.fuse_b1 = T.parameter(np.zeros(hidden))
-        self.fuse_w2 = init(hidden, dim)
-        self.fuse_b2 = T.parameter(np.zeros(dim))
-
-    def parameters(self):
-        params = {
-            "emb.item_table": self.item_table,
-            "emb.fuse_w1": self.fuse_w1,
-            "emb.fuse_b1": self.fuse_b1,
-            "emb.fuse_w2": self.fuse_w2,
-            "emb.fuse_b2": self.fuse_b2,
-        }
-        for name, _ in self.feature_schema:
-            params[f"emb.feat.{name}"] = self.feature_tables[name]
-        return params
+        self.fuse_w1 = params.new("emb.fuse_w1", (in_width, hidden))
+        self.fuse_b1 = params.new("emb.fuse_b1", (hidden,), fill=0.0)
+        self.fuse_w2 = params.new("emb.fuse_w2", (hidden, dim))
+        self.fuse_b2 = params.new("emb.fuse_b2", (dim,), fill=0.0)
 
     def embed_items(self, ids):
         """Fused vectors for a list of item ids -> Tensor (len(ids), dim).

@@ -342,7 +342,7 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
             max_positions=n_items,
         ),
         dim,
-        rng,
+        T.Parameters(rng),
     )
 
     def timed(m):

@@ -23,8 +23,11 @@ class NextSessionModel:
     ``id_dim``, ``feature_dim``, ``dropout`` (the sequence encoder's, in
     training), ``ise`` and ``sse``, plus the catalog size.  A ``catalog``
     with side features gives the embedding its feature tables.  The
-    embedding, the session encoder and the sequence encoder draw their
-    initial weights from ``rng`` in that order.
+    embedding, the session encoder and the sequence encoder declare their
+    weights, in that order, in ``params``, a ``tensor.Parameters`` store:
+    made from an rng, it draws a fresh initialisation; made from a
+    checkpoint's tensors (``trainer.restore_model``), it takes them.
+    ``parameters()`` returns the store, name -> tensor.
 
     The forward input is the model-facing view of a history
     (``data.encoder_views``): a pair ``(ids, lengths)`` of a flat int64
@@ -37,8 +40,10 @@ class NextSessionModel:
     is one user's.
     """
 
-    def __init__(self, cfg: TrainConfig, num_items: int, rng, catalog: Catalog | None = None):
+    def __init__(self, cfg: TrainConfig, num_items: int, params: T.Parameters,
+                 catalog: Catalog | None = None):
         self.cfg = cfg
+        self.params = params
         schema = ()
         item_features = None
         if catalog is not None and catalog.feature_names:
@@ -47,21 +52,17 @@ class NextSessionModel:
         self.embedding = EmbeddingSpace(
             num_items,
             cfg.dim,
-            rng,
+            params,
             id_dim=cfg.id_dim,
             feature_schema=schema,
             feature_dim=cfg.feature_dim,
             item_features=item_features,
         )
-        self.session_encoder = SessionEncoder(cfg.ise, cfg.dim, rng)
-        self.sequence_encoder = SequenceEncoder(cfg.sse, cfg.dim, rng, cfg.dropout)
+        self.session_encoder = SessionEncoder(cfg.ise, cfg.dim, params)
+        self.sequence_encoder = SequenceEncoder(cfg.sse, cfg.dim, params, cfg.dropout)
 
-    def parameters(self):
-        params = {}
-        params.update(self.embedding.parameters())
-        params.update(self.session_encoder.parameters())
-        params.update(self.sequence_encoder.parameters())
-        return params
+    def parameters(self) -> T.Parameters:
+        return self.params
 
     def forward_sessions(self, view, training=False, dropout_rng=None, sessions_per_user=None):
         """``(ids, lengths)`` -> (len(lengths), d) output rows, each user's

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import INIT_STD, EncoderBlock, GRUCell
+from .attention import EncoderBlock, GRUCell
 
 BACKBONES = ("causal_attention", "recurrent")
 
@@ -31,7 +31,7 @@ class SseConfig:
 
 
 class SequenceEncoder:
-    def __init__(self, cfg: SseConfig, dim: int, rng, dropout: float = 0.0):
+    def __init__(self, cfg: SseConfig, dim: int, params, dropout: float = 0.0):
         """``dropout`` is the rate applied in training between layers."""
         if cfg.backbone not in BACKBONES:
             raise ValueError(f"unknown sequence backbone {cfg.backbone!r}")
@@ -44,32 +44,17 @@ class SequenceEncoder:
         if cfg.backbone == "causal_attention":
             if dim % cfg.heads:
                 raise ValueError(f"heads ({cfg.heads}) must divide dim ({dim})")
-            self.pos_table = T.parameter(
-                rng.normal(0.0, INIT_STD, size=(cfg.max_positions, dim))
-            )
+            self.pos_table = params.new("sse.pos_table", (cfg.max_positions, dim))
             self.blocks = [
-                EncoderBlock(dim, cfg.heads, rng, name=f"sse.block{i}")
+                EncoderBlock(dim, cfg.heads, params, f"sse.block{i}")
                 for i in range(cfg.layers)
             ]
-            self.final_g = T.parameter(np.ones(dim))
-            self.final_b = T.parameter(np.zeros(dim))
+            self.final_g = params.new("sse.final_g", (dim,), fill=1.0)
+            self.final_b = params.new("sse.final_b", (dim,), fill=0.0)
         else:
             self.grus = [
-                GRUCell(dim, dim, rng, name=f"sse.gru{i}") for i in range(cfg.layers)
+                GRUCell(dim, dim, params, f"sse.gru{i}") for i in range(cfg.layers)
             ]
-
-    def parameters(self):
-        params = {}
-        if self.cfg.backbone == "causal_attention":
-            params["sse.pos_table"] = self.pos_table
-            params["sse.final_g"] = self.final_g
-            params["sse.final_b"] = self.final_b
-            for b in self.blocks:
-                params.update(b.parameters())
-        else:
-            for g in self.grus:
-                params.update(g.parameters())
-        return params
 
     def encode(self, tokens, training=False, dropout_rng=None, lengths=None):
         """(m, d) session tokens -> (m, d) per-position interest vectors.

@@ -36,27 +36,19 @@ class IseConfig:
 
 
 class SessionEncoder:
-    def __init__(self, cfg: IseConfig, dim: int, rng):
+    def __init__(self, cfg: IseConfig, dim: int, params):
         if cfg.kind not in KINDS:
             raise ValueError(f"unknown session aggregator {cfg.kind!r}")
         self.cfg = cfg
         self.gru = None
         self.blocks = []
         if cfg.kind == "recurrent":
-            self.gru = GRUCell(dim, dim, rng, name="ise.gru")
+            self.gru = GRUCell(dim, dim, params, "ise.gru")
         elif cfg.kind == "attention":
             self.blocks = [
-                EncoderBlock(dim, cfg.heads, rng, name=f"ise.block{i}")
+                EncoderBlock(dim, cfg.heads, params, f"ise.block{i}")
                 for i in range(cfg.layers)
             ]
-
-    def parameters(self):
-        params = {}
-        if self.gru is not None:
-            params.update(self.gru.parameters())
-        for b in self.blocks:
-            params.update(b.parameters())
-        return params
 
     def encode_sessions(self, item_vecs, lengths):
         """(n, d) item vectors + an array of per-session lengths -> (m, d)

@@ -29,6 +29,10 @@ gradients, which accumulate over backward calls until reset.
 
 Training runs in float32; verification (gradient checks) constructs the
 same graphs in float64. Ops never promote dtypes on their own.
+
+A model's trainable leaves live in one ``Parameters`` store, which every
+module declares its weights in; the same declarations draw a fresh
+initialisation from an rng or take a checkpoint's tensors.
 """
 
 from __future__ import annotations
@@ -128,6 +132,42 @@ class Tensor:
 def parameter(data, dtype=np.float32) -> Tensor:
     """Trainable leaf tensor; float32 unless a verification dtype is forced."""
     return Tensor(data, requires_grad=True, dtype=dtype)
+
+
+class Parameters(dict):
+    """A model's parameter store: name -> trainable ``Tensor``, in creation
+    order.
+
+    Each module declares a weight once, with ``new``.  A store made from
+    an ``rng`` draws each weight from normal(0, ``INIT_STD``), in the order
+    the weights are declared, or fills it with a constant.  A store made
+    from ``stored`` arrays (a checkpoint's tensors) draws nothing: it copies
+    the array of that name instead, so the parameter owns its buffer.
+    """
+
+    INIT_STD = 0.02
+
+    def __init__(self, rng: np.random.Generator | None = None, stored: dict | None = None):
+        super().__init__()
+        self.rng = rng
+        self.stored = stored
+
+    def new(self, name: str, shape, fill: float | None = None) -> Tensor:
+        shape = tuple(shape)
+        if self.stored is not None:
+            if name not in self.stored:
+                raise ValueError(f"checkpoint has no tensor {name!r}")
+            data = np.array(self.stored[name])
+            if data.shape != shape:
+                raise ValueError(
+                    f"checkpoint tensor {name!r} has shape {data.shape}, model expects {shape}"
+                )
+        elif fill is None:
+            data = self.rng.normal(0.0, self.INIT_STD, size=shape)
+        else:
+            data = np.full(shape, fill)
+        self[name] = p = parameter(data)
+        return p
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:

@@ -1,9 +1,9 @@
 """Training loop, optimizer, experiment config, and checkpoint I/O.
 
 ``TrainConfig`` is the one config: ``train`` builds the model from it,
-checkpoints store it, and ``restore_model`` rebuilds the model from the
-stored copy.  Validation ranks users with ``evaluator.ranked``, the loop
-that ``evaluator.evaluate`` uses.
+checkpoints store it, and ``restore_model`` builds the model of the stored
+copy straight from the checkpoint's tensors.  Validation ranks users with
+``evaluator.ranked``, the loop that ``evaluator.evaluate`` uses.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .data import Catalog, DatasetSplit, Sessions, encoder_views
 from .model import NextSessionModel
 from .objective import LossConfig, build_targets, total_loss
@@ -134,12 +135,12 @@ class Adam:
     The bias-correction step count is global.
     """
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps=1e-8):
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.names = sorted(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(params[n].data) for n in self.names}
         self.v = {n: np.zeros_like(params[n].data) for n in self.names}
@@ -150,8 +151,8 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - self.B1 ** self.t
+        bc2 = 1.0 - self.B2 ** self.t
         for n in self.names:
             p = self.params[n]
             g = p.grad
@@ -161,11 +162,11 @@ class Adam:
             if not mask.any():
                 continue
             gm = g[mask]
-            self.m[n][mask] = self.b1 * self.m[n][mask] + (1.0 - self.b1) * gm
-            self.v[n][mask] = self.b2 * self.v[n][mask] + (1.0 - self.b2) * gm * gm
+            self.m[n][mask] = self.B1 * self.m[n][mask] + (1.0 - self.B1) * gm
+            self.v[n][mask] = self.B2 * self.v[n][mask] + (1.0 - self.B2) * gm * gm
             mhat = self.m[n][mask] / bc1
             vhat = self.v[n][mask] / bc2
-            p.data[mask] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data[mask] -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def _trainable_sessions(sessions: Sessions) -> Sessions:
@@ -230,7 +231,7 @@ def train(
     init_rng, neg_rng, drop_rng, shuffle_rng = (
         np.random.default_rng(s) for s in ss.spawn(4)
     )
-    model = NextSessionModel(cfg, split.catalog_size, init_rng, catalog)
+    model = NextSessionModel(cfg, split.catalog_size, T.Parameters(init_rng), catalog)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)
 
@@ -427,8 +428,11 @@ def restore_model(
     expected_config: TrainConfig | None = None,
     force: bool = False,
 ) -> NextSessionModel:
-    """Rebuild a model from a checkpoint and load its weights.
+    """Build the model of a checkpoint's config straight from its tensors.
 
+    Every parameter is a copy of the stored tensor of its name, so the
+    model shares no memory with ``ckpt`` and draws no random numbers.  A
+    missing, extra or wrongly shaped tensor is a ValueError naming it.
     When expected_config is given and hashes differ, refuses unless force;
     the error names the first differing field.
     """
@@ -445,21 +449,12 @@ def restore_model(
                     )
             raise ValueError("checkpoint config hash mismatch (pass force to override)")
 
-    num_items = ckpt.tensors["emb.item_table"].shape[0]
-    model = NextSessionModel(ckpt.config, num_items, np.random.default_rng(0), catalog)
-    params = model.parameters()
-    missing = sorted(set(params) - set(ckpt.tensors))
+    table = ckpt.tensors.get("emb.item_table")
+    if table is None:
+        raise ValueError("checkpoint has no tensor 'emb.item_table'")
+    params = T.Parameters(stored=ckpt.tensors)
+    model = NextSessionModel(ckpt.config, table.shape[0], params, catalog)
     extra = sorted(set(ckpt.tensors) - set(params))
-    if missing or extra:
-        raise ValueError(
-            f"checkpoint tensors do not match model: missing {missing}, extra {extra}"
-        )
-    for name, p in params.items():
-        stored = ckpt.tensors[name]
-        if tuple(stored.shape) != p.shape:
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape {tuple(stored.shape)}, "
-                f"model expects {p.shape}"
-            )
-        p.data[...] = stored
+    if extra:
+        raise ValueError(f"checkpoint tensors not in the model: {extra}")
     return model

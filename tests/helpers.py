@@ -199,6 +199,35 @@ def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform", sse_dropou
     return str(out)
 
 
+# Tensor defects that ``restore_model`` must refuse with a ValueError naming
+# the tensor, written "<kind>:<tensor name>" for ``damaged_checkpoint``.
+TENSOR_DAMAGE = ("missing:emb.item_table", "missing:sse.block0.mha.wo",
+                 "extra:sse.block9.ffn.w1", "reshaped:emb.fuse_w1")
+
+
+def damaged_checkpoint(path, tmp_path, damage):
+    """Rewrite a checkpoint with one tensor defect of ``TENSOR_DAMAGE``: the
+    tensor left out, an unknown tensor added, or the tensor one row short."""
+    from types import SimpleNamespace
+
+    from nextsession.trainer import load_checkpoint, save_checkpoint
+
+    kind, name = damage.split(":")
+    ckpt = load_checkpoint(path)
+    tensors = dict(ckpt.tensors)
+    if kind == "missing":
+        del tensors[name]
+    elif kind == "extra":
+        tensors[name] = np.zeros((2, 2), np.float32)
+    else:
+        tensors[name] = tensors[name][:-1]
+    stub = SimpleNamespace(parameters=lambda: {n: SimpleNamespace(data=a)
+                                               for n, a in tensors.items()})
+    out = tmp_path / f"{kind}-{name}.bin"
+    save_checkpoint(str(out), stub, ckpt.config, ckpt.epoch, ckpt.metrics, ckpt.data_hash)
+    return str(out)
+
+
 # ---------------------------------------------------------------------------
 # Reference data pipeline: the row-object implementation that the columnar
 # data layer replaced (one object per log row, dicts keyed by raw ids).  The

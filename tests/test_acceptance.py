@@ -85,7 +85,7 @@ def test_criterion_01_gradients_match_finite_differences():
             sse=SseConfig(backbone=BACKBONES[idx % len(BACKBONES)], layers=1,
                           heads=2, max_positions=8),
         )
-        model = NextSessionModel(cfg, num_items, rng)
+        model = NextSessionModel(cfg, num_items, T.Parameters(rng))
         _promote_to_float64(model)
 
         sessions = []
@@ -212,7 +212,7 @@ def test_criterion_03_causality_and_leakage():
         enc = SequenceEncoder(
             SseConfig(backbone=BACKBONES[trial % 2], layers=1 + trial % 2,
                       heads=2, max_positions=16),
-            4, rng,
+            4, T.Parameters(rng),
         )
         x = rng.normal(0, 1, (m, 4)).astype(np.float32)
         j = int(rng.integers(1, m))
@@ -232,7 +232,7 @@ def test_criterion_03_causality_and_leakage():
                         sse=SseConfig(backbone=BACKBONES[trial % 2], layers=1,
                                       heads=2, max_positions=8)),
             20,
-            rng,
+            T.Parameters(rng),
         )
 
         rng_sessions = [[rng.choice(20, 2, replace=False) for _ in range(3)]
@@ -276,7 +276,7 @@ def test_criterion_04_item_level_degeneracy():
                         sse=SseConfig(backbone=backbone, layers=2, heads=2,
                                       max_positions=16)),
             20,
-            np.random.default_rng(11),
+            T.Parameters(np.random.default_rng(11)),
         )
         items = [3, 7, 1, 12, 5]
         full = model.forward_sessions(ragged([[it] for it in items])).data

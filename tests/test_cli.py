@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import legacy_copy
+from helpers import TENSOR_DAMAGE, damaged_checkpoint, legacy_copy
 from nextsession import trainer
 from nextsession.cli import main
 
@@ -224,6 +224,16 @@ class TestErrors:
                      "--data", workspace["data"]])
         assert code == 1
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", TENSOR_DAMAGE)
+    def test_checkpoint_tensor_defect_is_one_line(self, workspace, tmp_path, capsys, damage):
+        ckpt = damaged_checkpoint(os.path.join(workspace["run"], "checkpoint.bin"),
+                                  tmp_path, damage)
+        code = main(["evaluate", "--checkpoint", ckpt, "--data", workspace["data"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(damage.split(":")[1]) in err
 
 
 class TestBench:

@@ -12,12 +12,12 @@ def make_space(num_items=7, dim=6, features=False, seed=0):
     if features:
         item_features = rng.integers(0, 3, size=(num_items, 2))
         return EmbeddingSpace(
-            num_items, dim, rng,
+            num_items, dim, T.Parameters(rng),
             feature_schema=(("topic", 3), ("price_bin", 3)),
             feature_dim=4,
             item_features=item_features,
         )
-    return EmbeddingSpace(num_items, dim, rng)
+    return EmbeddingSpace(num_items, dim, T.Parameters(rng))
 
 
 class TestEmbedItems:
@@ -52,10 +52,12 @@ class TestEmbedItems:
     def test_feature_width_validated(self):
         schema = (("topic", 3), ("price_bin", 3))
         with pytest.raises(ValueError, match="item_features shape"):
-            EmbeddingSpace(4, 6, np.random.default_rng(0), feature_schema=schema,
+            EmbeddingSpace(4, 6, T.Parameters(np.random.default_rng(0)),
+                           feature_schema=schema,
                            item_features=np.zeros((4, 3), dtype=int))
         with pytest.raises(IndexError, match="'price_bin' value out of range"):
-            EmbeddingSpace(4, 6, np.random.default_rng(0), feature_schema=schema,
+            EmbeddingSpace(4, 6, T.Parameters(np.random.default_rng(0)),
+                           feature_schema=schema,
                            item_features=np.array([[0, 1], [2, 3], [1, 1], [0, 0]]))
 
 

@@ -19,7 +19,7 @@ def make_model(num_items=20, dim=8, ise_kind="mean", backbone="causal_attention"
         ise=IseConfig(kind=ise_kind),
         sse=SseConfig(backbone=backbone, layers=layers, heads=2, max_positions=max_positions),
     )
-    return NextSessionModel(cfg, num_items, np.random.default_rng(seed))
+    return NextSessionModel(cfg, num_items, T.Parameters(np.random.default_rng(seed)))
 
 
 class TestForward:

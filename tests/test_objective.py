@@ -89,8 +89,9 @@ def random_targets(rng, positions, num_items, num_sampled):
 
 
 def float64_embedding(num_items, dim, rng):
-    emb = EmbeddingSpace(num_items, dim, rng)
-    for p in emb.parameters().values():
+    params = T.Parameters(rng)
+    emb = EmbeddingSpace(num_items, dim, params)
+    for p in params.values():
         p.data = p.data.astype(np.float64)
     return emb
 

@@ -22,7 +22,7 @@ def float64_model(ise, backbone, max_positions=16, seed=0, dim=4):
     cfg = TrainConfig(dim=dim, dropout=0.0, ise=IseConfig(kind=ise, layers=1, heads=2),
                       sse=SseConfig(backbone=backbone, layers=2, heads=2,
                                     max_positions=max_positions))
-    model = NextSessionModel(cfg, CATALOG, np.random.default_rng(seed))
+    model = NextSessionModel(cfg, CATALOG, T.Parameters(np.random.default_rng(seed)))
     for p in model.parameters().values():
         p.data = p.data.astype(np.float64)
     return model

@@ -4,13 +4,19 @@ import pytest
 import nextsession.tensor as T
 from nextsession.sequence_encoder import SequenceEncoder, SseConfig
 
-from helpers import finite_difference, softmax_rows
+from helpers import finite_difference
 
 
-def encoder(backbone="causal_attention", dim=8, layers=2, heads=2, dropout=0.0,
-            max_positions=16, seed=0):
+def built(backbone="causal_attention", dim=8, layers=2, heads=2, dropout=0.0,
+          max_positions=16, seed=0):
+    """A sequence encoder and the parameter store it was built with."""
     cfg = SseConfig(backbone=backbone, layers=layers, heads=heads, max_positions=max_positions)
-    return SequenceEncoder(cfg, dim, np.random.default_rng(seed), dropout)
+    params = T.Parameters(np.random.default_rng(seed))
+    return SequenceEncoder(cfg, dim, params, dropout), params
+
+
+def encoder(*args, **kwargs):
+    return built(*args, **kwargs)[0]
 
 
 def tokens(m, dim=8, seed=1):
@@ -64,13 +70,27 @@ class TestCausality:
             np.testing.assert_array_equal(out[: i + 1], base[: i + 1])
 
     def test_attention_rows_normalize_over_visible_prefix(self):
+        # zero query and key projections score every visible row alike, and
+        # identity value and output projections pass the rows through, so
+        # each output row of tensor.attention is the mean of the rows it sees
         rng = np.random.default_rng(0)
-        m = 7
-        scores = T.Tensor(rng.normal(size=(m, m)).astype(np.float32))
-        probs = softmax_rows(scores, np.tri(m, dtype=bool)).data
-        for i in range(m):
-            assert probs[i, i + 1 :].sum() == 0.0
-            np.testing.assert_allclose(probs[i, : i + 1].sum(), 1.0, atol=1e-6)
+        d, heads = 6, 2
+        lengths = [3, 1, 5, 3]
+        x = rng.normal(size=(sum(lengths), d))
+        eye = np.eye(d)
+        zero = [T.Tensor(np.zeros((d, d // heads))) for _ in range(heads)]
+        wv = [T.Tensor(eye[:, h * d // heads : (h + 1) * d // heads]) for h in range(heads)]
+        for causal in (True, False):
+            out = T.attention(T.Tensor(x), lengths, causal, zero, zero, wv, T.Tensor(eye)).data
+            start = 0
+            for ln in lengths:
+                seq = x[start : start + ln]
+                if causal:
+                    want = np.cumsum(seq, axis=0) / np.arange(1, ln + 1)[:, None]
+                else:
+                    want = np.broadcast_to(seq.mean(axis=0), seq.shape)
+                np.testing.assert_allclose(out[start : start + ln], want, rtol=0, atol=1e-12)
+                start += ln
 
 
 class TestUserVector:
@@ -107,8 +127,7 @@ class TestUserVector:
 class TestGradients:
     @pytest.mark.parametrize("backbone", ["causal_attention", "recurrent"])
     def test_all_parameters_match_finite_difference(self, backbone):
-        enc = encoder(backbone, dim=8, layers=1, heads=2, max_positions=4, seed=8)
-        params = enc.parameters()
+        enc, params = built(backbone, dim=8, layers=1, heads=2, max_positions=4, seed=8)
         names = sorted(params)
         for p in params.values():
             p.data = p.data.astype(np.float64)

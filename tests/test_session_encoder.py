@@ -7,8 +7,14 @@ from nextsession.session_encoder import KINDS, IseConfig, SessionEncoder
 from helpers import composite_gru, finite_difference, graph_size
 
 
-def encoder(kind, dim=6, seed=0, **kw):
-    return SessionEncoder(IseConfig(kind=kind, **kw), dim, np.random.default_rng(seed))
+def built(kind, dim=6, seed=0, **kw):
+    """A session encoder and the parameter store it was built with."""
+    params = T.Parameters(np.random.default_rng(seed))
+    return SessionEncoder(IseConfig(kind=kind, **kw), dim, params), params
+
+
+def encoder(*args, **kwargs):
+    return built(*args, **kwargs)[0]
 
 
 def rows(data):
@@ -99,8 +105,7 @@ class TestContracts:
 class TestGradients:
     @pytest.mark.parametrize("kind", ["recurrent", "attention"])
     def test_input_gradients_match_finite_difference(self, kind):
-        enc = encoder(kind, dim=4, seed=9, layers=1, heads=2)
-        params = enc.parameters()
+        enc, params = built(kind, dim=4, seed=9, layers=1, heads=2)
         for p in params.values():
             p.data = p.data.astype(np.float64)
         x0 = np.random.default_rng(4).normal(size=(5, 4))
@@ -121,8 +126,7 @@ class TestGradients:
         assert err < 1e-4
 
     def test_recurrent_parameter_gradients(self):
-        enc = encoder("recurrent", dim=3, seed=1)
-        params = enc.parameters()
+        enc, params = built("recurrent", dim=3, seed=1)
         names = sorted(params)
         for p in params.values():
             p.data = p.data.astype(np.float64)
@@ -153,10 +157,10 @@ def loop_recurrent(enc, item_vecs, lengths):
 
 
 def float64_encoder(kind, dim, seed):
-    enc = encoder(kind, dim=dim, seed=seed)
-    for p in enc.parameters().values():
+    enc, params = built(kind, dim=dim, seed=seed)
+    for p in params.values():
         p.data = p.data.astype(np.float64)
-    return enc
+    return enc, params
 
 
 RAGGED = {
@@ -170,10 +174,10 @@ RAGGED = {
 }
 
 
-def outputs_and_grads(enc, x0, lengths, w, run):
+def outputs_and_grads(params, x0, lengths, w, run):
     """``run``'s session tokens for input rows ``x0``, and the gradients of
-    their ``w``-weighted sum with respect to the input and each parameter."""
-    params = enc.parameters()
+    their ``w``-weighted sum with respect to the input and each parameter
+    in ``params``."""
     for p in params.values():
         p.grad = None
     x = T.Tensor(x0.copy(), requires_grad=True)
@@ -188,12 +192,12 @@ class TestParallelRecurrent:
 
     def compare(self, lengths, seed):
         rng = np.random.default_rng(seed)
-        enc = float64_encoder("recurrent", 5, seed)
+        enc, params = float64_encoder("recurrent", 5, seed)
         x0 = rng.normal(size=(sum(lengths), 5))
         w = rng.normal(size=(len(lengths), 5))
-        got, got_g = outputs_and_grads(enc, x0, lengths, w, enc.encode_sessions)
+        got, got_g = outputs_and_grads(params, x0, lengths, w, enc.encode_sessions)
         want, want_g = outputs_and_grads(
-            enc, x0, lengths, w, lambda x, ln: loop_recurrent(enc, x, ln)
+            params, x0, lengths, w, lambda x, ln: loop_recurrent(enc, x, ln)
         )
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -222,8 +226,7 @@ class TestParallelRecurrent:
 
     def test_ragged_gradients_match_finite_difference(self):
         lengths = [1, 3, 2, 3]
-        enc = float64_encoder("recurrent", 3, 11)
-        params = enc.parameters()
+        enc, params = float64_encoder("recurrent", 3, 11)
         names = sorted(params)
         rng = np.random.default_rng(12)
         x0 = rng.normal(size=(sum(lengths), 3))
@@ -284,15 +287,16 @@ class TestBlockDiagonalAttention:
     def test_matches_the_per_session_loop_in_float64(self, seed):
         rng = np.random.default_rng(300 + seed)
         lengths = [int(v) for v in rng.integers(1, 7, size=rng.integers(1, 8))]
-        enc = encoder("attention", dim=4, seed=seed, layers=int(rng.integers(1, 3)), heads=2)
-        for p in enc.parameters().values():
+        enc, params = built("attention", dim=4, seed=seed, layers=int(rng.integers(1, 3)),
+                            heads=2)
+        for p in params.values():
             # large weights make sharp attention, so a leak across sessions shows
             p.data = p.data.astype(np.float64) * 20.0
         x0 = rng.normal(size=(sum(lengths), 4))
         w = rng.normal(size=(len(lengths), 4))
-        got, got_g = outputs_and_grads(enc, x0, lengths, w, enc.encode_sessions)
+        got, got_g = outputs_and_grads(params, x0, lengths, w, enc.encode_sessions)
         want, want_g = outputs_and_grads(
-            enc, x0, lengths, w, lambda x, ln: loop_attention(enc, x, ln)
+            params, x0, lengths, w, lambda x, ln: loop_attention(enc, x, ln)
         )
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)

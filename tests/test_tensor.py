@@ -437,7 +437,7 @@ GRU_NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
 def gru_cell(in_dim, dim, seed, dtype=np.float64):
     """A GRUCell with weights drawn uniformly from [-1, 1], in ``dtype``."""
-    cell = GRUCell(in_dim, dim, np.random.default_rng(seed))
+    cell = GRUCell(in_dim, dim, nt.Parameters(np.random.default_rng(seed)), "gru")
     rng = np.random.default_rng(seed + 1)
     for name in GRU_NAMES:
         p = getattr(cell, name)

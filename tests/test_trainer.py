@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
-from helpers import history, legacy_copy, ragged
+from helpers import TENSOR_DAMAGE, damaged_checkpoint, history, legacy_copy, ragged
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -315,6 +317,46 @@ class TestCheckpoint:
         for name, p in result.model.parameters().items():
             np.testing.assert_array_equal(restored.parameters()[name].data, p.data)
 
+    def test_restored_models_share_no_memory(self, tmp_path):
+        result, cfg, path = self.trained(tmp_path)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        ckpt = load_checkpoint(path)
+        stored = {n: arr.copy() for n, arr in ckpt.tensors.items()}
+        pa, pb = restore_model(ckpt).parameters(), restore_model(ckpt).parameters()
+        for name, arr in ckpt.tensors.items():
+            assert not np.shares_memory(pa[name].data, pb[name].data), name
+            assert not np.shares_memory(pa[name].data, arr), name
+            assert not np.shares_memory(pb[name].data, arr), name
+        opt = Adam(pa, lr=0.1)
+        for p in pa.values():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        for name, arr in stored.items():
+            assert not np.array_equal(pa[name].data, arr), name
+            np.testing.assert_array_equal(pb[name].data, arr)
+            np.testing.assert_array_equal(ckpt.tensors[name], arr)
+
+    def test_restore_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        result, cfg, path = self.trained(tmp_path)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        ckpt = load_checkpoint(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("restore_model made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        restored = restore_model(ckpt)
+        for name, p in result.model.parameters().items():
+            np.testing.assert_array_equal(restored.parameters()[name].data, p.data)
+
+    @pytest.mark.parametrize("damage", TENSOR_DAMAGE)
+    def test_tensor_defect_is_a_value_error_naming_it(self, tmp_path, damage):
+        result, cfg, path = self.trained(tmp_path)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        ckpt = load_checkpoint(damaged_checkpoint(path, tmp_path, damage))
+        with pytest.raises(ValueError, match=re.escape(repr(damage.split(":")[1]))):
+            restore_model(ckpt)
+
     def test_config_mismatch_names_field(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
@@ -384,18 +426,19 @@ class TestCheckpoint:
 class TestBuildModel:
     def test_dropout_propagates_to_sequence_encoder(self):
         cfg = small_config(dropout=0.35)
-        model = NextSessionModel(cfg, 10, np.random.default_rng(0))
+        model = NextSessionModel(cfg, 10, T.Parameters(np.random.default_rng(0)))
         assert model.cfg.dropout == model.sequence_encoder.dropout == 0.35
 
     @pytest.mark.parametrize("rate", [1.0, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got "):
-            NextSessionModel(small_config(dropout=rate), 10, np.random.default_rng(0))
+            NextSessionModel(small_config(dropout=rate), 10,
+                             T.Parameters(np.random.default_rng(0)))
 
     def test_same_rng_same_init(self):
         cfg = small_config()
-        a = NextSessionModel(cfg, 10, np.random.default_rng(5))
-        b = NextSessionModel(cfg, 10, np.random.default_rng(5))
+        a = NextSessionModel(cfg, 10, T.Parameters(np.random.default_rng(5)))
+        b = NextSessionModel(cfg, 10, T.Parameters(np.random.default_rng(5)))
         pa, pb = a.parameters(), b.parameters()
         for name in pa:
             np.testing.assert_array_equal(pa[name].data, pb[name].data)
@@ -442,6 +485,25 @@ _SSE_TENSORS = {
 }
 
 
+# The initial values of those tensors, as drawn from ``default_rng(0)``
+# before the model declared its weights in one ``Parameters`` store: the
+# sha256 of every tensor's name and float32 bytes, in name order, then of
+# the next 8 bytes the rng gives.  A change to the draw order, the
+# initial scale or the rng's use fails here.
+_INIT_SHA256 = {
+    ("attention", "causal_attention"): "251c1b4f5a787c4ed12194a83a883036c368fec2b31460b85c23464e3781add7",
+    ("attention", "recurrent"): "7e4a5a812564fd96ef0775caa2097deb631323ed0a28dd859a66837bcbeb83b3",
+    ("max", "causal_attention"): "fa00f930f976161a0da8b17aa627bfbe1c18a90e1497104770edf30c0a7f25a9",
+    ("max", "recurrent"): "58f2d98bcd15a76f0b519bd29df5522c706b1050a708b78928c2721e689088f7",
+    ("max_relu", "causal_attention"): "fa00f930f976161a0da8b17aa627bfbe1c18a90e1497104770edf30c0a7f25a9",
+    ("max_relu", "recurrent"): "58f2d98bcd15a76f0b519bd29df5522c706b1050a708b78928c2721e689088f7",
+    ("mean", "causal_attention"): "fa00f930f976161a0da8b17aa627bfbe1c18a90e1497104770edf30c0a7f25a9",
+    ("mean", "recurrent"): "58f2d98bcd15a76f0b519bd29df5522c706b1050a708b78928c2721e689088f7",
+    ("recurrent", "causal_attention"): "b04354feb94f055ad2cd70998e902568e8d54fad2c5c6387c86b38e8028aad02",
+    ("recurrent", "recurrent"): "d0fda6e407658bdebad27d3a2edb4fd4835b2ed05bfe3594c5b4fff228e6562c",
+}
+
+
 class TestCheckpointTensorNames:
     @pytest.mark.parametrize("backbone", sorted(_SSE_TENSORS))
     @pytest.mark.parametrize("kind", sorted(_ISE_TENSORS))
@@ -457,6 +519,14 @@ class TestCheckpointTensorNames:
                           ise=IseConfig(kind=kind, layers=1, heads=2),
                           sse=SseConfig(backbone=backbone, layers=1, heads=2,
                                         max_positions=3))
-        model = NextSessionModel(cfg, 5, np.random.default_rng(0), catalog)
-        got = sorted((name, p.shape) for name, p in model.parameters().items())
+        rng = np.random.default_rng(0)
+        model = NextSessionModel(cfg, 5, T.Parameters(rng), catalog)
+        params = model.parameters()
+        got = sorted((name, p.shape) for name, p in params.items())
         assert got == sorted(_EMB_TENSORS + _ISE_TENSORS[kind] + _SSE_TENSORS[backbone])
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
+        digest = hashlib.sha256()
+        for name in sorted(params):
+            digest.update(name.encode() + params[name].data.tobytes())
+        digest.update(rng.bytes(8))
+        assert digest.hexdigest() == _INIT_SHA256[kind, backbone]
