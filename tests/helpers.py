@@ -10,6 +10,7 @@ import numpy as np
 
 from nextsession import tensor as T
 from nextsession.data import Dataset, Sessions, make_split
+from nextsession.evaluator import top_k
 from nextsession.objective import build_targets, total_loss
 from nextsession.tensor import Tensor
 
@@ -178,6 +179,17 @@ def per_user_step(model, users, catalog_size, loss_cfg, rng):
         sums += [losses.total.item(), losses.retrieval.item(), losses.rank.item(),
                  losses.retrieval_count, losses.rank_count]
     return sums
+
+
+def per_user_ranked(model, views, k):
+    """The ranking loop as one ``user_vector`` call per ``(ids, lengths)``
+    view, then ``top_k`` of each.  The reference that the packed chunks of
+    ``evaluator.ranked`` must match; returns (top-k ids, user vectors), one
+    of each per view."""
+    with T.no_grad():
+        item_matrix = model.embedding.output_item_vectors().data
+        vecs = [model.user_vector(view).data for view in views]
+    return [top_k(vec, item_matrix, k) for vec in vecs], vecs
 
 
 def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform", sse_dropout=0.2):

@@ -189,7 +189,8 @@ def test_criterion_02_closed_form_losses():
 # ---------------------------------------------------------------------------
 
 class _SpyModel:
-    """Duck-typed evaluation model that records every user vector it emits."""
+    """Duck-typed evaluation model that records every user vector it emits,
+    one per user row of a packed call."""
 
     def __init__(self, model):
         self._model = model
@@ -197,9 +198,9 @@ class _SpyModel:
         self.embedding = model.embedding
         self.seen = []
 
-    def user_vector(self, view):
-        out = self._model.user_vector(view)
-        self.seen.append(out.data.copy())
+    def user_vector(self, view, sessions_per_user=None):
+        out = self._model.user_vector(view, sessions_per_user)
+        self.seen.extend(np.atleast_2d(out.data).copy())
         return out
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import types
 
 import numpy as np
@@ -8,6 +9,7 @@ import nextsession.evaluator as evaluator
 import nextsession.tensor as T
 from nextsession.data import DatasetSplit, UserSplit
 from nextsession.evaluator import (
+    RANK_USERS,
     EvalReport,
     alpha_sweep,
     complexity_bench,
@@ -233,7 +235,7 @@ class TestNdcg:
 class StubModel:
     """Duck-typed model whose user vector is the embedding of the last
     positively-viewed item; with an identity item matrix the top-1 ranked
-    item is exactly that item."""
+    item is exactly that item.  Packed views give one row per user."""
 
     def __init__(self, item_matrix):
         self.item_matrix = np.asarray(item_matrix, dtype=np.float64)
@@ -242,9 +244,12 @@ class StubModel:
             output_item_vectors=lambda: T.Tensor(self.item_matrix),
         )
 
-    def user_vector(self, view):
-        ids, _ = view
-        return T.Tensor(self.item_matrix[ids[-1]])
+    def user_vector(self, view, sessions_per_user=None):
+        ids, lengths = view
+        if sessions_per_user is None:
+            return T.Tensor(self.item_matrix[ids[-1]])
+        ends = np.cumsum(lengths)[np.cumsum(sessions_per_user) - 1]
+        return T.Tensor(self.item_matrix[ids[ends - 1]])
 
 
 def split_for(users, catalog_size, protocol="session"):
@@ -341,6 +346,22 @@ class TestRanked:
         assert len(calls) == 1
         assert [int(top[0]) for top in got] == [3, 5, 6]
         np.testing.assert_array_equal(got[0], top_k(np.eye(8)[3], np.eye(8), 3))
+
+    @pytest.mark.parametrize("n", [0, 1, RANK_USERS, 2 * RANK_USERS + 3])
+    def test_one_user_vector_call_per_chunk_pulling_lazily(self, n):
+        model = StubModel(np.eye(8))
+        calls, got, user_vector = [], [], model.user_vector
+        model.user_vector = lambda view, counts: calls.append(1) or user_vector(view, counts)
+
+        def views():
+            for u in range(n):
+                assert u + 1 - len(got) <= RANK_USERS, "pulled too far ahead"
+                yield ragged([[(u + 2) % 8], [u % 8]])
+
+        for top in ranked(model, views(), 1):
+            got.append(int(top[0]))
+        assert got == [u % 8 for u in range(n)]
+        assert len(calls) == math.ceil(n / RANK_USERS)
 
     def test_evaluate_and_validation_rank_through_it(self, monkeypatch):
         import nextsession.trainer as trainer_mod

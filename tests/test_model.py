@@ -34,6 +34,17 @@ class TestForward:
         full = model.forward_sessions(view).data
         np.testing.assert_array_equal(model.user_vector(view).data, full[-1])
 
+    def test_packed_user_vector_is_each_users_last_row(self):
+        model = make_model(seed=3)
+        view = ragged([[1, 2], [3], [4], [5, 6], [7]])
+        full = model.forward_sessions(view, sessions_per_user=[2, 3]).data
+        np.testing.assert_array_equal(model.user_vector(view, [2, 3]).data, full[[1, 4]])
+
+    @pytest.mark.parametrize("counts", [[1], [2, 2], [0, 3]])
+    def test_user_counts_not_summing_to_the_sessions_rejected(self, counts):
+        with pytest.raises(ValueError, match="sum to the 3 tokens"):
+            make_model().user_vector(ragged([[1, 2], [3], [4]]), counts)
+
     def test_empty_input_rejected(self):
         model = make_model()
         with pytest.raises(ValueError, match="at least one session"):

@@ -1,19 +1,21 @@
 """Many users as one graph: the packed training step against the
 per-user reference, its gradients against finite differences, and the size
-of its graph."""
+of its graph; packed ranking against the per-user ranking loop."""
 
 import numpy as np
 import pytest
 
 import nextsession.tensor as T
 from nextsession.data import encoder_views
+from nextsession.evaluator import RANK_USERS, ranked
 from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig, build_targets, total_loss
 from nextsession.sequence_encoder import BACKBONES, SseConfig
 from nextsession.session_encoder import KINDS, IseConfig
 from nextsession.trainer import TrainConfig
 
-from helpers import assert_grad_close, finite_difference, graph_size, history, per_user_step
+from helpers import (assert_grad_close, finite_difference, graph_size, history, per_user_ranked,
+                     per_user_step)
 
 CATALOG = 15
 
@@ -152,3 +154,48 @@ class TestGraphSize:
         model = float64_model("mean", "causal_attention", max_positions=8)
         users = ragged_users(seed=4, count=16)
         assert self.nodes(model, users[:2]) == self.nodes(model, users)
+
+
+def ragged_views(seed, count, max_positions):
+    """``(ids, lengths)`` views of 1..max_positions sessions of 1-4 items;
+    the first user has exactly max_positions sessions."""
+    rng = np.random.default_rng(seed)
+    views = []
+    for u in range(count):
+        m = max_positions if u == 0 else int(rng.integers(1, max_positions + 1))
+        lengths = rng.integers(1, 5, size=m)
+        views.append((rng.integers(0, CATALOG, size=int(lengths.sum())), lengths))
+    return views
+
+
+class TestRankedMatchesThePerUserLoop:
+    @pytest.mark.parametrize("n", [0, 1, RANK_USERS, 2 * RANK_USERS + 3])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @pytest.mark.parametrize("ise", KINDS)
+    def test_top_k_in_float32_and_user_vectors_in_float64(self, ise, backbone, n):
+        views = ragged_views(seed=1400 + n, count=n, max_positions=8)
+        model32 = float64_model(ise, backbone, max_positions=8, seed=7)
+        model64 = float64_model(ise, backbone, max_positions=8, seed=7)
+        for p in model32.parameters().values():
+            p.data = p.data.astype(np.float32)
+
+        want, _ = per_user_ranked(model32, views, 10)
+        got = list(ranked(model32, iter(views), 10))
+        assert len(got) == n
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+        _, want_vecs = per_user_ranked(model64, views, 10)
+        seen, packed_vector = [], model64.user_vector
+
+        def recorded(view, sessions_per_user):
+            out = packed_vector(view, sessions_per_user)
+            seen.extend(out.data)
+            return out
+
+        model64.user_vector = recorded
+        list(ranked(model64, iter(views), 10))
+        assert len(seen) == n
+        for a, b in zip(seen, want_vecs):
+            assert a.dtype == np.float64
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
