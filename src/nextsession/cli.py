@@ -43,6 +43,8 @@ class Manifest:
             "resolved_config": config,
             "args": {k: v for k, v in vars(args).items() if k != "func"},
             "seed": getattr(args, "seed", None),
+            # whether --threads took effect: the cap needs threadpoolctl
+            "blas_threads_capped": evaluator.blas_threads_capped(),
             "git": _git_describe(),
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(self.started)),
             "status": "running",

@@ -376,8 +376,9 @@ def truncate_to_positive_budget(sessions: Sessions, begin, end, max_positives: i
     The cut may split a session at item granularity, keeping the part from
     its ``max_positives``-th last positive on.  A session that fits the
     budget exactly is kept whole with its leading exposures, and nothing
-    before it.  Positive-free sessions inside the kept suffix stay: they
-    still carry rank-loss context.
+    before it.  Positive-free sessions inside the kept suffix stay, but the
+    model never reads them: ``encoder_views`` skips them as input, and
+    ``objective.build_targets`` rejects them as targets.
     """
     if max_positives <= 0:
         raise ValueError(f"max_positives must be >= 1, got {max_positives}")
@@ -525,8 +526,8 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     earlier versions, is ignored.  A missing or inconsistent file or array
     raises ValueError naming the file.
     """
-    meta = _read_json(os.path.join(data_dir, "meta.json"),
-                      "format_version", "feature_names", "feature_info")
+    meta_path = os.path.join(data_dir, "meta.json")
+    meta = _read_json(meta_path, "format_version", "feature_names", "feature_info")
     if meta["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported dataset format version {meta['format_version']!r}")
     item_map = _read_json(os.path.join(data_dir, "item_map.json"))
@@ -567,10 +568,21 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     feature_names = tuple(meta["feature_names"])
     check(arrays["item_features"].shape == (len(item_map), len(feature_names)),
           "item_features does not hold one row per item and one column per feature")
+    catalog = Catalog(item_map, feature_names, meta["feature_info"], arrays["item_features"])
+    try:
+        vocab = catalog.feature_vocab_sizes()
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{meta_path}: feature_info does not describe every feature: "
+                         f"{type(e).__name__} {e}") from None
+    features = catalog.item_features
+    bad = np.flatnonzero(((features < 0) | (features >= vocab)).any(axis=0))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"{path}: item_features of {feature_names[j]!r} run outside "
+                         f"[0, {vocab[j]}), the values of its feature_info entry")
     sessions = Sessions(
         arrays["item"].astype(np.int32), arrays["positive"].astype(bool),
         arrays["timestamp"].astype(np.int64), np.r_[0, np.cumsum(session_rows)],
         [sid for ids in users["session_ids"] for sid in ids],
     )
-    catalog = Catalog(item_map, feature_names, meta["feature_info"], arrays["item_features"])
     return Dataset(sessions, user_offsets, users["users"]), catalog, meta

@@ -234,14 +234,19 @@ def sweep_table(rows, cutoffs=DEFAULT_CUTOFFS) -> str:
 
 
 def _clip_sessions_to(sessions: Sessions, max_ts: int) -> Sessions:
-    """The rows at or before ``max_ts``, dropping the sessions left empty."""
+    """The rows at or before ``max_ts``, dropping the sessions left without
+    a positive among them.  Sessions may overlap in time, so a cut can
+    leave exposures only in a session between two that keep positives;
+    training takes no such session, as input or as target."""
     rows = sessions.rows()
+    local = sessions.offsets - sessions.offsets[0]
     keep = sessions.timestamp[rows] <= max_ts
-    kept_before = np.r_[0, np.cumsum(keep)][sessions.offsets - sessions.offsets[0]]
-    nonempty = np.flatnonzero(np.diff(kept_before)).tolist()
+    live = np.diff(np.r_[0, np.cumsum(keep & sessions.positive[rows])][local]) > 0
+    keep &= np.repeat(live, np.diff(local))
+    kept_before = np.r_[0, np.cumsum(keep)][local]
     return Sessions(sessions.item[rows][keep], sessions.positive[rows][keep],
                     sessions.timestamp[rows][keep], np.unique(kept_before),
-                    [sessions.session_ids[k] for k in nonempty])
+                    [sessions.session_ids[k] for k in np.flatnonzero(live).tolist()])
 
 
 def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500, log_fn=None):
@@ -321,14 +326,22 @@ def scaling_table(rows, recall_k=500) -> str:
     return "\n".join(lines)
 
 
+def blas_threads_capped() -> bool:
+    """Whether ``blas_thread_limits`` caps anything: it needs threadpoolctl."""
+    try:
+        import threadpoolctl  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 def blas_thread_limits(threads: int):
     """Context manager capping BLAS threads; a no-op without threadpoolctl."""
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=threads)
-    except ImportError:
+    if not blas_threads_capped():
         return contextlib.nullcontext()
+    from threadpoolctl import threadpool_limits
+
+    return threadpool_limits(limits=threads)
 
 
 def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,

@@ -70,11 +70,6 @@ class NextSessionModel:
         """``(ids, lengths)`` -> (len(lengths), d) output rows, each user's
         rows in the order of its sessions."""
         ids, lengths = view
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.ndim != 1 or lengths.size == 0:
-            raise ValueError(f"need at least one session, got lengths of shape {lengths.shape}")
-        if lengths.min() < 1:
-            raise ValueError("sessions passed to the model must be non-empty")
         item_vecs = self.embedding.embed_items(ids)
         tokens = self.session_encoder.encode_sessions(item_vecs, lengths)
         return self.sequence_encoder.encode(

@@ -42,8 +42,6 @@ class SequenceEncoder:
         self.blocks = []
         self.grus = []
         if cfg.backbone == "causal_attention":
-            if dim % cfg.heads:
-                raise ValueError(f"heads ({cfg.heads}) must divide dim ({dim})")
             self.pos_table = params.new("sse.pos_table", (cfg.max_positions, dim))
             self.blocks = [
                 EncoderBlock(dim, cfg.heads, params, f"sse.block{i}")
@@ -67,13 +65,7 @@ class SequenceEncoder:
         backbone gives each user positions from 0.
         """
         m = tokens.shape[0]
-        if m == 0:
-            raise ValueError("cannot encode an empty session sequence")
-        lengths = np.array([m]) if lengths is None else np.asarray(lengths, dtype=np.int64)
-        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != m:
-            raise ValueError(
-                f"user lengths {lengths.tolist()} must be positive and sum to the {m} tokens"
-            )
+        lengths = T.check_lengths([m] if lengths is None else lengths, m)
         if lengths.max() > self.cfg.max_positions:
             raise ValueError(
                 f"sequence of {lengths.max()} sessions exceeds max_positions="

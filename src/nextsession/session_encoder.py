@@ -6,14 +6,18 @@ in log order, last hidden state), and attention (bidirectional self-attention
 within the session — no causal mask, since items in one session arrive
 together and carry no internal ordering — followed by mean pooling).
 
-The recurrent kind runs every session through one ``tensor.gru`` op, each
-session a sequence of its own, and gathers each session's last state: two
-graph nodes, whatever the number and length of the sessions.  The
-attention kind runs the items of every session through its blocks at once,
-one ``tensor.attention`` op per block with one sequence per session, so an
-item attends only within its session, then mean-pools each session.  Its
-cost is the sum of the squared session lengths, and its graph does not
-grow with the number of sessions.
+Sessions arrive packed: the item rows of every session one after another,
+plus the item count of each session, the ragged form of ``tensor``.  Every
+kind hands those lengths to its ops as they are.  The pooling kinds are
+one ``tensor.segment_reduce`` over all sessions.  The recurrent kind runs
+every session through one ``tensor.gru`` op, each session a sequence of
+its own, and gathers each session's last state: two graph nodes, whatever
+the number and length of the sessions.  The attention kind runs the items
+of every session through its blocks at once, one ``tensor.attention`` op
+per block with one sequence per session, so an item attends only within
+its session, then mean-pools each session.  Its cost is the sum of the
+squared session lengths, and its graph does not grow with the number of
+sessions.
 """
 
 from __future__ import annotations
@@ -51,29 +55,20 @@ class SessionEncoder:
             ]
 
     def encode_sessions(self, item_vecs, lengths):
-        """(n, d) item vectors + an array of per-session lengths -> (m, d)
+        """(n, d) item vectors of sessions packed row-wise, chronologically,
+        plus ``lengths``, the item count of each session -> (len(lengths), d)
         session tokens.
 
-        lengths must be positive and sum to n; rows are grouped contiguously
-        and chronologically.
+        ``lengths`` is checked by the op that first reads it
+        (``tensor.check_lengths``): counts >= 1 that sum to n.
         """
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if (lengths < 1).any():
-            raise ValueError("empty session passed to the session encoder")
-        n = item_vecs.shape[0]
-        if lengths.sum() != n:
-            raise ValueError(
-                f"session lengths sum to {lengths.sum()} but got {n} item rows"
-            )
-        seg_ids = np.repeat(np.arange(len(lengths)), lengths)
-
         kind = self.cfg.kind
         if kind == "mean":
-            return T.segment_reduce(item_vecs, seg_ids, "mean")
+            return T.segment_reduce(item_vecs, lengths, "mean")
         if kind == "max":
-            return T.segment_reduce(item_vecs, seg_ids, "max")
+            return T.segment_reduce(item_vecs, lengths, "max")
         if kind == "max_relu":
-            return T.segment_reduce(T.relu(item_vecs), seg_ids, "max")
+            return T.segment_reduce(T.relu(item_vecs), lengths, "max")
 
         if kind == "recurrent":
             states = self.gru(item_vecs, lengths)
@@ -83,4 +78,4 @@ class SessionEncoder:
         x = item_vecs
         for block in self.blocks:
             x = block(x, lengths, causal=False)
-        return T.segment_reduce(x, seg_ids, "mean")
+        return T.segment_reduce(x, lengths, "mean")

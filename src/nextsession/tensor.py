@@ -16,6 +16,12 @@ length; as one op it takes every projection in one matmul, scores each
 sequence only against itself, and is one node whatever the number and
 length of the sequences.
 
+Ragged data has one form: sequences packed row-wise in an (n, ...) array
+plus ``lengths``, the int64 row count of each, in packing order.
+``segment_reduce``, ``gru`` and ``attention`` all take it, and
+``check_lengths`` is its one check, so a bad lengths array gets the same
+message from every op and every encoder built on them.
+
 Each op records its parents and a closure that pushes the output
 gradient back to them. ``Tensor.backward`` replays the reachable nodes
 in reverse creation order; because ops execute eagerly, creation order
@@ -419,28 +425,36 @@ def sampled_softmax_xent(scores: Tensor, pos_cols, pos_mask, neg_cols, neg_mask)
     return _result(loss, (scores,), backward)
 
 
-def _segment_starts(segment_ids, n_rows: int):
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != n_rows:
-        raise ValueError(f"segment_ids must have one id per row ({n_rows}), got shape {ids.shape}")
-    if ids.size == 0:
-        raise ValueError("segment_ids must be non-empty")
-    if np.any(np.diff(ids) < 0):
-        raise ValueError("segment_ids must be non-decreasing")
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    counts = np.diff(np.r_[starts, ids.shape[0]])
-    return starts, counts
+def check_lengths(lengths, rows: int) -> np.ndarray:
+    """``lengths`` as int64, checked to be the row count of each sequence
+    packed in ``rows`` rows: one-dimensional, non-empty, every count >= 1,
+    summing to ``rows``.  Anything else raises a one-line ValueError that
+    shows the lengths.  This is the one check of the ragged form that
+    ``segment_reduce``, ``gru``, ``attention`` and the encoders take.
+    """
+    try:
+        arr = np.asarray(lengths, dtype=np.int64)
+    except (TypeError, ValueError):  # ragged nesting, or not numbers
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0 or arr.min() < 1 or arr.sum() != rows:
+        shown = lengths if arr is None else arr.tolist()
+        raise ValueError(f"lengths {shown} must be a non-empty 1-D list of counts >= 1 "
+                         f"summing to the {rows} rows")
+    return arr
 
 
-def segment_reduce(values: Tensor, segment_ids, mode: str) -> Tensor:
-    """Per-segment mean or max over contiguous runs of equal segment ids.
+def segment_reduce(values: Tensor, lengths, mode: str) -> Tensor:
+    """Per-sequence mean or max over the sequences packed row-wise in
+    ``values``: the ``lengths[0]`` rows of sequence 0, then those of
+    sequence 1, and so on; output row i reduces sequence i.
 
-    mean splits the gradient uniformly over a segment's rows; max routes
+    mean splits the gradient uniformly over a sequence's rows; max routes
     it to the first row attaining the maximum in each column.
     """
     if values.ndim != 2:
         raise ValueError(f"segment_reduce expects an n x d matrix, got shape {values.shape}")
-    starts, counts = _segment_starts(segment_ids, values.shape[0])
+    counts = check_lengths(lengths, values.shape[0])
+    starts = np.cumsum(counts) - counts
     if mode == "mean":
         sums = np.add.reduceat(values.data, starts, axis=0)
         data = sums / counts[:, None].astype(values.dtype)
@@ -488,13 +502,9 @@ def gru(x: Tensor, lengths, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: 
     advances them together.  Backward runs through time inside the op and
     forms each weight gradient as one matmul over all rows.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0:
-        raise ValueError(f"gru: lengths must be a non-empty list, got {lengths.tolist()}")
-    if lengths.min() < 1:
-        raise ValueError(f"gru: every sequence needs a row, got lengths {lengths.tolist()}")
-    if x.ndim != 2 or lengths.sum() != x.shape[0]:
-        raise ValueError(f"gru: lengths sum to {lengths.sum()} but x has shape {x.shape}")
+    if x.ndim != 2:
+        raise ValueError(f"gru: x must be a matrix, got shape {x.shape}")
+    lengths = check_lengths(lengths, x.shape[0])
     n, d = x.shape[0], uz.shape[0]
     for name, p, shape in (("wz", wz, (x.shape[1], d)), ("wr", wr, (x.shape[1], d)),
                            ("wh", wh, (x.shape[1], d)), ("uz", uz, (d, d)), ("ur", ur, (d, d)),
@@ -598,13 +608,9 @@ def attention(x: Tensor, lengths, causal: bool, wq: Sequence[Tensor], wk: Sequen
     lengths, and no mask is formed but the causal triangle.  Backward runs
     inside the op.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0:
-        raise ValueError(f"attention: lengths must be a non-empty list, got {lengths.tolist()}")
-    if lengths.min() < 1:
-        raise ValueError(f"attention: every sequence needs a row, got lengths {lengths.tolist()}")
-    if x.ndim != 2 or lengths.sum() != x.shape[0]:
-        raise ValueError(f"attention: lengths sum to {lengths.sum()} but x has shape {x.shape}")
+    if x.ndim != 2:
+        raise ValueError(f"attention: x must be a matrix, got shape {x.shape}")
+    lengths = check_lengths(lengths, x.shape[0])
     n, d, heads = x.shape[0], x.shape[1], len(wq)
     if not heads or d % heads or len(wk) != heads or len(wv) != heads:
         raise ValueError(f"attention: {heads} query, {len(wk)} key and {len(wv)} value heads "

@@ -513,11 +513,11 @@ def reference_build_targets(sessions, catalog_size, num_sampled, rng):
 def reference_clip_sessions_to(sessions, max_ts):
     """The list-based ``evaluator._clip_sessions_to`` that the array one
     replaced: each ``ListSession``'s rows at or before ``max_ts``, dropping
-    the sessions left empty."""
+    the sessions left without a positive."""
     out = []
     for s in sessions:
         keep = [i for i, ts in enumerate(s.timestamps) if ts <= max_ts]
-        if keep:
+        if any(s.positives[i] for i in keep):
             out.append(ListSession(s.session_id, [s.items[i] for i in keep],
                                    [s.positives[i] for i in keep],
                                    [s.timestamps[i] for i in keep]))

@@ -1,6 +1,9 @@
+import contextlib
 import json
 import os
 import shutil
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +220,25 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
+    def test_corrupt_feature_value_is_one_line(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("user,item,session,timestamp,action,color\n" + "".join(
+            f"u{u},{item},s{u}-{s},{9 * u + 3 * s + k},{action},{color}\n"
+            for u in range(3) for s in range(3)
+            for k, (item, action, color) in enumerate(
+                [("a", "click", "red"), ("b", "click", "green"), ("c", "exposure", "blue")])))
+        data = tmp_path / "data"
+        assert main(["prepare-data", "--input", str(log), "--output", str(data)]) == 0
+        capsys.readouterr()
+        arrays = dict(np.load(data / "interactions.npz"))
+        arrays["item_features"][0, 0] = 7  # 'color' takes 3 values
+        np.savez(data / "interactions.npz", **arrays)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "interactions.npz: item_features of 'color' run outside [0, 3)" in err
+
     def test_bad_checkpoint_exits_1(self, workspace, tmp_path, capsys):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(b"garbage")
@@ -254,6 +276,21 @@ class TestBench:
         assert blob["pair_ratio"] == 16.0
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"] == "success"
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("installed", [False, True])
+    def test_manifest_records_whether_the_cap_applied(self, tmp_path, monkeypatch, capsys,
+                                                      installed):
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = lambda limits: contextlib.nullcontext()
+        # None in sys.modules makes the import fail, as if it were not installed
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake if installed else None)
+        out = str(tmp_path / "bench")
+        assert main(["--threads", "1", "bench", "--n", "8", "--m", "4", "--dim", "4",
+                     "--layers", "1", "--repeats", "1", "--out", out]) == 0
+        manifest = load_json(os.path.join(out, "manifest.json"))
+        assert manifest["blas_threads_capped"] is installed
 
 
 class TestSweepAndScaling:

@@ -511,9 +511,9 @@ def assert_same_dataset(a, b):
     assert a.user_ids == b.user_ids
 
 
-def prepared(tmp_path, rows=None):
+def prepared(tmp_path, rows=None, header="user,item,session,timestamp,action"):
     """A dataset directory written from ``rows`` (the dense corpus by default)."""
-    path = write_csv(tmp_path / "log.csv", rows or dense_corpus_rows())
+    path = write_csv(tmp_path / "log.csv", rows or dense_corpus_rows(), header)
     out = tmp_path / "data"
     save_dataset(str(out), *filter_dataset(*ingest(path)))
     return out
@@ -559,6 +559,28 @@ class TestCorruptDirectory:
         arrays["timestamp"] = arrays["timestamp"][:-1]
         np.savez(out / "interactions.npz", **arrays)
         with pytest.raises(ValueError, match="'timestamp' is not one value per row"):
+            load_dataset(str(out))
+
+    @pytest.mark.parametrize("value", [3, 7, -1])
+    def test_feature_value_outside_its_vocabulary(self, tmp_path, value):
+        colors = {"a": "red", "b": "green", "c": "blue"}
+        out = prepared(tmp_path, [r + (colors[r[1]],) for r in dense_corpus_rows()],
+                       header="user,item,session,timestamp,action,color")
+        arrays = dict(np.load(out / "interactions.npz"))
+        arrays["item_features"][1, 0] = value
+        np.savez(out / "interactions.npz", **arrays)
+        with pytest.raises(ValueError, match=r"interactions\.npz: item_features of 'color' "
+                                             r"run outside \[0, 3\)"):
+            load_dataset(str(out))
+
+    def test_feature_without_feature_info(self, tmp_path):
+        out = prepared(tmp_path, [r + ("red",) for r in dense_corpus_rows()],
+                       header="user,item,session,timestamp,action,color")
+        meta = json.loads((out / "meta.json").read_text())
+        del meta["feature_info"]["color"]
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"meta\.json: feature_info does not describe "
+                                             r"every feature: KeyError 'color'"):
             load_dataset(str(out))
 
     def test_not_an_archive(self, tmp_path):

@@ -458,6 +458,21 @@ class TestScalingRun:
                 got = evaluator._clip_sessions_to(view, max_ts)
                 assert sessions_of(got) == reference_clip_sessions_to(sessions_of(view), max_ts)
 
+    def test_interleaved_sessions_do_not_skip_the_fraction(self):
+        # session A's exposure precedes session B but its click follows the
+        # cut, so the clipped view holds Z, an exposure-only A, then B
+        interleaved = history(([1, 2], [True, True], [0, 1]), ([3, 4], [False, True], [10, 100]),
+                              ([5, 6], [True, True], [50, 55]), ids=["Z", "A", "B"])
+        plain = history(([1, 7], [True, True], [0, 2]), ([8], [True], [20]),
+                        ([9], [True], [40]))
+        split = DatasetSplit("session", [UserSplit("u0", interleaved, [7]),
+                                         UserSplit("u1", plain, [2])], 10, {})
+        [row] = scaling_run(split, sweep_config(), fractions=[0.7], recall_k=10)
+        assert "skipped" not in row
+        assert row["num_users"] == 2
+        assert sessions_of(evaluator._clip_sessions_to(interleaved, 70)) == [
+            ("Z", [1, 2], [True, True], [0, 1]), ("B", [5, 6], [True, True], [50, 55])]
+
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="fractions"):
             scaling_run(toy_split(), sweep_config(), fractions=[0.0])

@@ -40,29 +40,10 @@ class TestForward:
         full = model.forward_sessions(view, sessions_per_user=[2, 3]).data
         np.testing.assert_array_equal(model.user_vector(view, [2, 3]).data, full[[1, 4]])
 
-    @pytest.mark.parametrize("counts", [[1], [2, 2], [0, 3]])
-    def test_user_counts_not_summing_to_the_sessions_rejected(self, counts):
-        with pytest.raises(ValueError, match="sum to the 3 tokens"):
-            make_model().user_vector(ragged([[1, 2], [3], [4]]), counts)
-
-    def test_empty_input_rejected(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="at least one session"):
-            model.forward_sessions(ragged([]))
-        with pytest.raises(ValueError, match="non-empty"):
-            model.forward_sessions(ragged([[1], []]))
-
-    @pytest.mark.parametrize("ids, lengths, message", [
-        ([1, 2, 3], [1, 1], "lengths sum to 2 but got 3"),
-        ([1, 2, 3], [4], "lengths sum to 4 but got 3"),
-        ([[1, 2], [3, 4]], [2, 2], "one-dimensional"),
-        ([1, 2], [[1, 1]], "at least one session"),
-    ])
-    def test_malformed_view_is_one_value_error(self, ids, lengths, message):
-        model = make_model(ise_kind="recurrent")
-        view = (np.array(ids, dtype=np.int64), np.array(lengths, dtype=np.int64))
-        with pytest.raises(ValueError, match=message):
-            model.forward_sessions(view)
+    def test_malformed_view_is_one_value_error(self):
+        view = (np.array([[1, 2], [3, 4]], dtype=np.int64), np.array([2, 2], dtype=np.int64))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            make_model(ise_kind="recurrent").forward_sessions(view)
 
     def test_parameters_cover_all_submodules(self):
         model = make_model(ise_kind="recurrent")

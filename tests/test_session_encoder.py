@@ -66,14 +66,6 @@ class TestPooling:
 
 
 class TestContracts:
-    def test_empty_session_rejected(self):
-        with pytest.raises(ValueError, match="empty session"):
-            encoder("mean").encode_sessions(rows(np.zeros((2, 6))), [2, 0])
-
-    def test_length_sum_must_match(self):
-        with pytest.raises(ValueError, match="lengths sum"):
-            encoder("mean").encode_sessions(rows(np.zeros((3, 6))), [2, 2])
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown session aggregator"):
             encoder("median")
@@ -274,7 +266,7 @@ def loop_attention(enc, item_vecs, lengths):
         x = T.gather(item_vecs, np.arange(start, start + ln))
         for block in enc.blocks:
             x = block(x, [ln], False)
-        tokens.append(T.segment_reduce(x, np.zeros(ln, dtype=np.int64), "mean"))
+        tokens.append(T.segment_reduce(x, [ln], "mean"))
         start += ln
     return tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
 
