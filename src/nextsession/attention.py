@@ -23,8 +23,8 @@ class MultiHeadAttention:
     """Scaled dot-product self-attention with per-head projections."""
 
     def __init__(self, dim, heads, params, name):
-        if dim % heads:
-            raise ValueError(f"heads ({heads}) must divide dim ({dim})")
+        if heads < 1 or dim % heads:
+            raise ValueError(f"heads ({heads}) must be >= 1 and divide dim ({dim})")
         head_dim = dim // heads
         self.wq = [params.new(f"{name}.h{h}.wq", (dim, head_dim)) for h in range(heads)]
         self.wk = [params.new(f"{name}.h{h}.wk", (dim, head_dim)) for h in range(heads)]

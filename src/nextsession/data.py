@@ -99,7 +99,8 @@ class SessionizedSequence:
 class Dataset(Sequence):
     """Every user's sessions as CSR arrays: ``sessions`` covers all rows,
     user-major, and user u owns sessions ``user_offsets[u]:user_offsets[u + 1]``.
-    Indexing or iterating gives one ``SessionizedSequence`` per user."""
+    Indexing or iterating gives one ``SessionizedSequence`` per user.  Every
+    session holds a positive row, and so does every session of a split's views."""
 
     sessions: Sessions
     user_offsets: np.ndarray
@@ -376,9 +377,8 @@ def truncate_to_positive_budget(sessions: Sessions, begin, end, max_positives: i
     The cut may split a session at item granularity, keeping the part from
     its ``max_positives``-th last positive on.  A session that fits the
     budget exactly is kept whole with its leading exposures, and nothing
-    before it.  Positive-free sessions inside the kept suffix stay, but the
-    model never reads them: ``encoder_views`` skips them as input, and
-    ``objective.build_targets`` rejects them as targets.
+    before it.  Either way the first kept session starts with a positive
+    or keeps all of its rows, so it holds at least one positive.
     """
     if max_positives <= 0:
         raise ValueError(f"max_positives must be >= 1, got {max_positives}")
@@ -400,10 +400,11 @@ def make_split(dataset: Dataset, protocol: str, catalog_size: int,
     protocol "session": the last session's positives are the targets and all
     earlier sessions form the train view.  protocol "item": the single last
     positive interaction is the target and everything strictly before it
-    forms the train view.  Train views keep their last ``max_positive_len``
-    positives (``truncate_to_positive_budget``).  Users violating the
-    protocol's precondition are skipped and counted in
-    ``stats["skipped_users"]``.
+    forms the train view, which ends at that positive's session start when
+    no positive precedes it there.  Train views keep their last
+    ``max_positive_len`` positives (``truncate_to_positive_budget``), and
+    each of their sessions holds a positive.  Users violating the protocol's
+    precondition are skipped and counted in ``stats["skipped_users"]``.
     """
     if protocol not in ("session", "item"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -423,9 +424,12 @@ def make_split(dataset: Dataset, protocol: str, catalog_size: int,
         user_positives = np.bincount(row_user[pos_rows], minlength=len(dataset))
         ok = user_positives >= 2
         target_user = np.flatnonzero(user_positives)
-        end = begin.copy()  # the last positive
-        end[target_user] = pos_rows[np.cumsum(user_positives)[target_user] - 1]
-        target_item = item[end[target_user]]
+        last = np.cumsum(user_positives)[target_user] - 1  # each user's last positive
+        target_item = item[pos_rows[last]]
+        # end before it, or at its session's start if no positive precedes it there
+        start = offsets[np.searchsorted(offsets, pos_rows[last], side="right") - 1]
+        end = begin.copy()
+        end[target_user] = np.where(np.searchsorted(pos_rows, start) < last, pos_rows[last], start)
     bounds = np.searchsorted(target_user, np.arange(len(dataset) + 1))
     kept = np.flatnonzero(ok & (end > begin) & (np.diff(bounds) > 0))
     begin = truncate_to_positive_budget(sessions, begin[kept], end[kept], max_positive_len)
@@ -448,16 +452,16 @@ def make_split(dataset: Dataset, protocol: str, catalog_size: int,
 
 def encoder_views(sessions: Sessions) -> tuple[np.ndarray, np.ndarray]:
     """The positive item ids of the view, in row order, and the positive
-    count of each session that has one (both int64): a session's ids are
-    the next ``count`` of ``ids``, and positive-free sessions are skipped.
+    count of each session (both int64): a session's ids are the next
+    ``count`` of ``ids``, and every count of a ``Dataset``'s view is >= 1.
 
     This is the model-facing view of a session sequence: the encoders consume
     positively interacted items only; exposure negatives stay in the
     ``Sessions`` arrays solely for the rank loss.
     """
     rows = sessions.rows()
-    counts = sessions.positive_counts()
-    return sessions.item[rows][sessions.positive[rows]].astype(np.int64), counts[counts > 0]
+    ids = sessions.item[rows][sessions.positive[rows]]
+    return ids.astype(np.int64), sessions.positive_counts()
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +528,7 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     Returns (dataset, catalog, meta); meta includes max_positive_len.  A
     per-interaction ``features`` array in interactions.npz, written by
     earlier versions, is ignored.  A missing or inconsistent file or array
-    raises ValueError naming the file.
+    raises ValueError naming the file, as does a session without a positive.
     """
     meta_path = os.path.join(data_dir, "meta.json")
     meta = _read_json(meta_path, "format_version", "feature_names", "feature_info")
@@ -585,4 +589,7 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
         arrays["timestamp"].astype(np.int64), np.r_[0, np.cumsum(session_rows)],
         [sid for ids in users["session_ids"] for sid in ids],
     )
+    # reduceat reads each session's rows, as no session is empty (checked above)
+    check(np.logical_or.reduceat(sessions.positive, sessions.offsets[:-1]).all(),
+          "a session has no positive row")
     return Dataset(sessions, user_offsets, users["users"]), catalog, meta

@@ -39,7 +39,9 @@ def top_k(user_vec: np.ndarray, item_vecs: np.ndarray, k: int) -> np.ndarray:
     is 0 or N, or fewer than k scores are numbers, every id is sorted instead,
     which keeps the order of a full sort for NaN, +-inf and +-0.0.
     """
-    scores = item_vecs @ user_vec
+    # a NaN score (inf - inf) is ranked last by contract, so numpy need not warn of it
+    with np.errstate(invalid="ignore"):
+        scores = item_vecs @ user_vec
     n = scores.shape[0]
     if k < 0:
         raise ValueError(f"k={k} must be non-negative")
@@ -145,24 +147,25 @@ def ranked(model, views, k: int):
 
 
 def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash="") -> EvalReport:
-    """Rank the full catalog for every user and average the metrics."""
+    """Rank the full catalog for every user of ``split`` and average the
+    metrics; ``skipped_users`` is the count in ``split.stats``."""
     if model.embedding.num_items != split.catalog_size:
         raise ValueError(
             f"catalog mismatch: model has {model.embedding.num_items} items, "
             f"dataset has {split.catalog_size}"
         )
     cutoffs = tuple(sorted(set(cutoffs)))
+    if cutoffs and cutoffs[0] < 1:
+        raise ValueError(f"cutoffs must be >= 1, got {cutoffs[0]}")
     k_max = min(max(cutoffs), split.catalog_size)
     recall_sums = {k: 0.0 for k in cutoffs}
     ndcg_sums = {k: 0.0 for k in cutoffs}
-    users = [u for u in split.users if u.targets and u.train_sessions.positive_counts().any()]
-    views = (encoder_views(user.train_sessions) for user in users)
-    for user, top in zip(users, ranked(model, views, k_max)):
+    views = (encoder_views(user.train_sessions) for user in split.users)
+    for user, top in zip(split.users, ranked(model, views, k_max)):
         for k in cutoffs:
             recall_sums[k] += recall_at_k(top, user.targets, k)
             ndcg_sums[k] += ndcg_at_k(top, user.targets, k)
-    n = len(users)
-    skipped = len(split.users) - n
+    n = len(split.users)
     if n == 0:
         raise ValueError("no evaluable users in split")
     return EvalReport(
@@ -171,7 +174,7 @@ def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash=""
         recall={k: recall_sums[k] / n for k in cutoffs},
         ndcg={k: ndcg_sums[k] / n for k in cutoffs},
         num_users=n,
-        skipped_users=skipped + split.stats.get("skipped_users", 0),
+        skipped_users=split.stats.get("skipped_users", 0),
         config_hash=config_hash,
     )
 
@@ -262,6 +265,8 @@ def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500,
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ValueError(f"fractions must be in (0, 1], got {f}")
+    if recall_k < 1:
+        raise ValueError(f"recall_k must be >= 1, got {recall_k}")
 
     views = [user.train_sessions for user in split.users]
     all_ts = np.concatenate([np.zeros(0, np.int64)] + [v.timestamp[v.rows()] for v in views])

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import Catalog, DatasetSplit, Sessions, encoder_views
+from .data import Catalog, DatasetSplit, encoder_views
 from .model import NextSessionModel
 from .objective import LossConfig, build_targets, total_loss
 from .session_encoder import IseConfig
@@ -56,8 +56,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not self.learning_rate > 0:  # also a NaN rate
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.dim < 1 or self.val_k < 1:
+            raise ValueError(f"dim and val_k must be >= 1, got {self.dim} and {self.val_k}")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -169,12 +171,6 @@ class Adam:
             p.data[mask] -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
-def _trainable_sessions(sessions: Sessions) -> Sessions:
-    """Drop trailing positive-free sessions (split-truncation artifacts)."""
-    last = np.flatnonzero(sessions.positive_counts()).max(initial=-1)  # last with a positive
-    return sessions[:int(last) + 1]
-
-
 def _param_norm(params: dict) -> float:
     return float(np.sqrt(sum(float(np.sum(p.data.astype(np.float64) ** 2))
                              for p in params.values())))
@@ -198,18 +194,18 @@ class TrainResult:
 
 
 def _validation_recall(model, train_users, val_k):
-    """Recall@val_k of each user's last train session given the earlier ones."""
+    """Recall@val_k of each user's last train session given the earlier
+    ones; every user has at least two sessions."""
     # looked up per call, so a rebound ``evaluator.recall_at_k`` is the one used
     from .evaluator import ranked, recall_at_k
 
     k = min(val_k, model.embedding.num_items)
-    users = [sessions for sessions in train_users if len(sessions) >= 2]
-    views = (encoder_views(sessions[:-1]) for sessions in users)
+    views = (encoder_views(sessions[:-1]) for sessions in train_users)
     total = 0.0
-    for sessions, top in zip(users, ranked(model, views, k)):
+    for sessions, top in zip(train_users, ranked(model, views, k)):
         targets, _ = encoder_views(sessions[-1:])
         total += recall_at_k(top, targets, k)
-    return total / len(users) if users else 0.0
+    return total / len(train_users)
 
 
 def train(
@@ -225,7 +221,8 @@ def train(
     users into one model input, scores all of their positions with one
     raw-sum loss and is back-propagated once; the graphs' gradients add up
     before the minibatch's one optimizer step.  Model selection is by
-    validation recall on each user's final train session.
+    validation recall on each user's final train session.  Users whose
+    train view has fewer than two sessions are left out.
     """
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, neg_rng, drop_rng, shuffle_rng = (
@@ -235,13 +232,10 @@ def train(
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)
 
-    train_users = []
-    for user in split.users:
-        sessions = _trainable_sessions(user.train_sessions)
-        if len(sessions) >= 2:
-            train_users.append((user.user_id, sessions))
+    train_users = [(user.user_id, user.train_sessions) for user in split.users
+                   if len(user.train_sessions) >= 2]
     if not train_users:
-        raise ValueError("no trainable users: every train view has < 2 usable sessions")
+        raise ValueError("no trainable users: every train view has < 2 sessions")
 
     history = []
     best_metric = -1.0

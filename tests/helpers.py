@@ -479,30 +479,20 @@ def sessions_of(view):
 
 
 def reference_encoder_views(sessions):
-    """Positive item lists per ``ListSession``, skipping positive-free
-    sessions: the list-based ``data.encoder_views`` that the array one
-    replaced."""
-    views = [[it for it, pos in zip(s.items, s.positives) if pos] for s in sessions]
-    return [v for v in views if v]
+    """Positive item lists, one per ``ListSession``: the list-based
+    ``data.encoder_views`` that the array one replaced."""
+    return [[it for it, pos in zip(s.items, s.positives) if pos] for s in sessions]
 
 
 def reference_build_targets(sessions, catalog_size, num_sampled, rng):
     """The list-based ``objective.build_targets`` that the array one
-    replaced, over ``ListSession``s: one sorted set difference and one draw
-    of ``num_sampled`` negatives per target session."""
-    if len(sessions) < 2:
-        raise ValueError("need at least two sessions to build training targets")
+    replaced, over two or more ``ListSession``s that each hold a positive:
+    one sorted set difference and one draw of ``num_sampled`` negatives per
+    target session."""
     views = reference_encoder_views(sessions[:-1])
-    if len(views) != len(sessions) - 1:
-        bad = next(s for s in sessions[:-1] if not any(s.positives))
-        raise ValueError(f"session {bad.session_id!r} has no positives; filtering violated")
     positives, in_session, sampled = [], [], []
     for target in sessions[1:]:
         pos = sorted({it for it, p in zip(target.items, target.positives) if p})
-        if not pos:
-            raise ValueError(
-                f"target session {target.session_id!r} has no positives; filtering violated"
-            )
         neg = sorted({it for it, p in zip(target.items, target.positives) if not p} - set(pos))
         positives.append(np.asarray(pos, dtype=np.int64))
         in_session.append(np.asarray(neg, dtype=np.int64))
@@ -532,17 +522,18 @@ def _exposed_and_clicked(session):
 def random_train_views(seed, users=40, catalog=12):
     """The session-protocol train views of random ragged users, cut to a
     small positive budget, and which of the cases the list-based references
-    must be compared on they hold: a first session cut mid-session, an
-    inner and a trailing positive-free session, and an item both exposed
-    and clicked in one session.  Timestamps are random, so rows are not in
-    time order."""
+    must be compared on they hold: a first session cut mid-session, a
+    session with exposures, and an item both exposed and clicked in one
+    session.  Every session holds a positive, as in a ``Dataset``.
+    Timestamps are random, so rows are not in time order."""
     rng = np.random.default_rng(seed)
     rows, user_offsets = [], [0]
     for _ in range(users):
         for _ in range(int(rng.integers(2, 7))):
             n = int(rng.integers(1, 7))
-            rows.append((rng.integers(0, catalog, n), rng.random(n) < 0.5,
-                         rng.integers(0, 100, n)))
+            positive = rng.random(n) < 0.5
+            positive[rng.integers(n)] = True
+            rows.append((rng.integers(0, catalog, n), positive, rng.integers(0, 100, n)))
         user_offsets.append(len(rows))
     dataset = Dataset(history(*rows), np.array(user_offsets), [f"u{u}" for u in range(users)])
     split = make_split(dataset, "session", catalog, max_positive_len=int(rng.integers(2, 8)))
@@ -550,8 +541,8 @@ def random_train_views(seed, users=40, catalog=12):
     starts = set(dataset.sessions.offsets.tolist())
     cases = {
         "cut first session": any(int(v.offsets[0]) not in starts for v in views),
-        "inner positive-free": any((v.positive_counts()[:-1] == 0).any() for v in views),
-        "trailing positive-free": any(v.positive_counts()[-1] == 0 for v in views),
+        "session with exposures": any((np.diff(v.offsets) > v.positive_counts()).any()
+                                      for v in views),
         "exposed and clicked": any(map(_exposed_and_clicked,
                                        (s for v in views for s in sessions_of(v)))),
     }

@@ -179,6 +179,7 @@ class TestErrors:
         ("[1, 2]", "bad.json"),
         ('{"epochs": "ten"}', "'epochs'"),
         ('{"sse": {"layers": 1.5}}', "'sse.layers'"),
+        ('{"dim": 0}', "dim and val_k must be >= 1"),
     ])
     def test_malformed_config_is_one_line(self, tmp_path, capsys, content, named):
         bad = tmp_path / "bad.json"
@@ -201,13 +202,17 @@ class TestErrors:
     @pytest.mark.parametrize("damage,named", [
         ("drop-item-array", "interactions.npz: missing array 'item'"),
         ("users-one-short", "users.json"),
+        ("exposure-only-session", "interactions.npz: a session has no positive row"),
     ])
     def test_corrupt_dataset_is_one_line(self, workspace, tmp_path, capsys, damage, named):
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
+        arrays = dict(np.load(data / "interactions.npz"))
         if damage == "drop-item-array":
-            arrays = dict(np.load(data / "interactions.npz"))
             del arrays["item"]
+            np.savez(data / "interactions.npz", **arrays)
+        elif damage == "exposure-only-session":
+            arrays["positive"][(arrays["user_idx"] == 0) & (arrays["session_ord"] == 0)] = False
             np.savez(data / "interactions.npz", **arrays)
         else:
             blob = json.loads((data / "users.json").read_text())
@@ -215,6 +220,20 @@ class TestErrors:
             blob["session_ids"].pop()
             (data / "users.json").write_text(json.dumps(blob))
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("command, named", [
+        (["evaluate", "--cutoffs", "0"], "cutoffs must be >= 1, got 0"),
+        (["evaluate", "--cutoffs", "10,0"], "cutoffs must be >= 1, got 0"),
+        (["scaling", "--fractions", "1.0", "--recall-k", "0"], "recall_k must be >= 1, got 0"),
+    ])
+    def test_cutoff_below_one_is_one_line(self, workspace, tmp_path, capsys, command, named):
+        where = (["--checkpoint", os.path.join(workspace["run"], "checkpoint.bin")]
+                 if command[0] == "evaluate" else ["--out", str(tmp_path / "run")])
+        code = main(command + where + ["--data", workspace["data"]])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

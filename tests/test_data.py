@@ -16,6 +16,7 @@ from helpers import (
     reference_prepare,
     sessions_of,
 )
+import nextsession.tensor as T
 from nextsession import data, synth
 from nextsession.data import (
     Dataset,
@@ -29,6 +30,8 @@ from nextsession.data import (
     save_dataset,
     truncate_to_positive_budget,
 )
+from nextsession.model import NextSessionModel
+from nextsession.trainer import TrainConfig
 
 
 def write_csv(path, rows, header="user,item,session,timestamp,action"):
@@ -408,6 +411,18 @@ class TestMakeSplit:
             )
             assert train_count == full_count - 1
 
+    def test_item_protocol_view_ends_before_a_session_that_opens_with_exposures(self):
+        # u's held-out click 7 follows two exposures; v's click 9 follows a click
+        dataset = Dataset(history(([1, 2], [True, True]), ([3, 4], [False, True]),
+                                  ([5, 6, 7], [False, False, True]),
+                                  ([1], [True]), ([2, 8, 9], [False, True, True]),
+                                  ids=["u-s0", "u-s1", "u-s2", "v-s0", "v-s1"]),
+                          np.array([0, 3, 5]), ["u", "v"])
+        u, v = make_split(dataset, "item", catalog_size=10).users
+        assert u.targets == [7] and v.targets == [9]
+        assert sessions_of(u.train_sessions) == sessions_of(dataset.sessions[:2])
+        assert sessions_of(v.train_sessions)[-1].items == [2, 8]
+
     def test_item_protocol_needs_two_positives(self):
         dataset = Dataset(history(([1, 2], [False, True]), ([3], [False])),
                           np.array([0, 1, 2]), ["u", "v"])
@@ -427,10 +442,13 @@ class TestMakeSplit:
 
 
 class TestEncoderViews:
-    def test_skips_positive_free_sessions(self):
+    def test_counts_every_session_and_the_model_rejects_a_positive_free_one(self):
         sessions = history(([1, 2], [True, False]), ([3], [False]), ([4], [True]))
         ids, lengths = encoder_views(sessions)
-        assert ids.tolist() == [1, 4] and lengths.tolist() == [1, 1]
+        assert ids.tolist() == [1, 4] and lengths.tolist() == [1, 0, 1]
+        model = NextSessionModel(TrainConfig(dim=8), 8, T.Parameters(np.random.default_rng(0)))
+        with pytest.raises(ValueError, match=r"lengths \[1, 0, 1\] must be"):
+            model.user_vector((ids, lengths))
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4])
     def test_matches_the_list_reference_on_random_users(self, seed):
@@ -535,6 +553,14 @@ class TestCorruptDirectory:
         blob["session_ids"].pop()
         (out / "users.json").write_text(json.dumps(blob))
         with pytest.raises(ValueError, match=r"user_idx names a user that .*users\.json"):
+            load_dataset(str(out))
+
+    def test_session_without_positive_rows(self, tmp_path):
+        out = prepared(tmp_path)
+        arrays = dict(np.load(out / "interactions.npz"))
+        arrays["positive"][(arrays["user_idx"] == 0) & (arrays["session_ord"] == 0)] = False
+        np.savez(out / "interactions.npz", **arrays)
+        with pytest.raises(ValueError, match=r"interactions\.npz: a session has no positive row"):
             load_dataset(str(out))
 
     def test_session_without_rows(self, tmp_path):

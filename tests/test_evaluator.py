@@ -147,6 +147,13 @@ class TestTopK:
         np.testing.assert_array_equal(top_k(u, items, 3), [0, 1, 2])
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    def test_a_nan_score_ranks_last_without_a_warning(self, dtype):
+        # inf + -inf is NaN; the suite turns a RuntimeWarning into an error
+        items = np.array([[np.inf, -np.inf], [1.0, 0.0], [0.0, 2.0]], dtype=dtype)
+        np.testing.assert_array_equal(top_k(np.ones(2, dtype), items, 3), [2, 1, 0])
+        np.testing.assert_array_equal(top_k(np.ones(2, dtype), items, 2), [2, 1])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_k_zero_one_and_n(self, dtype):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -281,20 +288,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="catalog mismatch"):
             evaluate(StubModel(np.eye(7)), self.oracle_split())
 
-    def test_users_without_views_or_targets_are_skipped(self):
-        users = [
-            UserSplit("ok", history(([3], [True])), targets=[3]),
-            UserSplit("no-pos", history(([2], [False])), targets=[1]),
-            UserSplit("no-target", history(([4], [True])), targets=[]),
-        ]
-        report = evaluate(StubModel(np.eye(8)), split_for(users, 8), cutoffs=(1,))
-        assert report.num_users == 1
-        assert report.skipped_users == 2
+    def test_every_user_is_scored_and_the_skipped_count_is_the_splits(self):
+        split = self.oracle_split()
+        split.stats["skipped_users"] = 3
+        report = evaluate(StubModel(np.eye(8)), split, cutoffs=(1,))
+        assert report.num_users == 2
+        assert report.skipped_users == 3
 
     def test_all_users_skipped_is_an_error(self):
-        users = [UserSplit("u", history(([2], [False])), targets=[1])]
         with pytest.raises(ValueError, match="no evaluable users"):
-            evaluate(StubModel(np.eye(8)), split_for(users, 8), cutoffs=(1,))
+            evaluate(StubModel(np.eye(8)), split_for([], 8), cutoffs=(1,))
+
+    @pytest.mark.parametrize("cutoffs", [(0,), (10, 0), (-1, 3)])
+    def test_cutoffs_below_one_rejected(self, cutoffs):
+        with pytest.raises(ValueError, match="cutoffs must be >= 1"):
+            evaluate(StubModel(np.eye(8)), self.oracle_split(), cutoffs=cutoffs)
 
     def test_repeat_evaluation_is_byte_identical(self):
         rng = np.random.default_rng(4)
@@ -374,7 +382,7 @@ class TestRanked:
 
         monkeypatch.setattr(evaluator, "ranked", spy)
         evaluate(StubModel(np.eye(8)), TestEvaluate().oracle_split(), cutoffs=(1, 3))
-        users = [history(([3], [True]), ([3], [True])), history(([5], [True]))]
+        users = [history(([3], [True]), ([3], [True])), history(([1], [True]), ([5], [True]))]
         assert trainer_mod._validation_recall(StubModel(np.eye(8)), users, val_k=100) == 1.0
         assert ks == [3, 8]
 
@@ -472,6 +480,10 @@ class TestScalingRun:
         assert row["num_users"] == 2
         assert sessions_of(evaluator._clip_sessions_to(interleaved, 70)) == [
             ("Z", [1, 2], [True, True], [0, 1]), ("B", [5, 6], [True, True], [50, 55])]
+
+    def test_recall_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="recall_k must be >= 1"):
+            scaling_run(toy_split(), sweep_config(), fractions=[1.0], recall_k=0)
 
     def test_fraction_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="fractions"):

@@ -10,8 +10,6 @@ from nextsession.objective import (
     sample_negatives,
     total_loss,
 )
-from nextsession.trainer import _trainable_sessions
-
 from helpers import (
     finite_difference,
     graph_size,
@@ -166,34 +164,23 @@ class TestBuildTargets:
         views, cases = random_train_views(seed)
         assert all(cases.values()), cases
         for k, view in enumerate(views):
-            # untrimmed views end in positive-free sessions, and inner ones
-            # are rejected: both sides must raise the same error
-            for sessions in (view, _trainable_sessions(view)):
-                if len(sessions) < 2:
-                    continue
-                rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-                try:
-                    want = reference_build_targets(sessions_of(sessions), 12, 5, ref_rng)
-                except ValueError as e:
-                    with pytest.raises(ValueError) as got:
-                        build_targets([sessions], 12, 5, rng)
-                    assert str(got.value) == str(e)
-                    continue
-                got_view, _, tg = build_targets([sessions], 12, 5, rng)
-                for got, ref in zip((got_view, tg.positives, tg.in_session_negatives),
-                                    want[:3]):
-                    for a, b in zip(got, ragged(ref)):  # items, then counts
-                        assert a.dtype == np.int64
-                        np.testing.assert_array_equal(a, b)
-                assert tg.sampled_negatives.dtype == np.int64
-                np.testing.assert_array_equal(tg.sampled_negatives, np.array(want[3]))
-                assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+            if len(view) < 2:
+                continue
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            want = reference_build_targets(sessions_of(view), 12, 5, ref_rng)
+            got_view, _, tg = build_targets([view], 12, 5, rng)
+            for got, ref in zip((got_view, tg.positives, tg.in_session_negatives), want[:3]):
+                for a, b in zip(got, ragged(ref)):  # items, then counts
+                    assert a.dtype == np.int64
+                    np.testing.assert_array_equal(a, b)
+            assert tg.sampled_negatives.dtype == np.int64
+            np.testing.assert_array_equal(tg.sampled_negatives, np.array(want[3]))
+            assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_batch_appends_its_users_in_order(self, seed):
         views, _ = random_train_views(seed)
-        users = [u for u in map(_trainable_sessions, views)
-                 if len(u) >= 2 and u.positive_counts().all()]
+        users = [view for view in views if len(view) >= 2]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         (ids, lengths), per_user, tg = build_targets(users, 12, 5, rng)
         want = [build_targets([u], 12, 5, ref_rng) for u in users]

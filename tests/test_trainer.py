@@ -10,12 +10,13 @@ import pytest
 
 import nextsession.tensor as T
 import nextsession.trainer as trainer_mod
-from nextsession.data import Catalog, DatasetSplit, UserSplit
+from nextsession.data import Catalog, Dataset, DatasetSplit, UserSplit, make_split
+from nextsession.evaluator import evaluate
 from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
-from helpers import TENSOR_DAMAGE, damaged_checkpoint, history, legacy_copy, ragged
+from helpers import TENSOR_DAMAGE, damaged_checkpoint, history, legacy_copy, ragged, sessions_of
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -50,6 +51,23 @@ def toy_split(num_users=12, num_sessions=4, catalog=24, extras_per_session=1):
                                targets=[sig]))
     return DatasetSplit(protocol="session", users=users, catalog_size=catalog,
                         stats={"num_users": num_users})
+
+
+def exposures_first_dataset(drop_last_exposures, num_users=8, num_sessions=4, catalog=10):
+    """Users whose every session is two exposures and then one click, so
+    the item protocol's held-out click is its session's first positive.
+    With ``drop_last_exposures`` the exposures of each user's last session
+    are left out; every other row is the same."""
+    rng = np.random.default_rng(21)
+    rows, user_offsets = [], [0]
+    for u in range(num_users):
+        for s in range(num_sessions):
+            items = rng.integers(0, catalog, 2).tolist() + [(u + s % 2) % catalog]
+            row = (items, [False, False, True], [s * 10, s * 10 + 1, s * 10 + 2])
+            keep = slice(2 if drop_last_exposures and s == num_sessions - 1 else 0, 3)
+            rows.append(tuple(column[keep] for column in row))
+        user_offsets.append(len(rows))
+    return Dataset(history(*rows), np.array(user_offsets), [f"u{u}" for u in range(num_users)])
 
 
 def small_config(**overrides):
@@ -107,6 +125,12 @@ class TestConfig:
         blob["optimizer"] = "sgd"
         with pytest.raises(ValueError, match="'optimizer'"):
             config_from_dict(blob)
+
+    @pytest.mark.parametrize("field, value", [("dim", 0), ("val_k", 0),
+                                              ("learning_rate", float("nan"))])
+    def test_values_that_cannot_train_a_model_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}.* must be"):
+            small_config(**{field: value})
 
     def test_unread_sse_dropout_is_dropped_at_any_valid_rate(self):
         cfg = small_config()
@@ -184,6 +208,20 @@ class TestTrain:
         seen = []
         train(toy_split(), small_config(epochs=3), log_fn=seen.append)
         assert [e["epoch"] for e in seen] == [0, 1, 2]
+
+    def test_item_protocol_ignores_the_exposures_before_the_held_out_click(self):
+        full, trimmed = (make_split(exposures_first_dataset(drop), "item", catalog_size=10)
+                         for drop in (False, True))
+        assert len(full.users) == len(trimmed.users) == 8
+        for a, b in zip(full.users, trimmed.users):
+            # the view ends at the session before the held-out click's
+            assert len(a.train_sessions) == 3
+            assert sessions_of(a.train_sessions) == sessions_of(b.train_sessions)
+            assert a.targets == b.targets
+        got, want = (train(split, small_config(epochs=2)) for split in (full, trimmed))
+        assert got.history == want.history
+        assert (evaluate(got.model, full, cutoffs=(1, 5)).to_json()
+                == evaluate(want.model, trimmed, cutoffs=(1, 5)).to_json())
 
     def test_no_trainable_users_rejected(self):
         split = toy_split()
@@ -434,6 +472,11 @@ class TestBuildModel:
         with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got "):
             NextSessionModel(small_config(dropout=rate), 10,
                              T.Parameters(np.random.default_rng(0)))
+
+    def test_zero_heads_rejected(self):
+        cfg = config_from_dict({"sse": {"heads": 0}})
+        with pytest.raises(ValueError, match=r"heads \(0\) must be >= 1"):
+            NextSessionModel(cfg, 10, T.Parameters(np.random.default_rng(0)))
 
     def test_same_rng_same_init(self):
         cfg = small_config()
