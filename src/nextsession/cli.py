@@ -164,6 +164,12 @@ def cmd_synth(args) -> int:
             if args.self_exposure_rate is not None:
                 kwargs["self_exposure_rate"] = args.self_exposure_rate
         else:
+            for flag in ("twin_exposures", "self_exposure_rate"):
+                if getattr(args, flag) is not None:
+                    raise ValueError(
+                        f"--{flag.replace('_', '-')} does not apply to {args.pattern}; "
+                        "it sets the twin-pair design of hard-negative-sessions"
+                    )
             if args.catalog is not None:
                 kwargs["catalog"] = args.catalog
             if args.positives is not None:
@@ -220,18 +226,20 @@ def cmd_train(args) -> int:
         finally:
             log.close()
         ckpt_path = os.path.join(args.out, "checkpoint.bin")
+        validated = result.best_metric is not None
         trainer.save_checkpoint(
             ckpt_path,
             result.model,
             cfg,
             epoch=result.best_epoch,
-            metrics={"val_recall": result.best_metric},
+            metrics={"val_recall": result.best_metric} if validated else {},
             data_hash=trainer.stats_hash(split.stats),
         )
-        print(
-            f"best epoch {result.best_epoch} "
-            f"val_recall@{cfg.val_k} {result.best_metric:.4f} -> {ckpt_path}"
-        )
+        if validated:
+            print(f"best epoch {result.best_epoch} "
+                  f"val_recall@{cfg.val_k} {result.best_metric:.4f} -> {ckpt_path}")
+        else:
+            print(f"final epoch {result.best_epoch} (no validation ran) -> {ckpt_path}")
     return 0
 
 

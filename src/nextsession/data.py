@@ -50,24 +50,22 @@ class Sessions:
     """Consecutive sessions over shared row arrays: session k is rows
     ``offsets[k]:offsets[k + 1]`` of ``item`` (int32 dense ids),
     ``positive`` (bool) and ``timestamp`` (int64).  This is the one form of
-    a history: consumers read those arrays, and a slice ``[a:b]`` gives
-    another view of sessions a..b-1 that copies no rows."""
+    a history: consumers read those arrays and offsets, and a slice
+    ``[a:b]`` gives another view of sessions a..b-1 that copies no rows."""
 
-    def __init__(self, item, positive, timestamp, offsets, session_ids):
+    def __init__(self, item, positive, timestamp, offsets):
         self.item, self.positive, self.timestamp = item, positive, timestamp
-        self.offsets = offsets  # len(session_ids) + 1 row offsets
-        self.session_ids = session_ids
+        self.offsets = offsets  # row offsets, one more than the sessions
 
     def __len__(self):
-        return len(self.session_ids)
+        return len(self.offsets) - 1
 
     def __getitem__(self, k: slice) -> Sessions:
         start, stop, step = k.indices(len(self))
         if step != 1:
             raise ValueError(f"Sessions slices take no step, got step {k.step}")
-        stop = max(start, stop)
         return Sessions(self.item, self.positive, self.timestamp,
-                        self.offsets[start:stop + 1], self.session_ids[start:stop])
+                        self.offsets[start:max(start, stop) + 1])
 
     def rows(self) -> slice:
         """The view's rows of the shared arrays."""
@@ -84,34 +82,25 @@ class Sessions:
         return np.diff(before[self.offsets - rows.start])
 
 
-@dataclass
-class SessionizedSequence:
-    """One user's sessions, a view into a ``Dataset``."""
-
-    user_id: str
-    sessions: Sessions
-
-    def num_interactions(self) -> int:
-        return self.sessions.num_interactions()
-
-
 @dataclass(eq=False)  # holds arrays, which do not compare to one bool
 class Dataset(Sequence):
     """Every user's sessions as CSR arrays: ``sessions`` covers all rows,
     user-major, and user u owns sessions ``user_offsets[u]:user_offsets[u + 1]``.
-    Indexing or iterating gives one ``SessionizedSequence`` per user.  Every
-    session holds a positive row, and so does every session of a split's views."""
+    Indexing or iterating gives user u's ``Sessions`` view.  Every session
+    holds a positive row, and so does every session of a split's views.
+    ``session_ids`` holds each user's raw session ids in session order, as
+    ``users.json`` stores them; only ``save_dataset`` reads them."""
 
     sessions: Sessions
     user_offsets: np.ndarray
     user_ids: list[str]
+    session_ids: list[list[str]]
 
     def __len__(self):
         return len(self.user_ids)
 
-    def __getitem__(self, u: int) -> SessionizedSequence:
-        return SessionizedSequence(
-            self.user_ids[u], self.sessions[self.user_offsets[u]:self.user_offsets[u + 1]])
+    def __getitem__(self, u: int) -> Sessions:
+        return self.sessions[self.user_offsets[u]:self.user_offsets[u + 1]]
 
 
 @dataclass(eq=False)
@@ -345,13 +334,13 @@ def filter_dataset(log: Log, feature_names: tuple[str, ...] = (),
         catalog.item_features[:, j] = value_of[column.codes[item_first]]
 
     starts = np.flatnonzero(np.r_[True, np.diff(session[order]) != 0])
-    sessions = Sessions(
-        item[order].astype(np.int32), log.positive[rows[order]], log.timestamp[rows[order]],
-        np.r_[starts, len(order)],
-        [log.session.names[c] for c in log.session.codes[rows[order[starts]]].tolist()],
-    )
+    sessions = Sessions(item[order].astype(np.int32), log.positive[rows[order]],
+                        log.timestamp[rows[order]], np.r_[starts, len(order)])
     user_offsets = np.searchsorted(user[order[starts]], np.arange(len(user_ids) + 1))
-    return Dataset(sessions, user_offsets, user_ids), catalog
+    names = [log.session.names[c] for c in log.session.codes[rows[order[starts]]].tolist()]
+    bounds = user_offsets.tolist()
+    session_ids = [names[a:b] for a, b in zip(bounds, bounds[1:])]
+    return Dataset(sessions, user_offsets, user_ids, session_ids), catalog
 
 
 def compute_stats(dataset: Dataset, catalog_size: int) -> dict:
@@ -442,8 +431,7 @@ def make_split(dataset: Dataset, protocol: str, catalog_size: int,
                                begin.tolist(), end.tolist()):
         view_offsets = offsets[a:b + 1].copy()
         view_offsets[0], view_offsets[-1] = lo, hi
-        view = Sessions(item, sessions.positive, sessions.timestamp, view_offsets,
-                        sessions.session_ids[a:b])
+        view = Sessions(item, sessions.positive, sessions.timestamp, view_offsets)
         users.append(UserSplit(dataset.user_ids[u], view, target_item[bounds[u]:bounds[u + 1]]))
     stats = compute_stats(dataset, catalog_size)
     stats.update(skipped_users=len(dataset) - len(users), split_users=len(users))
@@ -468,39 +456,34 @@ def encoder_views(sessions: Sessions) -> tuple[np.ndarray, np.ndarray]:
 # dataset directory layout
 # ---------------------------------------------------------------------------
 
-FORMAT_VERSION = 1
-ARRAYS = ("user_idx", "session_ord", "item", "positive", "timestamp", "item_features")
+FORMAT_VERSION = 2
+ARRAYS = ("session_rows", "item", "positive", "timestamp", "item_features")
 
 
 def save_dataset(out_dir: str, dataset: Dataset, catalog: Catalog,
                  max_positive_len: int = 200) -> None:
-    """Persist the processed dataset.
+    """Persist the processed dataset as the CSR arrays it holds.
 
     Layout: meta.json (format version, feature schema, max positive length),
-    stats.json, item_map.json, users.json (user ids + per-user session ids),
-    interactions.npz (per row: user index, the session's index within its
-    user, item, positive, timestamp; plus the catalog's item features).
+    stats.json, item_map.json, users.json (user ids + per-user session ids,
+    which give each user's session count), interactions.npz (per row: item,
+    positive, timestamp; per session in dataset order: its int64 row count,
+    ``session_rows``; plus the catalog's item features).
     """
     os.makedirs(out_dir, exist_ok=True)
-    sessions, user_offsets = dataset.sessions, dataset.user_offsets
-    session_rows = np.diff(sessions.offsets)
-    session_user = np.repeat(np.arange(len(dataset)), np.diff(user_offsets))
-    session_ord = np.arange(len(sessions)) - user_offsets[session_user]
+    sessions = dataset.sessions
     np.savez(
         os.path.join(out_dir, "interactions.npz"),
-        user_idx=np.repeat(session_user, session_rows).astype(np.int32),
-        session_ord=np.repeat(session_ord, session_rows).astype(np.int32),
+        session_rows=np.diff(sessions.offsets).astype(np.int64),
         item=sessions.item.astype(np.int32),
         positive=sessions.positive.astype(bool),
         timestamp=sessions.timestamp.astype(np.int64),
         item_features=catalog.item_features,
     )
-    bounds = user_offsets.tolist()
-    session_ids = [sessions.session_ids[a:b] for a, b in zip(bounds, bounds[1:])]
     with open(os.path.join(out_dir, "item_map.json"), "w") as fh:
         fh.write(json.dumps(catalog.item_map))
     with open(os.path.join(out_dir, "users.json"), "w") as fh:
-        fh.write(json.dumps({"users": dataset.user_ids, "session_ids": session_ids}))
+        fh.write(json.dumps({"users": dataset.user_ids, "session_ids": dataset.session_ids}))
     meta = {"format_version": FORMAT_VERSION, "feature_names": list(catalog.feature_names),
             "feature_info": catalog.feature_info, "max_positive_len": max_positive_len,
             "num_items": catalog.num_items}
@@ -525,15 +508,17 @@ def _read_json(path: str, *keys: str) -> dict:
 def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     """Load a dataset directory written by save_dataset.
 
-    Returns (dataset, catalog, meta); meta includes max_positive_len.  A
-    per-interaction ``features`` array in interactions.npz, written by
-    earlier versions, is ignored.  A missing or inconsistent file or array
-    raises ValueError naming the file, as does a session without a positive.
+    Returns (dataset, catalog, meta); meta includes max_positive_len.  The
+    session offsets are the running sum of ``session_rows``.  A directory of
+    another format version is refused; a missing or inconsistent file or
+    array raises ValueError naming the file, as does a session without a
+    positive.
     """
     meta_path = os.path.join(data_dir, "meta.json")
     meta = _read_json(meta_path, "format_version", "feature_names", "feature_info")
     if meta["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {meta['format_version']!r}")
+        raise ValueError(f"{meta_path}: dataset format version {meta['format_version']!r} "
+                         f"is not {FORMAT_VERSION}; re-run prepare-data on the raw log")
     item_map = _read_json(os.path.join(data_dir, "item_map.json"))
     users_path = os.path.join(data_dir, "users.json")
     users = _read_json(users_path, "users", "session_ids")
@@ -554,19 +539,14 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     for name in ARRAYS:
         check(name in arrays, f"missing array {name!r}")
     rows = len(arrays["item"])
-    for name in ARRAYS[:-1]:
+    for name in ("item", "positive", "timestamp"):
         check(arrays[name].shape == (rows,), f"array {name!r} is not one value per row")
     user_offsets = np.cumsum([0] + [len(ids) for ids in users["session_ids"]])
-    user_idx = arrays["user_idx"].astype(np.int64)
-    check(((0 <= user_idx) & (user_idx < len(users["users"]))).all(),
-          f"user_idx names a user that {users_path} does not list")
-    session = user_offsets[user_idx] + arrays["session_ord"]  # over all users
-    check(((session >= user_offsets[user_idx]) & (session < user_offsets[user_idx + 1])).all()
-          and (np.diff(session) >= 0).all(),
-          f"session offsets do not cover the rows: session_ord names a session "
-          f"that {users_path} does not list, or rows are out of session order")
-    session_rows = np.bincount(session, minlength=user_offsets[-1])
-    check(session_rows.all(), f"a session that {users_path} lists has no rows")
+    session_rows = arrays["session_rows"]
+    check(session_rows.dtype.kind in "iu" and session_rows.shape == (user_offsets[-1],)
+          and (session_rows >= 1).all() and session_rows.sum() == rows,
+          f"session_rows is not one integer row count >= 1 per session that {users_path} "
+          f"lists ({user_offsets[-1]}), summing to the {rows} rows")
     check(((0 <= arrays["item"]) & (arrays["item"] < len(item_map))).all(),
           "item ids run outside item_map.json")
     feature_names = tuple(meta["feature_names"])
@@ -586,10 +566,9 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
                          f"[0, {vocab[j]}), the values of its feature_info entry")
     sessions = Sessions(
         arrays["item"].astype(np.int32), arrays["positive"].astype(bool),
-        arrays["timestamp"].astype(np.int64), np.r_[0, np.cumsum(session_rows)],
-        [sid for ids in users["session_ids"] for sid in ids],
+        arrays["timestamp"].astype(np.int64), np.r_[0, np.cumsum(session_rows, dtype=np.int64)],
     )
     # reduceat reads each session's rows, as no session is empty (checked above)
     check(np.logical_or.reduceat(sessions.positive, sessions.offsets[:-1]).all(),
           "a session has no positive row")
-    return Dataset(sessions, user_offsets, users["users"]), catalog, meta
+    return Dataset(sessions, user_offsets, users["users"], users["session_ids"]), catalog, meta

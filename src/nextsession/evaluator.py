@@ -248,8 +248,7 @@ def _clip_sessions_to(sessions: Sessions, max_ts: int) -> Sessions:
     keep &= np.repeat(live, np.diff(local))
     kept_before = np.r_[0, np.cumsum(keep)][local]
     return Sessions(sessions.item[rows][keep], sessions.positive[rows][keep],
-                    sessions.timestamp[rows][keep], np.unique(kept_before),
-                    [sessions.session_ids[k] for k in np.flatnonzero(live).tolist()])
+                    sessions.timestamp[rows][keep], np.unique(kept_before))
 
 
 def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500, log_fn=None):

@@ -101,7 +101,7 @@ def build_targets(
             k = int(np.argmin(counts))
             role = "target session" if k == len(sessions) - 1 else "session"
             raise ValueError(
-                f"{role} {sessions.session_ids[k]!r} has no positives; filtering violated"
+                f"{role} {k} of the view has no positives; filtering violated"
             )
         inputs.append(encoder_views(sessions[:-1]))
         targets = sessions[1:]

@@ -29,6 +29,12 @@ class SseConfig:
     heads: int = 2
     max_positions: int = 512
 
+    def __post_init__(self):
+        if self.layers < 0:
+            raise ValueError(f"sse.layers must be >= 0, got {self.layers}")
+        if self.max_positions < 1:
+            raise ValueError(f"sse.max_positions must be >= 1, got {self.max_positions}")
+
 
 class SequenceEncoder:
     def __init__(self, cfg: SseConfig, dim: int, params, dropout: float = 0.0):

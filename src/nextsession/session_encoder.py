@@ -38,6 +38,10 @@ class IseConfig:
     layers: int = 1  # attention only
     heads: int = 2   # attention only
 
+    def __post_init__(self):
+        if self.layers < 0:
+            raise ValueError(f"ise.layers must be >= 0, got {self.layers}")
+
 
 class SessionEncoder:
     def __init__(self, cfg: IseConfig, dim: int, params):

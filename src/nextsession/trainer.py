@@ -60,6 +60,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.dim < 1 or self.val_k < 1:
             raise ValueError(f"dim and val_k must be >= 1, got {self.dim} and {self.val_k}")
+        if self.val_interval < 0:
+            raise ValueError(f"val_interval must be >= 0 (0 turns validation off), "
+                             f"got {self.val_interval}")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -189,8 +192,8 @@ def _first_nonfinite_grad(params: dict) -> str:
 class TrainResult:
     model: NextSessionModel
     history: list
-    best_epoch: int
-    best_metric: float
+    best_epoch: int  # the epoch whose weights ``model`` holds
+    best_metric: float | None  # None when no validation ran
 
 
 def _validation_recall(model, train_users, val_k):
@@ -221,8 +224,11 @@ def train(
     users into one model input, scores all of their positions with one
     raw-sum loss and is back-propagated once; the graphs' gradients add up
     before the minibatch's one optimizer step.  Model selection is by
-    validation recall on each user's final train session.  Users whose
-    train view has fewer than two sessions are left out.
+    validation recall on each user's final train session; when no
+    validation runs, the final epoch's model is returned with no metric.
+    Users whose train view has fewer than two sessions are left out.  Every
+    split user's train view must fit ``cfg.sse.max_positions``, since
+    evaluation encodes the whole view; that is checked before epoch 0.
     """
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, neg_rng, drop_rng, shuffle_rng = (
@@ -236,11 +242,18 @@ def train(
                    if len(user.train_sessions) >= 2]
     if not train_users:
         raise ValueError("no trainable users: every train view has < 2 sessions")
+    longest = max(len(user.train_sessions) for user in split.users)
+    if longest > cfg.sse.max_positions:
+        raise ValueError(
+            f"a train view holds {longest} sessions, more than sse.max_positions="
+            f"{cfg.sse.max_positions}; raise sse.max_positions or re-run prepare-data "
+            f"with --max-pos-len {cfg.sse.max_positions} or less"
+        )
 
     history = []
-    best_metric = -1.0
+    best_metric = None
     best_epoch = -1
-    best_state = {n: p.data.copy() for n, p in params.items()}
+    best_state = None  # the weights of the best validated epoch
 
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(train_users))
@@ -288,7 +301,7 @@ def train(
         if cfg.val_interval > 0 and (epoch + 1) % cfg.val_interval == 0:
             val = _validation_recall(model, [s for _, s in train_users], cfg.val_k)
             entry["val_recall"] = val
-            if val > best_metric:
+            if best_metric is None or val > best_metric:
                 best_metric = val
                 best_epoch = epoch
                 best_state = {n: p.data.copy() for n, p in params.items()}
@@ -296,7 +309,9 @@ def train(
         if log_fn is not None:
             log_fn(entry)
 
-    if best_epoch >= 0:
+    if best_metric is None:
+        best_epoch = cfg.epochs - 1
+    else:
         for n, p in params.items():
             p.data[...] = best_state[n]
     return TrainResult(

@@ -344,7 +344,7 @@ def _ref_encode_feature(info, raw):
 
 def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
     """ingest -> fixpoint filter -> remap and sessionize -> save, one Python
-    object per row; writes the dataset directory layout (format version 1)."""
+    object per row; writes the dataset directory layout (format version 2)."""
     import os
 
     interactions, feature_names = _ref_ingest(log_path)
@@ -366,17 +366,16 @@ def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
     by_user = {}
     for r in rows:
         by_user.setdefault(r.user, {}).setdefault(r.session, []).append(r)
-    users, session_ids = [], []
-    user_idx, sess_ord, items, positives, timestamps = [], [], [], [], []
+    users, session_ids, session_rows = [], [], []
+    items, positives, timestamps = [], [], []
     num_positives = 0
-    for ui, user in enumerate(sorted(by_user)):
+    for user in sorted(by_user):
         ordered = sorted(by_user[user].items(), key=lambda kv: min(r.timestamp for r in kv[1]))
         users.append(user)
         session_ids.append([sid for sid, _ in ordered])
-        for so, (_, group) in enumerate(ordered):
+        for _, group in ordered:
+            session_rows.append(len(group))
             for r in group:
-                user_idx.append(ui)
-                sess_ord.append(so)
                 items.append(item_map[r.item])
                 positives.append(r.positive)
                 timestamps.append(r.timestamp)
@@ -385,8 +384,7 @@ def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
     os.makedirs(out_dir, exist_ok=True)
     np.savez(
         os.path.join(out_dir, "interactions.npz"),
-        user_idx=np.asarray(user_idx, dtype=np.int32),
-        session_ord=np.asarray(sess_ord, dtype=np.int32),
+        session_rows=np.asarray(session_rows, dtype=np.int64),
         item=np.asarray(items, dtype=np.int32),
         positive=np.asarray(positives, dtype=bool),
         timestamp=np.asarray(timestamps, dtype=np.int64),
@@ -397,7 +395,7 @@ def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
     with open(os.path.join(out_dir, "users.json"), "w") as fh:
         json.dump({"users": users, "session_ids": session_ids}, fh)
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump({"format_version": 1, "feature_names": list(feature_names),
+        json.dump({"format_version": 2, "feature_names": list(feature_names),
                    "feature_info": feature_info, "max_positive_len": max_positive_len,
                    "num_items": len(item_map)}, fh, indent=2)
     n_users, n_sessions, n_rows = len(users), sum(map(len, session_ids)), len(items)
@@ -433,11 +431,10 @@ def dataset_files(data_dir):
 # ---------------------------------------------------------------------------
 
 
-def history(*sessions, ids=None):
+def history(*sessions):
     """A ``Sessions`` view of sessions given as ``(items, positives)`` or
     ``(items, positives, timestamps)`` rows.  Rows without timestamps are
-    stamped with their row number over the whole history.  Session k is
-    named ``ids[k]``, by default ``f"s{k}"``."""
+    stamped with their row number over the whole history."""
     items, positives, stamps, offsets = [], [], [], [0]
     for row in sessions:
         start, n = offsets[-1], len(row[0])
@@ -450,8 +447,19 @@ def history(*sessions, ids=None):
         np.array(positives, bool),
         np.array(stamps, np.int64),
         np.array(offsets),
-        list(ids) if ids is not None else [f"s{k}" for k in range(len(sessions))],
     )
+
+
+def dataset_of(sessions, user_offsets, user_ids=None):
+    """A ``Dataset`` of the ``Sessions`` view ``sessions``, user u owning
+    sessions ``user_offsets[u]:user_offsets[u + 1]``.  Users are named
+    ``user_ids``, by default ``f"u{u}"``, and each user's sessions
+    ``"s0"``, ``"s1"``, ..."""
+    bounds = list(user_offsets)
+    if user_ids is None:
+        user_ids = [f"u{u}" for u in range(len(bounds) - 1)]
+    return Dataset(sessions, np.array(bounds), list(user_ids),
+                   [[f"s{k}" for k in range(b - a)] for a, b in zip(bounds, bounds[1:])])
 
 
 def ragged(rows):
@@ -464,7 +472,6 @@ def ragged(rows):
 class ListSession(NamedTuple):
     """One session as parallel lists, in log order."""
 
-    session_id: str
     items: list
     positives: list
     timestamps: list
@@ -473,9 +480,9 @@ class ListSession(NamedTuple):
 def sessions_of(view):
     """The sessions of a ``Sessions`` view, one ``ListSession`` each."""
     bounds = view.offsets.tolist()
-    return [ListSession(sid, view.item[a:b].tolist(), view.positive[a:b].tolist(),
+    return [ListSession(view.item[a:b].tolist(), view.positive[a:b].tolist(),
                         view.timestamp[a:b].tolist())
-            for sid, a, b in zip(view.session_ids, bounds, bounds[1:])]
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def reference_encoder_views(sessions):
@@ -508,7 +515,7 @@ def reference_clip_sessions_to(sessions, max_ts):
     for s in sessions:
         keep = [i for i, ts in enumerate(s.timestamps) if ts <= max_ts]
         if any(s.positives[i] for i in keep):
-            out.append(ListSession(s.session_id, [s.items[i] for i in keep],
+            out.append(ListSession([s.items[i] for i in keep],
                                    [s.positives[i] for i in keep],
                                    [s.timestamps[i] for i in keep]))
     return out
@@ -535,7 +542,7 @@ def random_train_views(seed, users=40, catalog=12):
             positive[rng.integers(n)] = True
             rows.append((rng.integers(0, catalog, n), positive, rng.integers(0, 100, n)))
         user_offsets.append(len(rows))
-    dataset = Dataset(history(*rows), np.array(user_offsets), [f"u{u}" for u in range(users)])
+    dataset = dataset_of(history(*rows), user_offsets)
     split = make_split(dataset, "session", catalog, max_positive_len=int(rng.integers(2, 8)))
     views = [user.train_sessions for user in split.users]
     starts = set(dataset.sessions.offsets.tolist())

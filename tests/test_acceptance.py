@@ -248,8 +248,7 @@ def test_criterion_03_causality_and_leakage():
                     sessions.append((items, [True] * len(items),
                                      [s * 10 + i for i in range(len(items))]))
                 targets = sorted(map(int, target_rng.choice(20, 2, replace=False)))
-                ids = [f"u{u}-s{s}" for s in range(3)]
-                users.append(UserSplit(f"u{u}", history(*sessions, ids=ids), targets))
+                users.append(UserSplit(f"u{u}", history(*sessions), targets))
             return users
         split_a = DatasetSplit("session", make_users(np.random.default_rng(1)),
                                20, {})

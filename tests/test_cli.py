@@ -84,6 +84,17 @@ class TestPipeline:
         assert manifest["status"] == "success"
         assert manifest["wall_clock_s"] > 0
 
+    def test_train_without_validation_records_no_recall(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**load_json(workspace["cfg"]), "val_interval": 0}))
+        assert main(["train", "--data", workspace["data"], "--out", str(run),
+                     "--config", str(cfg), "--epochs", "2", "--dim", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"final epoch 1 (no validation ran) -> {run / 'checkpoint.bin'}")
+        ckpt = trainer.load_checkpoint(str(run / "checkpoint.bin"))
+        assert ckpt.epoch == 1 and ckpt.metrics == {}
+
     def test_flags_override_config_file(self, workspace):
         manifest = load_json(os.path.join(workspace["run"], "manifest.json"))
         resolved = manifest["resolved_config"]
@@ -180,6 +191,10 @@ class TestErrors:
         ('{"epochs": "ten"}', "'epochs'"),
         ('{"sse": {"layers": 1.5}}', "'sse.layers'"),
         ('{"dim": 0}', "dim and val_k must be >= 1"),
+        ('{"sse": {"layers": -1}}', "sse.layers must be >= 0, got -1"),
+        ('{"ise": {"layers": -1}}', "ise.layers must be >= 0, got -1"),
+        ('{"sse": {"max_positions": 0}}', "sse.max_positions must be >= 1, got 0"),
+        ('{"val_interval": -1}', "val_interval must be >= 0"),
     ])
     def test_malformed_config_is_one_line(self, tmp_path, capsys, content, named):
         bad = tmp_path / "bad.json"
@@ -203,6 +218,8 @@ class TestErrors:
         ("drop-item-array", "interactions.npz: missing array 'item'"),
         ("users-one-short", "users.json"),
         ("exposure-only-session", "interactions.npz: a session has no positive row"),
+        ("session-rows-sum-off", "interactions.npz: session_rows is not one integer row count"),
+        ("format-1", "re-run prepare-data"),
     ])
     def test_corrupt_dataset_is_one_line(self, workspace, tmp_path, capsys, damage, named):
         data = tmp_path / "data"
@@ -212,8 +229,14 @@ class TestErrors:
             del arrays["item"]
             np.savez(data / "interactions.npz", **arrays)
         elif damage == "exposure-only-session":
-            arrays["positive"][(arrays["user_idx"] == 0) & (arrays["session_ord"] == 0)] = False
+            arrays["positive"][:arrays["session_rows"][0]] = False
             np.savez(data / "interactions.npz", **arrays)
+        elif damage == "session-rows-sum-off":
+            arrays["session_rows"][-1] += 1
+            np.savez(data / "interactions.npz", **arrays)
+        elif damage == "format-1":
+            meta = load_json(data / "meta.json")
+            (data / "meta.json").write_text(json.dumps({**meta, "format_version": 1}))
         else:
             blob = json.loads((data / "users.json").read_text())
             blob["users"].pop()
@@ -238,6 +261,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("flag, value", [("--twin-exposures", "3"),
+                                             ("--self-exposure-rate", "0.9")])
+    def test_synth_flag_of_another_pattern_is_one_line(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "log.csv"
+        code = main(["synth", "--pattern", "copy-last-session", flag, value,
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{flag} does not apply to copy-last-session" in err
+        assert not out.exists()
+
+    def test_history_longer_than_max_positions_is_one_line_before_training(
+            self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sse": {"layers": 1, "max_positions": 2}}))
+        run = tmp_path / "run"
+        code = main(["train", "--data", workspace["data"], "--out", str(run),
+                     "--config", str(cfg), "--dim", "8"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "more than sse.max_positions=2" in captured.err
+        assert "--max-pos-len 2" in captured.err
+        assert "epoch" not in captured.out and not (run / "checkpoint.bin").exists()
 
     def test_corrupt_feature_value_is_one_line(self, tmp_path, capsys):
         log = tmp_path / "log.csv"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     dataset_files,
+    dataset_of,
     history,
     ragged,
     random_train_views,
@@ -19,7 +20,6 @@ from helpers import (
 import nextsession.tensor as T
 from nextsession import data, synth
 from nextsession.data import (
-    Dataset,
     compute_stats,
     encoder_views,
     equal_frequency_edges,
@@ -171,7 +171,7 @@ class TestFilterDataset:
         sequences, catalog = filter_dataset(interactions, features)
         assert len(sequences) == 3
         assert catalog.num_items == 3
-        assert all(len(seq.sessions) == 3 for seq in sequences)
+        assert all(len(seq) == 3 for seq in sequences)
         total = sum(seq.num_interactions() for seq in sequences)
         assert total == len(interactions)
 
@@ -185,7 +185,7 @@ class TestFilterDataset:
                 t += 1
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", rows))
         sequences, _ = filter_dataset(interactions)
-        assert [s.user_id for s in sequences] == ["u0", "u1", "u2"]
+        assert sequences.user_ids == ["u0", "u1", "u2"]
 
     def test_all_negative_session_dropped(self, tmp_path):
         rows = dense_corpus_rows()
@@ -195,8 +195,8 @@ class TestFilterDataset:
             t += 1
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", rows))
         sequences, _ = filter_dataset(interactions)
-        u0 = next(s for s in sequences if s.user_id == "u0")
-        assert u0.sessions.session_ids == ["s0-0", "s0-1", "s0-2"]
+        assert sequences.user_ids[0] == "u0" and len(sequences[0]) == 3
+        assert sequences.session_ids[0] == ["s0-0", "s0-1", "s0-2"]
 
     def test_rare_item_dropped(self, tmp_path):
         rows = dense_corpus_rows()
@@ -225,12 +225,11 @@ class TestFilterDataset:
         # re-encode the surviving interactions and filter again: nothing changes
         inv_map = {v: k for k, v in catalog.item_map.items()}
         rows2 = []
-        for seq in sequences:
-            for sess in sessions_of(seq.sessions):
+        for user, seq, ids in zip(sequences.user_ids, sequences, sequences.session_ids):
+            for sid, sess in zip(ids, sessions_of(seq)):
                 for it, pos, ts in zip(sess.items, sess.positives, sess.timestamps):
                     rows2.append(
-                        (seq.user_id, inv_map[it], sess.session_id, ts,
-                         "click" if pos else "exposure")
+                        (user, inv_map[it], sid, ts, "click" if pos else "exposure")
                     )
         interactions2, _ = ingest(write_csv(tmp_path / "log2.csv", rows2))
         sequences2, catalog2 = filter_dataset(interactions2)
@@ -249,14 +248,14 @@ class TestFilterDataset:
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", dense_corpus_rows()))
         sequences, catalog = filter_dataset(interactions)
         assert sorted(catalog.item_map.values()) == list(range(catalog.num_items))
-        seen = {it for s in sequences for sess in sessions_of(s.sessions) for it in sess.items}
+        seen = {it for s in sequences for sess in sessions_of(s) for it in sess.items}
         assert seen == set(range(catalog.num_items))
 
     def test_sessions_ordered_by_earliest_timestamp(self, tmp_path):
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", dense_corpus_rows()))
         sequences, _ = filter_dataset(interactions)
         for seq in sequences:
-            starts = [min(s.timestamps) for s in sessions_of(seq.sessions)]
+            starts = [min(s.timestamps) for s in sessions_of(seq)]
             assert starts == sorted(starts)
 
     def test_categorical_features_encoded(self, tmp_path):
@@ -294,23 +293,18 @@ class TestBinning:
         assert (np.diff(bins) >= 0).all()
 
 
-def one_user(sessions):
-    """A Dataset of one user, "u", holding the ``Sessions`` view ``sessions``."""
-    return Dataset(sessions, np.array([0, len(sessions)]), ["u"])
-
-
-def truncated(sessions, budget, ids="abc"):
+def truncated(sessions, budget):
     """The sessions of the train view that make_split keeps of ``sessions``,
-    ``(items, positives)`` rows named by ``ids``, under ``budget``."""
-    target = ([0], [True])
-    dataset = one_user(history(*sessions, target, ids=[*ids[:len(sessions)], "target"]))
-    split = make_split(dataset, "session", 100, max_positive_len=budget)
+    ``(items, positives)`` rows, under ``budget``."""
+    view = history(*sessions, ([0], [True]))
+    split = make_split(dataset_of(view, [0, len(view)]), "session", 100,
+                       max_positive_len=budget)
     return sessions_of(split.users[0].train_sessions)
 
 
-def listed(*sessions, ids="abc"):
-    """``(items, positives)`` rows named by ``ids`` as ``ListSession``s."""
-    return sessions_of(history(*sessions, ids=ids[:len(sessions)]))
+def listed(*sessions):
+    """``(items, positives)`` rows as ``ListSession``s."""
+    return sessions_of(history(*sessions))
 
 
 class TestTruncation:
@@ -321,14 +315,11 @@ class TestTruncation:
     def test_cut_splits_a_session_at_item_granularity(self):
         sessions = [([0, 1, 2], [True, True, True]), ([3, 4], [True, True])]
         kept = truncated(sessions, 3)
-        assert [s.session_id for s in kept] == ["a", "b"]
-        assert kept[0].items == [2]
-        assert kept[1].items == [3, 4]
+        assert [s.items for s in kept] == [[2], [3, 4]]
 
     def test_whole_old_sessions_dropped(self):
         sessions = [([0], [True]), ([1], [True]), ([2], [True])]
-        kept = truncated(sessions, 2)
-        assert [s.session_id for s in kept] == ["b", "c"]
+        assert truncated(sessions, 2) == listed(*sessions)[1:]
 
     def test_negatives_ride_along_with_kept_suffix(self):
         sessions = [([0, 1, 2], [False, True, True])]
@@ -353,14 +344,13 @@ class TestMakeSplit:
     def build_sequences(self):
         rows = [([u * 10 + k, u * 10 + k + 1, 99], [True, True, False])
                 for u in range(3) for k in range(3)]
-        ids = [f"u{u}-s{k}" for u in range(3) for k in range(3)]
-        return Dataset(history(*rows, ids=ids), np.array([0, 3, 6, 9]), ["u0", "u1", "u2"])
+        return dataset_of(history(*rows), [0, 3, 6, 9])
 
     def test_session_protocol_definition(self):
         split = make_split(self.build_sequences(), "session", catalog_size=120)
         assert split.protocol == "session"
         user = split.users[0]
-        assert user.train_sessions.session_ids == ["u0-s0", "u0-s1"]
+        assert user.train_sessions.offsets.tolist() == [0, 3, 6]  # u0's sessions 0 and 1
         assert user.targets == [2, 3]  # positives of session 3, sorted
 
     def test_item_protocol_definition(self):
@@ -368,13 +358,14 @@ class TestMakeSplit:
         user = split.users[0]
         # last positive of u0 is item 3 (second row of the third session)
         assert user.targets == [3]
-        assert user.train_sessions.session_ids[-1] == "u0-s2"
+        # u0's sessions 0 and 1, and the first row of session 2
+        assert user.train_sessions.offsets.tolist() == [0, 3, 6, 7]
         assert sessions_of(user.train_sessions)[-1].items == [2]
 
     def test_single_session_user_skipped_with_count(self):
         rows = [(s.items, s.positives) for s in sessions_of(self.build_sequences().sessions)]
-        dataset = Dataset(history(*rows, ([1, 2], [True, True])), np.array([0, 3, 6, 9, 10]),
-                          ["u0", "u1", "u2", "u9"])
+        dataset = dataset_of(history(*rows, ([1, 2], [True, True])), [0, 3, 6, 9, 10],
+                             ["u0", "u1", "u2", "u9"])
         split = make_split(dataset, "session", catalog_size=120)
         assert split.stats["skipped_users"] == 1
         assert len(split.users) == 3
@@ -384,13 +375,13 @@ class TestMakeSplit:
                            max_positive_len=2)
         user = split.users[0]
         assert sum(sum(s.positives) for s in sessions_of(user.train_sessions)) == 2
-        assert user.train_sessions.session_ids == ["u0-s1"]
+        assert user.train_sessions.offsets.tolist() == [3, 6]  # u0's session 1
 
     def test_no_target_session_in_train_view(self):
         split = make_split(self.build_sequences(), "session", catalog_size=120)
         for seq, user in zip(self.build_sequences(), split.users):
-            target = sessions_of(seq.sessions)[-1]
-            assert target.session_id not in user.train_sessions.session_ids
+            target = sessions_of(seq)[-1]
+            assert user.train_sessions.offsets[-1] <= seq.offsets[-2]  # the target's start
             max_train_ts = max(ts for s in sessions_of(user.train_sessions)
                                for ts in s.timestamps)
             assert max_train_ts < min(target.timestamps)
@@ -402,7 +393,7 @@ class TestMakeSplit:
         ):
             target = user.targets[0]
             full_count = sum(
-                1 for s in sessions_of(seq.sessions) for it, p in zip(s.items, s.positives)
+                1 for s in sessions_of(seq) for it, p in zip(s.items, s.positives)
                 if p and it == target
             )
             train_count = sum(
@@ -413,30 +404,29 @@ class TestMakeSplit:
 
     def test_item_protocol_view_ends_before_a_session_that_opens_with_exposures(self):
         # u's held-out click 7 follows two exposures; v's click 9 follows a click
-        dataset = Dataset(history(([1, 2], [True, True]), ([3, 4], [False, True]),
-                                  ([5, 6, 7], [False, False, True]),
-                                  ([1], [True]), ([2, 8, 9], [False, True, True]),
-                                  ids=["u-s0", "u-s1", "u-s2", "v-s0", "v-s1"]),
-                          np.array([0, 3, 5]), ["u", "v"])
+        dataset = dataset_of(history(([1, 2], [True, True]), ([3, 4], [False, True]),
+                                     ([5, 6, 7], [False, False, True]),
+                                     ([1], [True]), ([2, 8, 9], [False, True, True])),
+                             [0, 3, 5], ["u", "v"])
         u, v = make_split(dataset, "item", catalog_size=10).users
         assert u.targets == [7] and v.targets == [9]
         assert sessions_of(u.train_sessions) == sessions_of(dataset.sessions[:2])
         assert sessions_of(v.train_sessions)[-1].items == [2, 8]
 
     def test_item_protocol_needs_two_positives(self):
-        dataset = Dataset(history(([1, 2], [False, True]), ([3], [False])),
-                          np.array([0, 1, 2]), ["u", "v"])
+        dataset = dataset_of(history(([1, 2], [False, True]), ([3], [False])), [0, 1, 2],
+                             ["u", "v"])
         split = make_split(dataset, "item", catalog_size=5)
         assert split.users == [] and split.stats["skipped_users"] == 2
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="protocol"):
-            make_split(Dataset(history(), np.array([0]), []), "weekly", catalog_size=5)
+            make_split(dataset_of(history(), [0]), "weekly", catalog_size=5)
 
     def test_stats_session_totals_consistent(self):
         seqs = self.build_sequences()
         stats = compute_stats(seqs, catalog_size=120)
-        assert stats["num_sessions"] == sum(len(s.sessions) for s in seqs)
+        assert stats["num_sessions"] == sum(len(s) for s in seqs)
         assert stats["avg_session_length"] == pytest.approx(3.0)
         assert stats["avg_positive_length"] == pytest.approx(6.0)
 
@@ -465,11 +455,12 @@ class TestEncoderViews:
 
 class TestSessionsSlicing:
     def test_slices_are_views_and_a_step_is_rejected(self):
-        s = history(([1], [True]), ([2], [True]), ([3], [True]), ids="abc")
-        assert s[1:].session_ids == ["b", "c"] and s[1:].item is s.item
-        assert s[-1:].offsets.tolist() == [2, 3]
-        assert len(s[2:1]) == 0 and s[2:1].offsets.tolist() == [2]
-        assert s[::1].session_ids == ["a", "b", "c"]
+        s = history(([1], [True]), ([2, 3], [True, True]), ([4], [True]))
+        assert len(s[1:]) == 2 and s[1:].offsets.tolist() == [1, 3, 4]
+        assert s[1:].item is s.item and s[1:].rows() == slice(1, 4)
+        assert s[-1:].offsets.tolist() == [3, 4]
+        assert len(s[2:1]) == 0 and s[2:1].offsets.tolist() == [3]
+        assert s[::1].offsets.tolist() == [0, 1, 3, 4]
         for step in (2, -1):
             with pytest.raises(ValueError, match="step"):
                 s[::step]
@@ -486,10 +477,11 @@ class TestPersistence:
         loaded, catalog2, meta = load_dataset(str(out))
         assert meta["max_positive_len"] == 50
         assert catalog2.item_map == catalog.item_map
+        assert loaded.user_ids == sequences.user_ids
+        assert loaded.session_ids == sequences.session_ids
         assert len(loaded) == len(sequences)
         for a, b in zip(loaded, sequences):
-            assert a.user_id == b.user_id
-            assert sessions_of(a.sessions) == sessions_of(b.sessions)
+            assert sessions_of(a) == sessions_of(b)
 
     def test_round_trip_preserves_features(self, tmp_path):
         rows = [r + ("red" if i % 2 else "blue",) for i, r in enumerate(dense_corpus_rows())]
@@ -503,28 +495,21 @@ class TestPersistence:
         assert catalog2.feature_names == ("color",)
         np.testing.assert_array_equal(catalog2.item_features, catalog.item_features)
 
-    def test_legacy_per_interaction_features_ignored(self, tmp_path):
-        rows = [r + ("red" if i % 2 else "blue",) for i, r in enumerate(dense_corpus_rows())]
-        path = write_csv(tmp_path / "log.csv", rows,
-                         header="user,item,session,timestamp,action,color")
-        sequences, catalog = filter_dataset(*ingest(path))
-        out = tmp_path / "data"
-        save_dataset(str(out), sequences, catalog)
-        npz = out / "interactions.npz"
-        arrays = dict(np.load(npz))
-        assert "features" not in arrays
-        # earlier versions also stored one feature id row per interaction
-        arrays["features"] = np.ones((len(arrays["item"]), 1), dtype=np.int32)
-        np.savez(npz, **arrays)
-        loaded, catalog2, _ = load_dataset(str(out))
-        assert_same_dataset(loaded, sequences)
-        np.testing.assert_array_equal(catalog2.item_features, catalog.item_features)
+    def test_stores_session_row_counts_not_per_row_ids(self, tmp_path):
+        sequences, catalog = filter_dataset(*ingest(
+            write_csv(tmp_path / "log.csv", dense_corpus_rows())))
+        save_dataset(str(tmp_path / "data"), sequences, catalog)
+        arrays = dict(np.load(tmp_path / "data" / "interactions.npz"))
+        assert sorted(arrays) == sorted(data.ARRAYS)
+        assert arrays["session_rows"].dtype == np.int64
+        assert arrays["session_rows"].tolist() == [3] * 9
+        assert json.loads((tmp_path / "data" / "meta.json").read_text())["format_version"] == 2
 
 
 def assert_same_dataset(a, b):
     for name in ("item", "positive", "timestamp", "offsets"):
         np.testing.assert_array_equal(getattr(a.sessions, name), getattr(b.sessions, name))
-    assert a.sessions.session_ids == b.sessions.session_ids
+    assert a.session_ids == b.session_ids
     np.testing.assert_array_equal(a.user_offsets, b.user_offsets)
     assert a.user_ids == b.user_ids
 
@@ -552,13 +537,14 @@ class TestCorruptDirectory:
         blob["users"].pop()
         blob["session_ids"].pop()
         (out / "users.json").write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match=r"user_idx names a user that .*users\.json"):
+        with pytest.raises(ValueError, match=r"interactions\.npz: session_rows is not one integer "
+                                             r"row count >= 1 per session that .*users\.json"):
             load_dataset(str(out))
 
     def test_session_without_positive_rows(self, tmp_path):
         out = prepared(tmp_path)
         arrays = dict(np.load(out / "interactions.npz"))
-        arrays["positive"][(arrays["user_idx"] == 0) & (arrays["session_ord"] == 0)] = False
+        arrays["positive"][:arrays["session_rows"][0]] = False
         np.savez(out / "interactions.npz", **arrays)
         with pytest.raises(ValueError, match=r"interactions\.npz: a session has no positive row"):
             load_dataset(str(out))
@@ -568,15 +554,38 @@ class TestCorruptDirectory:
         blob = json.loads((out / "users.json").read_text())
         blob["session_ids"][0].append("ghost")
         (out / "users.json").write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match="has no rows"):
+        with pytest.raises(ValueError, match=r"interactions\.npz: session_rows is not one integer "
+                                             r"row count >= 1 per session that .*users\.json "
+                                             r"lists \(10\)"):
             load_dataset(str(out))
 
-    def test_offsets_must_cover_the_rows(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["one-short", "zero-entry", "sum-off-by-one", "float"])
+    def test_session_rows_must_count_the_rows(self, tmp_path, damage):
         out = prepared(tmp_path)
         arrays = dict(np.load(out / "interactions.npz"))
-        arrays["session_ord"][-1] = 7  # the last user has 3 sessions
+        counts = arrays["session_rows"]
+        if damage == "one-short":  # the last two sessions merged: the sum still holds
+            counts = np.r_[counts[:-2], counts[-2] + counts[-1]]
+        elif damage == "zero-entry":  # session 0 takes session 1's rows
+            counts[0], counts[1] = counts[0] + counts[1], 0
+        elif damage == "sum-off-by-one":
+            counts[-1] += 1
+        else:  # the right counts, but not as integers
+            counts = counts.astype(np.float64)
+        arrays["session_rows"] = counts
         np.savez(out / "interactions.npz", **arrays)
-        with pytest.raises(ValueError, match="session offsets do not cover the rows"):
+        with pytest.raises(ValueError, match=r"interactions\.npz: session_rows is not one integer "
+                                             r"row count >= 1 per session that .*users\.json "
+                                             r"lists \(9\), summing to the 27 rows"):
+            load_dataset(str(out))
+
+    def test_format_1_directory_refused(self, tmp_path):
+        out = prepared(tmp_path)
+        meta = json.loads((out / "meta.json").read_text())
+        meta["format_version"] = 1
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"meta\.json: dataset format version 1 is not 2; "
+                                             r"re-run prepare-data"):
             load_dataset(str(out))
 
     def test_unequal_array_lengths(self, tmp_path):

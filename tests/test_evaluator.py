@@ -397,8 +397,7 @@ def toy_split(num_users=10, num_sessions=4, catalog=20):
             items = [sig, int(rng.integers(catalog))]
             ts = [s * 100, s * 100 + 1]
             sessions.append((items, [True, True], ts))
-        ids = [f"u{u}-s{s}" for s in range(num_sessions)]
-        users.append(UserSplit(f"u{u}", history(*sessions, ids=ids), targets=[sig]))
+        users.append(UserSplit(f"u{u}", history(*sessions), targets=[sig]))
     return DatasetSplit(protocol="session", users=users, catalog_size=catalog,
                         stats={})
 
@@ -470,7 +469,7 @@ class TestScalingRun:
         # session A's exposure precedes session B but its click follows the
         # cut, so the clipped view holds Z, an exposure-only A, then B
         interleaved = history(([1, 2], [True, True], [0, 1]), ([3, 4], [False, True], [10, 100]),
-                              ([5, 6], [True, True], [50, 55]), ids=["Z", "A", "B"])
+                              ([5, 6], [True, True], [50, 55]))
         plain = history(([1, 7], [True, True], [0, 2]), ([8], [True], [20]),
                         ([9], [True], [40]))
         split = DatasetSplit("session", [UserSplit("u0", interleaved, [7]),
@@ -479,7 +478,7 @@ class TestScalingRun:
         assert "skipped" not in row
         assert row["num_users"] == 2
         assert sessions_of(evaluator._clip_sessions_to(interleaved, 70)) == [
-            ("Z", [1, 2], [True, True], [0, 1]), ("B", [5, 6], [True, True], [50, 55])]
+            ([1, 2], [True, True], [0, 1]), ([5, 6], [True, True], [50, 55])]
 
     def test_recall_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="recall_k must be >= 1"):

@@ -156,7 +156,7 @@ class TestBuildTargets:
     def test_positive_free_session_rejected(self):
         seqs = history(([1, 2, 9], [True, True, False]), ([9], [False]),
                        ([4, 5, 4], [True, False, False]))
-        with pytest.raises(ValueError, match="no positives"):
+        with pytest.raises(ValueError, match="session 1 of the view has no positives"):
             build_targets([seqs], 10, 4, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4])

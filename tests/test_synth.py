@@ -120,8 +120,8 @@ class TestPipelineCompatibility:
         assert len(sequences) == 20
         assert catalog.num_items > 0
         for seq in sequences:
-            assert len(seq.sessions) >= 3
-            assert (seq.sessions.positive_counts() >= 1).all()
+            assert len(seq) >= 3
+            assert (seq.positive_counts() >= 1).all()
 
     def test_copy_last_session_keeps_most_of_catalog(self, tmp_path):
         rows = synth.copy_last_session(num_users=100, num_sessions=8, catalog=200, seed=0)

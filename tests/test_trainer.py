@@ -10,13 +10,14 @@ import pytest
 
 import nextsession.tensor as T
 import nextsession.trainer as trainer_mod
-from nextsession.data import Catalog, Dataset, DatasetSplit, UserSplit, make_split
+from nextsession.data import Catalog, DatasetSplit, UserSplit, make_split
 from nextsession.evaluator import evaluate
 from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
-from helpers import TENSOR_DAMAGE, damaged_checkpoint, history, legacy_copy, ragged, sessions_of
+from helpers import (TENSOR_DAMAGE, damaged_checkpoint, dataset_of, history, legacy_copy,
+                     ragged, sessions_of)
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -46,8 +47,7 @@ def toy_split(num_users=12, num_sessions=4, catalog=24, extras_per_session=1):
                 positives.append(True)
             ts = [s * 100 + j for j in range(len(items))]
             sessions.append((items, positives, ts))
-        ids = [f"u{u}-s{s}" for s in range(num_sessions)]
-        users.append(UserSplit(user_id=f"u{u}", train_sessions=history(*sessions, ids=ids),
+        users.append(UserSplit(user_id=f"u{u}", train_sessions=history(*sessions),
                                targets=[sig]))
     return DatasetSplit(protocol="session", users=users, catalog_size=catalog,
                         stats={"num_users": num_users})
@@ -67,7 +67,7 @@ def exposures_first_dataset(drop_last_exposures, num_users=8, num_sessions=4, ca
             keep = slice(2 if drop_last_exposures and s == num_sessions - 1 else 0, 3)
             rows.append(tuple(column[keep] for column in row))
         user_offsets.append(len(rows))
-    return Dataset(history(*rows), np.array(user_offsets), [f"u{u}" for u in range(num_users)])
+    return dataset_of(history(*rows), user_offsets)
 
 
 def small_config(**overrides):
@@ -127,10 +127,15 @@ class TestConfig:
             config_from_dict(blob)
 
     @pytest.mark.parametrize("field, value", [("dim", 0), ("val_k", 0),
-                                              ("learning_rate", float("nan"))])
+                                              ("learning_rate", float("nan")),
+                                              ("val_interval", -1), ("sse.layers", -1),
+                                              ("sse.max_positions", 0), ("ise.layers", -1)])
     def test_values_that_cannot_train_a_model_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field}.* must be"):
-            small_config(**{field: value})
+        blob = config_to_dict(small_config())
+        group, _, key = field.rpartition(".")
+        (blob[group] if group else blob)[key] = value
+        with pytest.raises(ValueError, match=f"{re.escape(field)}.* must be"):
+            config_from_dict(blob)
 
     def test_unread_sse_dropout_is_dropped_at_any_valid_rate(self):
         cfg = small_config()
@@ -299,6 +304,26 @@ class TestTrain:
         for name, p in trained[0].items():
             np.testing.assert_allclose(trained[1][name].data, p.data, rtol=0, atol=1e-3,
                                        err_msg=name)
+
+    def test_without_validation_the_final_epoch_is_returned_with_no_metric(self):
+        # val_interval 0 turns validation off; 3 > epochs means none ran
+        results = [train(toy_split(), small_config(epochs=2, val_interval=interval))
+                   for interval in (0, 3)]
+        for result in results:
+            assert result.best_epoch == 1 and result.best_metric is None
+            assert all("val_recall" not in entry for entry in result.history)
+        for name, p in results[0].model.parameters().items():
+            np.testing.assert_array_equal(p.data, results[1].model.parameters()[name].data)
+
+    def test_view_longer_than_max_positions_rejected_before_epoch_0(self, monkeypatch):
+        cfg = small_config(epochs=1, sse=SseConfig(layers=1, heads=2, max_positions=3))
+        train(toy_split(num_sessions=3), cfg)  # evaluation encodes all 3 sessions
+        built = []
+        monkeypatch.setattr(trainer_mod, "build_targets", lambda *a: built.append(a))
+        with pytest.raises(ValueError, match=r"a train view holds 4 sessions, more than "
+                                             r"sse.max_positions=3; .*--max-pos-len 3"):
+            train(toy_split(num_sessions=4), cfg)
+        assert built == []
 
     def test_recurrent_backbone_trains(self):
         cfg = small_config(epochs=1, sse=SseConfig(backbone="recurrent", layers=1))
