@@ -185,6 +185,8 @@ def cmd_synth(args) -> int:
 def cmd_prepare_data(args) -> int:
     path = os.path.join(args.output, "manifest.json")
     with _manifest_scope(path, "prepare-data", args) as manifest:
+        if args.max_pos_len < 1:
+            raise ValueError(f"--max-pos-len must be >= 1, got {args.max_pos_len}")
         start = time.perf_counter()
         log, feature_names = ingest(args.input)
         ingested = time.perf_counter()
@@ -251,8 +253,6 @@ def cmd_evaluate(args) -> int:
         model = trainer.restore_model(ckpt, catalog=catalog)
         cutoffs = tuple(args.cutoffs) if args.cutoffs else evaluator.DEFAULT_CUTOFFS
         cutoffs = tuple(sorted({min(k, catalog.num_items) for k in cutoffs}))
-        # the hash of the config as read today, so a checkpoint whose header
-        # still carries retired keys reports the same hash as a fresh one
         report = evaluator.evaluate(
             model, split, cutoffs=cutoffs,
             config_hash=trainer.config_hash(ckpt.config),

@@ -24,7 +24,7 @@ import zipfile
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -493,16 +493,39 @@ def save_dataset(out_dir: str, dataset: Dataset, catalog: Catalog,
         json.dump(compute_stats(dataset, catalog.num_items), fh, indent=2, sort_keys=True)
 
 
-def _read_json(path: str, *keys: str) -> dict:
-    """A JSON object file holding ``keys``; anything else is a ValueError."""
-    with open(path) as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: {e}") from None
+def json_object(path: str, raw: bytes, *keys: str) -> dict:
+    """``raw``, the JSON text of ``path``, as an object holding ``keys``;
+    anything else is a ValueError naming ``path``."""
+    try:
+        blob = json.loads(raw)
+    except ValueError as e:  # also bytes that are not text
+        raise ValueError(f"{path}: {e}") from None
     if not isinstance(blob, dict) or not all(k in blob for k in keys):
         raise ValueError(f"{path}: expected a JSON object with keys {list(keys)}")
     return blob
+
+
+def _read_json(path: str, *keys: str) -> dict:
+    with open(path, "rb") as fh:
+        return json_object(path, fh.read(), *keys)
+
+
+def read_archive(path: str) -> dict[str, np.ndarray]:
+    """Every array of the npz archive at ``path``, by name.  A file that is
+    not a zip archive, or a damaged one, is a ValueError naming ``path``;
+    every member's CRC-32 is checked as it is read."""
+    try:
+        with open(path, "rb") as fh:
+            # np.load reads anything else as a .npy or a pickle
+            if fh.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise ValueError("not an npz archive")
+            fh.seek(0)
+            with np.load(fh) as archive:
+                return {name: archive[name] for name in archive.files}
+    # zipfile raises NotImplementedError or RuntimeError for a member whose
+    # compression or encryption flag is damaged
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path}: unreadable archive: {e}") from None
 
 
 def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
@@ -522,15 +545,16 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     item_map = _read_json(os.path.join(data_dir, "item_map.json"))
     users_path = os.path.join(data_dir, "users.json")
     users = _read_json(users_path, "users", "session_ids")
-    if len(users["users"]) != len(users["session_ids"]):
+    user_ids, session_ids = users["users"], users["session_ids"]
+    if not (isinstance(user_ids, list) and set(map(type, user_ids)) <= {str}
+            and isinstance(session_ids, list) and set(map(type, session_ids)) <= {list}
+            and set(map(type, chain.from_iterable(session_ids))) <= {str}):
+        raise ValueError(f"{users_path}: 'users' must be a list of strings and "
+                         f"'session_ids' a list of lists of strings")
+    if len(user_ids) != len(session_ids):
         raise ValueError(f"{users_path}: 'users' and 'session_ids' differ in length")
     path = os.path.join(data_dir, "interactions.npz")
-    try:
-        # np.load leaves a file it opened itself open when it is not a zip
-        with open(path, "rb") as fh, np.load(fh) as archive:
-            arrays = {name: archive[name] for name in ARRAYS if name in archive.files}
-    except (OSError, EOFError, zipfile.BadZipFile) as e:
-        raise ValueError(f"{path}: unreadable archive: {e}") from None
+    arrays = read_archive(path)
 
     def check(ok, problem):
         if not ok:
@@ -541,7 +565,7 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     rows = len(arrays["item"])
     for name in ("item", "positive", "timestamp"):
         check(arrays[name].shape == (rows,), f"array {name!r} is not one value per row")
-    user_offsets = np.cumsum([0] + [len(ids) for ids in users["session_ids"]])
+    user_offsets = np.cumsum([0] + [len(ids) for ids in session_ids])
     session_rows = arrays["session_rows"]
     check(session_rows.dtype.kind in "iu" and session_rows.shape == (user_offsets[-1],)
           and (session_rows >= 1).all() and session_rows.sum() == rows,
@@ -571,4 +595,4 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     # reduceat reads each session's rows, as no session is empty (checked above)
     check(np.logical_or.reduceat(sessions.positive, sessions.offsets[:-1]).all(),
           "a session has no positive row")
-    return Dataset(sessions, user_offsets, users["users"], users["session_ids"]), catalog, meta
+    return Dataset(sessions, user_offsets, user_ids, session_ids), catalog, meta

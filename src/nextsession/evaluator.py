@@ -358,6 +358,9 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
     """
     from .sequence_encoder import SequenceEncoder, SseConfig
 
+    if min(n_items, session_len, repeats) < 1:
+        raise ValueError(f"n_items, session_len and repeats must be >= 1, "
+                         f"got {n_items}, {session_len} and {repeats}")
     if n_items % session_len:
         raise ValueError("session_len must divide n_items")
     m_sessions = n_items // session_len

@@ -2,7 +2,9 @@
 
 ``TrainConfig`` is the one config: ``train`` builds the model from it,
 checkpoints store it, and ``restore_model`` builds the model of the stored
-copy straight from the checkpoint's tensors.  Validation ranks users with
+copy straight from the checkpoint's tensors.  A checkpoint is one npz
+archive, a JSON header plus one member per parameter, read by the reader
+that loads a dataset's arrays.  Validation ranks users with
 ``evaluator.ranked``, the loop that ``evaluator.evaluate`` uses.
 """
 
@@ -10,13 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .data import Catalog, DatasetSplit, encoder_views
+from .data import Catalog, DatasetSplit, encoder_views, json_object, read_archive
 from .model import NextSessionModel
 from .objective import LossConfig, build_targets, total_loss
 from .session_encoder import IseConfig
@@ -69,13 +70,6 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-# Keys that older configs and checkpoint headers carry, each at the only
-# value it ever accepted; they are checked and dropped.
-_RETIRED_KEYS = {"optimizer": "adam", "loss.sampling": "uniform"}
-# Carried by older configs and checkpoint headers but never read: the
-# top-level dropout always replaced it.  Any rate in [0, 1) is dropped.
-_UNREAD_RATE = "sse.dropout"
-
 _FIELD_TYPES = {
     "int": (int,),
     "float": (int, float),
@@ -85,21 +79,10 @@ _FIELD_TYPES = {
 
 
 def _field_values(cls, values: dict, prefix: str = "") -> dict:
-    """Check ``values`` against ``cls``'s fields, dropping retired keys."""
+    """Check ``values`` against ``cls``'s fields."""
     kwargs = {}
     for key, value in values.items():
         name = prefix + key
-        if name in _RETIRED_KEYS:
-            if value != _RETIRED_KEYS[name]:
-                raise ValueError(
-                    f"config field {name!r} only supports "
-                    f"{_RETIRED_KEYS[name]!r}, got {value!r}"
-                )
-            continue
-        if name == _UNREAD_RATE:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < 1:
-                raise ValueError(f"config field {name!r} must be in [0, 1), got {value!r}")
-            continue
         if key not in cls.__dataclass_fields__:
             raise ValueError(f"unknown config key {name!r}")
         kind = cls.__dataclass_fields__[key].type
@@ -110,6 +93,8 @@ def _field_values(cls, values: dict, prefix: str = "") -> dict:
 
 
 def config_from_dict(blob: dict) -> TrainConfig:
+    if not isinstance(blob, dict):
+        raise ValueError(f"config must be a mapping, got {type(blob).__name__}")
     nested = {"loss": LossConfig, "ise": IseConfig, "sse": SseConfig}
     kwargs = _field_values(TrainConfig, {k: v for k, v in blob.items() if k not in nested})
     for key, cls in nested.items():
@@ -323,12 +308,13 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, little-endian u64 header length, JSON
-# header (config, hashes, epoch, metrics, tensor manifest), raw tensor blobs.
+# checkpoint format 2: one npz archive, read by ``data.read_archive``.  Its
+# ``header`` member is the UTF-8 JSON of the format version, config, data
+# hash, epoch and metrics, as uint8; every other member is the parameter of
+# its name.
 # ---------------------------------------------------------------------------
 
-CKPT_MAGIC = b"NSCK"
-CKPT_VERSION = 1
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(
@@ -339,52 +325,22 @@ def save_checkpoint(
     metrics: dict | None = None,
     data_hash: str = "",
 ) -> None:
-    params = model.parameters()
-    manifest = []
-    blobs = []
-    offset = 0
-
-    def add_tensor(name, arr):
-        nonlocal offset
-        arr = np.ascontiguousarray(arr)
-        raw = arr.tobytes()
-        manifest.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": str(arr.dtype),
-                "offset": offset,
-                "nbytes": len(raw),
-            }
-        )
-        blobs.append(raw)
-        offset += len(raw)
-
-    for name in sorted(params):
-        add_tensor(name, params[name].data)
-
     header = {
+        "format_version": CHECKPOINT_FORMAT,
         "config": config_to_dict(cfg),
-        "config_hash": config_hash(cfg),
         "data_hash": data_hash,
         "epoch": epoch,
         "metrics": metrics or {},
-        "tensors": manifest,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for raw in blobs:
-            fh.write(raw)
+    raw = np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8)
+    params = model.parameters()
+    with open(path, "wb") as fh:  # np.savez appends ".npz" to a path
+        np.savez(fh, header=raw, **{name: params[name].data for name in sorted(params)})
 
 
 @dataclass
 class CheckpointData:
     config: TrainConfig
-    config_hash: str
     data_hash: str
     epoch: int
     metrics: dict
@@ -392,41 +348,25 @@ class CheckpointData:
 
 
 def load_checkpoint(path: str) -> CheckpointData:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    header_end = 16 + header_len
-    if header_end > len(blob):
-        raise ValueError(f"{path}: checkpoint truncated inside header")
+    """Read a format-2 checkpoint; a file of any other format, or a damaged
+    one, is a ValueError naming ``path``."""
+    tensors = read_archive(path)
+    if "header" not in tensors:
+        raise ValueError(f"{path}: checkpoint has no header")
+    header = json_object(path, tensors.pop("header").tobytes(),
+                         "format_version", "config", "data_hash", "epoch", "metrics")
+    if header["format_version"] != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: checkpoint format version {header['format_version']!r} "
+                         f"is not {CHECKPOINT_FORMAT}; retrain the model")
     try:
-        header = json.loads(blob[16:header_end])
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: corrupt checkpoint header: {e}") from None
-
-    tensors = {}
-    for entry in header["tensors"]:
-        if entry["name"].startswith("opt."):
-            continue  # optimizer moments, which earlier versions could store
-        start = header_end + entry["offset"]
-        end = start + entry["nbytes"]
-        if end > len(blob):
-            raise ValueError(
-                f"{path}: checkpoint truncated in tensor {entry['name']!r}"
-            )
-        arr = np.frombuffer(blob[start:end], dtype=np.dtype(entry["dtype"]))
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
-
+        config = config_from_dict(header["config"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return CheckpointData(
-        config=config_from_dict(header["config"]),
-        config_hash=header["config_hash"],
-        data_hash=header.get("data_hash", ""),
+        config=config,
+        data_hash=header["data_hash"],
         epoch=header["epoch"],
-        metrics=header.get("metrics", {}),
+        metrics=header["metrics"],
         tensors=tensors,
     )
 

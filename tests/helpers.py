@@ -1,6 +1,5 @@
 """Shared test utilities, kept independent of the library internals."""
 
-import hashlib
 import json
 import struct
 from pathlib import Path
@@ -192,25 +191,6 @@ def per_user_ranked(model, views, k):
     return [top_k(vec, item_matrix, k) for vec in vecs], vecs
 
 
-def legacy_copy(path, tmp_path, optimizer="adam", sampling="uniform", sse_dropout=0.2):
-    """Rewrite a checkpoint's header as written before the retired
-    single-value keys and the unread ``sse.dropout`` were dropped, stored
-    hash included."""
-    blob = Path(path).read_bytes()
-    (n,) = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16 : 16 + n])
-    header["config"]["optimizer"] = optimizer
-    header["config"]["loss"]["sampling"] = sampling
-    header["config"]["sse"]["dropout"] = sse_dropout
-    header["config_hash"] = hashlib.sha256(
-        json.dumps(header["config"], sort_keys=True).encode()
-    ).hexdigest()[:16]
-    raw = json.dumps(header, sort_keys=True).encode()
-    out = tmp_path / f"legacy-{optimizer}-{sampling}-{sse_dropout}.bin"
-    out.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n :])
-    return str(out)
-
-
 # Tensor defects that ``restore_model`` must refuse with a ValueError naming
 # the tensor, written "<kind>:<tensor name>" for ``damaged_checkpoint``.
 TENSOR_DAMAGE = ("missing:emb.item_table", "missing:sse.block0.mha.wo",
@@ -237,6 +217,44 @@ def damaged_checkpoint(path, tmp_path, damage):
                                                for n, a in tensors.items()})
     out = tmp_path / f"{kind}-{name}.bin"
     save_checkpoint(str(out), stub, ckpt.config, ckpt.epoch, ckpt.metrics, ckpt.data_hash)
+    return str(out)
+
+
+# File defects that ``load_checkpoint`` must refuse with one ValueError
+# naming the file, for ``broken_checkpoint``.
+FILE_DAMAGE = ("flipped-tensor-byte", "no-header", "list-header", "header-without-epoch",
+               "list-config", "format-version-1", "format-1-file")
+
+
+def broken_checkpoint(path, tmp_path, damage):
+    """Write a copy of a checkpoint with one defect of ``FILE_DAMAGE``: a
+    byte of a tensor flipped, the header left out or edited, or the binary
+    format that held checkpoints before they were npz archives."""
+    blob = Path(path).read_bytes()
+    out = tmp_path / f"{damage}.bin"
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    if damage == "flipped-tensor-byte":
+        at = blob.index(arrays["emb.item_table"].tobytes()) + 5
+        out.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:])
+    elif damage == "format-1-file":  # magic, version, header length, header
+        header = json.dumps({"config": {}, "config_hash": "", "epoch": 0, "metrics": {},
+                             "tensors": []}).encode()
+        out.write_bytes(b"NSCK" + struct.pack("<IQ", 1, len(header)) + header)
+    else:
+        header = json.loads(arrays.pop("header").tobytes())
+        if damage == "list-header":
+            header = [header]
+        elif damage == "header-without-epoch":
+            del header["epoch"]
+        elif damage == "list-config":
+            header["config"] = [1]
+        elif damage == "format-version-1":
+            header["format_version"] = 1
+        if damage != "no-header":
+            arrays["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+        with open(out, "wb") as fh:
+            np.savez(fh, **arrays)
     return str(out)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import TENSOR_DAMAGE, damaged_checkpoint, legacy_copy
+from helpers import FILE_DAMAGE, TENSOR_DAMAGE, broken_checkpoint, damaged_checkpoint
 from nextsession import trainer
 from nextsession.cli import main
 
@@ -128,22 +128,6 @@ class TestPipeline:
         blob = json.loads(capsys.readouterr().out)
         assert set(blob["recall"]) == {"5", str(n)}
 
-    def test_report_hash_is_the_same_for_a_legacy_header(self, workspace, tmp_path,
-                                                          capsys):
-        ckpt = os.path.join(workspace["run"], "checkpoint.bin")
-        old = legacy_copy(ckpt, tmp_path)
-        assert trainer.load_checkpoint(old).config_hash != \
-            trainer.load_checkpoint(ckpt).config_hash
-        hashes = []
-        for i, path in enumerate((ckpt, old)):
-            out = str(tmp_path / f"eval{i}")
-            assert main(["evaluate", "--checkpoint", path, "--data", workspace["data"],
-                         "--out", out]) == 0
-            capsys.readouterr()
-            hashes.append(load_json(os.path.join(out, "report.json"))["config_hash"])
-        cfg = trainer.load_checkpoint(ckpt).config
-        assert hashes == [trainer.config_hash(cfg)] * 2
-
     def test_item_protocol_evaluates(self, workspace, capsys):
         code = main(["evaluate",
                      "--checkpoint", os.path.join(workspace["run"], "checkpoint.bin"),
@@ -220,12 +204,26 @@ class TestErrors:
         ("exposure-only-session", "interactions.npz: a session has no positive row"),
         ("session-rows-sum-off", "interactions.npz: session_rows is not one integer row count"),
         ("format-1", "re-run prepare-data"),
+        ("npy-file", "interactions.npz: unreadable archive: not an npz archive"),
+        ("session-ids-entry-5", "users.json: 'users' must be a list of strings"),
+        ("session-ids-entry-string", "users.json: 'users' must be a list of strings"),
+        ("user-id-number", "users.json: 'users' must be a list of strings"),
     ])
     def test_corrupt_dataset_is_one_line(self, workspace, tmp_path, capsys, damage, named):
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
         arrays = dict(np.load(data / "interactions.npz"))
-        if damage == "drop-item-array":
+        users = json.loads((data / "users.json").read_text())
+        if damage == "npy-file":
+            with open(data / "interactions.npz", "wb") as fh:
+                np.save(fh, arrays["item"])
+        elif damage.startswith("session-ids-entry"):
+            users["session_ids"][0] = 5 if damage.endswith("5") else "abcdef"
+            (data / "users.json").write_text(json.dumps(users))
+        elif damage == "user-id-number":
+            users["users"][0] = 7
+            (data / "users.json").write_text(json.dumps(users))
+        elif damage == "drop-item-array":
             del arrays["item"]
             np.savez(data / "interactions.npz", **arrays)
         elif damage == "exposure-only-session":
@@ -238,10 +236,9 @@ class TestErrors:
             meta = load_json(data / "meta.json")
             (data / "meta.json").write_text(json.dumps({**meta, "format_version": 1}))
         else:
-            blob = json.loads((data / "users.json").read_text())
-            blob["users"].pop()
-            blob["session_ids"].pop()
-            (data / "users.json").write_text(json.dumps(blob))
+            users["users"].pop()
+            users["session_ids"].pop()
+            (data / "users.json").write_text(json.dumps(users))
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err
@@ -288,6 +285,13 @@ class TestErrors:
         assert "--max-pos-len 2" in captured.err
         assert "epoch" not in captured.out and not (run / "checkpoint.bin").exists()
 
+    def test_max_pos_len_below_one_is_one_line_before_the_log_is_read(self, tmp_path, capsys):
+        code = main(["prepare-data", "--input", str(tmp_path / "missing.csv"),
+                     "--output", str(tmp_path / "data"), "--max-pos-len", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --max-pos-len must be >= 1, got 0\n"
+        assert not (tmp_path / "data" / "meta.json").exists()
+
     def test_corrupt_feature_value_is_one_line(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("user,item,session,timestamp,action,color\n" + "".join(
@@ -313,7 +317,17 @@ class TestErrors:
         code = main(["evaluate", "--checkpoint", str(junk),
                      "--data", workspace["data"]])
         assert code == 1
-        assert "magic" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {junk}: unreadable archive: not an npz archive\n"
+
+    @pytest.mark.parametrize("damage", FILE_DAMAGE)
+    def test_checkpoint_file_defect_is_one_line(self, workspace, tmp_path, capsys, damage):
+        ckpt = broken_checkpoint(os.path.join(workspace["run"], "checkpoint.bin"),
+                                 tmp_path, damage)
+        code = main(["evaluate", "--checkpoint", ckpt, "--data", workspace["data"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+        assert "pickle" not in err
 
     @pytest.mark.parametrize("damage", TENSOR_DAMAGE)
     def test_checkpoint_tensor_defect_is_one_line(self, workspace, tmp_path, capsys, damage):
@@ -327,6 +341,18 @@ class TestErrors:
 
 
 class TestBench:
+    @pytest.mark.parametrize("flags, got", [(["--n", "0", "--m", "2"], "got 0, 2 and 1"),
+                                            (["--n", "8", "--m", "0"], "got 8, 0 and 1"),
+                                            (["--n", "8", "--m", "2", "--repeats", "0"],
+                                             "got 8, 2 and 0")])
+    def test_size_below_one_is_one_line(self, capsys, flags, got):
+        code = main(["bench", "--dim", "4", "--layers", "1", "--repeats", "1", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: n_items, session_len and repeats must be >= 1, "
+                                f"{got}\n")
+
     def test_bench_reports_analytic_ratio(self, capsys):
         code = main(["bench", "--n", "64", "--m", "8", "--dim", "8",
                      "--layers", "1", "--repeats", "1"])

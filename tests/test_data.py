@@ -618,10 +618,33 @@ class TestCorruptDirectory:
                                              r"every feature: KeyError 'color'"):
             load_dataset(str(out))
 
-    def test_not_an_archive(self, tmp_path):
+    @pytest.mark.parametrize("users, session_ids", [
+        (None, [5]), (None, ["abcdef"]), (None, [[7]]), ([3], None), ("u0", None),
+        (None, {"u0": []}),
+    ])
+    def test_users_json_entries_of_the_wrong_type(self, tmp_path, users, session_ids):
         out = prepared(tmp_path)
-        (out / "interactions.npz").write_bytes(b"PK\x03\x04 not really a zip")
-        with pytest.raises(ValueError, match=r"interactions\.npz"):
+        blob = json.loads((out / "users.json").read_text())
+        if users is not None:
+            blob["users"] = users + blob["users"][1:] if isinstance(users, list) else users
+        if session_ids is not None:
+            blob["session_ids"] = (session_ids + blob["session_ids"][1:]
+                                   if isinstance(session_ids, list) else session_ids)
+        (out / "users.json").write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=r"users\.json: 'users' must be a list of strings "
+                                             r"and 'session_ids' a list of lists of strings"):
+            load_dataset(str(out))
+
+    @pytest.mark.parametrize("kind", ["broken-zip", "npy"])
+    def test_not_an_archive(self, tmp_path, kind):
+        out = prepared(tmp_path)
+        if kind == "npy":
+            item = dict(np.load(out / "interactions.npz"))["item"]
+            with open(out / "interactions.npz", "wb") as fh:
+                np.save(fh, item)
+        else:
+            (out / "interactions.npz").write_bytes(b"PK\x03\x04 not really a zip")
+        with pytest.raises(ValueError, match=r"interactions\.npz: unreadable archive"):
             load_dataset(str(out))
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,8 @@ from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
-from helpers import (TENSOR_DAMAGE, damaged_checkpoint, dataset_of, history, legacy_copy,
-                     ragged, sessions_of)
+from helpers import (FILE_DAMAGE, TENSOR_DAMAGE, broken_checkpoint, damaged_checkpoint,
+                     dataset_of, history, ragged, sessions_of)
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -137,16 +136,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{re.escape(field)}.* must be"):
             config_from_dict(blob)
 
-    def test_unread_sse_dropout_is_dropped_at_any_valid_rate(self):
-        cfg = small_config()
-        for rate in (0, 0.0, 0.2, 0.99):
-            blob = config_to_dict(cfg)
-            blob["sse"]["dropout"] = rate
-            assert config_from_dict(blob) == cfg
-        for rate in (1.0, -0.1, "0.2", True, None):
-            blob["sse"]["dropout"] = rate
-            with pytest.raises(ValueError, match=r"'sse.dropout' must be in \[0, 1\)"):
-                config_from_dict(blob)
+    @pytest.mark.parametrize("field, value", [("optimizer", "adam"),
+                                              ("loss.sampling", "uniform"),
+                                              ("sse.dropout", 0.2)])
+    def test_keys_of_earlier_configs_are_unknown(self, field, value):
+        blob = config_to_dict(small_config())
+        group, _, key = field.rpartition(".")
+        (blob[group] if group else blob)[key] = value
+        with pytest.raises(ValueError, match=f"unknown config key {re.escape(repr(field))}"):
+            config_from_dict(blob)
+
+    @pytest.mark.parametrize("blob", [[1, 2], "dim", None])
+    def test_non_mapping_rejected(self, blob):
+        with pytest.raises(ValueError, match="config must be a mapping"):
+            config_from_dict(blob)
 
 
 class TestAdam:
@@ -355,30 +358,31 @@ class TestCheckpoint:
             got = restored.forward_sessions(view).data
         np.testing.assert_array_equal(got, want)
 
-    def test_legacy_optimizer_blobs_ignored(self, tmp_path):
+    def test_archive_holds_the_header_and_one_member_per_parameter(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
-        # earlier versions could append Adam's moments as opt.m.* / opt.v.*
-        # tensors plus an "opt" header entry; write such a file by hand
-        blob = Path(path).read_bytes()
-        (n,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16 : 16 + n])
-        tensors = blob[16 + n :]
-        extra = b""
-        for entry in list(header["tensors"]):
-            for kind in ("m", "v"):
-                header["tensors"].append({**entry, "name": f"opt.{kind}.{entry['name']}",
-                                          "offset": len(tensors) + len(extra)})
-                extra += b"\0" * entry["nbytes"]
-        header["opt"] = {"t": 1}
-        raw = json.dumps(header, sort_keys=True).encode()
-        legacy = tmp_path / "legacy.bin"
-        legacy.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + tensors + extra)
-        ckpt = load_checkpoint(str(legacy))
-        assert not any(name.startswith("opt.") for name in ckpt.tensors)
-        restored = restore_model(ckpt)
-        for name, p in result.model.parameters().items():
-            np.testing.assert_array_equal(restored.parameters()[name].data, p.data)
+        with np.load(path) as archive:
+            members = sorted(archive.files)
+            header = json.loads(archive["header"].tobytes())
+        assert members == sorted(["header", *result.model.parameters()])
+        assert header["format_version"] == 2
+        assert sorted(header) == ["config", "data_hash", "epoch", "format_version", "metrics"]
+
+    def test_two_saves_write_identical_files(self, tmp_path):
+        result, cfg, path = self.trained(tmp_path)
+        other = str(tmp_path / "again.bin")
+        save_checkpoint(path, result.model, cfg, epoch=0, metrics={"val_recall": 0.5})
+        save_checkpoint(other, result.model, cfg, epoch=0, metrics={"val_recall": 0.5})
+        assert Path(path).read_bytes() == Path(other).read_bytes()
+
+    @pytest.mark.parametrize("damage", FILE_DAMAGE)
+    def test_file_defect_is_a_value_error_naming_the_file(self, tmp_path, damage):
+        result, cfg, path = self.trained(tmp_path)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        broken = broken_checkpoint(path, tmp_path, damage)
+        with pytest.raises(ValueError, match=re.escape(broken)) as err:
+            load_checkpoint(broken)
+        assert "\n" not in str(err.value) and "pickle" not in str(err.value)
 
     def test_restored_models_share_no_memory(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
@@ -438,31 +442,10 @@ class TestCheckpoint:
         for name in pa:
             np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
-    def test_legacy_header_keys_load(self, tmp_path):
-        result, cfg, path = self.trained(tmp_path)
-        save_checkpoint(path, result.model, cfg, epoch=0)
-        ckpt = load_checkpoint(legacy_copy(path, tmp_path))
-        assert ckpt.config == cfg
-        assert ckpt.config_hash != config_hash(cfg)
-        for expected in (None, cfg):
-            restored = restore_model(ckpt, expected_config=expected)
-            pa, pb = result.model.parameters(), restored.parameters()
-            for name in pa:
-                np.testing.assert_array_equal(pa[name].data, pb[name].data)
-
-    @pytest.mark.parametrize("kwargs,key", [({"optimizer": "sgd"}, "'optimizer'"),
-                                            ({"sampling": "popularity"}, "'loss.sampling'"),
-                                            ({"sse_dropout": 1.0}, "'sse.dropout'")])
-    def test_legacy_header_other_value_rejected(self, tmp_path, kwargs, key):
-        result, cfg, path = self.trained(tmp_path)
-        save_checkpoint(path, result.model, cfg, epoch=0)
-        with pytest.raises(ValueError, match=key):
-            load_checkpoint(legacy_copy(path, tmp_path, **kwargs))
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError, match="junk.bin: unreadable archive: not an npz archive"):
             load_checkpoint(str(path))
 
     def test_truncation_always_a_value_error(self, tmp_path):
@@ -478,12 +461,9 @@ class TestCheckpoint:
     def test_wrong_version(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
-        blob = bytearray(Path(path).read_bytes())
-        blob[4] = 99
-        bad = tmp_path / "badver.bin"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(str(bad))
+        bad = broken_checkpoint(path, tmp_path, "format-version-1")
+        with pytest.raises(ValueError, match="checkpoint format version 1 is not 2; retrain"):
+            load_checkpoint(bad)
 
 
 class TestBuildModel:
