@@ -187,6 +187,8 @@ def cmd_prepare_data(args) -> int:
     with _manifest_scope(path, "prepare-data", args) as manifest:
         if args.max_pos_len < 1:
             raise ValueError(f"--max-pos-len must be >= 1, got {args.max_pos_len}")
+        if args.bin_count < 1:
+            raise ValueError(f"--bin-count must be >= 1, got {args.bin_count}")
         start = time.perf_counter()
         log, feature_names = ingest(args.input)
         ingested = time.perf_counter()

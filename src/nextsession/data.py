@@ -18,14 +18,14 @@ evaluation read its arrays, and no object is built per session.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import zipfile
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -43,7 +43,7 @@ MIN_ITEM_FEEDBACKS = 5
 MIN_USER_FEEDBACKS = 5
 MIN_USER_SESSIONS = 3
 
-CHUNK_ROWS = 2048  # csv records converted at a time; a small block keeps few row lists alive
+BLOCK_CHARS = 16384  # log characters tokenized at a time; a small block keeps few strings alive
 
 
 class Sessions:
@@ -172,9 +172,9 @@ class _Polarity(dict):
         return value
 
 
-def _first_bad_row(records: list, first_line: int, header: list) -> ValueError:
-    """The error of the first malformed one of ``records``, which start at
-    1-based line ``first_line``."""
+def _first_bad_row(records, first_line: int, header: list) -> ValueError:
+    """The error of the first malformed one of ``records`` (field lists),
+    which start at 1-based line ``first_line``."""
     act, ts = header.index("action"), header.index("timestamp")
     for lineno, row in enumerate(records, start=first_line):
         if not row:
@@ -190,40 +190,94 @@ def _first_bad_row(records: list, first_line: int, header: list) -> ValueError:
     raise AssertionError("no malformed row found")
 
 
-def ingest(path: str) -> tuple[Log, tuple[str, ...]]:
-    """Parse a raw log file into a ``Log`` (rows in log order) plus the tuple
-    of side-feature column names found in the header.
+def _tokenized_blocks(fh, width: int):
+    """The csv records after the header of ``fh``, a block at a time, as
+    ``(count, records, fields)``: the block's record count, blank records
+    included; its records as field lists, built only when read; and the
+    fields of its non-blank records as one flat list, ``width`` per record,
+    or None when a record holds another number of fields.
 
-    Blank lines are skipped.  Malformed rows raise ValueError naming the
-    1-based line number.
+    A block is ``BLOCK_CHARS`` characters read on to a line end.  While the
+    blocks hold no ``"`` and no lone ``\r``, each record is one line, so a
+    block is split in bulk.  From the first block that holds either, the
+    rest of the log goes through ``csv.reader``: a quoted field may hold a
+    line end and run past the block.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        # an empty file reads as a header with no rows
-        header = [h.strip() for h in next(reader, REQUIRED_COLUMNS)]
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise ValueError(f"missing required column {col!r} in {path}")
-        feature_names = tuple(h for h in header if h not in REQUIRED_COLUMNS)
-        string_columns = ("user", "item", "session") + feature_names
-        tables = [defaultdict() for _ in string_columns]
-        for table in tables:  # a new key gets the next code: 0, 1, 2, ...
-            table.default_factory = table.__len__
-        converters = [int, _Polarity().__getitem__] + [t.__getitem__ for t in tables]
-        dtypes = [np.int64, bool] + [np.int64] * len(tables)
-        getters = [itemgetter(header.index(c)) for c in ("timestamp", "action") + string_columns]
-        chunks = [[np.zeros(0, dtype) for dtype in dtypes]]
-        first_line = 2  # csv records, not physical lines, are numbered
-        while block := list(islice(reader, CHUNK_ROWS)):
-            rows = [row for row in block if row]
-            try:
-                if not set(map(len, rows)) <= {len(header)}:
-                    raise ValueError("wrong field count")
-                chunks.append([np.fromiter(map(convert, map(get, rows)), dtype, len(rows))
-                               for convert, get, dtype in zip(converters, getters, dtypes)])
-            except (ValueError, KeyError, OverflowError):
-                raise _first_bad_row(block, first_line, header) from None
-            first_line += len(block)
+    while block := fh.read(BLOCK_CHARS) + fh.readline():
+        text = block.replace("\r\n", "\n")
+        if '"' in text or "\r" in text:
+            break
+        lines = text.split("\n")
+        if not lines[-1]:  # the text after the block's last line end
+            lines.pop()
+        rows = list(filter(None, lines))
+        fields = None
+        if set(map(str.count, rows, repeat(","))) <= {width - 1}:
+            fields = ",".join(rows).split(",") if rows else []  # "" splits to [""]
+        yield len(lines), (line.split(",") if line else [] for line in lines), fields
+    else:
+        return
+    reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
+    # about as many records as a block of short lines holds
+    while records := list(islice(reader, max(1, BLOCK_CHARS // 8))):
+        rows = [row for row in records if row]
+        fields = list(chain.from_iterable(rows)) if set(map(len, rows)) <= {width} else None
+        yield len(records), records, fields
+
+
+def ingest(path: str) -> tuple[Log, tuple[str, ...]]:
+    """Parse a raw log file, UTF-8 text, into a ``Log`` (rows in log order)
+    plus the tuple of side-feature column names found in the header.
+
+    The header is one csv record.  The rest is read in blocks of about
+    ``BLOCK_CHARS`` characters (``_tokenized_blocks``): quote-free blocks are
+    split in bulk, and from the first quote on ``csv.reader`` reads the
+    rest.  Both give each column of a block as one list, which one
+    ``np.fromiter`` converts.  Blank lines are skipped.  A repeated header
+    column, text that is not UTF-8, a quoted field that ``csv.reader``
+    refuses, and malformed rows raise ValueError; a row's error names its
+    1-based line number, with csv records, not physical lines, counted.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _read_log(fh, path)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x}: "
+                         f"{e.reason})") from None
+    except csv.Error as e:  # a quoted field longer than csv.field_size_limit()
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _read_log(fh, path: str) -> tuple[Log, tuple[str, ...]]:
+    # an empty file reads as a header with no rows
+    header = [h.strip() for h in next(csv.reader(fh), REQUIRED_COLUMNS)]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"column {name!r} appears twice in the header of {path}")
+    for col in REQUIRED_COLUMNS:
+        if col not in header:
+            raise ValueError(f"missing required column {col!r} in {path}")
+    feature_names = tuple(h for h in header if h not in REQUIRED_COLUMNS)
+    string_columns = ("user", "item", "session") + feature_names
+    tables = [defaultdict() for _ in string_columns]
+    for table in tables:  # a new key gets the next code: 0, 1, 2, ...
+        table.default_factory = table.__len__
+    converters = [int, _Polarity().__getitem__] + [t.__getitem__ for t in tables]
+    dtypes = [np.int64, bool] + [np.int64] * len(tables)
+    columns = [header.index(c) for c in ("timestamp", "action") + string_columns]
+    width = len(header)
+    chunks = [[np.zeros(0, dtype) for dtype in dtypes]]
+    first_line = 2  # csv records, not physical lines, are numbered
+    for count, records, fields in _tokenized_blocks(fh, width):
+        try:
+            if fields is None:
+                raise ValueError("wrong field count")
+            n = len(fields) // width
+            chunks.append([np.fromiter(map(convert, fields[j::width]), dtype, n)
+                           for convert, j, dtype in zip(converters, columns, dtypes)])
+        except (ValueError, KeyError, OverflowError):
+            raise _first_bad_row(records, first_line, header) from None
+        first_line += count
 
     timestamp, positive, *codes = map(np.concatenate, zip(*chunks))
     user, item, session, *features = map(Codes, codes, map(list, tables))
@@ -305,8 +359,10 @@ def filter_dataset(log: Log, feature_names: tuple[str, ...] = (),
     Users are sorted by id.  A user's sessions are ordered by earliest
     timestamp, ties by first appearance in the log; a session's rows are in
     timestamp order, ties in log order.  Raises ValueError if nothing
-    survives.
+    survives, or if ``bin_count`` is below 1.
     """
+    if bin_count < 1:
+        raise ValueError(f"bin_count must be >= 1, got {bin_count}")
     pair = log.user.codes * max(len(log.session.names), 1) + log.session.codes
     session = np.unique(pair, return_inverse=True)[1].reshape(-1)
     rows = _fixpoint_filter(log.user.codes, log.item.codes, session, log.positive)

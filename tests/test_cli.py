@@ -292,6 +292,35 @@ class TestErrors:
         assert capsys.readouterr().err == "error: --max-pos-len must be >= 1, got 0\n"
         assert not (tmp_path / "data" / "meta.json").exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bin_count_below_one_is_one_line_before_the_log_is_read(self, tmp_path, capsys,
+                                                                     count):
+        code = main(["prepare-data", "--input", str(tmp_path / "missing.csv"),
+                     "--output", str(tmp_path / "data"), "--bin-count", count])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --bin-count must be >= 1, got {count}\n"
+        assert not (tmp_path / "data" / "meta.json").exists()
+
+    @pytest.mark.parametrize("header,named", [
+        ("user,item,session,timestamp,action,color,color", "'color'"),
+        ("user,item,session,timestamp,action, user", "'user'"),
+    ])
+    def test_repeated_header_column_is_one_line(self, tmp_path, capsys, header, named):
+        log = tmp_path / "log.csv"
+        log.write_text(header + "\n")
+        code = main(["prepare-data", "--input", str(log), "--output", str(tmp_path / "data")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: column {named} appears twice in the header of {log}\n"
+
+    def test_log_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"user,item,session,timestamp,action\n" * 40 + b"u1,i\xff,s1,1,click\n")
+        code = main(["prepare-data", "--input", str(log), "--output", str(tmp_path / "data")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {log}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+
     def test_corrupt_feature_value_is_one_line(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("user,item,session,timestamp,action,color\n" + "".join(

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ class TestIngest:
         assert log.positive.tolist() == [True, False]
 
     def test_first_fault_in_line_order_is_reported(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "CHUNK_ROWS", 3)  # lines 5-7 form one block
+        monkeypatch.setattr(data, "BLOCK_CHARS", 32)  # lines 2-4, then lines 5-7, form the blocks
         path = tmp_path / "log.csv"
         path.write_text("user,item,session,timestamp,action\n"
                         "u1,i1,s1,1,click\n\n"
@@ -163,6 +164,151 @@ class TestIngest:
         path = write_csv(tmp_path / "log.csv", [("u1", "i1", "s1", 2**63, "click")])
         with pytest.raises(ValueError, match="line 2: timestamp .* is not a 64-bit integer"):
             ingest(path)
+
+    @pytest.mark.parametrize("header,named", [
+        ("user,item,session,timestamp,action,color,color", "color"),
+        ("user,item,user ,session,timestamp,action", "user"),
+    ])
+    def test_repeated_header_column_rejected(self, tmp_path, header, named):
+        path = write_csv(tmp_path / "log.csv", [], header=header)
+        with pytest.raises(ValueError, match=f"column '{named}' appears twice in the header "
+                                             f"of .*log.csv"):
+            ingest(path)
+
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"user,item,session,timestamp,action\nu1,i\xc3,s1,1,click\n")
+        with pytest.raises(ValueError, match=r"log.csv: not UTF-8 text \(byte 0xc3: "):
+            ingest(str(path))
+
+    def test_quoted_field_over_the_csv_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(f'user,item,session,timestamp,action\n"u1",{"i" * 200_000},s1,1,click\n')
+        with pytest.raises(ValueError, match="log.csv: field larger than field limit"):
+            ingest(str(path))
+
+
+def assert_same_log(a, b):
+    np.testing.assert_array_equal(a.timestamp, b.timestamp)
+    np.testing.assert_array_equal(a.positive, b.positive)
+    assert len(a.features) == len(b.features)
+    for x, y in zip((a.user, a.item, a.session, *a.features), (b.user, b.item, b.session,
+                                                                *b.features)):
+        assert x.names == y.names
+        np.testing.assert_array_equal(x.codes, y.codes)
+
+
+def ingest_in_blocks(path, monkeypatch, block_chars):
+    """``ingest(path)`` with blocks of ``block_chars`` characters (None: the
+    default)."""
+    if block_chars is not None:
+        monkeypatch.setattr(data, "BLOCK_CHARS", block_chars)
+    log = ingest(str(path))
+    monkeypatch.undo()
+    return log
+
+
+PLAIN_ROWS = [(f"u{k % 4}", f"i{k % 7}", f"s{k % 3}", 100 + k,
+               ("click", "exposure", "Purchase")[k % 3], ("red", " blue")[k % 2])
+              for k in range(24)]
+QUOTED_ROWS = [("u,9", 'i "8"', "s\n9", 7, "click", "a\r\nb"), ("u9", "", "s9", 8, "exposure", ",")]
+
+# Records: 1 header, 2 row, 3-4 blank, 5 row, 6 a line longer than small
+# blocks, 7 blank, 8-9 quoted fields holding "," and "", 10 a quoted field
+# holding a line end, 11 blank (CRLF), 12 row.
+STRADDLING = ('user,item,session,timestamp,action\n'
+              'u1,i1,s1,1,click\n\n\n'
+              'u1,i2,s1,2,exposure\n'
+              'u2,' + 'i' * 60 + ',s2,3,click\n\n'
+              'u2,"i,3",s2,4,purchase\n'
+              '"u3","i ""4""",s3,5,click\n'
+              'u3,"i\n5",s3,6,exposure\r\n\r\n'
+              'u3,i6,s3,7,click\n')
+
+
+class TestTokenizers:
+    """Quote-free blocks are split in bulk and the rest of a log from its
+    first quote on goes through csv.reader; both give the same Log."""
+
+    @pytest.mark.parametrize("block_chars", [5, 64, None])
+    def test_quote_all_and_quote_minimal_agree(self, tmp_path, monkeypatch, block_chars):
+        logs = []
+        for quoting in (csv.QUOTE_ALL, csv.QUOTE_MINIMAL):
+            path = tmp_path / f"log{quoting}.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, quoting=quoting)
+                writer.writerow(["user", "item", "session", "timestamp", "action", "color"])
+                writer.writerows(PLAIN_ROWS[:20] + QUOTED_ROWS + PLAIN_ROWS[20:])
+            logs.append(ingest_in_blocks(path, monkeypatch, block_chars))
+        (log, features), (minimal, _) = logs
+        assert_same_log(log, minimal)
+        assert features == ("color",) and len(log) == 26
+        assert log.user.names[-2:] == ["u,9", "u9"] and log.item.names[-2:] == ['i "8"', ""]
+        assert log.session.names[-2:] == ["s\n9", "s9"]
+        assert log.features[0].names[-2:] == ["a\r\nb", ","]
+
+    @pytest.mark.parametrize("block_chars", [5, 64, None])
+    def test_line_ends_agree(self, tmp_path, monkeypatch, block_chars):
+        lines = ["user,item,session,timestamp,action,color"] + [
+            ",".join(map(str, row)) for row in PLAIN_ROWS[:10]] + [""] + [
+            ",".join(map(str, row)) for row in PLAIN_ROWS[10:]]
+        logs = []
+        for end in ("\n", "\r\n", "\r"):
+            path = tmp_path / "log.csv"
+            path.write_bytes(end.join(lines).encode() + end.encode())
+            logs.append(ingest_in_blocks(path, monkeypatch, block_chars)[0])
+        assert len(logs[0]) == 24 and logs[0].features[0].names == ["red", " blue"]
+        for log in logs[1:]:
+            assert_same_log(logs[0], log)
+
+    def test_every_block_size_agrees(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.csv"
+        path.write_bytes(STRADDLING.encode())
+        whole, _ = ingest(str(path))
+        assert whole.item.names == ["i1", "i2", "i" * 60, "i,3", 'i "4"', "i\n5", "i6"]
+        assert whole.user.names == ["u1", "u2", "u3"]
+        assert whole.timestamp.tolist() == list(range(1, 8))
+        for block_chars in range(1, len(STRADDLING) + 1):
+            assert_same_log(whole, ingest_in_blocks(path, monkeypatch, block_chars)[0])
+
+    @pytest.mark.parametrize("bad,message", [
+        ("u1,i2,s1,2,exposure\n", "line 5: unknown action 'hover'"),
+        ("u3,i6,s3,7,click\n", "line 12: timestamp 'soon' is not a 64-bit integer"),
+    ])
+    def test_every_block_size_names_the_same_line(self, tmp_path, monkeypatch, bad, message):
+        path = tmp_path / "log.csv"
+        broken = bad.replace("exposure", "hover").replace("7", "soon")
+        path.write_bytes(STRADDLING.replace(bad, broken).encode())
+        for block_chars in range(1, len(STRADDLING) + 1, 3):
+            monkeypatch.setattr(data, "BLOCK_CHARS", block_chars)
+            with pytest.raises(ValueError, match=message):
+                ingest(str(path))
+
+    def test_transient_memory_stays_below_the_record_chunked_reader(self, tmp_path):
+        """The tracemalloc peak of ingesting a 1.6 MB log shaped like the
+        benchmark's long-history one (96 users, 3 to 60 sessions of 12
+        rows).  The bound is the peak that reading csv records 2048 at a
+        time gave on this log (CPython 3.11, numpy 2.4); blocks much
+        larger than the default exceed it."""
+        path = tmp_path / "log.csv"
+        rng = np.random.default_rng(0)
+        with open(path, "w", newline="") as fh:
+            fh.write("user,item,session,timestamp,action\n")
+            for u, sessions in enumerate(np.linspace(3, 60, 96).round().astype(int).tolist()):
+                for s in range(sessions):
+                    for pos, item in enumerate(rng.integers(0, 1000, 12).tolist()):
+                        fh.write(f"u{u:05d},i{item:05d},u{u:05d}-s{s:03d},"
+                                 f"{s * 10_000_000 + u * 1_000 + pos},"
+                                 f"{'click' if pos < 4 else 'exposure'}\n")
+        assert path.stat().st_size == 1_582_105
+        tracemalloc.start()
+        try:
+            log, _ = ingest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 36_288
+        assert peak <= 3_539_926
 
 
 class TestFilterDataset:
@@ -243,6 +389,12 @@ class TestFilterDataset:
         interactions, _ = ingest(path)
         with pytest.raises(ValueError, match="degenerate"):
             filter_dataset(interactions)
+
+    @pytest.mark.parametrize("bin_count", [0, -1])
+    def test_bin_count_below_one_rejected(self, tmp_path, bin_count):
+        interactions, _ = ingest(write_csv(tmp_path / "log.csv", dense_corpus_rows()))
+        with pytest.raises(ValueError, match=f"bin_count must be >= 1, got {bin_count}"):
+            filter_dataset(interactions, bin_count=bin_count)
 
     def test_dense_remap_is_contiguous(self, tmp_path):
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", dense_corpus_rows()))
@@ -720,7 +872,7 @@ class TestMatchesReference:
                                  bin_count=4 + seed)
 
     def test_random_log_parsed_in_small_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(data, "BLOCK_CHARS", 7)
         assert_matches_reference(random_log(tmp_path / "log.csv", 11), tmp_path)
 
     def test_filter_needing_several_passes(self, tmp_path):
