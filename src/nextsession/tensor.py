@@ -33,6 +33,15 @@ graph plus every intermediate gradient.  A graph is therefore
 back-propagated once; leaf tensors (parameters and inputs) keep their
 gradients, which accumulate over backward calls until reset.
 
+A leaf's gradient is always a dense buffer of its shape, but a leaf that
+only ``gather`` has written into also keeps ``rows``: the index array of
+each such gather, so an optimizer can update just the rows a step touched.
+Any other write (an op's ``_accumulate``, or assigning ``grad``) makes the
+gradient dense and sets ``rows`` to None.  ``gather`` adds its rows with
+one fancy-index add when its indices are strictly increasing (an
+``arange`` over a catalog, or ids from ``np.unique``), which gives the
+same sums as ``np.add.at``, and with ``np.add.at`` when they repeat.
+
 Training runs in float32; verification (gradient checks) constructs the
 same graphs in float64. Ops never promote dtypes on their own.
 
@@ -65,9 +74,14 @@ def no_grad():
 
 
 class Tensor:
-    """A dense float array plus an optional gradient buffer."""
+    """A dense float array plus an optional gradient buffer.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_nid",
+    ``rows`` is None unless the gradient holds only rows that ``gather``
+    scattered into this leaf; then it lists each gather's index array.
+    Assigning ``grad`` (``None`` included) clears it.
+    """
+
+    __slots__ = ("data", "_grad", "rows", "requires_grad", "_parents", "_backward", "_nid",
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -75,11 +89,21 @@ class Tensor:
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self.rows: list[np.ndarray] | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._nid = next(_node_ids)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._grad = g
+        self.rows = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,7 +127,7 @@ class Tensor:
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
         else:
-            self.grad += g
+            self.grad += g  # an assignment to grad, so it clears rows
 
     def backward(self) -> None:
         """Reverse sweep from a scalar output through the recorded graph."""
@@ -283,7 +307,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather(a: Tensor, indices) -> Tensor:
-    """Select rows (2D input) or elements (1D input) along axis 0."""
+    """Select rows (2D input) or elements (1D input) along axis 0.
+
+    Backward adds each output row into ``a``'s gradient in place, with one
+    fancy-index add when the indices are strictly increasing (each row is
+    then added once, so the sums equal ``np.add.at``'s) and ``np.add.at``
+    otherwise.  When ``a`` is a leaf whose gradient only gathers have
+    written, the indices are appended to ``a.rows``.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError("gather indices must be one-dimensional")
@@ -296,7 +327,14 @@ def gather(a: Tensor, indices) -> Tensor:
         # scatter the rows straight into a's gradient: O(rows), not O(len(a))
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+            if a._backward is None:
+                a.rows = []
+        if a.rows is not None:
+            a.rows.append(idx)
+        if np.all(idx[1:] > idx[:-1]):
+            a.grad[idx] += g
+        else:
+            np.add.at(a.grad, idx, g)
 
     return _result(data, (a,), backward)
 
@@ -330,15 +368,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0, else e^x / (1 + e^x): exp never overflows
     e = np.exp(-np.abs(x))
     return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(x.dtype, copy=False)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    data = _sigmoid(a.data)
-
-    def backward(g):
-        a._accumulate(g * data * (1.0 - data))
-
-    return _result(data, (a,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -418,9 +447,9 @@ def sampled_softmax_xent(scores: Tensor, pos_cols, pos_mask, neg_cols, neg_mask)
         # place: the cells are distinct, and untouched cells stay as they are
         cells, slot = np.unique(flat, return_inverse=True)
         sums = np.bincount(slot, weights=vals, minlength=cells.size).astype(s.dtype)
-        if scores.grad is None:
-            scores.grad = np.zeros(s.shape, dtype=s.dtype)
-        scores.grad.flat[cells] += sums
+        grad = np.zeros(s.shape, dtype=s.dtype) if scores.grad is None else scores.grad
+        grad.flat[cells] += sums
+        scores.grad = grad
 
     return _result(loss, (scores,), backward)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -57,10 +58,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if not self.learning_rate > 0:  # also a NaN rate
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # also a NaN rate
+            raise ValueError(f"learning_rate must be a positive finite number, "
+                             f"got {self.learning_rate}")
         if self.dim < 1 or self.val_k < 1:
             raise ValueError(f"dim and val_k must be >= 1, got {self.dim} and {self.val_k}")
+        if self.id_dim is not None and self.id_dim < 1:
+            raise ValueError(f"id_dim must be >= 1 (or null to use dim), got {self.id_dim}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.val_interval < 0:
             raise ValueError(f"val_interval must be >= 0 (0 turns validation off), "
                              f"got {self.val_interval}")
@@ -118,11 +124,14 @@ def stats_hash(stats: dict) -> str:
 
 
 class Adam:
-    """Adam with lazy (masked) moment updates.
+    """Adam (Kingma & Ba, 2015), lazy per row for gathered tables.
 
-    Only entries with a nonzero gradient are touched in a step, so embedding
-    rows of items absent from a batch keep both their values and moments.
-    The bias-correction step count is global.
+    A parameter whose gradient only ``tensor.gather`` wrote (its ``rows``
+    record is set) is updated at the distinct rows those gathers touched, as
+    in LazyAdam or SparseAdam: the rows of items absent from a step keep
+    both their values and moments.  Every other parameter takes the standard
+    update of every entry, an exactly-zero gradient included.  The
+    bias-correction step count is global.
     """
 
     B1, B2, EPS = 0.9, 0.999, 1e-8
@@ -145,18 +154,16 @@ class Adam:
         bc2 = 1.0 - self.B2 ** self.t
         for n in self.names:
             p = self.params[n]
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            mask = g != 0
-            if not mask.any():
-                continue
-            gm = g[mask]
-            self.m[n][mask] = self.B1 * self.m[n][mask] + (1.0 - self.B1) * gm
-            self.v[n][mask] = self.B2 * self.v[n][mask] + (1.0 - self.B2) * gm * gm
-            mhat = self.m[n][mask] / bc1
-            vhat = self.v[n][mask] / bc2
-            p.data[mask] -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+            at = slice(None) if p.rows is None else np.unique(np.concatenate(p.rows))
+            g = p.grad[at]
+            m = self.B1 * self.m[n][at] + (1.0 - self.B1) * g
+            v = self.B2 * self.v[n][at] + (1.0 - self.B2) * g * g
+            self.m[n][at], self.v[n][at] = m, v
+            mhat = m / bc1
+            vhat = v / bc2
+            p.data[at] -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def _param_norm(params: dict) -> float:

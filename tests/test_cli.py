@@ -179,6 +179,10 @@ class TestErrors:
         ('{"ise": {"layers": -1}}', "ise.layers must be >= 0, got -1"),
         ('{"sse": {"max_positions": 0}}', "sse.max_positions must be >= 1, got 0"),
         ('{"val_interval": -1}', "val_interval must be >= 0"),
+        ('{"learning_rate": Infinity}', "learning_rate must be a positive finite number, got inf"),
+        ('{"id_dim": 0}', "id_dim must be >= 1 (or null to use dim), got 0"),
+        ('{"id_dim": -2}', "id_dim must be >= 1 (or null to use dim), got -2"),
+        ('{"feature_dim": 0}', "feature_dim must be >= 1, got 0"),
     ])
     def test_malformed_config_is_one_line(self, tmp_path, capsys, content, named):
         bad = tmp_path / "bad.json"
@@ -189,6 +193,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_infinite_learning_rate_flag_writes_no_checkpoint(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--data", workspace["data"], "--out", str(out),
+                     "--config", workspace["cfg"], "--lr", "inf"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: learning_rate must be a positive finite number, got inf\n")
+        assert not list(out.glob("*.npz"))
 
     def test_failed_run_leaves_failed_manifest(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -22,6 +22,7 @@ from helpers import (
     composite_attention,
     composite_gru,
     reference_xent_grad,
+    sigmoid,
     softmax_rows,
 )
 
@@ -272,7 +273,7 @@ class TestLayerNorm:
 
 
 class TestElementwise:
-    @pytest.mark.parametrize("op", [nt.relu, nt.tanh, nt.sigmoid])
+    @pytest.mark.parametrize("op", [nt.relu, nt.tanh, sigmoid])
     def test_gradients(self, op):
         check_op_gradient(lambda x: nt.sum_all(op(x)), [rand(4, 5) + 0.05])
 
@@ -304,19 +305,49 @@ class TestGatherConcat:
         with pytest.raises(IndexError):
             nt.gather(Tensor(rand(3, 2)), [0, 3])
 
-    def test_gather_into_a_leaf_that_holds_a_gradient(self):
+    @pytest.mark.parametrize("first, second", [([0, 2, 2], [2, 1]), ([0, 2, 3], [1, 2])],
+                             ids=["repeated", "increasing"])
+    def test_gather_into_a_leaf_that_holds_a_gradient(self, first, second):
         # dyadic values keep every sum exact, whatever the order
         x = Tensor(np.zeros((4, 2)), requires_grad=True)
         x.grad = np.full((4, 2), 0.25)
         w1 = np.array([[1.0, 2.0], [0.5, -1.0], [4.0, 0.125]])
         w2 = np.array([[-2.0, 8.0], [0.75, 3.0]])
-        loss = nt.add(nt.sum_all(nt.mul(nt.gather(x, [0, 2, 2]), w1)),
-                      nt.sum_all(nt.mul(nt.gather(x, [2, 1]), w2)))
+        loss = nt.add(nt.sum_all(nt.mul(nt.gather(x, first), w1)),
+                      nt.sum_all(nt.mul(nt.gather(x, second), w2)))
         loss.backward()
         expected = np.full((4, 2), 0.25)
-        np.add.at(expected, [0, 2, 2], w1)
-        np.add.at(expected, [2, 1], w2)
+        np.add.at(expected, first, w1)
+        np.add.at(expected, second, w2)
         np.testing.assert_array_equal(x.grad, expected)
+        assert x.rows is None  # the gradient was set by hand: dense
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sorted_scatter_is_bitwise_add_at(self, dtype):
+        rng = np.random.default_rng(7)
+        idx = np.unique(rng.integers(0, 50, size=30))
+        g = rng.normal(size=(idx.size, 3)).astype(dtype)
+        g[0, 0] = -0.0
+        start = rng.normal(size=(50, 3)).astype(dtype)
+        x = Tensor(np.zeros((50, 3), dtype), requires_grad=True)
+        x.grad = start.copy()
+        nt.sum_all(nt.mul(nt.gather(x, idx), Tensor(g))).backward()
+        expected = start.copy()
+        np.add.at(expected, idx, g)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_gather_records_rows_only_on_a_leaf(self):
+        x = Tensor(rand(5, 2), requires_grad=True)
+        y = nt.mul(x, 2.0)
+        nt.add(nt.sum_all(nt.gather(x, [3, 1, 3])),
+               nt.sum_all(nt.gather(y, [0, 4]))).backward()
+        assert x.rows is None  # y's dense gradient reached x too
+        z = Tensor(rand(5, 2), requires_grad=True)
+        nt.sum_all(nt.gather(z, [3, 1, 3])).backward()
+        nt.sum_all(nt.gather(z, [0, 2])).backward()  # records add up over backward calls
+        assert [r.tolist() for r in z.rows] == [[3, 1, 3], [0, 2]]
+        z.grad = None
+        assert z.rows is None
 
     def test_gather_from_a_non_leaf(self):
         # per-step rows of one intermediate, as the GRU and the session

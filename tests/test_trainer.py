@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [("dim", 0), ("val_k", 0),
                                               ("learning_rate", float("nan")),
+                                              ("learning_rate", float("inf")),
+                                              ("id_dim", 0), ("id_dim", -2),
+                                              ("feature_dim", 0),
                                               ("val_interval", -1), ("sse.layers", -1),
                                               ("sse.max_positions", 0), ("ise.layers", -1)])
     def test_values_that_cannot_train_a_model_rejected(self, field, value):
@@ -135,6 +139,17 @@ class TestConfig:
         (blob[group] if group else blob)[key] = value
         with pytest.raises(ValueError, match=f"{re.escape(field)}.* must be"):
             config_from_dict(blob)
+
+    def test_infinite_learning_rate_is_one_line(self):
+        with pytest.raises(ValueError) as exc:
+            small_config(learning_rate=float("inf"))
+        assert str(exc.value) == "learning_rate must be a positive finite number, got inf"
+
+    def test_null_id_dim_uses_dim(self):
+        cfg = config_from_dict({**config_to_dict(small_config()), "id_dim": None})
+        assert cfg.id_dim is None
+        model = NextSessionModel(cfg, 5, T.Parameters(np.random.default_rng(0)))
+        assert model.embedding.item_table.shape == (5, cfg.dim)
 
     @pytest.mark.parametrize("field, value", [("optimizer", "adam"),
                                               ("loss.sampling", "uniform"),
@@ -152,14 +167,29 @@ class TestConfig:
             config_from_dict(blob)
 
 
+def gather_step(opt, table, rows, weight=1.0):
+    """One zero_grad -> gather of ``rows`` -> backward -> step round."""
+    opt.zero_grad()
+    T.sum_all(T.mul(T.gather(table, rows), weight)).backward()
+    opt.step()
+
+
+def reference_adam(data, grads, lr):
+    """Standard Adam over every entry, after each dense gradient in turn."""
+    m, v = np.zeros_like(data), np.zeros_like(data)
+    for t, g in enumerate(grads, start=1):
+        m = Adam.B1 * m + (1.0 - Adam.B1) * g
+        v = Adam.B2 * v + (1.0 - Adam.B2) * g * g
+        data = data - lr * (m / (1.0 - Adam.B1 ** t)) / (np.sqrt(v / (1.0 - Adam.B2 ** t))
+                                                          + Adam.EPS)
+    return data, m, v
+
+
 class TestAdam:
     def test_lazy_rows_untouched(self):
         table = T.parameter(np.ones((4, 2)))
         opt = Adam({"table": table}, lr=0.1)
-        table.grad = np.zeros((4, 2), dtype=np.float32)
-        table.grad[0] = 1.0
-        table.grad[2] = -2.0
-        opt.step()
+        gather_step(opt, table, [2, 0, 2], np.array([[-1.0], [1.0], [-1.0]]))
         np.testing.assert_array_equal(table.data[1], [1.0, 1.0])
         np.testing.assert_array_equal(table.data[3], [1.0, 1.0])
         np.testing.assert_array_equal(opt.m["table"][1], 0.0)
@@ -167,6 +197,79 @@ class TestAdam:
         # first Adam step moves touched coordinates by ~lr against the gradient
         np.testing.assert_allclose(table.data[0], 1.0 - 0.1, rtol=1e-5)
         np.testing.assert_allclose(table.data[2], 1.0 + 0.1, rtol=1e-5)
+
+    def test_untouched_rows_keep_value_and_moments_over_rounds(self):
+        table = T.parameter(np.random.default_rng(0).normal(size=(6, 3)))
+        opt = Adam({"table": table}, lr=0.1)
+        for rows in ([1, 2], [2, 3, 3], [0, 3], [4]):
+            before = [a.copy() for a in (table.data, opt.m["table"], opt.v["table"])]
+            gather_step(opt, table, rows, np.array([[0.5], [-2.0], [1.5]])[: len(rows)])
+            untouched = np.setdiff1d(np.arange(6), rows)
+            for now, was in zip((table.data, opt.m["table"], opt.v["table"]), before):
+                np.testing.assert_array_equal(now[untouched], was[untouched])
+                assert not np.array_equal(now[rows], was[rows])
+        np.testing.assert_array_equal(opt.m["table"][5], 0.0)  # never gathered
+
+    def test_dense_zero_gradient_entry_decays_moments_and_moves(self):
+        w = T.parameter(np.ones(3))
+        opt = Adam({"w": w}, lr=0.1)
+        grads = [np.array([1.0, 1.0, -1.0], np.float32), np.array([1.0, 0.0, -1.0], np.float32)]
+        for g in grads:
+            opt.zero_grad()
+            w.grad = g.copy()
+            before = [a[1].copy() for a in (w.data, opt.m["w"], opt.v["w"])]
+            opt.step()
+        # at step 2 the zero-gradient entry moves, and both moments decay
+        assert w.data[1] < before[0]
+        assert 0 < opt.m["w"][1] < before[1] and 0 < opt.v["w"][1] < before[2]
+        data, m, v = reference_adam(np.ones(3, np.float32), grads, 0.1)
+        np.testing.assert_allclose(w.data, data, rtol=1e-6)
+        np.testing.assert_allclose(opt.m["w"], m, rtol=1e-6)
+        np.testing.assert_allclose(opt.v["w"], v, rtol=1e-6)
+
+    @pytest.mark.parametrize("gather_first", [True, False])
+    def test_gathered_and_dense_gradient_takes_the_dense_update(self, gather_first):
+        table = T.parameter(np.ones((3, 2)))
+        opt = Adam({"table": table}, lr=0.1)
+        table.grad = np.ones((3, 2), dtype=np.float32)  # every moment nonzero
+        opt.step()
+        start = table.data.copy()
+        opt.zero_grad()
+        # row 0 gathered; row 1 a dense gradient; row 2 an exactly-zero one;
+        # the op made last is the first to write in backward
+        scale = np.array([[0.0], [1.0], [0.0]])
+        if gather_first:
+            gathered, dense = T.gather(table, [0]), T.mul(table, scale)
+        else:
+            dense, gathered = T.mul(table, scale), T.gather(table, [0])
+        T.add(T.sum_all(gathered), T.sum_all(dense)).backward()
+        assert table.rows is None
+        opt.step()
+        grad = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]], np.float32)
+        data, m, v = reference_adam(np.ones((3, 2), np.float32),
+                                    [np.ones((3, 2), np.float32), grad], 0.1)
+        np.testing.assert_allclose(table.data, data, rtol=1e-6)
+        np.testing.assert_allclose(opt.m["table"], m, rtol=1e-6)
+        assert (table.data[2] != start[2]).all()
+
+    def test_step_makes_no_table_sized_array(self):
+        # one step after a gather of 100 of 200,000 rows; a bool mask over
+        # the table alone would be 6.4 MB
+        n, d = 200_000, 32
+        table = T.parameter(np.zeros((n, d), dtype=np.float32))
+        opt = Adam({"table": table}, lr=0.1)
+        rows = np.random.default_rng(0).integers(0, n, size=100)
+        gather_step(opt, table, rows)  # the first call imports what np.unique needs
+        opt.zero_grad()
+        T.sum_all(T.gather(table, rows)).backward()
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d // 16, peak
+        assert np.count_nonzero(table.data.any(axis=1)) == np.unique(rows).size
 
     def test_none_grad_is_a_no_op_for_values(self):
         table = T.parameter(np.ones((2, 2)))
