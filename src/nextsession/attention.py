@@ -3,7 +3,8 @@ pre-normalization encoder block built from them, and a gated recurrent cell.
 
 Each block declares its weights in the model's ``tensor.Parameters`` store
 under the name prefix it is given, in a fixed order: that order is the
-order of the initial draws.
+order of the initial draws.  Weights are stored in the layout their op
+computes in and drawn block by block (``Parameters.new``'s ``blocks``).
 
 Both the attention blocks and the recurrent cell take packed ragged
 sequences, (n, d) rows plus the row count of each sequence, and keep the
@@ -20,21 +21,21 @@ from . import tensor as T
 
 
 class MultiHeadAttention:
-    """Scaled dot-product self-attention with per-head projections."""
+    """Scaled dot-product self-attention: one (d, 3d) query, key and value
+    projection, ``wqkv``, and the output projection ``wo``."""
 
     def __init__(self, dim, heads, params, name):
         if heads < 1 or dim % heads:
             raise ValueError(f"heads ({heads}) must be >= 1 and divide dim ({dim})")
-        head_dim = dim // heads
-        self.wq = [params.new(f"{name}.h{h}.wq", (dim, head_dim)) for h in range(heads)]
-        self.wk = [params.new(f"{name}.h{h}.wk", (dim, head_dim)) for h in range(heads)]
-        self.wv = [params.new(f"{name}.h{h}.wv", (dim, head_dim)) for h in range(heads)]
+        self.heads = heads
+        # one draw per head and projection: q of every head, then k, then v
+        self.wqkv = params.new(f"{name}.wqkv", (dim, 3 * dim), blocks=3 * heads)
         self.wo = params.new(f"{name}.wo", (dim, dim))
 
     def __call__(self, x, lengths, causal):
         """Attention within each sequence of ``lengths`` rows packed in x;
         see ``tensor.attention``."""
-        return T.attention(x, lengths, causal, self.wq, self.wk, self.wv, self.wo)
+        return T.attention(x, lengths, causal, self.heads, self.wqkv, self.wo)
 
 
 class FeedForward:
@@ -70,22 +71,16 @@ class EncoderBlock:
 
 
 class GRUCell:
-    """The nine parameters of a gated recurrent cell; calling it runs
-    ``tensor.gru`` over packed ragged sequences with them."""
+    """The weights of a gated recurrent cell, ``w`` (in + d, 3d) and ``b``
+    (3d,); calling it runs ``tensor.gru`` over packed ragged sequences with
+    them."""
 
     def __init__(self, in_dim, hidden_dim, params, name):
-        self.wz = params.new(f"{name}.wz", (in_dim, hidden_dim))
-        self.uz = params.new(f"{name}.uz", (hidden_dim, hidden_dim))
-        self.bz = params.new(f"{name}.bz", (hidden_dim,), fill=0.0)
-        self.wr = params.new(f"{name}.wr", (in_dim, hidden_dim))
-        self.ur = params.new(f"{name}.ur", (hidden_dim, hidden_dim))
-        self.br = params.new(f"{name}.br", (hidden_dim,), fill=0.0)
-        self.wh = params.new(f"{name}.wh", (in_dim, hidden_dim))
-        self.uh = params.new(f"{name}.uh", (hidden_dim, hidden_dim))
-        self.bh = params.new(f"{name}.bh", (hidden_dim,), fill=0.0)
+        # one draw per gate, its input rows then its state rows: z, r, h~
+        self.w = params.new(f"{name}.w", (in_dim + hidden_dim, 3 * hidden_dim), blocks=3)
+        self.b = params.new(f"{name}.b", (3 * hidden_dim,), fill=0.0)
 
     def __call__(self, x, lengths):
         """(n, in_dim) rows of sequences of ``lengths`` rows each -> (n, hidden)
         states; every sequence starts from a zero state."""
-        return T.gru(x, lengths, self.wz, self.uz, self.bz, self.wr, self.ur, self.br,
-                     self.wh, self.uh, self.bh)
+        return T.gru(x, lengths, self.w, self.b)

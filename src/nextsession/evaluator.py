@@ -354,7 +354,8 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
 
     Pair counts are analytic (n^2 vs (n/M)^2, ratio exactly M^2); the time
     ratio is measured by running the same sequence encoder forward over n
-    tokens and over n/M tokens, single-threaded, best of ``repeats``.
+    tokens and over n/M tokens, single-threaded, best of ``repeats`` each;
+    the two sides alternate repeat by repeat.
     """
     from .sequence_encoder import SequenceEncoder, SseConfig
 
@@ -363,6 +364,8 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
                          f"got {n_items}, {session_len} and {repeats}")
     if n_items % session_len:
         raise ValueError("session_len must divide n_items")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     m_sessions = n_items // session_len
     item_pairs = n_items * n_items
     session_pairs = m_sessions * m_sessions
@@ -380,20 +383,19 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
         T.Parameters(rng),
     )
 
-    def timed(m):
-        tokens = T.Tensor(rng.normal(0, 1, size=(m, dim)).astype(np.float32))
-        with T.no_grad():
+    sides = [T.Tensor(rng.normal(0, 1, size=(m, dim)).astype(np.float32))
+             for m in (n_items, m_sessions)]
+    best = [np.inf, np.inf]
+    with blas_thread_limits(1), T.no_grad():
+        for tokens in sides:
             enc.encode(tokens)  # warm-up
-            best = np.inf
-            for _ in range(repeats):
+        # the sides take turns, so a burst of load slows both, not one
+        for _ in range(repeats):
+            for i, tokens in enumerate(sides):
                 start = time.perf_counter()
                 enc.encode(tokens)
-                best = min(best, time.perf_counter() - start)
-        return best
-
-    with blas_thread_limits(1):
-        item_time = timed(n_items)
-        session_time = timed(m_sessions)
+                best[i] = min(best[i], time.perf_counter() - start)
+    item_time, session_time = best
 
     return {
         "n_items": n_items,

@@ -14,7 +14,8 @@ eight nodes per head, and keeping packed sequences apart takes a dense
 mask over all their rows, so cost grows with the square of the total
 length; as one op it takes every projection in one matmul, scores each
 sequence only against itself, and is one node whatever the number and
-length of the sequences.
+length of the sequences.  Both take each weight in the layout they
+compute in, and backward accumulates one gradient into it.
 
 Ragged data has one form: sequences packed row-wise in an (n, ...) array
 plus ``lengths``, the int64 row count of each, in packing order.
@@ -172,7 +173,10 @@ class Parameters(dict):
     an ``rng`` draws each weight from normal(0, ``INIT_STD``), in the order
     the weights are declared, or fills it with a constant.  A store made
     from ``stored`` arrays (a checkpoint's tensors) draws nothing: it copies
-    the array of that name instead, so the parameter owns its buffer.
+    the array of that name instead, so the parameter owns its buffer.  A
+    drawn weight declared with ``blocks`` is that many equal blocks along its
+    last axis, drawn one after another and joined: a stacked weight then
+    holds the values its pieces would get as weights of their own.
     """
 
     INIT_STD = 0.02
@@ -182,8 +186,10 @@ class Parameters(dict):
         self.rng = rng
         self.stored = stored
 
-    def new(self, name: str, shape, fill: float | None = None) -> Tensor:
+    def new(self, name: str, shape, fill: float | None = None, blocks: int = 1) -> Tensor:
         shape = tuple(shape)
+        if blocks < 1 or shape[-1] % blocks:
+            raise ValueError(f"{name}: {blocks} blocks do not divide the last axis of {shape}")
         if self.stored is not None:
             if name not in self.stored:
                 raise ValueError(f"checkpoint has no tensor {name!r}")
@@ -193,7 +199,9 @@ class Parameters(dict):
                     f"checkpoint tensor {name!r} has shape {data.shape}, model expects {shape}"
                 )
         elif fill is None:
-            data = self.rng.normal(0.0, self.INIT_STD, size=shape)
+            block = shape[:-1] + (shape[-1] // blocks,)
+            data = np.concatenate([self.rng.normal(0.0, self.INIT_STD, size=block)
+                                   for _ in range(blocks)], axis=-1)
         else:
             data = np.full(shape, fill)
         self[name] = p = parameter(data)
@@ -513,34 +521,34 @@ def segment_reduce(values: Tensor, lengths, mode: str) -> Tensor:
     return _result(data, (values,), backward)
 
 
-def gru(x: Tensor, lengths, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
-        br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
+def gru(x: Tensor, lengths, w: Tensor, b: Tensor) -> Tensor:
     """Every hidden state of gated recurrent sequences packed row-wise in x.
 
     ``x`` is (n, in): the ``lengths[0]`` rows of sequence 0, then those of
     sequence 1, and so on.  Each sequence starts from a zero state; row j of
-    the (n, d) output is its state after row j.  With h the previous state:
+    the (n, d) output is its state after row j.  ``w`` is (in + d, 3d): its
+    first ``in`` rows act on the input and the other d rows on the state,
+    and its column blocks, like those of the (3d,) bias ``b``, are the z, r
+    and h~ gates.  With h the previous state and [x, h] side by side:
 
-        z  = sigmoid((x·wz + h·uz) + bz)
-        r  = sigmoid((x·wr + h·ur) + br)
-        h~ = tanh((x·wh + (r*h)·uh) + bh)
+        z  = sigmoid([x, h]·w_z + b_z)
+        r  = sigmoid([x, h]·w_r + b_r)
+        h~ = tanh([x, r*h]·w_h + b_h)
         h' = (1 - z)*h + z*h~
 
     The input projections of all rows are one matmul.  Sequences are taken
     longest first, so those still running at step t are a prefix, and step t
     advances them together.  Backward runs through time inside the op and
-    forms each weight gradient as one matmul over all rows.
+    forms the gradient of ``w`` from one matmul over all rows per row block.
     """
     if x.ndim != 2:
         raise ValueError(f"gru: x must be a matrix, got shape {x.shape}")
     lengths = check_lengths(lengths, x.shape[0])
-    n, d = x.shape[0], uz.shape[0]
-    for name, p, shape in (("wz", wz, (x.shape[1], d)), ("wr", wr, (x.shape[1], d)),
-                           ("wh", wh, (x.shape[1], d)), ("uz", uz, (d, d)), ("ur", ur, (d, d)),
-                           ("uh", uh, (d, d)), ("bz", bz, (d,)), ("br", br, (d,)), ("bh", bh, (d,))):
-        if p.shape != shape:
-            raise ValueError(f"gru: {name} has shape {p.shape}, expected {shape}")
-    parents = (x, wz, uz, bz, wr, ur, br, wh, uh, bh)
+    n, m = x.shape
+    d = w.shape[1] // 3 if w.ndim == 2 else 0
+    if not d or w.shape != (m + d, 3 * d) or b.shape != (3 * d,):
+        raise ValueError(f"gru: w {w.shape} and b {b.shape} must be ({m} + d, 3d) and (3d,)")
+    parents = (x, w, b)
     keep = _grad_enabled and any(p.requires_grad for p in parents)
 
     # step-major layout: step t's rows are block bounds[t]:bounds[t + 1],
@@ -555,10 +563,10 @@ def gru(x: Tensor, lengths, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: 
     back[rows] = np.arange(n)
     xs = x.data[rows]
 
-    w = np.concatenate([wz.data, wr.data, wh.data], axis=1)
-    u_zr = np.concatenate([uz.data, ur.data], axis=1)
-    b_zr = np.concatenate([bz.data, br.data])
-    xw = xs @ w
+    wx, b_zr, bh = w.data[:m], b.data[: 2 * d], b.data[2 * d :]
+    # contiguous state blocks: BLAS may round a product with a strided view differently
+    u_zr, uh = (np.ascontiguousarray(u) for u in np.split(w.data[m:], [2 * d], axis=1))
+    xw = xs @ wx
     hs = np.empty((n, d), dtype=xw.dtype)
     if keep:
         zr_all, hh_all = np.empty((n, 2 * d), dtype=xw.dtype), np.empty_like(hs)
@@ -569,7 +577,7 @@ def gru(x: Tensor, lengths, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: 
         # z and r side by side: the same per-element sums as gate by gate
         zr = _sigmoid((xw[lo:hi, : 2 * d] + h @ u_zr) + b_zr)
         z, r = zr[:, :d], zr[:, d:]
-        hh = np.tanh((xw[lo:hi, 2 * d :] + (r * h) @ uh.data) + bh.data)
+        hh = np.tanh((xw[lo:hi, 2 * d :] + (r * h) @ uh) + bh)
         h = (z * -1.0 + 1.0) * h + z * hh
         hs[lo:hi] = h
         if keep:
@@ -600,34 +608,31 @@ def gru(x: Tensor, lengths, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: 
                 dh[: carry.shape[0]] += carry
             z, r, one_minus_z = z_all[lo:hi], r_all[lo:hi], one_minus_zr[lo:hi, :d]
             d_hh = dh * z * tanh_slope[lo:hi]
-            d_rh = d_hh @ uh.data.T
+            d_rh = d_hh @ uh.T
             pre[lo:hi, :d] = dh * hh_minus_h[lo:hi] * z * one_minus_z
             pre[lo:hi, d : 2 * d] = d_rh * hp[lo:hi] * r * one_minus_zr[lo:hi, d:]
             pre[lo:hi, 2 * d :] = d_hh
             if t:
                 carry = dh * one_minus_z + d_rh * r + pre[lo:hi, : 2 * d] @ u_zr.T
-        dx, dw = (pre @ w.T)[back], xs.T @ pre
-        du, db = hp.T @ pre[:, : 2 * d], pre.sum(axis=0)
-        duh = (r_all * hp).T @ pre[:, 2 * d :]
-        for p, grad in ((x, dx), (wz, dw[:, :d]), (wr, dw[:, d : 2 * d]), (wh, dw[:, 2 * d :]),
-                        (uz, du[:, :d]), (ur, du[:, d:]), (uh, duh),
-                        (bz, db[:d]), (br, db[d : 2 * d]), (bh, db[2 * d :])):
+        dw = np.block([[xs.T @ pre], [hp.T @ pre[:, : 2 * d], (r_all * hp).T @ pre[:, 2 * d :]]])
+        for p, grad in ((x, (pre @ wx.T)[back]), (w, dw), (b, pre.sum(axis=0))):
             if p.requires_grad:
                 p._accumulate(grad)
 
     return _result(data, parents, backward)
 
 
-def attention(x: Tensor, lengths, causal: bool, wq: Sequence[Tensor], wk: Sequence[Tensor],
-              wv: Sequence[Tensor], wo: Tensor) -> Tensor:
+def attention(x: Tensor, lengths, causal: bool, heads: int, wqkv: Tensor, wo: Tensor) -> Tensor:
     """Multi-head scaled dot-product self-attention within each of the
     sequences packed row-wise in x.
 
     ``x`` is (n, d): the ``lengths[0]`` rows of sequence 0, then those of
     sequence 1, and so on.  A row attends only to the rows of its own
-    sequence, and with ``causal`` only to those up to itself.  ``wq``,
-    ``wk`` and ``wv`` hold one (d, d / heads) projection per head and
-    ``wo`` is the (d, d') output projection; per head,
+    sequence, and with ``causal`` only to those up to itself.  ``wqkv`` is
+    the (d, 3d) projection whose column blocks of d / ``heads`` are the
+    query projections of heads 0 to heads - 1, then their key projections,
+    then their value projections; ``wo`` is the (d, d') output projection.
+    Per head,
 
         softmax((x·wq)(x·wk)ᵀ / sqrt(d / heads)) · (x·wv)
 
@@ -640,22 +645,18 @@ def attention(x: Tensor, lengths, causal: bool, wq: Sequence[Tensor], wk: Sequen
     if x.ndim != 2:
         raise ValueError(f"attention: x must be a matrix, got shape {x.shape}")
     lengths = check_lengths(lengths, x.shape[0])
-    n, d, heads = x.shape[0], x.shape[1], len(wq)
-    if not heads or d % heads or len(wk) != heads or len(wv) != heads:
-        raise ValueError(f"attention: {heads} query, {len(wk)} key and {len(wv)} value heads "
-                         f"must be equal in number and divide d = {d}")
-    hd = d // heads
-    for name, ws in (("wq", wq), ("wk", wk), ("wv", wv)):
-        for p in ws:
-            if p.shape != (d, hd):
-                raise ValueError(f"attention: {name} has shape {p.shape}, expected {(d, hd)}")
+    n, d = x.shape
+    if heads < 1 or d % heads:
+        raise ValueError(f"attention: heads ({heads}) must be >= 1 and divide d = {d}")
+    if wqkv.shape != (d, 3 * d):
+        raise ValueError(f"attention: wqkv has shape {wqkv.shape}, expected {(d, 3 * d)}")
     if wo.ndim != 2 or wo.shape[0] != d:
         raise ValueError(f"attention: wo has shape {wo.shape}, expected ({d}, k)")
-    parents = (x, *wq, *wk, *wv, wo)
+    hd = d // heads
+    parents = (x, wqkv, wo)
     keep = _grad_enabled and any(p.requires_grad for p in parents)
 
-    w = np.concatenate([p.data for p in (*wq, *wk, *wv)], axis=1)
-    qkv = x.data @ w
+    qkv = x.data @ wqkv.data
     scale = 1.0 / np.sqrt(hd)
     starts = np.cumsum(lengths) - lengths
     groups = []  # (rows, probabilities) of each length's sequences
@@ -693,12 +694,10 @@ def attention(x: Tensor, lengths, causal: bool, wq: Sequence[Tensor], wk: Sequen
             d_q, d_k = d_s @ k, d_s.swapaxes(-1, -2) @ q
             d_qkv[rows] = np.stack([d_q, d_k, d_v], axis=2).transpose(0, 3, 2, 1, 4).reshape(
                 rows.shape + (3 * d,))
-        d_w = x.data.T @ d_qkv
         if x.requires_grad:
-            x._accumulate(d_qkv @ w.T)
-        for i, p in enumerate((*wq, *wk, *wv)):
-            if p.requires_grad:
-                p._accumulate(d_w[:, i * hd : (i + 1) * hd])
+            x._accumulate(d_qkv @ wqkv.data.T)
+        if wqkv.requires_grad:
+            wqkv._accumulate(x.data.T @ d_qkv)
         if wo.requires_grad:
             wo._accumulate(merged.T @ g)
 

@@ -315,13 +315,13 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format 2: one npz archive, read by ``data.read_archive``.  Its
+# checkpoint format 3: one npz archive, read by ``data.read_archive``.  Its
 # ``header`` member is the UTF-8 JSON of the format version, config, data
 # hash, epoch and metrics, as uint8; every other member is the parameter of
 # its name.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def save_checkpoint(
@@ -355,8 +355,8 @@ class CheckpointData:
 
 
 def load_checkpoint(path: str) -> CheckpointData:
-    """Read a format-2 checkpoint; a file of any other format, or a damaged
-    one, is a ValueError naming ``path``."""
+    """Read a checkpoint of format ``CHECKPOINT_FORMAT``; a file of any
+    other format, or a damaged one, is a ValueError naming ``path``."""
     tensors = read_archive(path)
     if "header" not in tensors:
         raise ValueError(f"{path}: checkpoint has no header")

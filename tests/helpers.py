@@ -84,12 +84,25 @@ def sigmoid(a: Tensor) -> Tensor:
     return T._result(data, (a,), backward)
 
 
+def columns(w: Tensor, cols) -> Tensor:
+    """The columns ``cols`` of matrix ``w``, picked by ``gather`` between two
+    transposes, so that gradients reach ``w`` through elementary ops."""
+    return T.transpose(T.gather(T.transpose(w), cols))
+
+
 def composite_gru_step(cell, x, h):
     """One step of a gated recurrent cell composed from elementary ops, on
-    (rows, d) tensors; the reference that ``tensor.gru`` must match."""
-    z = sigmoid(T.add(T.add(T.matmul(x, cell.wz), T.matmul(h, cell.uz)), cell.bz))
-    r = sigmoid(T.add(T.add(T.matmul(x, cell.wr), T.matmul(h, cell.ur)), cell.br))
-    hh = T.tanh(T.add(T.add(T.matmul(x, cell.wh), T.matmul(T.mul(r, h), cell.uh)), cell.bh))
+    (rows, d) tensors; the reference that ``tensor.gru`` must match.  The
+    cell's ``w`` is (in + d, 3d), input rows then state rows, with column
+    blocks z, r and h~, like its bias ``b``."""
+    m, d = x.shape[1], h.shape[1]
+    gates = [np.arange(j * d, (j + 1) * d) for j in range(3)]
+    wx = [T.gather(columns(cell.w, c), np.arange(m)) for c in gates]
+    wh = [T.gather(columns(cell.w, c), m + np.arange(d)) for c in gates]
+    bz, br, bh = (T.gather(cell.b, c) for c in gates)
+    z = sigmoid(T.add(T.add(T.matmul(x, wx[0]), T.matmul(h, wh[0])), bz))
+    r = sigmoid(T.add(T.add(T.matmul(x, wx[1]), T.matmul(h, wh[1])), br))
+    hh = T.tanh(T.add(T.add(T.matmul(x, wx[2]), T.matmul(T.mul(r, h), wh[2])), bh))
     one_minus_z = T.add(T.mul(z, -1.0), 1.0)
     return T.add(T.mul(one_minus_z, h), T.mul(z, hh))
 
@@ -99,7 +112,7 @@ def composite_gru(cell, x, lengths):
     sequence by sequence, each from a zero state."""
     states, start = [], 0
     for ln in lengths:
-        h = Tensor(np.zeros((1, cell.uz.shape[0]), dtype=x.dtype))
+        h = Tensor(np.zeros((1, cell.b.shape[0] // 3), dtype=x.dtype))
         for t in range(start, start + ln):
             h = composite_gru_step(cell, T.gather(x, [t]), h)
             states.append(h)
@@ -129,21 +142,23 @@ def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return T._result(y, (x,), backward)
 
 
-def composite_attention(x, lengths, causal, wq, wk, wv, wo):
+def composite_attention(x, lengths, causal, heads, wqkv, wo):
     """Multi-head self-attention composed from elementary ops, head by head,
     over one dense mask that keeps the packed sequences of ``lengths`` rows
     apart (and, with ``causal``, each row to the rows up to its own); the
-    reference that ``tensor.attention`` must match."""
+    reference that ``tensor.attention`` must match.  Head h's query, key
+    and value projections are column blocks h, heads + h and 2 * heads + h
+    of ``wqkv``."""
     seg = np.repeat(np.arange(len(lengths)), lengths)
     mask = seg[:, None] == seg[None, :]
     if causal:
         mask &= np.tri(seg.size, dtype=bool)
-    scale = 1.0 / np.sqrt(wq[0].shape[1])
+    hd = x.shape[1] // heads
+    scale = 1.0 / np.sqrt(hd)
     outs = []
-    for h in range(len(wq)):
-        q = T.matmul(x, wq[h])
-        k = T.matmul(x, wk[h])
-        v = T.matmul(x, wv[h])
+    for h in range(heads):
+        q, k, v = (T.matmul(x, columns(wqkv, (j * heads + h) * hd + np.arange(hd)))
+                   for j in range(3))
         scores = T.mul(T.matmul(q, T.transpose(k)), scale)
         outs.append(T.matmul(softmax_rows(scores, mask), v))
     merged = outs[0] if len(outs) == 1 else T.concat(outs, axis=1)

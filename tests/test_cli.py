@@ -395,6 +395,15 @@ class TestBench:
         assert captured.err == (f"error: n_items, session_len and repeats must be >= 1, "
                                 f"{got}\n")
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_dim_below_one_is_one_line(self, capsys, dim):
+        code = main(["bench", "--n", "8", "--m", "2", "--dim", dim, "--layers", "1",
+                     "--repeats", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dim must be >= 1, got {dim}\n"
+
     def test_bench_reports_analytic_ratio(self, capsys):
         code = main(["bench", "--n", "64", "--m", "8", "--dim", "8",
                      "--layers", "1", "--repeats", "1"])

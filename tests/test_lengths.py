@@ -34,13 +34,12 @@ def store():
 
 def call_gru(lengths):
     cell = GRUCell(DIM, DIM, store(), "gru")
-    return T.gru(rows(), lengths, cell.wz, cell.uz, cell.bz, cell.wr, cell.ur, cell.br,
-                 cell.wh, cell.uh, cell.bh)
+    return T.gru(rows(), lengths, cell.w, cell.b)
 
 
 def call_attention(lengths):
     mha = MultiHeadAttention(DIM, 2, store(), "mha")
-    return T.attention(rows(), lengths, False, mha.wq, mha.wk, mha.wv, mha.wo)
+    return T.attention(rows(), lengths, False, mha.heads, mha.wqkv, mha.wo)
 
 
 def call_encode_sessions(kind):

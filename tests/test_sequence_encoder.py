@@ -78,10 +78,9 @@ class TestCausality:
         lengths = [3, 1, 5, 3]
         x = rng.normal(size=(sum(lengths), d))
         eye = np.eye(d)
-        zero = [T.Tensor(np.zeros((d, d // heads))) for _ in range(heads)]
-        wv = [T.Tensor(eye[:, h * d // heads : (h + 1) * d // heads]) for h in range(heads)]
+        wqkv = T.Tensor(np.concatenate([np.zeros((d, 2 * d)), eye], axis=1))
         for causal in (True, False):
-            out = T.attention(T.Tensor(x), lengths, causal, zero, zero, wv, T.Tensor(eye)).data
+            out = T.attention(T.Tensor(x), lengths, causal, heads, wqkv, T.Tensor(eye)).data
             start = 0
             for ln in lengths:
                 seq = x[start : start + ln]

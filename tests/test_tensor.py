@@ -458,7 +458,7 @@ class TestDropout:
         assert y.data.mean() == pytest.approx(1.0, abs=0.05)
 
 
-GRU_NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+GRU_NAMES = ("w", "b")
 
 
 def gru_cell(in_dim, dim, seed, dtype=np.float64):
@@ -491,8 +491,7 @@ class TestGru:
         w = rand(n, d)
         check_op_gradient(
             lambda x, *p: nt.sum_all(nt.mul(nt.gru(x, lengths, *p), Tensor(w))),
-            [rand(n, in_dim), rand(in_dim, d), rand(d, d), rand(d),
-             rand(in_dim, d), rand(d, d), rand(d), rand(in_dim, d), rand(d, d), rand(d)],
+            [rand(n, in_dim), rand(in_dim + d, 3 * d), rand(3 * d)],
         )
 
     def compare_to_composite(self, lengths, seed, dtype, **tol):
@@ -529,7 +528,7 @@ class TestGru:
         for name, g in zip(GRU_NAMES, want[1:]):
             np.testing.assert_array_equal(getattr(cell, name).grad, g, err_msg=name)
 
-    @pytest.mark.parametrize("frozen", ["wr", "uh", "bz"])
+    @pytest.mark.parametrize("frozen", GRU_NAMES)
     def test_parameter_without_grad(self, frozen):
         lengths = [3, 3, 2]
         cell = gru_cell(3, 4, 7)
@@ -542,6 +541,16 @@ class TestGru:
                 assert g is None
             else:
                 np.testing.assert_array_equal(g, wg, err_msg=name)
+
+    @pytest.mark.parametrize("w_shape, b_shape", [((6, 12), (12,)), ((7, 9), (9,)),
+                                                  ((3, 0), (0,)), ((7, 12), (4,)),
+                                                  ((7, 12), (1, 12))])
+    def test_wrong_weight_shape_is_one_line(self, w_shape, b_shape):
+        # x is (4, 3): with d = 4, w must be (7, 12) and b (12,)
+        with pytest.raises(ValueError) as err:
+            nt.gru(Tensor(rand(4, 3)), [4], Tensor(rand(*w_shape)), Tensor(rand(*b_shape)))
+        assert str(err.value) == (f"gru: w {w_shape} and b {b_shape} must be (3 + d, 3d) "
+                                  f"and (3d,)")
 
     def test_no_grad_keeps_no_backward_buffers(self):
         lengths = [40] * 50
@@ -568,28 +577,26 @@ class TestGru:
         np.testing.assert_array_equal(out.data, want)
 
 
-def attention_weights(d, heads, seed, dtype=np.float64):
-    """Leaf query, key and value projections per head, and an output
-    projection, uniform in [-1, 1]."""
+def attention_weights(d, seed, dtype=np.float64):
+    """Leaf (d, 3d) query, key and value and (d, d) output projections,
+    uniform in [-1, 1]."""
     rng = np.random.default_rng(seed)
 
     def leaf(*shape):
         return Tensor(rng.uniform(-1.0, 1.0, shape).astype(dtype), requires_grad=True)
 
-    return tuple([leaf(d, d // heads) for _ in range(heads)] for _ in range(3)), leaf(d, d)
+    return leaf(d, 3 * d), leaf(d, d)
 
 
 def attention_outputs_and_grads(run, x0, w, weights):
     """Value of run(x, *weights) and the gradients of sum(run(...) * w) for
-    x and every weight: the query, key and value heads, then wo."""
-    (wq, wk, wv), wo = weights
-    leaves = [*wq, *wk, *wv, wo]
-    for p in leaves:
+    x, wqkv and wo."""
+    for p in weights:
         p.grad = None
     x = Tensor(x0.copy(), requires_grad=True)
-    out = run(x, wq, wk, wv, wo)
+    out = run(x, *weights)
     nt.sum_all(nt.mul(out, Tensor(w))).backward()
-    return out.data, [x.grad] + [p.grad for p in leaves]
+    return out.data, [x.grad] + [p.grad for p in weights]
 
 
 class TestAttention:
@@ -601,23 +608,21 @@ class TestAttention:
         n, d = sum(lengths), 4
         w = rand(n, d)
 
-        def build(x, q0, q1, k0, k1, v0, v1, wo):
-            out = nt.attention(x, lengths, causal, [q0, q1], [k0, k1], [v0, v1], wo)
-            return nt.sum_all(nt.mul(out, Tensor(w)))
+        def build(x, wqkv, wo):
+            return nt.sum_all(nt.mul(nt.attention(x, lengths, causal, 2, wqkv, wo), Tensor(w)))
 
-        check_op_gradient(build, [rand(n, d)] + [rand(d, d // 2) for _ in range(6)]
-                          + [rand(d, d)])
+        check_op_gradient(build, [rand(n, d), rand(d, 3 * d), rand(d, d)])
 
     def compare_to_composite(self, lengths, causal, seed, dtype, heads=2, **tol):
         rng = np.random.default_rng(seed)
         d = 2 * heads
-        weights = attention_weights(d, heads, seed, dtype)
+        weights = attention_weights(d, seed, dtype)
         x0 = rng.uniform(-1.0, 1.0, (sum(lengths), d)).astype(dtype)
         w = rng.normal(size=(sum(lengths), d)).astype(dtype)
         got, got_g = attention_outputs_and_grads(
-            lambda x, *p: nt.attention(x, lengths, causal, *p), x0, w, weights)
+            lambda x, *p: nt.attention(x, lengths, causal, heads, *p), x0, w, weights)
         want, want_g = attention_outputs_and_grads(
-            lambda x, *p: composite_attention(x, lengths, causal, *p), x0, w, weights)
+            lambda x, *p: composite_attention(x, lengths, causal, heads, *p), x0, w, weights)
         assert got.dtype == dtype
         np.testing.assert_allclose(got, want, **tol)
         for k, (g, wg) in enumerate(zip(got_g, want_g)):
@@ -635,21 +640,57 @@ class TestAttention:
     def test_matches_the_composite_heads_in_float32(self):
         self.compare_to_composite([3, 1, 5, 5, 2], True, 9, np.float32, rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("frozen", ["x", "wq", "wo"])
+    @pytest.mark.parametrize("frozen", ["x", "wqkv", "wo"])
     def test_an_input_without_grad_gets_none(self, frozen):
-        (wq, wk, wv), wo = attention_weights(4, 2, 3)
+        wqkv, wo = attention_weights(4, 3)
         x = Tensor(rand(5, 4), requires_grad=True)
-        leaves = {"x": x, "wq": wq[1], "wo": wo}
+        leaves = {"x": x, "wqkv": wqkv, "wo": wo}
         leaves[frozen].requires_grad = False
-        nt.sum_all(nt.attention(x, [2, 3], True, wq, wk, wv, wo)).backward()
+        nt.sum_all(nt.attention(x, [2, 3], True, 2, wqkv, wo)).backward()
         for name, leaf in leaves.items():
             assert (leaf.grad is None) == (name == frozen), name
 
     def test_no_grad_records_no_parents(self):
-        (wq, wk, wv), wo = attention_weights(4, 2, 1)
+        wqkv, wo = attention_weights(4, 1)
         x = Tensor(rand(6, 4), requires_grad=True)
-        want = nt.attention(x, [2, 4], False, wq, wk, wv, wo)
+        want = nt.attention(x, [2, 4], False, 2, wqkv, wo)
         with nt.no_grad():
-            out = nt.attention(x, [2, 4], False, wq, wk, wv, wo)
+            out = nt.attention(x, [2, 4], False, 2, wqkv, wo)
         assert want._parents and out._backward is None and out._parents == ()
         np.testing.assert_array_equal(out.data, want.data)
+
+    @pytest.mark.parametrize("heads, wqkv_shape, wo_shape, message", [
+        (2, (4, 8), (4, 4), "attention: wqkv has shape (4, 8), expected (4, 12)"),
+        (2, (12, 4), (4, 4), "attention: wqkv has shape (12, 4), expected (4, 12)"),
+        (3, (4, 12), (4, 4), "attention: heads (3) must be >= 1 and divide d = 4"),
+        (0, (4, 12), (4, 4), "attention: heads (0) must be >= 1 and divide d = 4"),
+        (2, (4, 12), (3, 4), "attention: wo has shape (3, 4), expected (4, k)"),
+    ])
+    def test_wrong_weight_shape_is_one_line(self, heads, wqkv_shape, wo_shape, message):
+        with pytest.raises(ValueError) as err:
+            nt.attention(Tensor(rand(5, 4)), [2, 3], True, heads, Tensor(rand(*wqkv_shape)),
+                         Tensor(rand(*wo_shape)))
+        assert str(err.value) == message
+
+
+class TestParameters:
+    """``Parameters.new``'s ``blocks``: a stacked weight drawn block by block."""
+
+    def test_blocks_are_sequential_draws_joined(self):
+        got = nt.Parameters(np.random.default_rng(4)).new("w", (5, 6), blocks=3)
+        rng = np.random.default_rng(4)
+        want = np.concatenate([rng.normal(0.0, nt.Parameters.INIT_STD, (5, 2))
+                               for _ in range(3)], axis=1)
+        np.testing.assert_array_equal(got.data, want.astype(np.float32))
+
+    def test_stored_tensor_is_copied_whatever_the_blocks(self):
+        stored = {"w": np.arange(12, dtype=np.float32).reshape(2, 6)}
+        got = nt.Parameters(stored=stored).new("w", (2, 6), blocks=3)
+        np.testing.assert_array_equal(got.data, stored["w"])
+        assert got.data is not stored["w"]
+
+    @pytest.mark.parametrize("blocks", [4, 0])
+    def test_blocks_that_do_not_divide_the_last_axis_are_one_line(self, blocks):
+        with pytest.raises(ValueError) as err:
+            nt.Parameters(np.random.default_rng(0)).new("w", (2, 6), blocks=blocks)
+        assert str(err.value) == f"w: {blocks} blocks do not divide the last axis of (2, 6)"

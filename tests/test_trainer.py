@@ -468,7 +468,7 @@ class TestCheckpoint:
             members = sorted(archive.files)
             header = json.loads(archive["header"].tobytes())
         assert members == sorted(["header", *result.model.parameters()])
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         assert sorted(header) == ["config", "data_hash", "epoch", "format_version", "metrics"]
 
     def test_two_saves_write_identical_files(self, tmp_path):
@@ -565,8 +565,25 @@ class TestCheckpoint:
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
         bad = broken_checkpoint(path, tmp_path, "format-version-1")
-        with pytest.raises(ValueError, match="checkpoint format version 1 is not 2; retrain"):
+        with pytest.raises(ValueError, match="checkpoint format version 1 is not 3; retrain"):
             load_checkpoint(bad)
+
+    def test_format_2_checkpoint_is_refused_with_one_line(self, tmp_path):
+        # format 2 stored each attention head's and GRU gate's weights under
+        # names of their own; the header's version refuses it before any
+        # tensor is looked up by name
+        result, cfg, path = self.trained(tmp_path, ise=IseConfig(kind="recurrent"))
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        with np.load(path) as archive:
+            header = json.loads(archive["header"].tobytes())
+        header["format_version"] = 2
+        old = str(tmp_path / "format-2.bin")
+        with open(old, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                     **_per_piece(result.model.parameters()))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(old)
+        assert str(err.value) == f"{old}: checkpoint format version 2 is not 3; retrain the model"
 
 
 class TestBuildModel:
@@ -607,8 +624,7 @@ _EMB_TENSORS = [
 
 
 def _gru_tensors(prefix):
-    return [(f"{prefix}.{g}", (4,)) for g in ("bh", "br", "bz")] + [
-        (f"{prefix}.{g}", (4, 4)) for g in ("uh", "ur", "uz", "wh", "wr", "wz")]
+    return [(f"{prefix}.b", (12,)), (f"{prefix}.w", (8, 12))]
 
 
 def _block_tensors(prefix):
@@ -617,11 +633,36 @@ def _block_tensors(prefix):
         (f"{prefix}.ffn.w1", (4, 16)), (f"{prefix}.ffn.w2", (16, 4)),
         (f"{prefix}.ln1_b", (4,)), (f"{prefix}.ln1_g", (4,)),
         (f"{prefix}.ln2_b", (4,)), (f"{prefix}.ln2_g", (4,)),
-        (f"{prefix}.mha.h0.wk", (4, 2)), (f"{prefix}.mha.h0.wq", (4, 2)),
-        (f"{prefix}.mha.h0.wv", (4, 2)), (f"{prefix}.mha.h1.wk", (4, 2)),
-        (f"{prefix}.mha.h1.wq", (4, 2)), (f"{prefix}.mha.h1.wv", (4, 2)),
-        (f"{prefix}.mha.wo", (4, 4)),
+        (f"{prefix}.mha.wo", (4, 4)), (f"{prefix}.mha.wqkv", (4, 12)),
     ]
+
+
+def _per_piece(params, heads=2):
+    """The model's tensors under the names and shapes they had when each
+    head's q, k and v projection and each GRU gate's w, u and b was a
+    tensor of its own: a ``wqkv`` split into 3 * heads column blocks, a GRU
+    ``w`` into the input and state rows of each gate, a GRU ``b`` by gate."""
+    out = {}
+    for name, p in params.items():
+        prefix, _, last = name.rpartition(".")
+        a = p.data
+        if last == "wqkv":
+            hd = a.shape[1] // (3 * heads)
+            for j, kind in enumerate(("wq", "wk", "wv")):
+                for h in range(heads):
+                    c = (j * heads + h) * hd
+                    out[f"{prefix}.h{h}.{kind}"] = a[:, c : c + hd]
+        elif ".gru" in prefix and last in ("w", "b"):
+            d = a.shape[-1] // 3
+            for j, gate in enumerate("zrh"):
+                block = a[..., j * d : (j + 1) * d]
+                if last == "b":
+                    out[f"{prefix}.b{gate}"] = block
+                else:
+                    out[f"{prefix}.w{gate}"], out[f"{prefix}.u{gate}"] = block[:-d], block[-d:]
+        else:
+            out[name] = a
+    return out
 
 
 _ISE_TENSORS = {
@@ -637,10 +678,11 @@ _SSE_TENSORS = {
 
 
 # The initial values of those tensors, as drawn from ``default_rng(0)``
-# before the model declared its weights in one ``Parameters`` store: the
-# sha256 of every tensor's name and float32 bytes, in name order, then of
-# the next 8 bytes the rng gives.  A change to the draw order, the
-# initial scale or the rng's use fails here.
+# before the model declared its weights in one ``Parameters`` store and
+# before attention and GRU weights were stacked: the sha256 of every
+# tensor's name and float32 bytes, in name order, under the per-piece
+# names of ``_per_piece``, then of the next 8 bytes the rng gives.  A
+# change to the draw order, the initial scale or the rng's use fails here.
 _INIT_SHA256 = {
     ("attention", "causal_attention"): "251c1b4f5a787c4ed12194a83a883036c368fec2b31460b85c23464e3781add7",
     ("attention", "recurrent"): "7e4a5a812564fd96ef0775caa2097deb631323ed0a28dd859a66837bcbeb83b3",
@@ -677,7 +719,8 @@ class TestCheckpointTensorNames:
         assert got == sorted(_EMB_TENSORS + _ISE_TENSORS[kind] + _SSE_TENSORS[backbone])
         assert {p.dtype for p in params.values()} == {np.dtype(np.float32)}
         digest = hashlib.sha256()
-        for name in sorted(params):
-            digest.update(name.encode() + params[name].data.tobytes())
+        pieces = _per_piece(params)
+        for name in sorted(pieces):
+            digest.update(name.encode() + pieces[name].tobytes())
         digest.update(rng.bytes(8))
         assert digest.hexdigest() == _INIT_SHA256[kind, backbone]
