@@ -10,13 +10,19 @@ reach it, O(N + c log c) per user instead of sorting all N scores.
 ``ranked`` is the one ranking loop: ``evaluate`` and the trainer's
 validation both hand it their users' histories and read back top-k ids.
 It encodes users in packed chunks of ``RANK_USERS``, one ``user_vector``
-call per chunk, and scores each user with its own ``top_k``.
+call per chunk, and scores each user with its own ``top_k``.  Chunks are
+formed in ascending order of session count, ties in input order, since a
+chunk's recurrent encoder takes as many steps as its longest history has
+sessions.  Each user's metric is stored at the user's index and summed in
+user order, so a report does not depend on the packing: where every user
+has the same session count the order is the input order and the floats are
+unchanged, and on ragged histories a user's vector is packed with other
+users and can round differently in the last bits.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import time
@@ -118,32 +124,47 @@ class EvalReport:
         return "\n".join(lines)
 
 
-# Users encoded by one ``user_vector`` call in ``ranked``.  Larger chunks
-# are faster, but perfbench's eval latency takes one sample per
-# ``user_vector`` call under evaluate() and needs at least 20: the traced
-# long-history-gru smoke run evaluates 24 users x 3 passes x 2 traced
-# rounds, so 6 gives it 24 samples and 8 only 18.
+# Users encoded by one ``user_vector`` call in ``ranked``, taken in
+# ascending order of session count (ties in input order), so a chunk's
+# histories are of similar length.  Larger chunks are faster, but
+# perfbench's eval latency takes one sample per ``user_vector`` call under
+# evaluate() and needs at least 20: the traced long-history-gru smoke run
+# evaluates 24 users x 3 passes x 2 traced rounds, so 6 gives it 24 samples
+# and 8 only 18.
 RANK_USERS = 6
 
 
 def ranked(model, views, k: int):
-    """Yield each view's exact top-k item ids, in the order of ``views``.
+    """Yield ``(index, ids)``: the exact top-k item ids of ``views[index]``,
+    once for every view of the sequence ``views``.
 
     The catalog is embedded once, on the first request.  The ``(ids,
-    lengths)`` views are then pulled in chunks of ``RANK_USERS``; a chunk is
-    appended into one packed view, encoded by one ``user_vector`` call, and
-    each of its users is ranked with ``top_k``.  A lazy iterable therefore
-    holds at most ``RANK_USERS`` views at a time.
+    lengths)`` views are then taken in ascending order of session count,
+    ``len(lengths)``, with ties in input order, and in chunks of
+    ``RANK_USERS``: a chunk is appended into one packed view, encoded by one
+    ``user_vector`` call, and each of its users is ranked with ``top_k``.
+    Views of equal session count therefore come out in input order.
     """
     with T.no_grad():
         item_matrix = model.embedding.output_item_vectors().data
-    views = iter(views)
-    while chunk := list(itertools.islice(views, RANK_USERS)):
-        packed = tuple(np.concatenate(part) for part in zip(*chunk))
+    order = sorted(range(len(views)), key=lambda i: len(views[i][1]))  # stable
+    for lo in range(0, len(order), RANK_USERS):
+        chunk = order[lo : lo + RANK_USERS]
+        packed = tuple(np.concatenate(part) for part in zip(*(views[i] for i in chunk)))
         with T.no_grad():
-            user_vecs = model.user_vector(packed, [len(lengths) for _, lengths in chunk]).data
-        for user_vec in user_vecs:
-            yield top_k(user_vec, item_matrix, k)
+            user_vecs = model.user_vector(packed, [len(views[i][1]) for i in chunk]).data
+        for i, user_vec in zip(chunk, user_vecs):
+            yield i, top_k(user_vec, item_matrix, k)
+
+
+def mean_in_user_order(values: np.ndarray) -> float:
+    """The mean of per-user ``values`` added one by one from user 0, so it
+    does not depend on the order ``ranked`` produced them in (``np.mean``
+    sums pairwise, and ``sum`` compensates from Python 3.12)."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total / len(values)
 
 
 def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash="") -> EvalReport:
@@ -154,25 +175,26 @@ def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash=""
             f"catalog mismatch: model has {model.embedding.num_items} items, "
             f"dataset has {split.catalog_size}"
         )
+    n = len(split.users)
+    if n == 0:
+        raise ValueError("no evaluable users in split")
     cutoffs = tuple(sorted(set(cutoffs)))
     if cutoffs and cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be >= 1, got {cutoffs[0]}")
     k_max = min(max(cutoffs), split.catalog_size)
-    recall_sums = {k: 0.0 for k in cutoffs}
-    ndcg_sums = {k: 0.0 for k in cutoffs}
-    views = (encoder_views(user.train_sessions) for user in split.users)
-    for user, top in zip(split.users, ranked(model, views, k_max)):
-        for k in cutoffs:
-            recall_sums[k] += recall_at_k(top, user.targets, k)
-            ndcg_sums[k] += ndcg_at_k(top, user.targets, k)
-    n = len(split.users)
-    if n == 0:
-        raise ValueError("no evaluable users in split")
+    recall = np.empty((len(cutoffs), n))
+    ndcg = np.empty((len(cutoffs), n))
+    views = [encoder_views(user.train_sessions) for user in split.users]
+    for i, top in ranked(model, views, k_max):
+        targets = split.users[i].targets
+        for j, k in enumerate(cutoffs):
+            recall[j, i] = recall_at_k(top, targets, k)
+            ndcg[j, i] = ndcg_at_k(top, targets, k)
     return EvalReport(
         protocol=split.protocol,
         cutoffs=cutoffs,
-        recall={k: recall_sums[k] / n for k in cutoffs},
-        ndcg={k: ndcg_sums[k] / n for k in cutoffs},
+        recall={k: mean_in_user_order(row) for k, row in zip(cutoffs, recall)},
+        ndcg={k: mean_in_user_order(row) for k, row in zip(cutoffs, ndcg)},
         num_users=n,
         skipped_users=split.stats.get("skipped_users", 0),
         config_hash=config_hash,

@@ -25,13 +25,14 @@ from .session_encoder import IseConfig
 from .sequence_encoder import SseConfig
 
 
-# Users packed into one training graph; a larger minibatch is trained as
-# consecutive graphs of this many.  Packing all of a minibatch's users is
-# faster (train_users_per_s on long-history-gru at batch 8: 2.4x one graph
-# per user, against 1.3x at 2), but the traced smoke runs in
-# perfbench/tests, with 3 to 5 minibatches per round, need at least 20
-# graphs for a step-latency percentile, and 2 is the largest size that
-# gives them that.
+# Users packed into one training graph; a larger minibatch, sorted by
+# session count (ties in shuffled order), is trained as consecutive graphs
+# of this many, so a graph's histories are of similar length.  Packing all
+# of a minibatch's users is faster (train_users_per_s on long-history-gru at
+# batch 8: 2.4x one graph per user, against 1.3x at 2), but the traced
+# smoke runs in perfbench/tests, with 3 to 5 minibatches per round, need at
+# least 20 graphs for a step-latency percentile, and 2 is the largest size
+# that gives them that.
 PACK_USERS = 2
 
 
@@ -156,7 +157,13 @@ class Adam:
             p = self.params[n]
             if p.grad is None:
                 continue
-            at = slice(None) if p.rows is None else np.unique(np.concatenate(p.rows))
+            if p.rows is None:
+                at = slice(None)
+            else:  # the sorted distinct rows, as np.unique gives them, without a sort
+                touched = np.zeros(len(p.data), dtype=bool)
+                for rows in p.rows:
+                    touched[rows] = True
+                at = np.flatnonzero(touched)
             g = p.grad[at]
             m = self.B1 * self.m[n][at] + (1.0 - self.B1) * g
             v = self.B2 * self.v[n][at] + (1.0 - self.B2) * g * g
@@ -192,15 +199,15 @@ def _validation_recall(model, train_users, val_k):
     """Recall@val_k of each user's last train session given the earlier
     ones; every user has at least two sessions."""
     # looked up per call, so a rebound ``evaluator.recall_at_k`` is the one used
-    from .evaluator import ranked, recall_at_k
+    from .evaluator import mean_in_user_order, ranked, recall_at_k
 
     k = min(val_k, model.embedding.num_items)
-    views = (encoder_views(sessions[:-1]) for sessions in train_users)
-    total = 0.0
-    for sessions, top in zip(train_users, ranked(model, views, k)):
-        targets, _ = encoder_views(sessions[-1:])
-        total += recall_at_k(top, targets, k)
-    return total / len(train_users)
+    views = [encoder_views(sessions[:-1]) for sessions in train_users]
+    recalls = np.empty(len(train_users))
+    for i, top in ranked(model, views, k):
+        targets, _ = encoder_views(train_users[i][-1:])
+        recalls[i] = recall_at_k(top, targets, k)
+    return mean_in_user_order(recalls)
 
 
 def train(
@@ -211,9 +218,14 @@ def train(
 ) -> TrainResult:
     """Run the full optimization loop and return the best-validation model.
 
-    Per epoch: shuffle users and form minibatches.  A minibatch is trained
-    as graphs of ``PACK_USERS`` consecutive users: each graph packs its
-    users into one model input, scores all of their positions with one
+    Per epoch: shuffle users and form minibatches.  A minibatch is sorted
+    in ascending order of session count, ties in shuffled order, and
+    trained as graphs of ``PACK_USERS`` consecutive users of that order, so
+    a graph's recurrent encoder runs few steps past its shorter histories;
+    where every user has the same session count the shuffled order is kept
+    and so are the floats, and on ragged histories the sort changes which
+    users share a graph and which negatives each draws.  Each graph packs
+    its users into one model input, scores all of their positions with one
     raw-sum loss and is back-propagated once; the graphs' gradients add up
     before the minibatch's one optimizer step.  Model selection is by
     validation recall on each user's final train session; when no
@@ -242,6 +254,7 @@ def train(
             f"with --max-pos-len {cfg.sse.max_positions} or less"
         )
 
+    session_counts = np.array([len(sessions) for _, sessions in train_users])
     history = []
     best_metric = None
     best_epoch = -1
@@ -256,6 +269,7 @@ def train(
         n_rank = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
+            batch = batch[np.argsort(session_counts[batch], kind="stable")]
             opt.zero_grad()
             batch_total = 0.0
             for lo in range(0, len(batch), PACK_USERS):

@@ -299,6 +299,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no evaluable users"):
             evaluate(StubModel(np.eye(8)), split_for([], 8), cutoffs=(1,))
 
+    def test_no_users_fails_before_the_catalog_is_embedded(self):
+        model = StubModel(np.eye(8))
+
+        def embed():
+            raise AssertionError("output_item_vectors called")
+
+        model.embedding.output_item_vectors = embed
+        with pytest.raises(ValueError, match="no evaluable users"):
+            evaluate(model, split_for([], 8), cutoffs=(1,))
+
     @pytest.mark.parametrize("cutoffs", [(0,), (10, 0), (-1, 3)])
     def test_cutoffs_below_one_rejected(self, cutoffs):
         with pytest.raises(ValueError, match="cutoffs must be >= 1"):
@@ -346,30 +356,46 @@ class TestRanked:
         embed = model.embedding.output_item_vectors
         calls = []
         model.embedding.output_item_vectors = lambda: calls.append(1) or embed()
-        views = iter([ragged([[3]]), ragged([[1, 5]]), ragged([[2], [6]])])
+        views = [ragged([[3]]), ragged([[1, 5]]), ragged([[2], [6]])]
         got = []
-        for top in ranked(model, views, 3):
+        for i, top in ranked(model, views, 3):
             assert T._grad_enabled, "no_grad is held across a yield"
-            got.append(top)
+            got.append((i, top))
         assert len(calls) == 1
-        assert [int(top[0]) for top in got] == [3, 5, 6]
-        np.testing.assert_array_equal(got[0], top_k(np.eye(8)[3], np.eye(8), 3))
+        assert [(i, int(top[0])) for i, top in got] == [(0, 3), (1, 5), (2, 6)]
+        np.testing.assert_array_equal(got[0][1], top_k(np.eye(8)[3], np.eye(8), 3))
 
     @pytest.mark.parametrize("n", [0, 1, RANK_USERS, 2 * RANK_USERS + 3])
-    def test_one_user_vector_call_per_chunk_pulling_lazily(self, n):
+    def test_one_user_vector_call_per_chunk(self, n):
         model = StubModel(np.eye(8))
-        calls, got, user_vector = [], [], model.user_vector
+        calls, user_vector = [], model.user_vector
         model.user_vector = lambda view, counts: calls.append(1) or user_vector(view, counts)
-
-        def views():
-            for u in range(n):
-                assert u + 1 - len(got) <= RANK_USERS, "pulled too far ahead"
-                yield ragged([[(u + 2) % 8], [u % 8]])
-
-        for top in ranked(model, views(), 1):
-            got.append(int(top[0]))
-        assert got == [u % 8 for u in range(n)]
+        views = [ragged([[(u + 2) % 8], [u % 8]]) for u in range(n)]
+        got = {i: int(top[0]) for i, top in ranked(model, views, 1)}
+        assert got == {u: u % 8 for u in range(n)}
         assert len(calls) == math.ceil(n / RANK_USERS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunks_hold_users_in_nondecreasing_session_count_ties_in_input_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 * RANK_USERS + 2
+        counts = rng.integers(1, 5, size=n)  # many ties
+        # a user's last item is its own index, and so is its stub vector's argmax
+        views = [ragged([[(u + 1) % n]] * int(c - 1) + [[u]]) for u, c in enumerate(counts)]
+        model = StubModel(np.eye(n))
+        chunks, user_vector = [], model.user_vector
+
+        def recorded(view, sessions_per_user):
+            out = user_vector(view, sessions_per_user)
+            chunks.append(out.data.argmax(axis=1).tolist())
+            return out
+
+        model.user_vector = recorded
+        yielded = [i for i, _ in ranked(model, views, 1)]
+        want = sorted(range(n), key=lambda u: (counts[u], u))
+        assert [len(chunk) for chunk in chunks] == [RANK_USERS] * 3 + [2]
+        assert [u for chunk in chunks for u in chunk] == want
+        assert yielded == want
 
     def test_evaluate_and_validation_rank_through_it(self, monkeypatch):
         import nextsession.trainer as trainer_mod

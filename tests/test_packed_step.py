@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import nextsession.tensor as T
-from nextsession.data import encoder_views
-from nextsession.evaluator import RANK_USERS, ranked
+from nextsession.data import DatasetSplit, UserSplit, encoder_views
+from nextsession.evaluator import RANK_USERS, EvalReport, evaluate, ndcg_at_k, ranked, recall_at_k
 from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig, build_targets, total_loss
 from nextsession.sequence_encoder import BACKBONES, SseConfig
@@ -180,10 +180,10 @@ class TestRankedMatchesThePerUserLoop:
             p.data = p.data.astype(np.float32)
 
         want, _ = per_user_ranked(model32, views, 10)
-        got = list(ranked(model32, iter(views), 10))
-        assert len(got) == n
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        got = dict(ranked(model32, views, 10))
+        assert sorted(got) == list(range(n))
+        for i, ids in enumerate(want):
+            np.testing.assert_array_equal(got[i], ids)
 
         _, want_vecs = per_user_ranked(model64, views, 10)
         seen, packed_vector = [], model64.user_vector
@@ -194,8 +194,31 @@ class TestRankedMatchesThePerUserLoop:
             return out
 
         model64.user_vector = recorded
-        list(ranked(model64, iter(views), 10))
+        order = [i for i, _ in ranked(model64, views, 10)]  # the order of packing
         assert len(seen) == n
-        for a, b in zip(seen, want_vecs):
-            assert a.dtype == np.float64
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        for i, vec in zip(order, seen):
+            assert vec.dtype == np.float64
+            np.testing.assert_allclose(vec, want_vecs[i], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_evaluate_report_equals_the_per_user_loop_byte_for_byte(self, backbone):
+        rng = np.random.default_rng(1500)
+        model = float64_model("mean", backbone, max_positions=8, seed=7)
+        for p in model.parameters().values():
+            p.data = p.data.astype(np.float32)
+        users = [UserSplit(f"u{u}", sessions, [int(t) for t in rng.choice(CATALOG, 3, False)])
+                 for u, sessions in enumerate(ragged_users(1501, 2 * RANK_USERS + 3, 8))]
+        split = DatasetSplit("session", users, CATALOG, {})
+        cutoffs = (1, 5, 10)
+
+        tops, _ = per_user_ranked(model, [encoder_views(u.train_sessions) for u in users],
+                                  max(cutoffs))
+        recall = {k: 0.0 for k in cutoffs}
+        ndcg = {k: 0.0 for k in cutoffs}
+        for user, top in zip(users, tops):
+            for k in cutoffs:
+                recall[k] += recall_at_k(top, user.targets, k)
+                ndcg[k] += ndcg_at_k(top, user.targets, k)
+        want = EvalReport("session", cutoffs, {k: r / len(users) for k, r in recall.items()},
+                          {k: g / len(users) for k, g in ndcg.items()}, len(users), 0, "")
+        assert evaluate(model, split, cutoffs=cutoffs).to_json() == want.to_json()

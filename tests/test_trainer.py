@@ -252,9 +252,33 @@ class TestAdam:
         np.testing.assert_allclose(opt.m["table"], m, rtol=1e-6)
         assert (table.data[2] != start[2]).all()
 
+    @pytest.mark.parametrize("gathers", [[[2, 0, 2], [5, 0]], [[1, 3, 4]], [[3]]],
+                             ids=["repeated", "sorted", "single-row"])
+    def test_row_mask_updates_the_rows_np_unique_gives(self, gathers):
+        data = np.random.default_rng(1).normal(size=(6, 3)).astype(np.float32)
+        table = T.parameter(data.copy())
+        opt = Adam({"table": table}, lr=0.1)
+        for _ in range(2):  # each step gathers the same rows, so takes the same gradient
+            opt.zero_grad()
+            for rows in gathers:  # one backward per gather: ``rows`` records each
+                T.sum_all(T.gather(table, rows)).backward()
+            grad = table.grad.copy()
+            opt.step()
+        # the two steps' update, at np.unique of the gathered rows
+        at = np.unique(np.concatenate(gathers))
+        m, v = np.zeros_like(data), np.zeros_like(data)
+        for t in (1, 2):
+            m[at] = Adam.B1 * m[at] + (1.0 - Adam.B1) * grad[at]
+            v[at] = Adam.B2 * v[at] + (1.0 - Adam.B2) * grad[at] * grad[at]
+            data[at] -= 0.1 * (m[at] / (1.0 - Adam.B1 ** t)) / (
+                np.sqrt(v[at] / (1.0 - Adam.B2 ** t)) + Adam.EPS)
+        np.testing.assert_array_equal(table.data, data)
+        np.testing.assert_array_equal(opt.m["table"], m)
+        np.testing.assert_array_equal(opt.v["table"], v)
+
     def test_step_makes_no_table_sized_array(self):
         # one step after a gather of 100 of 200,000 rows; a bool mask over
-        # the table alone would be 6.4 MB
+        # every entry of the table would be 6.4 MB, one over its rows 200 kB
         n, d = 200_000, 32
         table = T.parameter(np.zeros((n, d), dtype=np.float32))
         opt = Adam({"table": table}, lr=0.1)
@@ -397,6 +421,34 @@ class TestTrain:
         train(toy_split(num_users=12), small_config(epochs=2, batch_size=8, val_interval=0))
         assert built == built_per_epoch * 2
         assert len(backwards) == len(built) and len(steps) == 4
+
+    def test_each_graph_takes_its_minibatch_in_nondecreasing_session_count(self, monkeypatch):
+        split = toy_split(num_users=12)
+        counts = [2, 4, 3, 2, 4, 4, 3, 2, 2, 3, 4, 2]  # ties in every batch
+        for user, c in zip(split.users, counts):
+            user.train_sessions = user.train_sessions[:c]
+        index = {id(user.train_sessions): u for u, user in enumerate(split.users)}
+        graphs, real_build = [], trainer_mod.build_targets
+
+        def build(users, *args):
+            graphs.append([index[id(sessions)] for sessions in users])
+            return real_build(users, *args)
+
+        monkeypatch.setattr(trainer_mod, "build_targets", build)
+        cfg = small_config(epochs=2, batch_size=5, val_interval=0)
+        train(split, cfg)
+        # the shuffle of train(): the fourth stream of the config's seed
+        shuffle = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
+        want = []
+        for _ in range(cfg.epochs):
+            order = shuffle.permutation(len(counts)).tolist()
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = sorted(order[lo : lo + cfg.batch_size], key=lambda u: counts[u])
+                want += [batch[g : g + trainer_mod.PACK_USERS]
+                         for g in range(0, len(batch), trainer_mod.PACK_USERS)]
+        assert graphs == want
+        for graph in graphs:
+            assert [counts[u] for u in graph] == sorted(counts[u] for u in graph)
 
     def test_graph_size_changes_only_the_rounding(self, monkeypatch):
         # the graphs of a minibatch sum into one gradient before its step, so
