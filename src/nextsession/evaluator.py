@@ -10,21 +10,27 @@ reach it, O(N + c log c) per user instead of sorting all N scores.
 ``ranked`` is the one ranking loop: ``evaluate`` and the trainer's
 validation both hand it their users' histories and read back top-k ids.
 It encodes users in packed chunks of ``RANK_USERS``, one ``user_vector``
-call per chunk, and scores each user with its own ``top_k``.  Chunks are
-formed in ascending order of session count, ties in input order, since a
-chunk's recurrent encoder takes as many steps as its longest history has
-sessions.  Each user's metric is stored at the user's index and summed in
-user order, so a report does not depend on the packing: where every user
-has the same session count the order is the input order and the floats are
-unchanged, and on ragged histories a user's vector is packed with other
-users and can round differently in the last bits.
+call per chunk, and ranks them in blocks of ``SCORE_USERS``, one ``top_k``
+call per block: the block's vectors are scored with one matrix product, so
+the catalog is read once per block, and selected row by row in one pass.
+Chunks and blocks are formed in ascending order of session count, ties in
+input order, since a chunk's recurrent encoder takes as many steps as its
+longest history has sessions.  ``block_metrics`` then gives the recall and
+NDCG of a whole block at every cutoff.  Each user's metric is stored at the
+user's index and summed in user order, so a report does not depend on the
+packing: where every user has the same session count the order is the
+input order and the floats are unchanged, and on ragged histories a user's
+vector is packed with other users and can round differently in the last
+bits.  A block's scores round differently from one user's matrix-vector
+scores in the last bits (see ``top_k``), so a near-tie at the cutoff can
+order differently than a per-user loop would order it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -36,59 +42,100 @@ from .data import DatasetSplit, Sessions, UserSplit, encoder_views
 DEFAULT_CUTOFFS = (10, 100, 500)
 
 
-def top_k(user_vec: np.ndarray, item_vecs: np.ndarray, k: int) -> np.ndarray:
+def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int) -> np.ndarray:
     """Exact top-k item ids by dot product, descending; ties by ascending id.
 
-    ``np.partition`` finds the k-th best score in one O(N) pass; every id at
-    least that good is a candidate, so a tie group straddling position k is
-    kept whole, and only the c candidates are sorted: O(N + c log c).  When k
-    is 0 or N, or fewer than k scores are numbers, every id is sorted instead,
-    which keeps the order of a full sort for NaN, +-inf and +-0.0.
+    ``user_vecs`` is one ``(d,)`` vector, giving ``(k,)`` ids, or a ``(b, d)``
+    block, giving ``(b, k)`` ids, one row per user.  A block is scored with
+    one ``(b, d) @ (d, N)`` matrix product, so the catalog is read once per
+    block; ``(d,)`` is scored as ``item_vecs @ user_vecs``.  BLAS rounds a
+    matrix-matrix product differently from a matrix-vector one, so a row's
+    scores can differ in the last bits between the two forms (on OpenBLAS a
+    row's scores do not depend on the block size for b >= 2, and a one-row
+    block is a matrix-vector product); the ids differ only where two scores
+    are that close.
+
+    A row-wise ``np.partition`` finds each row's k-th best score in one O(N)
+    pass; every id at least that good is a candidate, so a tie group
+    straddling position k is kept whole, and one sort of all the block's
+    candidates by (row, -score, id) orders them: O(b N + c log c).  A row
+    whose k-th score is NaN (fewer than k scores are numbers) takes all N
+    ids as candidates, as does every row when k is N, which keeps the order
+    of a full sort for NaN, +-inf and +-0.0.
     """
-    # a NaN score (inf - inf) is ranked last by contract, so numpy need not warn of it
-    with np.errstate(invalid="ignore"):
-        scores = item_vecs @ user_vec
-    n = scores.shape[0]
+    one = np.ndim(user_vecs) == 1
+    # an overflowing score is +-inf and a NaN one (inf - inf) is ranked last
+    # by contract, so numpy need not warn of either
+    with np.errstate(invalid="ignore", over="ignore"):
+        neg = (item_vecs @ user_vecs)[None] if one else user_vecs @ item_vecs.T
+    rows, n = neg.shape
     if k < 0:
         raise ValueError(f"k={k} must be non-negative")
     if k > n:
         raise ValueError(f"k={k} exceeds catalog size {n}")
-    neg = -scores
-    ids = np.arange(n)
+    np.negative(neg, out=neg)
     if 0 < k < n:
-        threshold = np.partition(neg, k - 1)[k - 1]
-        if not math.isnan(threshold):
-            ids = np.flatnonzero(neg <= threshold)
-    return ids[np.lexsort((ids, neg[ids]))[:k]]
+        threshold = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+        candidate = neg <= threshold
+        candidate[np.isnan(threshold[:, 0])] = True
+    else:
+        candidate = np.full(neg.shape, k > 0)
+    flat = np.flatnonzero(candidate)
+    row, ids = np.divmod(flat, n)
+    order = np.lexsort((ids, neg.ravel()[flat], row))
+    counts = np.bincount(row, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    top = ids[order[starts[:, None] + np.arange(k)]]
+    return top[0] if one else top
 
 
-def _hit_positions(ranked, targets, k: int, metric: str) -> tuple[list, int]:
-    """Ascending 1-based positions p <= k of ``ranked`` that hold a target,
-    and the number of distinct targets."""
-    tset = set(int(t) for t in targets)
-    if not tset:
-        raise ValueError(f"{metric} needs a non-empty target set")
-    top = np.asarray(ranked[:k]).tolist()
-    return [p for p, it in enumerate(top, start=1) if it in tset], len(tset)
+def block_metrics(ids, targets, cutoffs) -> tuple[np.ndarray, np.ndarray]:
+    """Recall@K and NDCG@K of each row of ``ids``, a ``(b, k)`` block of
+    ranked item ids, against the same row of ``targets`` (b lists of ids),
+    at every K of ``cutoffs``; two ``(len(cutoffs), b)`` float64 arrays.
+
+    Binary relevance, 1-based positions p, and distinct targets T.  Recall is
+    the hits at p <= K over |T|.  DCG sums 1/log2(p+1) over hit positions
+    p <= K; the ideal DCG places all targets first, so IDCG =
+    sum_{p=1}^{min(K, |T|)} 1/log2(p+1).  Both sums run left to right, as a
+    cumulative sum along the row.  Hits are found with one ``np.isin`` over
+    ``row * width + id`` keys, so a block costs a few array passes however
+    many users and cutoffs it holds.
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(len(targets), -1)
+    rows, depth = ids.shape
+    wanted = [np.fromiter(t, dtype=np.int64) for t in targets]
+    lengths = np.array([len(t) for t in wanted], dtype=np.int64)
+    if not lengths.all():
+        raise ValueError("metrics need a non-empty target set for every user")
+    wanted = np.concatenate(wanted)
+    low = min(int(wanted.min()), int(ids.min(initial=0)))
+    width = max(int(wanted.max()), int(ids.max(initial=0))) - low + 1
+    keys = np.unique(np.repeat(np.arange(rows), lengths) * width + (wanted - low))
+    num_targets = np.bincount(keys // width, minlength=rows)
+    # column p holds position p; column 0 is the empty prefix
+    hit = np.zeros((rows, depth + 1), dtype=bool)
+    hit[:, 1:] = np.isin(np.arange(rows)[:, None] * width + (ids - low), keys)
+    span = max(depth, min(max(cutoffs), int(num_targets.max())))
+    gains = np.r_[0.0, 1.0 / np.log2(np.arange(2, span + 2))]
+    hits = np.cumsum(hit, axis=1)
+    dcg = np.cumsum(np.where(hit, gains[: depth + 1], 0.0), axis=1)
+    ideal = np.cumsum(gains)
+    recall = np.empty((len(cutoffs), rows))
+    ndcg = np.empty((len(cutoffs), rows))
+    for j, k in enumerate(cutoffs):
+        recall[j] = hits[:, min(k, depth)] / num_targets
+        ndcg[j] = dcg[:, min(k, depth)] / ideal[np.minimum(k, num_targets)]
+    return recall, ndcg
 
 
 def recall_at_k(ranked, targets, k: int) -> float:
-    hits, num_targets = _hit_positions(ranked, targets, k, "recall")
-    return len(hits) / num_targets
+    return float(block_metrics(np.asarray(ranked)[:k], [targets], (k,))[0][0, 0])
 
 
 def ndcg_at_k(ranked, targets, k: int) -> float:
-    """Binary-relevance NDCG with 1-based positions.
-
-    DCG sums 1/log2(p+1) over hit positions p <= k; the ideal DCG places all
-    targets first, so IDCG = sum_{p=1}^{min(k, |targets|)} 1/log2(p+1).
-    """
-    hits, num_targets = _hit_positions(ranked, targets, k, "ndcg")
-    dcg = 0.0
-    for p in hits:
-        dcg += 1.0 / np.log2(p + 1)
-    ideal = sum(1.0 / np.log2(p + 1) for p in range(1, min(k, num_targets) + 1))
-    return dcg / ideal
+    """Binary-relevance NDCG with 1-based positions (``block_metrics``)."""
+    return float(block_metrics(np.asarray(ranked)[:k], [targets], (k,))[1][0, 0])
 
 
 @dataclass
@@ -133,28 +180,41 @@ class EvalReport:
 # and 8 only 18.
 RANK_USERS = 6
 
+# Users scored and ranked by one ``top_k`` call in ``ranked``: ten chunks.
+# One (b, d) @ (d, N) product reads the catalog once for b users instead of
+# b times, but holds a (b, N) score block, plus a partition copy of it and a
+# candidate mask: 60 x N x 4 B is 8.6 MB of float32 scores at N = 36k.  A
+# bound keeps that working set fixed however many users are evaluated.
+SCORE_USERS = 10 * RANK_USERS
+
 
 def ranked(model, views, k: int):
-    """Yield ``(index, ids)``: the exact top-k item ids of ``views[index]``,
-    once for every view of the sequence ``views``.
+    """Yield ``(index, ids)`` per block of users: ``index``, an int64 array
+    into the sequence ``views``, and ``ids``, the ``(len(index), k)`` exact
+    top-k item ids of those views, row by row.
 
     The catalog is embedded once, on the first request.  The ``(ids,
     lengths)`` views are then taken in ascending order of session count,
     ``len(lengths)``, with ties in input order, and in chunks of
-    ``RANK_USERS``: a chunk is appended into one packed view, encoded by one
-    ``user_vector`` call, and each of its users is ranked with ``top_k``.
-    Views of equal session count therefore come out in input order.
+    ``RANK_USERS``: a chunk is appended into one packed view and encoded by
+    one ``user_vector`` call.  Each block of up to ``SCORE_USERS`` users is
+    then ranked with one ``top_k`` call.  Views of equal session count
+    therefore come out in input order.
     """
     with T.no_grad():
         item_matrix = model.embedding.output_item_vectors().data
-    order = sorted(range(len(views)), key=lambda i: len(views[i][1]))  # stable
-    for lo in range(0, len(order), RANK_USERS):
-        chunk = order[lo : lo + RANK_USERS]
-        packed = tuple(np.concatenate(part) for part in zip(*(views[i] for i in chunk)))
-        with T.no_grad():
-            user_vecs = model.user_vector(packed, [len(views[i][1]) for i in chunk]).data
-        for i, user_vec in zip(chunk, user_vecs):
-            yield i, top_k(user_vec, item_matrix, k)
+    order = np.array(sorted(range(len(views)), key=lambda i: len(views[i][1])),  # stable
+                     dtype=np.int64)
+    for lo in range(0, len(order), SCORE_USERS):
+        block = order[lo : lo + SCORE_USERS]
+        user_vecs = []
+        for c in range(0, len(block), RANK_USERS):
+            chunk = block[c : c + RANK_USERS]
+            packed = tuple(np.concatenate(part) for part in zip(*(views[i] for i in chunk)))
+            with T.no_grad():
+                user_vecs.append(
+                    model.user_vector(packed, [len(views[i][1]) for i in chunk]).data)
+        yield block, top_k(np.concatenate(user_vecs), item_matrix, k)
 
 
 def mean_in_user_order(values: np.ndarray) -> float:
@@ -178,18 +238,24 @@ def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash=""
     n = len(split.users)
     if n == 0:
         raise ValueError("no evaluable users in split")
-    cutoffs = tuple(sorted(set(cutoffs)))
-    if cutoffs and cutoffs[0] < 1:
+    try:
+        cutoffs = tuple(cutoffs)
+    except TypeError:
+        raise ValueError(f"cutoffs must be a list of integers, got {cutoffs!r}") from None
+    if not cutoffs:
+        raise ValueError("cutoffs must name at least one K")
+    for k in cutoffs:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"cutoffs must be integers, got {k!r}")
+    cutoffs = tuple(sorted({int(k) for k in cutoffs}))
+    if cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be >= 1, got {cutoffs[0]}")
-    k_max = min(max(cutoffs), split.catalog_size)
     recall = np.empty((len(cutoffs), n))
     ndcg = np.empty((len(cutoffs), n))
     views = [encoder_views(user.train_sessions) for user in split.users]
-    for i, top in ranked(model, views, k_max):
-        targets = split.users[i].targets
-        for j, k in enumerate(cutoffs):
-            recall[j, i] = recall_at_k(top, targets, k)
-            ndcg[j, i] = ndcg_at_k(top, targets, k)
+    for index, ids in ranked(model, views, min(cutoffs[-1], split.catalog_size)):
+        recall[:, index], ndcg[:, index] = block_metrics(
+            ids, [split.users[i].targets for i in index], cutoffs)
     return EvalReport(
         protocol=split.protocol,
         cutoffs=cutoffs,

@@ -198,15 +198,14 @@ class TrainResult:
 def _validation_recall(model, train_users, val_k):
     """Recall@val_k of each user's last train session given the earlier
     ones; every user has at least two sessions."""
-    # looked up per call, so a rebound ``evaluator.recall_at_k`` is the one used
-    from .evaluator import mean_in_user_order, ranked, recall_at_k
+    from .evaluator import block_metrics, mean_in_user_order, ranked
 
     k = min(val_k, model.embedding.num_items)
     views = [encoder_views(sessions[:-1]) for sessions in train_users]
     recalls = np.empty(len(train_users))
-    for i, top in ranked(model, views, k):
-        targets, _ = encoder_views(train_users[i][-1:])
-        recalls[i] = recall_at_k(top, targets, k)
+    for index, ids in ranked(model, views, k):
+        targets = [encoder_views(train_users[i][-1:])[0] for i in index]
+        recalls[index] = block_metrics(ids, targets, (k,))[0][0]
     return mean_in_user_order(recalls)
 
 

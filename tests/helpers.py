@@ -9,7 +9,7 @@ import numpy as np
 
 from nextsession import tensor as T
 from nextsession.data import Dataset, Sessions, make_split
-from nextsession.evaluator import top_k
+from nextsession.evaluator import EvalReport, top_k
 from nextsession.objective import build_targets, total_loss
 from nextsession.tensor import Tensor
 
@@ -215,6 +215,39 @@ def per_user_ranked(model, views, k):
         item_matrix = model.embedding.output_item_vectors().data
         vecs = [model.user_vector(view).data for view in views]
     return [top_k(vec, item_matrix, k) for vec in vecs], vecs
+
+
+def loop_recall_at_k(ranked, targets, k):
+    """Recall@k as a loop over ranks: the hits among ``ranked[:k]`` over the
+    distinct targets."""
+    tset = set(int(t) for t in targets)
+    return sum(1 for it in ranked[:k] if int(it) in tset) / len(tset)
+
+
+def loop_ndcg_at_k(ranked, targets, k):
+    """Binary-relevance NDCG@k as a loop over ranks, each sum left to right."""
+    tset = set(int(t) for t in targets)
+    dcg = 0.0
+    for p, it in enumerate(ranked[:k], start=1):
+        if int(it) in tset:
+            dcg += 1.0 / np.log2(p + 1)
+    ideal = sum(1.0 / np.log2(p + 1) for p in range(1, min(k, len(tset)) + 1))
+    return dcg / ideal
+
+
+def loop_report(split, tops, cutoffs):
+    """The ``EvalReport`` of ``split`` whose users ranked ``tops``: the loop
+    metrics of each user, summed in user order and divided by the users."""
+    recall = {k: 0.0 for k in cutoffs}
+    ndcg = {k: 0.0 for k in cutoffs}
+    for user, top in zip(split.users, tops):
+        for k in cutoffs:
+            recall[k] += loop_recall_at_k(top, user.targets, k)
+            ndcg[k] += loop_ndcg_at_k(top, user.targets, k)
+    n = len(split.users)
+    return EvalReport(split.protocol, tuple(cutoffs), {k: r / n for k, r in recall.items()},
+                      {k: g / n for k, g in ndcg.items()}, n,
+                      split.stats.get("skipped_users", 0), "")
 
 
 # Tensor defects that ``restore_model`` must refuse with a ValueError naming

@@ -7,9 +7,10 @@ import pytest
 
 import nextsession.evaluator as evaluator
 import nextsession.tensor as T
-from nextsession.data import DatasetSplit, UserSplit
+from nextsession.data import DatasetSplit, UserSplit, encoder_views
 from nextsession.evaluator import (
     RANK_USERS,
+    SCORE_USERS,
     EvalReport,
     alpha_sweep,
     complexity_bench,
@@ -26,7 +27,8 @@ from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.trainer import TrainConfig
 
-from helpers import history, ragged, random_train_views, reference_clip_sessions_to, sessions_of
+from helpers import (history, loop_ndcg_at_k, loop_recall_at_k, loop_report, per_user_ranked, ragged,
+                     random_train_views, reference_clip_sessions_to, sessions_of)
 
 
 def lexsort_top_k(user_vec, item_vecs, k):
@@ -48,23 +50,6 @@ def assert_matches_lexsort(u, items, k):
 def scalar_items(scores, dtype):
     """A (n, 1) item matrix and a unit user vector whose scores are ``scores``."""
     return np.ones(1, dtype=dtype), np.asarray(scores, dtype=dtype)[:, None]
-
-
-def loop_recall_at_k(ranked, targets, k):
-    """The former per-rank loop of ``recall_at_k``."""
-    tset = set(int(t) for t in targets)
-    return sum(1 for it in ranked[:k] if int(it) in tset) / len(tset)
-
-
-def loop_ndcg_at_k(ranked, targets, k):
-    """The former per-rank loop of ``ndcg_at_k``."""
-    tset = set(int(t) for t in targets)
-    dcg = 0.0
-    for p, it in enumerate(ranked[:k], start=1):
-        if int(it) in tset:
-            dcg += 1.0 / np.log2(p + 1)
-    ideal = sum(1.0 / np.log2(p + 1) for p in range(1, min(k, len(tset)) + 1))
-    return dcg / ideal
 
 
 def sorted_oracle(user_vec, item_vecs, k):
@@ -171,6 +156,82 @@ class TestTopK:
             assert_matches_lexsort(u, items, k)
 
 
+def block_oracle(user_vecs, item_vecs, k):
+    """Each row of the block's scores sorted by (-score, id), NaN last."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scores = user_vecs @ item_vecs.T
+    return np.array([np.lexsort((np.arange(len(row)), -row))[:k] for row in scores])
+
+
+def mixed_block(dtype, n=24, seed=15):
+    """A (7, 6) user block and an (n, 6) item matrix whose block scores are,
+    row by row: ordinary; ordinary; small integers tying heavily; all zero;
+    +-inf (overflow) and +-0; NaN (0 * inf) and +-inf; and three equal
+    numbers among NaNs (inf - inf)."""
+    rng = np.random.default_rng(seed)
+    big = np.finfo(dtype).max * 0.75  # twice big overflows
+    items = np.zeros((n, 6))
+    items[:, 0] = rng.integers(-1, 2, size=n)
+    items[:, 1] = rng.normal(size=n)
+    items[:, 2] = rng.choice([big, -big, 0.0, -0.0, 1.0], size=n)
+    items[:, 3] = rng.choice([1.0, -1.0, 0.0], size=n)
+    items[:, 4], items[:, 5] = 1.0, 1.0
+    items[:3, 5] = -1.0
+    users = np.zeros((7, 6))
+    users[0, 1] = 1.0
+    users[1, :2] = rng.normal(size=2)
+    users[2, 0] = 1.0
+    users[4, 2] = 2.0
+    users[5, 3] = np.inf
+    users[6, 4:] = np.inf, -np.inf
+    return users.astype(dtype), items.astype(dtype)
+
+
+class TestBlockTopK:
+    """A (b, d) block of users against the per-row sort of the same scores."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mixed_block_matches_the_sort_oracle(self, dtype):
+        users, items = mixed_block(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            scores = users @ items.T
+        assert np.isinf(scores[4]).any() and (scores[4] == 0).any()
+        assert np.isnan(scores[5]).any() and np.isinf(scores[5]).any()
+        assert np.count_nonzero(~np.isnan(scores[6])) == 3 < 5
+        for k in (0, 1, 5, items.shape[0]):
+            got = top_k(users, items, k)
+            assert got.shape == (len(users), k) and got.dtype == np.intp
+            np.testing.assert_array_equal(got, block_oracle(users, items, k))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_tie_groups_straddle_the_kth_score_in_every_row(self, dtype):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            items = rng.integers(-2, 3, size=(int(rng.integers(2, 40)), 3)).astype(dtype)
+            users = rng.integers(-1, 2, size=(int(rng.integers(1, 9)), 3)).astype(dtype)
+            for k in (0, 1, 5, len(items)):
+                k = min(k, len(items))
+                np.testing.assert_array_equal(top_k(users, items, k),
+                                              block_oracle(users, items, k))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_vector_equals_a_one_row_block(self, dtype):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            u, items = scalar_items(rng.choice(SPECIALS + (2.0, 2.0), size=n), dtype)
+            for k in (0, 1, min(5, n), n):
+                one = top_k(u, items, k)
+                np.testing.assert_array_equal(top_k(u[None], items, k), one[None])
+                assert_matches_lexsort(u, items, k)
+
+    def test_block_size_limits_are_checked(self):
+        with pytest.raises(ValueError, match="catalog"):
+            top_k(np.ones((2, 2)), np.ones((3, 2)), 4)
+        with pytest.raises(ValueError, match="k=-1"):
+            top_k(np.ones((2, 2)), np.ones((3, 2)), -1)
+
+
 class TestRecall:
     def test_closed_forms(self):
         ranked = np.array([7, 3, 9, 1])
@@ -227,6 +288,23 @@ class TestNdcg:
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError):
             ndcg_at_k(np.array([1, 2]), [], 2)
+
+    def test_a_block_equals_the_per_rank_loop_row_by_row(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n, rows = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            depth = int(rng.integers(1, n + 1))
+            ids = np.array([rng.permutation(n)[:depth] for _ in range(rows)])
+            # repeated targets, and targets past the ranked ids and the catalog
+            targets = [rng.integers(0, n + 5, size=int(rng.integers(1, 10))).tolist()
+                       for _ in range(rows)]
+            cutoffs = sorted({int(k) for k in rng.integers(1, n + 8, size=3)})
+            recall, ndcg = evaluator.block_metrics(ids, targets, cutoffs)
+            assert recall.shape == ndcg.shape == (len(cutoffs), rows)
+            for j, k in enumerate(cutoffs):
+                for r in range(rows):
+                    assert recall[j, r] == loop_recall_at_k(ids[r], targets[r], k)
+                    assert ndcg[j, r] == loop_ndcg_at_k(ids[r], targets[r], k)
 
     def test_recall_and_ndcg_equal_the_per_rank_loop_exactly(self):
         rng = np.random.default_rng(6)
@@ -314,6 +392,22 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="cutoffs must be >= 1"):
             evaluate(StubModel(np.eye(8)), self.oracle_split(), cutoffs=cutoffs)
 
+    @pytest.mark.parametrize("cutoffs, named", [
+        ((), "cutoffs must name at least one K"),
+        ((2.5,), "cutoffs must be integers, got 2.5"),
+        ((True,), "cutoffs must be integers, got True"),
+        ((5, "10"), "cutoffs must be integers, got '10'"),
+        (10, "cutoffs must be a list of integers, got 10"),
+    ])
+    def test_bad_cutoffs_rejected_in_one_line(self, cutoffs, named):
+        with pytest.raises(ValueError) as err:
+            evaluate(StubModel(np.eye(8)), self.oracle_split(), cutoffs=cutoffs)
+        assert str(err.value) == named
+
+    def test_numpy_integer_cutoffs_are_accepted(self):
+        report = evaluate(StubModel(np.eye(8)), self.oracle_split(), cutoffs=np.array([3, 1]))
+        assert report.cutoffs == (1, 3) and report.recall[1] == 1.0
+
     def test_repeat_evaluation_is_byte_identical(self):
         rng = np.random.default_rng(4)
         model = StubModel(rng.normal(size=(8, 8)))
@@ -321,7 +415,7 @@ class TestEvaluate:
         b = evaluate(model, self.oracle_split(), cutoffs=(1, 4)).to_json()
         assert a == b
 
-    def test_report_matches_lexsort_and_loop_metrics_byte_for_byte(self, monkeypatch):
+    def test_report_matches_lexsort_and_loop_metrics_byte_for_byte(self):
         rng = np.random.default_rng(5)
         catalog = 40
         # binary item vectors: many items share each score, so ties straddle
@@ -334,11 +428,11 @@ class TestEvaluate:
             users.append(UserSplit(f"u{u}", history((items, [True] * 3)),
                                    targets=[int(t) for t in targets]))
         split = split_for(users, catalog)
-        new = evaluate(model, split, cutoffs=(1, 5, 10, 25)).to_json()
-        monkeypatch.setattr(evaluator, "top_k", lexsort_top_k)
-        monkeypatch.setattr(evaluator, "recall_at_k", loop_recall_at_k)
-        monkeypatch.setattr(evaluator, "ndcg_at_k", loop_ndcg_at_k)
-        assert evaluate(model, split, cutoffs=(1, 5, 10, 25)).to_json() == new
+        cutoffs = (1, 5, 10, 25)
+        vecs = [model.user_vector(encoder_views(u.train_sessions)).data for u in users]
+        tops = [lexsort_top_k(vec, model.item_matrix, 25) for vec in vecs]
+        want = loop_report(split, tops, cutoffs)
+        assert evaluate(model, split, cutoffs=cutoffs).to_json() == want.to_json()
 
     def test_report_json_and_table(self):
         report = evaluate(StubModel(np.eye(8)), self.oracle_split(),
@@ -358,22 +452,41 @@ class TestRanked:
         model.embedding.output_item_vectors = lambda: calls.append(1) or embed()
         views = [ragged([[3]]), ragged([[1, 5]]), ragged([[2], [6]])]
         got = []
-        for i, top in ranked(model, views, 3):
+        for index, ids in ranked(model, views, 3):
             assert T._grad_enabled, "no_grad is held across a yield"
-            got.append((i, top))
+            got.append((index, ids))
         assert len(calls) == 1
-        assert [(i, int(top[0])) for i, top in got] == [(0, 3), (1, 5), (2, 6)]
-        np.testing.assert_array_equal(got[0][1], top_k(np.eye(8)[3], np.eye(8), 3))
+        [(index, ids)] = got
+        assert index.dtype == np.int64 and index.tolist() == [0, 1, 2]
+        assert ids.shape == (3, 3) and ids[:, 0].tolist() == [3, 5, 6]
+        np.testing.assert_array_equal(ids[0], top_k(np.eye(8)[3], np.eye(8), 3))
 
-    @pytest.mark.parametrize("n", [0, 1, RANK_USERS, 2 * RANK_USERS + 3])
-    def test_one_user_vector_call_per_chunk(self, n):
-        model = StubModel(np.eye(8))
-        calls, user_vector = [], model.user_vector
-        model.user_vector = lambda view, counts: calls.append(1) or user_vector(view, counts)
-        views = [ragged([[(u + 2) % 8], [u % 8]]) for u in range(n)]
-        got = {i: int(top[0]) for i, top in ranked(model, views, 1)}
-        assert got == {u: u % 8 for u in range(n)}
-        assert len(calls) == math.ceil(n / RANK_USERS)
+    @pytest.mark.parametrize("n", [0, 1, SCORE_USERS - 1, SCORE_USERS,
+                                   SCORE_USERS + RANK_USERS + 1])
+    def test_block_boundaries(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        model = StubModel(rng.normal(size=(8, 4)))
+        encoded, user_vector = [], model.user_vector
+        model.user_vector = lambda view, counts: encoded.append(1) or user_vector(view, counts)
+        scored = []
+
+        def spy(user_vecs, item_vecs, k):
+            scored.append(len(user_vecs))
+            return top_k(user_vecs, item_vecs, k)
+
+        monkeypatch.setattr(evaluator, "top_k", spy)
+        views = [ragged([[(u + 2) % 8]] * int(rng.integers(1, 4)) + [[u % 8]]) for u in range(n)]
+        got = {}
+        for index, ids in ranked(model, views, 5):
+            assert ids.shape == (len(index), 5)
+            got.update(zip(index.tolist(), ids))
+        assert len(encoded) == math.ceil(n / RANK_USERS)
+        assert scored == [SCORE_USERS] * (n // SCORE_USERS) + [n % SCORE_USERS] * (n % SCORE_USERS > 0)
+        del model.user_vector
+        want, _ = per_user_ranked(model, views, 5)
+        assert sorted(got) == list(range(n))
+        for i, ids in enumerate(want):
+            np.testing.assert_array_equal(got[i], ids)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chunks_hold_users_in_nondecreasing_session_count_ties_in_input_order(self, seed):
@@ -391,7 +504,7 @@ class TestRanked:
             return out
 
         model.user_vector = recorded
-        yielded = [i for i, _ in ranked(model, views, 1)]
+        yielded = [i for index, _ in ranked(model, views, 1) for i in index]
         want = sorted(range(n), key=lambda u: (counts[u], u))
         assert [len(chunk) for chunk in chunks] == [RANK_USERS] * 3 + [2]
         assert [u for chunk in chunks for u in chunk] == want
@@ -400,17 +513,18 @@ class TestRanked:
     def test_evaluate_and_validation_rank_through_it(self, monkeypatch):
         import nextsession.trainer as trainer_mod
 
-        ks = []
+        blocks = []
 
         def spy(model, views, k):
-            ks.append(k)
-            return ranked(model, views, k)
+            for index, ids in ranked(model, views, k):
+                blocks.append((index.tolist(), ids.shape))
+                yield index, ids
 
         monkeypatch.setattr(evaluator, "ranked", spy)
         evaluate(StubModel(np.eye(8)), TestEvaluate().oracle_split(), cutoffs=(1, 3))
         users = [history(([3], [True]), ([3], [True])), history(([1], [True]), ([5], [True]))]
         assert trainer_mod._validation_recall(StubModel(np.eye(8)), users, val_k=100) == 1.0
-        assert ks == [3, 8]
+        assert blocks == [([0, 1], (2, 3)), ([0, 1], (2, 8))]
 
 
 def toy_split(num_users=10, num_sessions=4, catalog=20):

@@ -7,15 +7,15 @@ import pytest
 
 import nextsession.tensor as T
 from nextsession.data import DatasetSplit, UserSplit, encoder_views
-from nextsession.evaluator import RANK_USERS, EvalReport, evaluate, ndcg_at_k, ranked, recall_at_k
+from nextsession.evaluator import RANK_USERS, SCORE_USERS, evaluate, ranked
 from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig, build_targets, total_loss
 from nextsession.sequence_encoder import BACKBONES, SseConfig
 from nextsession.session_encoder import KINDS, IseConfig
 from nextsession.trainer import TrainConfig
 
-from helpers import (assert_grad_close, finite_difference, graph_size, history, per_user_ranked,
-                     per_user_step)
+from helpers import (assert_grad_close, finite_difference, graph_size, history, loop_report,
+                     per_user_ranked, per_user_step)
 
 CATALOG = 15
 
@@ -168,8 +168,12 @@ def ragged_views(seed, count, max_positions):
     return views
 
 
+# user counts at and around the chunk and block boundaries of ``ranked``
+BOUNDARY_USERS = [0, 1, RANK_USERS, SCORE_USERS - 1, SCORE_USERS, SCORE_USERS + RANK_USERS + 1]
+
+
 class TestRankedMatchesThePerUserLoop:
-    @pytest.mark.parametrize("n", [0, 1, RANK_USERS, 2 * RANK_USERS + 3])
+    @pytest.mark.parametrize("n", BOUNDARY_USERS)
     @pytest.mark.parametrize("backbone", BACKBONES)
     @pytest.mark.parametrize("ise", KINDS)
     def test_top_k_in_float32_and_user_vectors_in_float64(self, ise, backbone, n):
@@ -180,7 +184,8 @@ class TestRankedMatchesThePerUserLoop:
             p.data = p.data.astype(np.float32)
 
         want, _ = per_user_ranked(model32, views, 10)
-        got = dict(ranked(model32, views, 10))
+        got = {i: row for index, ids in ranked(model32, views, 10)
+               for i, row in zip(index.tolist(), ids)}
         assert sorted(got) == list(range(n))
         for i, ids in enumerate(want):
             np.testing.assert_array_equal(got[i], ids)
@@ -194,31 +199,29 @@ class TestRankedMatchesThePerUserLoop:
             return out
 
         model64.user_vector = recorded
-        order = [i for i, _ in ranked(model64, views, 10)]  # the order of packing
+        # the order of packing
+        order = [i for index, _ in ranked(model64, views, 10) for i in index.tolist()]
         assert len(seen) == n
         for i, vec in zip(order, seen):
             assert vec.dtype == np.float64
             np.testing.assert_allclose(vec, want_vecs[i], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", BOUNDARY_USERS)
     @pytest.mark.parametrize("backbone", BACKBONES)
-    def test_evaluate_report_equals_the_per_user_loop_byte_for_byte(self, backbone):
+    def test_evaluate_report_equals_the_per_user_loop_byte_for_byte(self, backbone, n):
         rng = np.random.default_rng(1500)
         model = float64_model("mean", backbone, max_positions=8, seed=7)
         for p in model.parameters().values():
             p.data = p.data.astype(np.float32)
         users = [UserSplit(f"u{u}", sessions, [int(t) for t in rng.choice(CATALOG, 3, False)])
-                 for u, sessions in enumerate(ragged_users(1501, 2 * RANK_USERS + 3, 8))]
+                 for u, sessions in enumerate(ragged_users(1501, n, 8))]
         split = DatasetSplit("session", users, CATALOG, {})
+        if not users:
+            with pytest.raises(ValueError, match="no evaluable users"):
+                evaluate(model, split)
+            return
         cutoffs = (1, 5, 10)
-
         tops, _ = per_user_ranked(model, [encoder_views(u.train_sessions) for u in users],
                                   max(cutoffs))
-        recall = {k: 0.0 for k in cutoffs}
-        ndcg = {k: 0.0 for k in cutoffs}
-        for user, top in zip(users, tops):
-            for k in cutoffs:
-                recall[k] += recall_at_k(top, user.targets, k)
-                ndcg[k] += ndcg_at_k(top, user.targets, k)
-        want = EvalReport("session", cutoffs, {k: r / len(users) for k, r in recall.items()},
-                          {k: g / len(users) for k, g in ndcg.items()}, len(users), 0, "")
+        want = loop_report(split, tops, cutoffs)
         assert evaluate(model, split, cutoffs=cutoffs).to_json() == want.to_json()
