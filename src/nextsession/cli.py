@@ -125,7 +125,7 @@ def _resolve_train_config(args) -> trainer.TrainConfig:
 def _load_split(args):
     dataset, catalog, meta = load_dataset(args.data)
     split = make_split(dataset, args.protocol, catalog.num_items,
-                       max_positive_len=meta.get("max_positive_len", 200))
+                       max_positive_len=meta["max_positive_len"])
     return split, catalog
 
 

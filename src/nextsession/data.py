@@ -22,7 +22,7 @@ import io
 import json
 import os
 import zipfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -87,14 +87,11 @@ class Dataset(Sequence):
     """Every user's sessions as CSR arrays: ``sessions`` covers all rows,
     user-major, and user u owns sessions ``user_offsets[u]:user_offsets[u + 1]``.
     Indexing or iterating gives user u's ``Sessions`` view.  Every session
-    holds a positive row, and so does every session of a split's views.
-    ``session_ids`` holds each user's raw session ids in session order, as
-    ``users.json`` stores them; only ``save_dataset`` reads them."""
+    holds a positive row, and so does every session of a split's views."""
 
     sessions: Sessions
     user_offsets: np.ndarray
     user_ids: list[str]
-    session_ids: list[list[str]]
 
     def __len__(self):
         return len(self.user_ids)
@@ -131,7 +128,7 @@ class Log:
 class Catalog:
     """Dense id space produced by filtering, plus side-feature schema."""
 
-    item_map: dict[str, int]
+    item_ids: list[str]  # the raw id of each dense id
     feature_names: tuple[str, ...] = ()
     # per feature: {"kind": "categorical", "values": {raw: id}} or
     #              {"kind": "binned", "edges": [...]} with vocab = len(edges)+1
@@ -141,7 +138,7 @@ class Catalog:
 
     @property
     def num_items(self) -> int:
-        return len(self.item_map)
+        return len(self.item_ids)
 
     def feature_vocab_sizes(self) -> list[int]:
         infos = [self.feature_info[name] for name in self.feature_names]
@@ -383,7 +380,7 @@ def filter_dataset(log: Log, feature_names: tuple[str, ...] = (),
 
     # catalog-side feature values: an item's first row in (user, timestamp) order
     item_first = rows[by_time[np.unique(item[by_time], return_index=True)[1]]]
-    catalog = Catalog({raw: i for i, raw in enumerate(item_ids)}, feature_names,
+    catalog = Catalog(item_ids, feature_names,
                       item_features=np.zeros((len(item_ids), len(feature_names)), np.int32))
     for j, (name, column) in enumerate(zip(feature_names, log.features)):
         catalog.feature_info[name], value_of = _encode_feature(column, rows, bin_count)
@@ -393,10 +390,7 @@ def filter_dataset(log: Log, feature_names: tuple[str, ...] = (),
     sessions = Sessions(item[order].astype(np.int32), log.positive[rows[order]],
                         log.timestamp[rows[order]], np.r_[starts, len(order)])
     user_offsets = np.searchsorted(user[order[starts]], np.arange(len(user_ids) + 1))
-    names = [log.session.names[c] for c in log.session.codes[rows[order[starts]]].tolist()]
-    bounds = user_offsets.tolist()
-    session_ids = [names[a:b] for a, b in zip(bounds, bounds[1:])]
-    return Dataset(sessions, user_offsets, user_ids, session_ids), catalog
+    return Dataset(sessions, user_offsets, user_ids), catalog
 
 
 def compute_stats(dataset: Dataset, catalog_size: int) -> dict:
@@ -509,67 +503,32 @@ def encoder_views(sessions: Sessions) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# dataset directory layout
+# archives: a dataset directory's interactions.npz and a checkpoint are each
+# one npz archive, a JSON ``header`` member beside the arrays
 # ---------------------------------------------------------------------------
 
-FORMAT_VERSION = 2
-ARRAYS = ("session_rows", "item", "positive", "timestamp", "item_features")
+FORMAT_VERSION = 3
+HEADER_KEYS = ("feature_names", "feature_info", "max_positive_len", "user_ids", "item_ids")
+ARRAYS = ("session_rows", "user_sessions", "item", "positive", "timestamp", "item_features")
 
 
-def save_dataset(out_dir: str, dataset: Dataset, catalog: Catalog,
-                 max_positive_len: int = 200) -> None:
-    """Persist the processed dataset as the CSR arrays it holds.
-
-    Layout: meta.json (format version, feature schema, max positive length),
-    stats.json, item_map.json, users.json (user ids + per-user session ids,
-    which give each user's session count), interactions.npz (per row: item,
-    positive, timestamp; per session in dataset order: its int64 row count,
-    ``session_rows``; plus the catalog's item features).
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    sessions = dataset.sessions
-    np.savez(
-        os.path.join(out_dir, "interactions.npz"),
-        session_rows=np.diff(sessions.offsets).astype(np.int64),
-        item=sessions.item.astype(np.int32),
-        positive=sessions.positive.astype(bool),
-        timestamp=sessions.timestamp.astype(np.int64),
-        item_features=catalog.item_features,
-    )
-    with open(os.path.join(out_dir, "item_map.json"), "w") as fh:
-        fh.write(json.dumps(catalog.item_map))
-    with open(os.path.join(out_dir, "users.json"), "w") as fh:
-        fh.write(json.dumps({"users": dataset.user_ids, "session_ids": dataset.session_ids}))
-    meta = {"format_version": FORMAT_VERSION, "feature_names": list(catalog.feature_names),
-            "feature_info": catalog.feature_info, "max_positive_len": max_positive_len,
-            "num_items": catalog.num_items}
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
-        json.dump(compute_stats(dataset, catalog.num_items), fh, indent=2, sort_keys=True)
+def write_archive(path: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write the npz archive at ``path``: a ``header`` member holding the
+    UTF-8 JSON of ``header``, keys sorted, as uint8, then ``arrays`` in
+    their order.  Two writes of equal input give identical bytes."""
+    raw = np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8)
+    with open(path, "wb") as fh:  # np.savez appends ".npz" to a path
+        np.savez(fh, header=raw, **arrays)
 
 
-def json_object(path: str, raw: bytes, *keys: str) -> dict:
-    """``raw``, the JSON text of ``path``, as an object holding ``keys``;
-    anything else is a ValueError naming ``path``."""
-    try:
-        blob = json.loads(raw)
-    except ValueError as e:  # also bytes that are not text
-        raise ValueError(f"{path}: {e}") from None
-    if not isinstance(blob, dict) or not all(k in blob for k in keys):
-        raise ValueError(f"{path}: expected a JSON object with keys {list(keys)}")
-    return blob
-
-
-def _read_json(path: str, *keys: str) -> dict:
-    with open(path, "rb") as fh:
-        return json_object(path, fh.read(), *keys)
-
-
-def read_archive(path: str) -> dict[str, np.ndarray]:
-    """Every array of the npz archive at ``path``, by name.  A file that is
-    not a zip archive, or a damaged one, is a ValueError naming ``path``;
-    every member's CRC-32 is checked as it is read."""
+def read_archive(path: str, kind: str, version: int, redo: str,
+                 keys: Sequence[str]) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the other arrays, by name, of the ``kind`` archive
+    that ``write_archive`` wrote at ``path``.  The header must be a JSON
+    object of format ``version`` holding ``keys``.  Anything else is a
+    ValueError naming ``path``: a file that is not a zip archive, a damaged
+    one (every member's CRC-32 is checked as it is read), or a bad header.
+    A missing header or another version ends in ``redo``, the remedy."""
     try:
         with open(path, "rb") as fh:
             # np.load reads anything else as a .npy or a pickle
@@ -577,66 +536,111 @@ def read_archive(path: str) -> dict[str, np.ndarray]:
                 raise ValueError("not an npz archive")
             fh.seek(0)
             with np.load(fh) as archive:
-                return {name: archive[name] for name in archive.files}
+                arrays = {name: archive[name] for name in archive.files}
     # zipfile raises NotImplementedError or RuntimeError for a member whose
     # compression or encryption flag is damaged
     except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path}: unreadable archive: {e}") from None
+    if "header" not in arrays:
+        raise ValueError(f"{path}: {kind} has no header, so is not of format {version}; {redo}")
+    try:
+        header = json.loads(arrays.pop("header").tobytes())
+    except ValueError as e:  # also bytes that are not text
+        raise ValueError(f"{path}: {e}") from None
+    keys = ["format_version", *keys]
+    if not isinstance(header, dict) or "format_version" not in header:
+        raise ValueError(f"{path}: expected a JSON object with keys {keys}")
+    # the version first: a later format may lack one of today's keys
+    if header["format_version"] != version:
+        raise ValueError(f"{path}: {kind} format version {header['format_version']!r} "
+                         f"is not {version}; {redo}")
+    if not all(k in header for k in keys):
+        raise ValueError(f"{path}: expected a JSON object with keys {keys}")
+    return header, arrays
+
+
+def save_dataset(out_dir: str, dataset: Dataset, catalog: Catalog,
+                 max_positive_len: int = 200) -> None:
+    """Persist the processed dataset as the CSR arrays it holds.
+
+    Layout: interactions.npz, a ``write_archive`` archive whose header
+    holds the format version, the feature schema, the max positive length
+    and the user and item ids, and whose arrays are per row ``item``,
+    ``positive`` and ``timestamp``; per session in dataset order its int64
+    row count, ``session_rows``; per user its int64 session count,
+    ``user_sessions``; and the catalog's ``item_features``.  Beside it,
+    stats.json holds the summary counts.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    sessions = dataset.sessions
+    header = {"format_version": FORMAT_VERSION, "feature_names": list(catalog.feature_names),
+              "feature_info": catalog.feature_info, "max_positive_len": max_positive_len,
+              "user_ids": dataset.user_ids, "item_ids": catalog.item_ids}
+    write_archive(os.path.join(out_dir, "interactions.npz"), header, {
+        "session_rows": np.diff(sessions.offsets).astype(np.int64),
+        "user_sessions": np.diff(dataset.user_offsets).astype(np.int64),
+        "item": sessions.item.astype(np.int32),
+        "positive": sessions.positive.astype(bool),
+        "timestamp": sessions.timestamp.astype(np.int64),
+        "item_features": catalog.item_features,
+    })
+    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
+        json.dump(compute_stats(dataset, catalog.num_items), fh, indent=2, sort_keys=True)
 
 
 def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     """Load a dataset directory written by save_dataset.
 
-    Returns (dataset, catalog, meta); meta includes max_positive_len.  The
-    session offsets are the running sum of ``session_rows``.  A directory of
-    another format version is refused; a missing or inconsistent file or
-    array raises ValueError naming the file, as does a session without a
-    positive.
+    Returns (dataset, catalog, header); the header holds max_positive_len.
+    The session offsets are the running sum of ``session_rows``, and the
+    user offsets that of ``user_sessions``.  An archive of another format
+    version is refused; a missing or inconsistent header entry or array, a
+    repeated item id and a session without a positive raise ValueError
+    naming the archive.
     """
-    meta_path = os.path.join(data_dir, "meta.json")
-    meta = _read_json(meta_path, "format_version", "feature_names", "feature_info")
-    if meta["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"{meta_path}: dataset format version {meta['format_version']!r} "
-                         f"is not {FORMAT_VERSION}; re-run prepare-data on the raw log")
-    item_map = _read_json(os.path.join(data_dir, "item_map.json"))
-    users_path = os.path.join(data_dir, "users.json")
-    users = _read_json(users_path, "users", "session_ids")
-    user_ids, session_ids = users["users"], users["session_ids"]
-    if not (isinstance(user_ids, list) and set(map(type, user_ids)) <= {str}
-            and isinstance(session_ids, list) and set(map(type, session_ids)) <= {list}
-            and set(map(type, chain.from_iterable(session_ids))) <= {str}):
-        raise ValueError(f"{users_path}: 'users' must be a list of strings and "
-                         f"'session_ids' a list of lists of strings")
-    if len(user_ids) != len(session_ids):
-        raise ValueError(f"{users_path}: 'users' and 'session_ids' differ in length")
     path = os.path.join(data_dir, "interactions.npz")
-    arrays = read_archive(path)
+    header, arrays = read_archive(path, "dataset", FORMAT_VERSION,
+                                  "re-run prepare-data on the raw log", HEADER_KEYS)
 
     def check(ok, problem):
         if not ok:
             raise ValueError(f"{path}: {problem}")
 
+    for key in ("feature_names", "user_ids", "item_ids"):
+        check(isinstance(header[key], list) and set(map(type, header[key])) <= {str},
+              f"header entry {key!r} is not a list of strings")
+    user_ids, item_ids = header["user_ids"], header["item_ids"]
+    twice = [raw for raw, n in Counter(item_ids).items() if n > 1]
+    if twice:
+        raise ValueError(f"{path}: item id {twice[0]!r} appears more than once in item_ids")
+    max_len = header["max_positive_len"]
+    check(type(max_len) is int and max_len >= 1,  # a bool is not a length
+          f"max_positive_len must be an integer >= 1, got {max_len!r}")
     for name in ARRAYS:
         check(name in arrays, f"missing array {name!r}")
     rows = len(arrays["item"])
     for name in ("item", "positive", "timestamp"):
         check(arrays[name].shape == (rows,), f"array {name!r} is not one value per row")
-    user_offsets = np.cumsum([0] + [len(ids) for ids in session_ids])
-    session_rows = arrays["session_rows"]
+    user_sessions, session_rows = arrays["user_sessions"], arrays["session_rows"]
+    check(user_sessions.dtype.kind in "iu" and user_sessions.shape == (len(user_ids),)
+          and (user_sessions >= 0).all(),
+          f"user_sessions is not one integer session count >= 0 per user of user_ids "
+          f"({len(user_ids)})")
+    user_offsets = np.r_[0, np.cumsum(user_sessions, dtype=np.int64)]
     check(session_rows.dtype.kind in "iu" and session_rows.shape == (user_offsets[-1],)
           and (session_rows >= 1).all() and session_rows.sum() == rows,
-          f"session_rows is not one integer row count >= 1 per session that {users_path} "
-          f"lists ({user_offsets[-1]}), summing to the {rows} rows")
-    check(((0 <= arrays["item"]) & (arrays["item"] < len(item_map))).all(),
-          "item ids run outside item_map.json")
-    feature_names = tuple(meta["feature_names"])
-    check(arrays["item_features"].shape == (len(item_map), len(feature_names)),
+          f"session_rows is not one integer row count >= 1 per session that user_sessions "
+          f"counts ({user_offsets[-1]}), summing to the {rows} rows")
+    check(((0 <= arrays["item"]) & (arrays["item"] < len(item_ids))).all(),
+          "item ids run outside item_ids")
+    feature_names = tuple(header["feature_names"])
+    check(arrays["item_features"].shape == (len(item_ids), len(feature_names)),
           "item_features does not hold one row per item and one column per feature")
-    catalog = Catalog(item_map, feature_names, meta["feature_info"], arrays["item_features"])
+    catalog = Catalog(item_ids, feature_names, header["feature_info"], arrays["item_features"])
     try:
         vocab = catalog.feature_vocab_sizes()
     except (KeyError, TypeError) as e:
-        raise ValueError(f"{meta_path}: feature_info does not describe every feature: "
+        raise ValueError(f"{path}: feature_info does not describe every feature: "
                          f"{type(e).__name__} {e}") from None
     features = catalog.item_features
     bad = np.flatnonzero(((features < 0) | (features >= vocab)).any(axis=0))
@@ -651,4 +655,4 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     # reduceat reads each session's rows, as no session is empty (checked above)
     check(np.logical_or.reduceat(sessions.positive, sessions.offsets[:-1]).all(),
           "a session has no positive row")
-    return Dataset(sessions, user_offsets, user_ids, session_ids), catalog, meta
+    return Dataset(sessions, user_offsets, user_ids), catalog, header

@@ -24,6 +24,7 @@ batch packs."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class LossConfig:
     num_sampled_negatives: int = 128
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:  # also a NaN weight
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
         if self.num_sampled_negatives < 1:
             raise ValueError("num_sampled_negatives must be >= 1")
 

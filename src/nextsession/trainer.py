@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import Catalog, DatasetSplit, encoder_views, json_object, read_archive
+from .data import Catalog, DatasetSplit, encoder_views, read_archive, write_archive
 from .model import NextSessionModel
 from .objective import LossConfig, build_targets, total_loss
 from .session_encoder import IseConfig
@@ -328,10 +328,9 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format 3: one npz archive, read by ``data.read_archive``.  Its
-# ``header`` member is the UTF-8 JSON of the format version, config, data
-# hash, epoch and metrics, as uint8; every other member is the parameter of
-# its name.
+# checkpoint format 3: one ``data.write_archive`` archive, the layout of a
+# dataset's.  Its header holds the format version, config, data hash, epoch
+# and metrics; every other member is the parameter of its name.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = 3
@@ -352,10 +351,8 @@ def save_checkpoint(
         "epoch": epoch,
         "metrics": metrics or {},
     }
-    raw = np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8)
     params = model.parameters()
-    with open(path, "wb") as fh:  # np.savez appends ".npz" to a path
-        np.savez(fh, header=raw, **{name: params[name].data for name in sorted(params)})
+    write_archive(path, header, {name: params[name].data for name in sorted(params)})
 
 
 @dataclass
@@ -370,14 +367,8 @@ class CheckpointData:
 def load_checkpoint(path: str) -> CheckpointData:
     """Read a checkpoint of format ``CHECKPOINT_FORMAT``; a file of any
     other format, or a damaged one, is a ValueError naming ``path``."""
-    tensors = read_archive(path)
-    if "header" not in tensors:
-        raise ValueError(f"{path}: checkpoint has no header")
-    header = json_object(path, tensors.pop("header").tobytes(),
-                         "format_version", "config", "data_hash", "epoch", "metrics")
-    if header["format_version"] != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: checkpoint format version {header['format_version']!r} "
-                         f"is not {CHECKPOINT_FORMAT}; retrain the model")
+    header, tensors = read_archive(path, "checkpoint", CHECKPOINT_FORMAT, "retrain the model",
+                                   ("config", "data_hash", "epoch", "metrics"))
     try:
         config = config_from_dict(header["config"])
     except ValueError as e:
@@ -421,6 +412,9 @@ def restore_model(
     table = ckpt.tensors.get("emb.item_table")
     if table is None:
         raise ValueError("checkpoint has no tensor 'emb.item_table'")
+    if table.ndim != 2:
+        raise ValueError(f"checkpoint tensor 'emb.item_table' is not a matrix: "
+                         f"shape {table.shape}")
     params = T.Parameters(stored=ckpt.tensors)
     model = NextSessionModel(ckpt.config, table.shape[0], params, catalog)
     extra = sorted(set(ckpt.tensors) - set(params))

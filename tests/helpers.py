@@ -1,6 +1,7 @@
 """Shared test utilities, kept independent of the library internals."""
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -8,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nextsession import tensor as T
-from nextsession.data import Dataset, Sessions, make_split
+from nextsession.data import Dataset, Sessions, make_split, write_archive
 from nextsession.evaluator import EvalReport, top_k
 from nextsession.objective import build_targets, total_loss
 from nextsession.tensor import Tensor
@@ -253,12 +254,13 @@ def loop_report(split, tops, cutoffs):
 # Tensor defects that ``restore_model`` must refuse with a ValueError naming
 # the tensor, written "<kind>:<tensor name>" for ``damaged_checkpoint``.
 TENSOR_DAMAGE = ("missing:emb.item_table", "missing:sse.block0.mha.wo",
-                 "extra:sse.block9.ffn.w1", "reshaped:emb.fuse_w1")
+                 "extra:sse.block9.ffn.w1", "reshaped:emb.fuse_w1", "scalar:emb.item_table")
 
 
 def damaged_checkpoint(path, tmp_path, damage):
     """Rewrite a checkpoint with one tensor defect of ``TENSOR_DAMAGE``: the
-    tensor left out, an unknown tensor added, or the tensor one row short."""
+    tensor left out, an unknown tensor added, the tensor one row short, or
+    the tensor a 0-d array."""
     from types import SimpleNamespace
 
     from nextsession.trainer import load_checkpoint, save_checkpoint
@@ -270,6 +272,8 @@ def damaged_checkpoint(path, tmp_path, damage):
         del tensors[name]
     elif kind == "extra":
         tensors[name] = np.zeros((2, 2), np.float32)
+    elif kind == "scalar":
+        tensors[name] = np.zeros((), np.float32)
     else:
         tensors[name] = tensors[name][:-1]
     stub = SimpleNamespace(parameters=lambda: {n: SimpleNamespace(data=a)
@@ -421,9 +425,7 @@ def _ref_encode_feature(info, raw):
 
 def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
     """ingest -> fixpoint filter -> remap and sessionize -> save, one Python
-    object per row; writes the dataset directory layout (format version 2)."""
-    import os
-
+    object per row; writes the dataset directory layout (format version 3)."""
     interactions, feature_names = _ref_ingest(log_path)
     rows = _ref_fixpoint_filter(interactions)
     if not rows:
@@ -443,14 +445,14 @@ def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
     by_user = {}
     for r in rows:
         by_user.setdefault(r.user, {}).setdefault(r.session, []).append(r)
-    users, session_ids, session_rows = [], [], []
+    users, user_sessions, session_rows = [], [], []
     items, positives, timestamps = [], [], []
     num_positives = 0
     for user in sorted(by_user):
-        ordered = sorted(by_user[user].items(), key=lambda kv: min(r.timestamp for r in kv[1]))
+        ordered = sorted(by_user[user].values(), key=lambda group: min(r.timestamp for r in group))
         users.append(user)
-        session_ids.append([sid for sid, _ in ordered])
-        for _, group in ordered:
+        user_sessions.append(len(ordered))
+        for group in ordered:
             session_rows.append(len(group))
             for r in group:
                 items.append(item_map[r.item])
@@ -458,24 +460,21 @@ def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
                 timestamps.append(r.timestamp)
                 num_positives += r.positive
 
+    header = {"format_version": 3, "feature_names": list(feature_names),
+              "feature_info": feature_info, "max_positive_len": max_positive_len,
+              "user_ids": users, "item_ids": item_ids}
     os.makedirs(out_dir, exist_ok=True)
     np.savez(
         os.path.join(out_dir, "interactions.npz"),
+        header=np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8),
         session_rows=np.asarray(session_rows, dtype=np.int64),
+        user_sessions=np.asarray(user_sessions, dtype=np.int64),
         item=np.asarray(items, dtype=np.int32),
         positive=np.asarray(positives, dtype=bool),
         timestamp=np.asarray(timestamps, dtype=np.int64),
         item_features=item_features,
     )
-    with open(os.path.join(out_dir, "item_map.json"), "w") as fh:
-        json.dump(item_map, fh)
-    with open(os.path.join(out_dir, "users.json"), "w") as fh:
-        json.dump({"users": users, "session_ids": session_ids}, fh)
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump({"format_version": 2, "feature_names": list(feature_names),
-                   "feature_info": feature_info, "max_positive_len": max_positive_len,
-                   "num_items": len(item_map)}, fh, indent=2)
-    n_users, n_sessions, n_rows = len(users), sum(map(len, session_ids)), len(items)
+    n_users, n_sessions, n_rows = len(users), len(session_rows), len(items)
     stats = {
         "num_users": n_users,
         "num_items": len(item_map),
@@ -490,15 +489,27 @@ def reference_prepare(log_path, out_dir, bin_count=16, max_positive_len=200):
 
 
 def dataset_files(data_dir):
-    """Every array and JSON file of a dataset directory, for comparison."""
-    import os
-
-    with np.load(os.path.join(data_dir, "interactions.npz")) as archive:
+    """Every member of a dataset directory's archive, in order, the header
+    as its JSON text, plus the text of stats.json, for comparison."""
+    with np.load(Path(data_dir) / "interactions.npz") as archive:
         blob = {name: archive[name] for name in archive.files}
-    for name in ("item_map.json", "users.json", "meta.json", "stats.json"):
-        with open(os.path.join(data_dir, name)) as fh:
-            blob[name] = fh.read()
+    blob["header"] = blob["header"].tobytes().decode()
+    with open(os.path.join(data_dir, "stats.json")) as fh:
+        blob["stats.json"] = fh.read()
     return blob
+
+
+def read_dataset_archive(data_dir):
+    """The header, as a dict, and the arrays of a dataset directory's archive."""
+    with np.load(Path(data_dir) / "interactions.npz") as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    return json.loads(arrays.pop("header").tobytes()), arrays
+
+
+def write_dataset_archive(data_dir, header, arrays):
+    """Rewrite a dataset directory's archive from ``header``, a dict, and
+    ``arrays`` with the library's archive writer."""
+    write_archive(str(Path(data_dir) / "interactions.npz"), header, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +541,10 @@ def history(*sessions):
 def dataset_of(sessions, user_offsets, user_ids=None):
     """A ``Dataset`` of the ``Sessions`` view ``sessions``, user u owning
     sessions ``user_offsets[u]:user_offsets[u + 1]``.  Users are named
-    ``user_ids``, by default ``f"u{u}"``, and each user's sessions
-    ``"s0"``, ``"s1"``, ..."""
-    bounds = list(user_offsets)
+    ``user_ids``, by default ``f"u{u}"``."""
     if user_ids is None:
-        user_ids = [f"u{u}" for u in range(len(bounds) - 1)]
-    return Dataset(sessions, np.array(bounds), list(user_ids),
-                   [[f"s{k}" for k in range(b - a)] for a, b in zip(bounds, bounds[1:])])
+        user_ids = [f"u{u}" for u in range(len(user_offsets) - 1)]
+    return Dataset(sessions, np.array(user_offsets), list(user_ids))
 
 
 def ragged(rows):

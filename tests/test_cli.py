@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import FILE_DAMAGE, TENSOR_DAMAGE, broken_checkpoint, damaged_checkpoint
+from helpers import (FILE_DAMAGE, TENSOR_DAMAGE, broken_checkpoint, damaged_checkpoint,
+                     read_dataset_archive, write_dataset_archive)
 from nextsession import trainer
 from nextsession.cli import main
 
@@ -53,8 +54,7 @@ class TestPipeline:
 
     def test_prepare_data_artifacts(self, workspace):
         names = set(os.listdir(workspace["data"]))
-        assert {"meta.json", "stats.json", "item_map.json", "users.json",
-                "interactions.npz", "manifest.json"} <= names
+        assert names == {"interactions.npz", "stats.json", "manifest.json"}
         stats = load_json(os.path.join(workspace["data"], "stats.json"))
         assert stats["num_users"] == 30
 
@@ -203,6 +203,16 @@ class TestErrors:
             "error: learning_rate must be a positive finite number, got inf\n")
         assert not list(out.glob("*.npz"))
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_one_line(self, workspace, tmp_path, capsys, alpha):
+        out = tmp_path / "run"
+        code = main(["train", "--data", workspace["data"], "--out", str(out),
+                     "--config", workspace["cfg"], "--alpha", alpha])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: alpha must be a finite number >= 0, got {float(alpha)}\n")
+        assert not (out / "checkpoint.bin").exists()
+
     def test_failed_run_leaves_failed_manifest(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "run")
         code = main(["train", "--data", str(tmp_path / "missing"), "--out", out])
@@ -213,45 +223,62 @@ class TestErrors:
 
     @pytest.mark.parametrize("damage,named", [
         ("drop-item-array", "interactions.npz: missing array 'item'"),
-        ("users-one-short", "users.json"),
+        ("users-one-short", "interactions.npz: user_sessions is not one integer session count"),
         ("exposure-only-session", "interactions.npz: a session has no positive row"),
         ("session-rows-sum-off", "interactions.npz: session_rows is not one integer row count"),
-        ("format-1", "re-run prepare-data"),
+        ("user-sessions-sum-off", "interactions.npz: session_rows is not one integer row count"),
+        ("format-2", "interactions.npz: dataset has no header, so is not of format 3; "
+                     "re-run prepare-data"),
+        ("format-4", "interactions.npz: dataset format version 4 is not 3; re-run prepare-data"),
         ("npy-file", "interactions.npz: unreadable archive: not an npz archive"),
-        ("session-ids-entry-5", "users.json: 'users' must be a list of strings"),
-        ("session-ids-entry-string", "users.json: 'users' must be a list of strings"),
-        ("user-id-number", "users.json: 'users' must be a list of strings"),
+        ("no-user-ids", "interactions.npz: expected a JSON object with keys"),
+        ("user-id-number", "interactions.npz: header entry 'user_ids' is not a list of strings"),
+        ("item-id-number", "interactions.npz: header entry 'item_ids' is not a list of strings"),
+        ("repeated-item-id", "interactions.npz: item id"),
+        ("max-positive-len-x", "interactions.npz: max_positive_len must be an integer >= 1, "
+                               "got 'x'"),
+        ("max-positive-len-0", "interactions.npz: max_positive_len must be an integer >= 1, "
+                               "got 0"),
+        ("no-max-positive-len", "interactions.npz: expected a JSON object with keys"),
     ])
     def test_corrupt_dataset_is_one_line(self, workspace, tmp_path, capsys, damage, named):
         data = tmp_path / "data"
         shutil.copytree(workspace["data"], data)
-        arrays = dict(np.load(data / "interactions.npz"))
-        users = json.loads((data / "users.json").read_text())
+        header, arrays = read_dataset_archive(data)
         if damage == "npy-file":
             with open(data / "interactions.npz", "wb") as fh:
                 np.save(fh, arrays["item"])
-        elif damage.startswith("session-ids-entry"):
-            users["session_ids"][0] = 5 if damage.endswith("5") else "abcdef"
-            (data / "users.json").write_text(json.dumps(users))
-        elif damage == "user-id-number":
-            users["users"][0] = 7
-            (data / "users.json").write_text(json.dumps(users))
-        elif damage == "drop-item-array":
-            del arrays["item"]
+        elif damage == "format-2":  # an archive of arrays only, its header in JSON files
             np.savez(data / "interactions.npz", **arrays)
-        elif damage == "exposure-only-session":
-            arrays["positive"][:arrays["session_rows"][0]] = False
-            np.savez(data / "interactions.npz", **arrays)
-        elif damage == "session-rows-sum-off":
-            arrays["session_rows"][-1] += 1
-            np.savez(data / "interactions.npz", **arrays)
-        elif damage == "format-1":
-            meta = load_json(data / "meta.json")
-            (data / "meta.json").write_text(json.dumps({**meta, "format_version": 1}))
+            (data / "meta.json").write_text(json.dumps({"format_version": 2}))
         else:
-            users["users"].pop()
-            users["session_ids"].pop()
-            (data / "users.json").write_text(json.dumps(users))
+            if damage == "drop-item-array":
+                del arrays["item"]
+            elif damage == "users-one-short":
+                header["user_ids"].pop()
+            elif damage == "exposure-only-session":
+                arrays["positive"][:arrays["session_rows"][0]] = False
+            elif damage == "session-rows-sum-off":
+                arrays["session_rows"][-1] += 1
+            elif damage == "user-sessions-sum-off":
+                arrays["user_sessions"][-1] += 1
+            elif damage == "format-4":
+                header["format_version"] = 4
+            elif damage == "no-user-ids":
+                del header["user_ids"]
+            elif damage == "user-id-number":
+                header["user_ids"][0] = 7
+            elif damage == "item-id-number":
+                header["item_ids"][0] = 7
+            elif damage == "repeated-item-id":
+                header["item_ids"][0] = header["item_ids"][1]
+            elif damage == "max-positive-len-x":
+                header["max_positive_len"] = "x"
+            elif damage == "max-positive-len-0":
+                header["max_positive_len"] = 0
+            else:
+                del header["max_positive_len"]
+            write_dataset_archive(data, header, arrays)
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err
@@ -303,7 +330,9 @@ class TestErrors:
                      "--output", str(tmp_path / "data"), "--max-pos-len", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: --max-pos-len must be >= 1, got 0\n"
-        assert not (tmp_path / "data" / "meta.json").exists()
+        # the manifest records the refusal; no dataset is written
+        assert not any((tmp_path / "data" / name).exists()
+                       for name in ("interactions.npz", "stats.json"))
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_bin_count_below_one_is_one_line_before_the_log_is_read(self, tmp_path, capsys,
@@ -312,7 +341,9 @@ class TestErrors:
                      "--output", str(tmp_path / "data"), "--bin-count", count])
         assert code == 1
         assert capsys.readouterr().err == f"error: --bin-count must be >= 1, got {count}\n"
-        assert not (tmp_path / "data" / "meta.json").exists()
+        # the manifest records the refusal; no dataset is written
+        assert not any((tmp_path / "data" / name).exists()
+                       for name in ("interactions.npz", "stats.json"))
 
     @pytest.mark.parametrize("header,named", [
         ("user,item,session,timestamp,action,color,color", "'color'"),

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import tracemalloc
 
@@ -14,9 +15,11 @@ from helpers import (
     history,
     ragged,
     random_train_views,
+    read_dataset_archive,
     reference_encoder_views,
     reference_prepare,
     sessions_of,
+    write_dataset_archive,
 )
 import nextsession.tensor as T
 from nextsession import data, synth
@@ -342,14 +345,17 @@ class TestFilterDataset:
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", rows))
         sequences, _ = filter_dataset(interactions)
         assert sequences.user_ids[0] == "u0" and len(sequences[0]) == 3
-        assert sequences.session_ids[0] == ["s0-0", "s0-1", "s0-2"]
+        # u0's sessions s0-0, s0-1, s0-2 in order; the exposure-only one is gone
+        kept = sessions_of(sequences[0])
+        assert [s.timestamps for s in kept] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert [s.items for s in kept] == [[0, 1, 2]] * 3
 
     def test_rare_item_dropped(self, tmp_path):
         rows = dense_corpus_rows()
         rows.append(("u0", "rare", "s0-0", 999, "click"))
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", rows))
         _, catalog = filter_dataset(interactions)
-        assert "rare" not in catalog.item_map
+        assert "rare" not in catalog.item_ids
         assert catalog.num_items == 3
 
     def test_filtering_is_a_fixpoint(self, tmp_path):
@@ -368,15 +374,14 @@ class TestFilterDataset:
             sequences, catalog = filter_dataset(interactions)
         except ValueError:
             pytest.skip("random corpus degenerate for this seed")
-        # re-encode the surviving interactions and filter again: nothing changes
-        inv_map = {v: k for k, v in catalog.item_map.items()}
+        # re-encode the surviving interactions, each session under an id of
+        # its own, and filter again: nothing changes
         rows2 = []
-        for user, seq, ids in zip(sequences.user_ids, sequences, sequences.session_ids):
-            for sid, sess in zip(ids, sessions_of(seq)):
+        for user, seq in zip(sequences.user_ids, sequences):
+            for k, sess in enumerate(sessions_of(seq)):
                 for it, pos, ts in zip(sess.items, sess.positives, sess.timestamps):
-                    rows2.append(
-                        (user, inv_map[it], sid, ts, "click" if pos else "exposure")
-                    )
+                    rows2.append((user, catalog.item_ids[it], f"{user}-{k}", ts,
+                                  "click" if pos else "exposure"))
         interactions2, _ = ingest(write_csv(tmp_path / "log2.csv", rows2))
         sequences2, catalog2 = filter_dataset(interactions2)
         assert catalog2.num_items == catalog.num_items
@@ -399,7 +404,7 @@ class TestFilterDataset:
     def test_dense_remap_is_contiguous(self, tmp_path):
         interactions, _ = ingest(write_csv(tmp_path / "log.csv", dense_corpus_rows()))
         sequences, catalog = filter_dataset(interactions)
-        assert sorted(catalog.item_map.values()) == list(range(catalog.num_items))
+        assert catalog.item_ids == ["a", "b", "c"]
         seen = {it for s in sequences for sess in sessions_of(s) for it in sess.items}
         assert seen == set(range(catalog.num_items))
 
@@ -628,12 +633,8 @@ class TestPersistence:
         save_dataset(str(out), sequences, catalog, max_positive_len=50)
         loaded, catalog2, meta = load_dataset(str(out))
         assert meta["max_positive_len"] == 50
-        assert catalog2.item_map == catalog.item_map
-        assert loaded.user_ids == sequences.user_ids
-        assert loaded.session_ids == sequences.session_ids
-        assert len(loaded) == len(sequences)
-        for a, b in zip(loaded, sequences):
-            assert sessions_of(a) == sessions_of(b)
+        assert catalog2.item_ids == catalog.item_ids
+        assert_same_dataset(loaded, sequences)
 
     def test_round_trip_preserves_features(self, tmp_path):
         rows = [r + ("red" if i % 2 else "blue",) for i, r in enumerate(dense_corpus_rows())]
@@ -651,17 +652,37 @@ class TestPersistence:
         sequences, catalog = filter_dataset(*ingest(
             write_csv(tmp_path / "log.csv", dense_corpus_rows())))
         save_dataset(str(tmp_path / "data"), sequences, catalog)
-        arrays = dict(np.load(tmp_path / "data" / "interactions.npz"))
-        assert sorted(arrays) == sorted(data.ARRAYS)
-        assert arrays["session_rows"].dtype == np.int64
+        assert sorted(os.listdir(tmp_path / "data")) == ["interactions.npz", "stats.json"]
+        header, arrays = read_dataset_archive(tmp_path / "data")
+        assert list(arrays) == list(data.ARRAYS)
+        assert sorted(header) == sorted(("format_version",) + data.HEADER_KEYS)
+        assert header["format_version"] == 3
+        assert header["user_ids"] == ["u0", "u1", "u2"] and header["item_ids"] == ["a", "b", "c"]
+        assert arrays["session_rows"].dtype == arrays["user_sessions"].dtype == np.int64
         assert arrays["session_rows"].tolist() == [3] * 9
-        assert json.loads((tmp_path / "data" / "meta.json").read_text())["format_version"] == 2
+        assert arrays["user_sessions"].tolist() == [3] * 3
+
+    def test_two_saves_write_identical_archives(self, tmp_path):
+        path = random_log(tmp_path / "log.csv", 2)
+        sequences, catalog = filter_dataset(*ingest(path))
+        save_dataset(str(tmp_path / "a"), sequences, catalog)
+        save_dataset(str(tmp_path / "b"), *filter_dataset(*ingest(path)))
+        for name in ("interactions.npz", "stats.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_ids_keep_trailing_nul_characters(self, tmp_path):
+        # numpy's fixed-width strings would drop them; the JSON header keeps them
+        rows = [(u + "\0", i + "\0", *rest) for u, i, *rest in dense_corpus_rows()]
+        sequences, catalog = filter_dataset(*ingest(write_csv(tmp_path / "log.csv", rows)))
+        save_dataset(str(tmp_path / "data"), sequences, catalog)
+        loaded, catalog2, _ = load_dataset(str(tmp_path / "data"))
+        assert loaded.user_ids == ["u0\0", "u1\0", "u2\0"]
+        assert catalog2.item_ids == ["a\0", "b\0", "c\0"]
 
 
 def assert_same_dataset(a, b):
     for name in ("item", "positive", "timestamp", "offsets"):
         np.testing.assert_array_equal(getattr(a.sessions, name), getattr(b.sessions, name))
-    assert a.session_ids == b.session_ids
     np.testing.assert_array_equal(a.user_offsets, b.user_offsets)
     assert a.user_ids == b.user_ids
 
@@ -674,126 +695,175 @@ def prepared(tmp_path, rows=None, header="user,item,session,timestamp,action"):
     return out
 
 
+def damaged(out, edit):
+    """Rewrite the archive of the dataset directory ``out`` with
+    ``edit(header, arrays)`` applied, and return ``out``."""
+    header, arrays = read_dataset_archive(out)
+    edit(header, arrays)
+    write_dataset_archive(out, header, arrays)
+    return out
+
+
+def refused(out, message):
+    """Loading ``out`` fails with one line: its archive's path, then ``message``."""
+    with pytest.raises(ValueError) as err:
+        load_dataset(str(out))
+    assert str(err.value) == f"{out / 'interactions.npz'}: {message}"
+
+
 class TestCorruptDirectory:
     def test_missing_array_names_file_and_array(self, tmp_path):
-        out = prepared(tmp_path)
-        arrays = dict(np.load(out / "interactions.npz"))
-        del arrays["item"]
-        np.savez(out / "interactions.npz", **arrays)
-        with pytest.raises(ValueError, match=r"interactions\.npz: missing array 'item'"):
-            load_dataset(str(out))
-
-    def test_users_json_one_user_short(self, tmp_path):
-        out = prepared(tmp_path)
-        blob = json.loads((out / "users.json").read_text())
-        blob["users"].pop()
-        blob["session_ids"].pop()
-        (out / "users.json").write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match=r"interactions\.npz: session_rows is not one integer "
-                                             r"row count >= 1 per session that .*users\.json"):
-            load_dataset(str(out))
+        out = damaged(prepared(tmp_path), lambda header, arrays: arrays.pop("item"))
+        refused(out, "missing array 'item'")
 
     def test_session_without_positive_rows(self, tmp_path):
-        out = prepared(tmp_path)
-        arrays = dict(np.load(out / "interactions.npz"))
-        arrays["positive"][:arrays["session_rows"][0]] = False
-        np.savez(out / "interactions.npz", **arrays)
-        with pytest.raises(ValueError, match=r"interactions\.npz: a session has no positive row"):
-            load_dataset(str(out))
+        def edit(header, arrays):
+            arrays["positive"][:arrays["session_rows"][0]] = False
 
-    def test_session_without_rows(self, tmp_path):
-        out = prepared(tmp_path)
-        blob = json.loads((out / "users.json").read_text())
-        blob["session_ids"][0].append("ghost")
-        (out / "users.json").write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match=r"interactions\.npz: session_rows is not one integer "
-                                             r"row count >= 1 per session that .*users\.json "
-                                             r"lists \(10\)"):
-            load_dataset(str(out))
+        refused(damaged(prepared(tmp_path), edit), "a session has no positive row")
+
+    @pytest.mark.parametrize("damage, count", [
+        ("one-user-short", 3), ("one-user-more", 3), ("negative", 3), ("float", 3),
+        ("matrix", 3), ("sum-one-more", None), ("sum-one-less", None),
+    ])
+    def test_user_sessions_must_count_the_sessions(self, tmp_path, damage, count):
+        def edit(header, arrays):
+            counts = arrays["user_sessions"]
+            if damage == "one-user-short":
+                counts = counts[:-1]
+            elif damage == "one-user-more":
+                counts = np.r_[counts, 0]
+            elif damage == "negative":  # the sum still holds
+                counts[:2] = [-1, 7]
+            elif damage == "float":
+                counts = counts.astype(np.float64)
+            elif damage == "matrix":
+                counts = counts[None]
+            else:
+                counts[-1] += 1 if damage == "sum-one-more" else -1
+            arrays["user_sessions"] = counts
+
+        out = damaged(prepared(tmp_path), edit)
+        if count is not None:
+            refused(out, f"user_sessions is not one integer session count >= 0 per user "
+                         f"of user_ids ({count})")
+        else:
+            sessions = 10 if damage == "sum-one-more" else 8
+            refused(out, f"session_rows is not one integer row count >= 1 per session that "
+                         f"user_sessions counts ({sessions}), summing to the 27 rows")
 
     @pytest.mark.parametrize("damage", ["one-short", "zero-entry", "sum-off-by-one", "float"])
     def test_session_rows_must_count_the_rows(self, tmp_path, damage):
+        def edit(header, arrays):
+            counts = arrays["session_rows"]
+            if damage == "one-short":  # the last two sessions merged: the sum still holds
+                counts = np.r_[counts[:-2], counts[-2] + counts[-1]]
+            elif damage == "zero-entry":  # session 0 takes session 1's rows
+                counts[0], counts[1] = counts[0] + counts[1], 0
+            elif damage == "sum-off-by-one":
+                counts[-1] += 1
+            else:  # the right counts, but not as integers
+                counts = counts.astype(np.float64)
+            arrays["session_rows"] = counts
+
+        refused(damaged(prepared(tmp_path), edit),
+                "session_rows is not one integer row count >= 1 per session that "
+                "user_sessions counts (9), summing to the 27 rows")
+
+    def test_format_2_directory_refused(self, tmp_path):
+        # format 2 kept the header's entries in JSON files beside an
+        # archive of arrays only
         out = prepared(tmp_path)
-        arrays = dict(np.load(out / "interactions.npz"))
-        counts = arrays["session_rows"]
-        if damage == "one-short":  # the last two sessions merged: the sum still holds
-            counts = np.r_[counts[:-2], counts[-2] + counts[-1]]
-        elif damage == "zero-entry":  # session 0 takes session 1's rows
-            counts[0], counts[1] = counts[0] + counts[1], 0
-        elif damage == "sum-off-by-one":
-            counts[-1] += 1
-        else:  # the right counts, but not as integers
-            counts = counts.astype(np.float64)
-        arrays["session_rows"] = counts
+        header, arrays = read_dataset_archive(out)
+        del arrays["user_sessions"]
         np.savez(out / "interactions.npz", **arrays)
-        with pytest.raises(ValueError, match=r"interactions\.npz: session_rows is not one integer "
-                                             r"row count >= 1 per session that .*users\.json "
-                                             r"lists \(9\), summing to the 27 rows"):
+        (out / "meta.json").write_text(json.dumps({"format_version": 2}))
+        refused(out, "dataset has no header, so is not of format 3; "
+                     "re-run prepare-data on the raw log")
+
+    def test_another_format_version_refused(self, tmp_path):
+        out = damaged(prepared(tmp_path), lambda header, arrays: header.update(format_version=4))
+        refused(out, "dataset format version 4 is not 3; re-run prepare-data on the raw log")
+
+    def test_later_format_without_todays_keys_names_the_remedy(self, tmp_path):
+        def edit(header, arrays):
+            header.update(format_version=4)
+            del header["user_ids"]
+
+        refused(damaged(prepared(tmp_path), edit),
+                "dataset format version 4 is not 3; re-run prepare-data on the raw log")
+
+    @pytest.mark.parametrize("key", ("format_version",) + data.HEADER_KEYS)
+    def test_header_missing_a_key(self, tmp_path, key):
+        out = damaged(prepared(tmp_path), lambda header, arrays: header.pop(key))
+        refused(out, f"expected a JSON object with keys "
+                     f"{['format_version', *data.HEADER_KEYS]}")
+
+    @pytest.mark.parametrize("raw", [b"[3]", b"not json", b"\xff\xfe"])
+    def test_header_not_a_json_object(self, tmp_path, raw):
+        out = prepared(tmp_path)
+        _, arrays = read_dataset_archive(out)
+        np.savez(out / "interactions.npz", header=np.frombuffer(raw, np.uint8), **arrays)
+        with pytest.raises(ValueError, match=r"^\S*interactions\.npz: "):
             load_dataset(str(out))
 
-    def test_format_1_directory_refused(self, tmp_path):
-        out = prepared(tmp_path)
-        meta = json.loads((out / "meta.json").read_text())
-        meta["format_version"] = 1
-        (out / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=r"meta\.json: dataset format version 1 is not 2; "
-                                             r"re-run prepare-data"):
-            load_dataset(str(out))
+    @pytest.mark.parametrize("key, value", [
+        ("user_ids", 7), ("user_ids", "u0"), ("user_ids", {"u0": 0}), ("item_ids", [1, 2, 3]),
+        ("item_ids", ["a", None, "c"]), ("feature_names", "color"),
+    ])
+    def test_ids_of_the_wrong_type(self, tmp_path, key, value):
+        out = damaged(prepared(tmp_path), lambda header, arrays: header.update({key: value}))
+        refused(out, f"header entry {key!r} is not a list of strings")
+
+    def test_repeated_item_id(self, tmp_path):
+        def edit(header, arrays):
+            header["item_ids"] = ["a", "c", "c"]
+
+        refused(damaged(prepared(tmp_path), edit), "item id 'c' appears more than once in item_ids")
+
+    @pytest.mark.parametrize("value", ["x", 0, -3, True, 2.5, None, [200]])
+    def test_max_positive_len_must_be_a_positive_integer(self, tmp_path, value):
+        out = damaged(prepared(tmp_path),
+                      lambda header, arrays: header.update(max_positive_len=value))
+        refused(out, f"max_positive_len must be an integer >= 1, got {value!r}")
+
+    def test_item_ids_too_few_for_the_items(self, tmp_path):
+        def edit(header, arrays):
+            header["item_ids"] = ["a", "b"]
+
+        refused(damaged(prepared(tmp_path), edit), "item ids run outside item_ids")
 
     def test_unequal_array_lengths(self, tmp_path):
-        out = prepared(tmp_path)
-        arrays = dict(np.load(out / "interactions.npz"))
-        arrays["timestamp"] = arrays["timestamp"][:-1]
-        np.savez(out / "interactions.npz", **arrays)
-        with pytest.raises(ValueError, match="'timestamp' is not one value per row"):
-            load_dataset(str(out))
+        def edit(header, arrays):
+            arrays["timestamp"] = arrays["timestamp"][:-1]
+
+        refused(damaged(prepared(tmp_path), edit), "array 'timestamp' is not one value per row")
 
     @pytest.mark.parametrize("value", [3, 7, -1])
     def test_feature_value_outside_its_vocabulary(self, tmp_path, value):
         colors = {"a": "red", "b": "green", "c": "blue"}
         out = prepared(tmp_path, [r + (colors[r[1]],) for r in dense_corpus_rows()],
                        header="user,item,session,timestamp,action,color")
-        arrays = dict(np.load(out / "interactions.npz"))
-        arrays["item_features"][1, 0] = value
-        np.savez(out / "interactions.npz", **arrays)
-        with pytest.raises(ValueError, match=r"interactions\.npz: item_features of 'color' "
-                                             r"run outside \[0, 3\)"):
-            load_dataset(str(out))
+
+        def edit(header, arrays):
+            arrays["item_features"][1, 0] = value
+
+        refused(damaged(out, edit), "item_features of 'color' run outside [0, 3), "
+                                    "the values of its feature_info entry")
 
     def test_feature_without_feature_info(self, tmp_path):
         out = prepared(tmp_path, [r + ("red",) for r in dense_corpus_rows()],
                        header="user,item,session,timestamp,action,color")
-        meta = json.loads((out / "meta.json").read_text())
-        del meta["feature_info"]["color"]
-        (out / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=r"meta\.json: feature_info does not describe "
-                                             r"every feature: KeyError 'color'"):
-            load_dataset(str(out))
-
-    @pytest.mark.parametrize("users, session_ids", [
-        (None, [5]), (None, ["abcdef"]), (None, [[7]]), ([3], None), ("u0", None),
-        (None, {"u0": []}),
-    ])
-    def test_users_json_entries_of_the_wrong_type(self, tmp_path, users, session_ids):
-        out = prepared(tmp_path)
-        blob = json.loads((out / "users.json").read_text())
-        if users is not None:
-            blob["users"] = users + blob["users"][1:] if isinstance(users, list) else users
-        if session_ids is not None:
-            blob["session_ids"] = (session_ids + blob["session_ids"][1:]
-                                   if isinstance(session_ids, list) else session_ids)
-        (out / "users.json").write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match=r"users\.json: 'users' must be a list of strings "
-                                             r"and 'session_ids' a list of lists of strings"):
-            load_dataset(str(out))
+        out = damaged(out, lambda header, arrays: header["feature_info"].pop("color"))
+        refused(out, "feature_info does not describe every feature: KeyError 'color'")
 
     @pytest.mark.parametrize("kind", ["broken-zip", "npy"])
     def test_not_an_archive(self, tmp_path, kind):
         out = prepared(tmp_path)
         if kind == "npy":
-            item = dict(np.load(out / "interactions.npz"))["item"]
+            _, arrays = read_dataset_archive(out)
             with open(out / "interactions.npz", "wb") as fh:
-                np.save(fh, item)
+                np.save(fh, arrays["item"])
         else:
             (out / "interactions.npz").write_bytes(b"PK\x03\x04 not really a zip")
         with pytest.raises(ValueError, match=r"interactions\.npz: unreadable archive"):
@@ -856,7 +926,7 @@ def assert_matches_reference(log_path, tmp_path, bin_count=16):
     save_dataset(str(ours), *filter_dataset(*ingest(log_path), bin_count=bin_count))
     reference_prepare(log_path, str(ref), bin_count=bin_count)
     a, b = dataset_files(ours), dataset_files(ref)
-    assert a.keys() == b.keys()
+    assert list(a) == list(b)  # the members, in archive order
     for name in a:
         if isinstance(a[name], str):
             assert a[name] == b[name], name
@@ -880,7 +950,7 @@ class TestMatchesReference:
         assert_matches_reference(path, tmp_path)
         dataset, catalog = filter_dataset(*ingest(path))
         assert dataset.user_ids == ["u0", "u1", "u2"]
-        assert sorted(catalog.item_map) == ["a", "b", "c"]
+        assert catalog.item_ids == ["a", "b", "c"]
 
     @pytest.mark.parametrize("pattern", synth.PATTERNS)
     def test_synth_patterns(self, tmp_path, pattern):
@@ -895,5 +965,5 @@ class TestMatchesReference:
         loaded, catalog, meta = load_dataset(str(tmp_path / "ref"))
         dataset, ours = filter_dataset(*ingest(path))
         assert_same_dataset(loaded, dataset)
-        assert catalog.item_map == ours.item_map and meta["max_positive_len"] == 7
+        assert catalog.item_ids == ours.item_ids and meta["max_positive_len"] == 7
         np.testing.assert_array_equal(catalog.item_features, ours.item_features)

@@ -331,6 +331,12 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="num_sampled"):
             LossConfig(num_sampled_negatives=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError) as err:
+            LossConfig(alpha=alpha)
+        assert str(err.value) == f"alpha must be a finite number >= 0, got {alpha}"
+
 
 class TestSupervisionAlignment:
     def test_only_the_preceding_position_sees_a_marker_item(self):

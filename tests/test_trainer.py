@@ -754,7 +754,7 @@ class TestCheckpointTensorNames:
     @pytest.mark.parametrize("kind", sorted(_ISE_TENSORS))
     def test_names_and_shapes_are_pinned(self, kind, backbone):
         catalog = Catalog(
-            item_map={f"i{i}": i for i in range(5)},
+            item_ids=[f"i{i}" for i in range(5)],
             feature_names=("topic",),
             feature_info={"topic": {"kind": "categorical",
                                     "values": {"a": 0, "b": 1, "c": 2}}},
