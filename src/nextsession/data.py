@@ -17,17 +17,18 @@ evaluation read its arrays, and no object is built per session.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import os
 import zipfile
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 REQUIRED_COLUMNS = ("user", "item", "session", "timestamp", "action")
 
@@ -43,7 +44,8 @@ MIN_ITEM_FEEDBACKS = 5
 MIN_USER_FEEDBACKS = 5
 MIN_USER_SESSIONS = 3
 
-BLOCK_CHARS = 16384  # log characters tokenized at a time; a small block keeps few strings alive
+BLOCK_BYTES = 1 << 17  # log bytes parsed at a time, read on to a line end; a small block keeps little alive
+WIDEST_FIELD = 256  # bytes; a log with a wider field goes through csv.reader, so code tables stay narrow
 
 
 class Sessions:
@@ -187,74 +189,57 @@ def _first_bad_row(records, first_line: int, header: list) -> ValueError:
     raise AssertionError("no malformed row found")
 
 
-def _tokenized_blocks(fh, width: int):
-    """The csv records after the header of ``fh``, a block at a time, as
-    ``(count, records, fields)``: the block's record count, blank records
-    included; its records as field lists, built only when read; and the
-    fields of its non-blank records as one flat list, ``width`` per record,
-    or None when a record holds another number of fields.
-
-    A block is ``BLOCK_CHARS`` characters read on to a line end.  While the
-    blocks hold no ``"`` and no lone ``\r``, each record is one line, so a
-    block is split in bulk.  From the first block that holds either, the
-    rest of the log goes through ``csv.reader``: a quoted field may hold a
-    line end and run past the block.
-    """
-    while block := fh.read(BLOCK_CHARS) + fh.readline():
-        text = block.replace("\r\n", "\n")
-        if '"' in text or "\r" in text:
-            break
-        lines = text.split("\n")
-        if not lines[-1]:  # the text after the block's last line end
-            lines.pop()
-        rows = list(filter(None, lines))
-        fields = None
-        if set(map(str.count, rows, repeat(","))) <= {width - 1}:
-            fields = ",".join(rows).split(",") if rows else []  # "" splits to [""]
-        yield len(lines), (line.split(",") if line else [] for line in lines), fields
-    else:
-        return
-    reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
-    # about as many records as a block of short lines holds
-    while records := list(islice(reader, max(1, BLOCK_CHARS // 8))):
-        rows = [row for row in records if row]
-        fields = list(chain.from_iterable(rows)) if set(map(len, rows)) <= {width} else None
-        yield len(records), records, fields
-
-
-def ingest(path: str) -> tuple[Log, tuple[str, ...]]:
-    """Parse a raw log file, UTF-8 text, into a ``Log`` (rows in log order)
-    plus the tuple of side-feature column names found in the header.
-
-    The header is one csv record.  The rest is read in blocks of about
-    ``BLOCK_CHARS`` characters (``_tokenized_blocks``): quote-free blocks are
-    split in bulk, and from the first quote on ``csv.reader`` reads the
-    rest.  Both give each column of a block as one list, which one
-    ``np.fromiter`` converts.  Blank lines are skipped.  A repeated header
-    column, text that is not UTF-8, a quoted field that ``csv.reader``
-    refuses, and malformed rows raise ValueError; a row's error names its
-    1-based line number, with csv records, not physical lines, counted.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _read_log(fh, path)
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x}: "
-                         f"{e.reason})") from None
-    except csv.Error as e:  # a quoted field longer than csv.field_size_limit()
-        raise ValueError(f"{path}: {e}") from None
-
-
-def _read_log(fh, path: str) -> tuple[Log, tuple[str, ...]]:
-    # an empty file reads as a header with no rows
-    header = [h.strip() for h in next(csv.reader(fh), REQUIRED_COLUMNS)]
+def _feature_names(header: list[str], path: str) -> tuple[str, ...]:
+    """The side-feature columns of a log's ``header``, once no column is
+    shown twice and every required one is shown present."""
     for i, name in enumerate(header):
         if name in header[:i]:
             raise ValueError(f"column {name!r} appears twice in the header of {path}")
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise ValueError(f"missing required column {col!r} in {path}")
-    feature_names = tuple(h for h in header if h not in REQUIRED_COLUMNS)
+    return tuple(h for h in header if h not in REQUIRED_COLUMNS)
+
+
+def ingest(path: str) -> tuple[Log, tuple[str, ...]]:
+    """Parse a raw log file, UTF-8 text, into a ``Log`` (rows in log order)
+    plus the tuple of side-feature column names found in the header.
+
+    The header is one csv record, and blank lines are skipped.  Two paths
+    read the log, to the same arrays and the same errors.  The byte path
+    (``_read_bytes``) parses the raw bytes with numpy, about
+    ``BLOCK_BYTES`` at a time, when it can show its parse equal to
+    ``csv.reader``'s: no ``"``, no NUL, no CR but in a CRLF line end, the
+    header's field count on every non-blank line, no field over
+    ``WIDEST_FIELD`` bytes, every timestamp ``-?[0-9]{1,18}``, every action
+    label a known one, and every field UTF-8.  Any other log goes whole
+    through ``csv.reader`` (``_read_records``), which raises every error.
+    A repeated header column, text that is not UTF-8, a field longer than
+    ``csv.field_size_limit()`` and malformed rows raise ValueError; a row's
+    error names its 1-based line number, with csv records, not physical
+    lines, counted.
+    """
+    try:
+        with open(path, "rb") as fh:
+            parsed = _read_bytes(fh, path)
+        if parsed is None:
+            with open(path, newline="", encoding="utf-8") as fh:
+                parsed = _read_records(fh, path)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x}: "
+                         f"{e.reason})") from None
+    except csv.Error as e:  # a field longer than csv.field_size_limit()
+        raise ValueError(f"{path}: {e}") from None
+    return parsed
+
+
+def _read_records(fh, path: str) -> tuple[Log, tuple[str, ...]]:
+    """``ingest`` through ``csv.reader``, about as many records at a time as
+    a block of short lines holds."""
+    reader = csv.reader(fh)
+    # an empty file reads as a header with no rows
+    header = [h.strip() for h in next(reader, REQUIRED_COLUMNS)]
+    feature_names = _feature_names(header, path)
     string_columns = ("user", "item", "session") + feature_names
     tables = [defaultdict() for _ in string_columns]
     for table in tables:  # a new key gets the next code: 0, 1, 2, ...
@@ -265,20 +250,265 @@ def _read_log(fh, path: str) -> tuple[Log, tuple[str, ...]]:
     width = len(header)
     chunks = [[np.zeros(0, dtype) for dtype in dtypes]]
     first_line = 2  # csv records, not physical lines, are numbered
-    for count, records, fields in _tokenized_blocks(fh, width):
+    while records := list(islice(reader, max(1, BLOCK_BYTES // 64))):
+        rows = [row for row in records if row]
         try:
-            if fields is None:
+            if set(map(len, rows)) - {width}:
                 raise ValueError("wrong field count")
-            n = len(fields) // width
-            chunks.append([np.fromiter(map(convert, fields[j::width]), dtype, n)
+            fields = list(chain.from_iterable(rows))
+            chunks.append([np.fromiter(map(convert, fields[j::width]), dtype, len(rows))
                            for convert, j, dtype in zip(converters, columns, dtypes)])
         except (ValueError, KeyError, OverflowError):
             raise _first_bad_row(records, first_line, header) from None
-        first_line += count
+        first_line += len(records)
 
     timestamp, positive, *codes = map(np.concatenate, zip(*chunks))
     user, item, session, *features = map(Codes, codes, map(list, tables))
     return Log(user, item, session, timestamp, positive, tuple(features)), feature_names
+
+
+class _Coder:
+    """First-appearance codes of one column's fields, given a block at a
+    time as rows of uint64 words, zero-padded: no field holds a NUL, so
+    equal rows are equal fields.  A row's key is its first word, mixed with
+    each later nonzero word.  Keys are looked up in sorted tables, and then
+    each row is compared with the words of its code's first field, so a key
+    that two fields share is caught, never believed: it sends the log to
+    the csv path."""
+
+    def __init__(self):
+        # sorted keys with their codes: a large table, and a small one of
+        # newer keys that is merged into it once it outgrows a sixteenth of it
+        self.tables = [(np.zeros(0, np.uint64), np.zeros(0, np.int64))] * 2
+        self.words = np.zeros((0, 1), np.uint64)  # row c: code c's field; spare rows after
+        self.names: list[str] = []
+
+    def codes(self, words: np.ndarray) -> np.ndarray | None:
+        """The code of each row of ``words``, or None if a new field is not
+        UTF-8 or two fields share a key."""
+        key = words[:, 0]
+        for word in words.T[1:]:  # mix the key so far before a word goes in
+            mixed = (key ^ key >> 29) * _KEY_MULTIPLIER
+            mixed ^= mixed >> 32
+            key = np.where(word != 0, mixed ^ word, key)
+        order = key.argsort()  # not stable, so first appearances come from reduceat
+        ordered = key[order]
+        head = np.empty(len(key), bool)  # starts a run of equal keys in ``ordered``
+        head[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        runs = np.flatnonzero(head)
+        distinct, first = ordered[runs], np.minimum.reduceat(order, runs)
+        inverse = np.empty(len(key), np.int64)
+        inverse[order] = np.cumsum(head) - 1
+        code = np.full(len(distinct), -1)
+        for keys, key_codes in self.tables:
+            if len(keys):
+                at = np.searchsorted(keys, distinct).clip(max=len(keys) - 1)
+                found = keys[at] == distinct
+                code[found] = key_codes[at[found]]
+        new = np.flatnonzero(code < 0)
+        if new.size:
+            count = len(self.names)
+            fresh = new[np.argsort(first[new])]  # in order of first appearance
+            code[fresh] = np.arange(count, count + len(fresh))
+            rows = words[first[fresh]]
+            try:
+                self.names += map(bytes.decode, rows.view(f"S{rows.shape[1] * 8}").ravel().tolist())
+            except UnicodeDecodeError:
+                return None
+            self._store(count, rows)
+            self._add(distinct[new], code[new])
+        codes = code[inverse]
+        stored, width = self.words[codes], words.shape[1]
+        # a row wider than every stored field can only share a stored field's key
+        if width > stored.shape[1] or (stored[:, :width] != words).any() or stored[:, width:].any():
+            return None
+        return codes
+
+    def _add(self, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Put ``keys``, sorted, and their codes in the small table."""
+        large, small = self.tables
+        small = _merged(small, (keys, codes))
+        if len(small[0]) > max(4096, len(large[0]) // 16):
+            large, small = _merged(large, small), (small[0][:0], small[1][:0])
+        self.tables = [large, small]
+
+    def _store(self, count: int, rows: np.ndarray) -> None:
+        """Make ``rows`` the fields of codes ``count`` on, growing the
+        table's rows at least twofold and its words to the widest field."""
+        need, width = count + len(rows), max(self.words.shape[1], rows.shape[1])
+        if need > len(self.words) or width > self.words.shape[1]:
+            grown = np.zeros((max(need, 2 * len(self.words)), width), np.uint64)
+            grown[:count, :self.words.shape[1]] = self.words[:count]
+            self.words = grown
+        self.words[count:need, :rows.shape[1]] = rows
+
+
+def _merged(table: tuple[np.ndarray, np.ndarray], more: tuple[np.ndarray, np.ndarray]):
+    """The sorted keys and codes of ``table`` with those of ``more``, whose
+    keys are sorted too and not in ``table``, merged in."""
+    (keys, codes), (more_keys, more_codes) = table, more
+    at = np.searchsorted(keys, more_keys) + np.arange(len(more_keys))
+    old = np.ones(len(keys) + len(more_keys), bool)
+    old[at] = False
+    merged = np.empty(len(old), keys.dtype), np.empty(len(old), codes.dtype)
+    for out, values, more_values in zip(merged, table, more):
+        out[old], out[at] = values, more_values
+    return merged
+
+
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)  # the mask of n bytes
+
+
+def _fields(block: bytes, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The starts and lengths, (lines, ``width``) each, of the fields of
+    ``block``'s non-blank lines, ``block`` ending in a line end; None unless
+    it holds no ``"``, no NUL, no CR but in a CRLF, and ``width`` fields on
+    each such line."""
+    if b'"' in block or b"\0" in block:
+        return None
+    raw = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    line_end = raw[ends] == ord("\n")
+    if b"\r" in block:  # a field before CRLF ends at the CR
+        cr = line_end & (raw[ends - 1] == ord("\r"))
+        if np.count_nonzero(cr) != np.count_nonzero(raw == ord("\r")):
+            return None
+        ends -= cr
+    # a blank line: an empty field ended by a line end, after a line end
+    blank = line_end & (starts == ends)
+    blank[1:] &= line_end[:-1]
+    if blank.any():
+        keep = ~blank
+        ends, starts, line_end = ends[keep], starts[keep], line_end[keep]
+    if len(ends) % width or (line_end.reshape(-1, width) != (np.arange(width) == width - 1)).any():
+        return None
+    starts = starts.reshape(-1, width)
+    return starts, ends.reshape(-1, width) - starts
+
+
+def _field_words(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The fields at ``starts`` of ``windows`` (a block's byte windows, each
+    at least as wide as the longest field) as rows of uint64 words,
+    zero-padded to the longest."""
+    size = 8 * (int(lengths.max(initial=0)) // 8 + 1)
+    words = windows[starts, :size].view("<u8")  # a field's first byte is its words' lowest
+    words &= _LOW_BYTES[np.clip(lengths[:, None] - np.arange(0, size, 8), 0, 8)]
+    return words
+
+
+def _timestamps(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The int64 value of each field at ``starts`` of ``windows``, or None
+    unless every one is ``-?[0-9]{1,18}``, which ``int`` reads the same."""
+    size = int(lengths.max(initial=0))
+    if not 1 <= size <= 19:
+        return None
+    digits = windows[starts, :size]
+    minus = digits[:, 0] == ord("-")
+    count = lengths - minus
+    digits -= ord("0")  # uint8: any byte but a digit wraps past 9
+    digits[:, 0] *= ~minus
+    inside = np.arange(size) < lengths[:, None]
+    if count.min() < 1 or count.max() > 18 or ((digits > 9) & inside).any():
+        return None
+    digits *= inside.view(np.uint8)
+    # left-aligned, the digits read as the value times 10 ** (size - length)
+    value = digits @ _POWERS_OF_TEN[size - 1::-1] // _POWERS_OF_TEN[size - lengths]
+    value = value.astype(np.int64)
+    np.negative(value, out=value, where=minus)
+    return value
+
+
+class _Columns:
+    """A log's arrays as the byte path fills them, a block at a time: the
+    timestamps, the polarities, and per string column its codes and their
+    ``_Coder``."""
+
+    def __init__(self, header: list[str], feature_names: tuple[str, ...], rows: int):
+        self.width = len(header)
+        self.ts, self.act = header.index("timestamp"), header.index("action")
+        self.columns = [header.index(c) for c in ("user", "item", "session") + feature_names]
+        self.timestamp, self.positive = np.empty(rows, np.int64), np.empty(rows, bool)
+        self.codes = [np.empty(rows, np.int64) for _ in self.columns]
+        self.coders = [_Coder() for _ in self.columns]
+        self.actions, self.polarity = _Coder(), _Polarity()
+        self.positive_of = np.zeros(0, bool)  # the polarity of each action code
+        self.rows = 0
+
+    def add(self, block: bytes) -> bool:
+        """Parse ``block``, whole lines each ending in a line end, onto the
+        arrays; False where the parse cannot be shown equal to
+        ``_read_records``'."""
+        fields = _fields(block, self.width)
+        if fields is None:
+            return False
+        starts, lengths = fields
+        longest = int(lengths.max(initial=0))
+        if longest > WIDEST_FIELD:
+            return False
+        size = 8 * (longest // 8 + 1)  # whole words, with a zero byte after the longest field
+        windows = sliding_window_view(np.frombuffer(block + bytes(size), np.uint8), size)
+        step = max(1, 4 * len(block) // size)  # rows whose byte matrices stay within 4 blocks
+        return all(self._add_rows(windows, starts[lo:lo + step], lengths[lo:lo + step])
+                   for lo in range(0, len(starts), step))
+
+    def _add_rows(self, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
+        stamps = _timestamps(windows, starts[:, self.ts], lengths[:, self.ts])
+        labels = self.actions.codes(_field_words(windows, starts[:, self.act], lengths[:, self.act]))
+        if stamps is None or labels is None:
+            return False
+        if len(self.positive_of) < len(self.actions.names):
+            try:
+                self.positive_of = np.array([self.polarity[name] for name in self.actions.names])
+            except KeyError:
+                return False
+        n, k = self.rows, len(starts)
+        self.timestamp[n:n + k], self.positive[n:n + k] = stamps, self.positive_of[labels]
+        for j, coder, out in zip(self.columns, self.coders, self.codes):
+            codes = coder.codes(_field_words(windows, starts[:, j], lengths[:, j]))
+            if codes is None:
+                return False
+            out[n:n + k] = codes
+        self.rows += k
+        return True
+
+    def log(self) -> Log:
+        n = self.rows
+        user, item, session, *features = (Codes(codes[:n], coder.names)
+                                          for codes, coder in zip(self.codes, self.coders))
+        return Log(user, item, session, self.timestamp[:n], self.positive[:n], tuple(features))
+
+
+def _read_bytes(fh, path: str) -> tuple[Log, tuple[str, ...]] | None:
+    """``ingest`` of ``fh``, the log opened in binary, through numpy; None
+    where the parse cannot be shown equal to ``_read_records``'.  Python
+    work is done once per distinct field, in the ``_Coder``s, not once per
+    row."""
+    header = list(REQUIRED_COLUMNS)  # an empty file reads as a header with no rows
+    if line := fh.readline():
+        line = line.removesuffix(b"\n").removesuffix(b"\r")
+        if b'"' in line or b"\r" in line:
+            return None
+        try:
+            header = [h.strip() for h in line.decode().split(",")] if line else []
+            feature_names = _feature_names(header, path)
+        except ValueError:  # also text that is not UTF-8; the csv path names the fault
+            return None
+    else:
+        feature_names = ()
+    start = fh.tell()
+    # every line but the last ends in "\n", so no more rows than this
+    rows = 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(BLOCK_BYTES), b""))
+    fh.seek(start)
+    columns = _Columns(header, feature_names, rows)
+    while block := fh.read(BLOCK_BYTES) + fh.readline():
+        if not columns.add(block if block.endswith(b"\n") else block + b"\n"):
+            return None
+    return columns.log(), feature_names
 
 
 def _fixpoint_filter(user, item, session, positive) -> np.ndarray:
@@ -510,6 +740,7 @@ def encoder_views(sessions: Sessions) -> tuple[np.ndarray, np.ndarray]:
 FORMAT_VERSION = 3
 HEADER_KEYS = ("feature_names", "feature_info", "max_positive_len", "user_ids", "item_ids")
 ARRAYS = ("session_rows", "user_sessions", "item", "positive", "timestamp", "item_features")
+FORMAT_2_FILES = ("meta.json", "users.json", "item_map.json")  # format 2's header, beside its arrays
 
 
 def write_archive(path: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -569,9 +800,13 @@ def save_dataset(out_dir: str, dataset: Dataset, catalog: Catalog,
     ``positive`` and ``timestamp``; per session in dataset order its int64
     row count, ``session_rows``; per user its int64 session count,
     ``user_sessions``; and the catalog's ``item_features``.  Beside it,
-    stats.json holds the summary counts.
+    stats.json holds the summary counts.  The JSON files of a format-2
+    dataset in ``out_dir`` are removed.
     """
     os.makedirs(out_dir, exist_ok=True)
+    for name in FORMAT_2_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     sessions = dataset.sessions
     header = {"format_version": FORMAT_VERSION, "feature_names": list(catalog.feature_names),
               "feature_info": catalog.feature_info, "max_positive_len": max_positive_len,
@@ -619,8 +854,11 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     for name in ARRAYS:
         check(name in arrays, f"missing array {name!r}")
     rows = len(arrays["item"])
-    for name in ("item", "positive", "timestamp"):
+    for name, kinds, values in (("item", "iu", "integers"), ("positive", "b", "booleans"),
+                                ("timestamp", "iu", "integers")):
         check(arrays[name].shape == (rows,), f"array {name!r} is not one value per row")
+        check(arrays[name].dtype.kind in kinds,
+              f"array {name!r} holds {arrays[name].dtype} values, not {values}")
     user_sessions, session_rows = arrays["user_sessions"], arrays["session_rows"]
     check(user_sessions.dtype.kind in "iu" and user_sessions.shape == (len(user_ids),)
           and (user_sessions >= 0).all(),

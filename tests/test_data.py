@@ -1,8 +1,11 @@
 import csv
 import json
 import os
+import re
 import shutil
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,7 +155,8 @@ class TestIngest:
         assert log.positive.tolist() == [True, False]
 
     def test_first_fault_in_line_order_is_reported(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "BLOCK_CHARS", 32)  # lines 2-4, then lines 5-7, form the blocks
+        # csv.reader's chunks of BLOCK_BYTES // 64 = 3 records: lines 2-4, then lines 5-7
+        monkeypatch.setattr(data, "BLOCK_BYTES", 192)
         path = tmp_path / "log.csv"
         path.write_text("user,item,session,timestamp,action\n"
                         "u1,i1,s1,1,click\n\n"
@@ -190,22 +194,32 @@ class TestIngest:
         with pytest.raises(ValueError, match="log.csv: field larger than field limit"):
             ingest(str(path))
 
+    def test_field_over_the_csv_limit_is_refused_in_a_quote_free_log_too(self, tmp_path):
+        # the byte path leaves a field over WIDEST_FIELD bytes to csv.reader
+        path = tmp_path / "log.csv"
+        path.write_text(f'user,item,session,timestamp,action\nu1,{"i" * 200_000},s1,1,click\n')
+        with pytest.raises(ValueError, match="^.*log.csv: field larger than field limit"):
+            ingest(str(path))
+
 
 def assert_same_log(a, b):
-    np.testing.assert_array_equal(a.timestamp, b.timestamp)
-    np.testing.assert_array_equal(a.positive, b.positive)
+    """Equal arrays of equal dtypes, and equal names."""
     assert len(a.features) == len(b.features)
+    for x, y in [(a.timestamp, b.timestamp), (a.positive, b.positive)] + [
+            (x.codes, y.codes) for x, y in zip((a.user, a.item, a.session, *a.features),
+                                                (b.user, b.item, b.session, *b.features))]:
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
     for x, y in zip((a.user, a.item, a.session, *a.features), (b.user, b.item, b.session,
                                                                 *b.features)):
         assert x.names == y.names
-        np.testing.assert_array_equal(x.codes, y.codes)
 
 
-def ingest_in_blocks(path, monkeypatch, block_chars):
-    """``ingest(path)`` with blocks of ``block_chars`` characters (None: the
+def ingest_in_blocks(path, monkeypatch, block_bytes):
+    """``ingest(path)`` with blocks of ``block_bytes`` bytes (None: the
     default)."""
-    if block_chars is not None:
-        monkeypatch.setattr(data, "BLOCK_CHARS", block_chars)
+    if block_bytes is not None:
+        monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
     log = ingest(str(path))
     monkeypatch.undo()
     return log
@@ -229,12 +243,27 @@ STRADDLING = ('user,item,session,timestamp,action\n'
               'u3,i6,s3,7,click\n')
 
 
-class TestTokenizers:
-    """Quote-free blocks are split in bulk and the rest of a log from its
-    first quote on goes through csv.reader; both give the same Log."""
+# Records: 1 header, 2 row, 3-4 blank, 5 row, 6 a line longer than small
+# blocks, 7 blank (CRLF), 8 a row ending in CRLF, 9 a row of non-ASCII
+# fields with no final line end.
+PLAIN_STRADDLING = ('user,item,session,timestamp,action\n'
+                    'u1,i1,s1,1,click\n\n\n'
+                    'u1,i2,s1,-2,exposure\n'
+                    'u2,' + 'i' * 60 + ',s2,003,click\n\r\n'
+                    'u2,i4,s2,4,purchase\r\n'
+                    'u3,ï5,s3,5, Click')
 
-    @pytest.mark.parametrize("block_chars", [5, 64, None])
-    def test_quote_all_and_quote_minimal_agree(self, tmp_path, monkeypatch, block_chars):
+
+def no_csv_path(fh, path):
+    pytest.fail(f"{path} went through csv.reader")
+
+
+class TestTokenizers:
+    """A quote-free log is parsed as bytes and any other goes through
+    csv.reader; both give the same Log."""
+
+    @pytest.mark.parametrize("block_bytes", [5, 64, None])
+    def test_quote_all_and_quote_minimal_agree(self, tmp_path, monkeypatch, block_bytes):
         logs = []
         for quoting in (csv.QUOTE_ALL, csv.QUOTE_MINIMAL):
             path = tmp_path / f"log{quoting}.csv"
@@ -242,7 +271,7 @@ class TestTokenizers:
                 writer = csv.writer(fh, quoting=quoting)
                 writer.writerow(["user", "item", "session", "timestamp", "action", "color"])
                 writer.writerows(PLAIN_ROWS[:20] + QUOTED_ROWS + PLAIN_ROWS[20:])
-            logs.append(ingest_in_blocks(path, monkeypatch, block_chars))
+            logs.append(ingest_in_blocks(path, monkeypatch, block_bytes))
         (log, features), (minimal, _) = logs
         assert_same_log(log, minimal)
         assert features == ("color",) and len(log) == 26
@@ -250,8 +279,8 @@ class TestTokenizers:
         assert log.session.names[-2:] == ["s\n9", "s9"]
         assert log.features[0].names[-2:] == ["a\r\nb", ","]
 
-    @pytest.mark.parametrize("block_chars", [5, 64, None])
-    def test_line_ends_agree(self, tmp_path, monkeypatch, block_chars):
+    @pytest.mark.parametrize("block_bytes", [5, 64, None])
+    def test_line_ends_agree(self, tmp_path, monkeypatch, block_bytes):
         lines = ["user,item,session,timestamp,action,color"] + [
             ",".join(map(str, row)) for row in PLAIN_ROWS[:10]] + [""] + [
             ",".join(map(str, row)) for row in PLAIN_ROWS[10:]]
@@ -259,7 +288,7 @@ class TestTokenizers:
         for end in ("\n", "\r\n", "\r"):
             path = tmp_path / "log.csv"
             path.write_bytes(end.join(lines).encode() + end.encode())
-            logs.append(ingest_in_blocks(path, monkeypatch, block_chars)[0])
+            logs.append(ingest_in_blocks(path, monkeypatch, block_bytes)[0])
         assert len(logs[0]) == 24 and logs[0].features[0].names == ["red", " blue"]
         for log in logs[1:]:
             assert_same_log(logs[0], log)
@@ -271,8 +300,20 @@ class TestTokenizers:
         assert whole.item.names == ["i1", "i2", "i" * 60, "i,3", 'i "4"', "i\n5", "i6"]
         assert whole.user.names == ["u1", "u2", "u3"]
         assert whole.timestamp.tolist() == list(range(1, 8))
-        for block_chars in range(1, len(STRADDLING) + 1):
-            assert_same_log(whole, ingest_in_blocks(path, monkeypatch, block_chars)[0])
+        for block_bytes in range(1, len(STRADDLING) + 1):
+            assert_same_log(whole, ingest_in_blocks(path, monkeypatch, block_bytes)[0])
+
+    def test_every_block_size_parses_a_quote_free_log_as_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.csv"
+        path.write_bytes(PLAIN_STRADDLING.encode())
+        with open(path, newline="", encoding="utf-8") as fh:
+            whole, _ = data._read_records(fh, str(path))
+        assert whole.item.names == ["i1", "i2", "i" * 60, "i4", "ï5"]
+        assert whole.timestamp.tolist() == [1, -2, 3, 4, 5]
+        monkeypatch.setattr(data, "_read_records", no_csv_path)
+        for block_bytes in range(1, len(PLAIN_STRADDLING.encode()) + 1):
+            monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
+            assert_same_log(whole, ingest(str(path))[0])
 
     @pytest.mark.parametrize("bad,message", [
         ("u1,i2,s1,2,exposure\n", "line 5: unknown action 'hover'"),
@@ -282,8 +323,8 @@ class TestTokenizers:
         path = tmp_path / "log.csv"
         broken = bad.replace("exposure", "hover").replace("7", "soon")
         path.write_bytes(STRADDLING.replace(bad, broken).encode())
-        for block_chars in range(1, len(STRADDLING) + 1, 3):
-            monkeypatch.setattr(data, "BLOCK_CHARS", block_chars)
+        for block_bytes in range(1, len(STRADDLING) + 1, 3):
+            monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
             with pytest.raises(ValueError, match=message):
                 ingest(str(path))
 
@@ -312,6 +353,121 @@ class TestTokenizers:
             tracemalloc.stop()
         assert len(log) == 36_288
         assert peak <= 3_539_926
+
+
+FIELD = st.text(st.characters(exclude_characters=',"\r\n\0', exclude_categories=["Cs"]),
+                max_size=5)
+STAMP = st.builds(lambda value, zeros: "-" * (value < 0) + "0" * zeros + str(abs(value)),
+                  st.integers(-10**12, 10**12), st.integers(0, 5))  # at most 18 digits
+ROW = st.tuples(FIELD, FIELD, FIELD, STAMP,
+                st.sampled_from(["click", "exposure", "Purchase", " effective-view", "CLICK "]),
+                FIELD).map(",".join)
+
+
+@st.composite
+def quote_free_logs(draw):
+    """The UTF-8 text of a log with a feature column and no quote: ids of
+    0-5 characters, many not ASCII, so widths change from line to line; LF
+    and CRLF line ends, mixed; blank lines; perhaps no final line end."""
+    lines = ["user,item,session,timestamp,action,color"] + draw(
+        st.lists(st.one_of(ROW, st.just("")), max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return text.removesuffix(ends[-1]) if draw(st.booleans()) else text
+
+
+class TestBytePath:
+    """The byte path against csv.reader, which every other log goes through."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(quote_free_logs())
+    def test_agrees_with_csv_reader_at_every_block_size(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode())
+            with open(path, newline="", encoding="utf-8") as fh:
+                log, features = data._read_records(fh, path)
+            for block_bytes in (1, 13, 200, data.BLOCK_BYTES):
+                with mock.patch.object(data, "BLOCK_BYTES", block_bytes), open(path, "rb") as fh:
+                    parsed = data._read_bytes(fh, path)
+                assert parsed is not None and parsed[1] == features == ("color",)
+                assert_same_log(log, parsed[0])
+
+    # Each log the byte path cannot show it parses as csv.reader does: 30
+    # good lines, the case's line(s), then 5 more.  The expected rows and
+    # error lines are those of the str.split and csv.reader paths this one
+    # replaced.
+    @pytest.mark.parametrize("case, expected", [
+        (b"u1,i1,s1,1,click\ru1,i2,s1,2,exposure\n",  # a lone CR ends a record
+         [("u1", "i1", "s1", 1, True), ("u1", "i2", "s1", 2, False)]),
+        (b"u1,i1\r,s1,1,click\n", "line 32: expected 5 fields, got 2"),
+        (b'u1,"i,1",s1,1,click\n', [("u1", "i,1", "s1", 1, True)]),
+        (b"u1,i\x001,s1,1,click\n", [("u1", "i\x001", "s1", 1, True)]),
+        (b"u1,i1,s1,+5,click\n", [("u1", "i1", "s1", 5, True)]),
+        (b"u1,i1,s1, 5,click\n", [("u1", "i1", "s1", 5, True)]),
+        (b"u1,i1,s1,1_000,click\n", [("u1", "i1", "s1", 1000, True)]),
+        ("u1,i1,s1,\u0665,click\n".encode(), [("u1", "i1", "s1", 5, True)]),
+        (b"u1,i1,s1,1000000000000000000,click\n", [("u1", "i1", "s1", 10**18, True)]),
+        (b"u1,i1,s1,9223372036854775808,click\n",
+         "line 32: timestamp '9223372036854775808' is not a 64-bit integer"),
+        (b"u1,i1,s1,,click\n", "line 32: timestamp '' is not a 64-bit integer"),
+        (b"u1,i1,s1,1,hover\n", "line 32: unknown action 'hover'"),
+        (b"u1,i\xc3,s1,1,click\n", "{path}: not UTF-8 text (byte 0xc3: invalid continuation byte)"),
+        (b"u1,i1,s1,1\n", "line 32: expected 5 fields, got 4"),
+        (b"u1," + b"w" * 5000 + b",s1,1,click\n", [("u1", "w" * 5000, "s1", 1, True)]),
+    ], ids=["lone CR", "lone CR in a field", "quote", "NUL", "plus", "space", "underscore", "non-ASCII digit",
+            "19 digits", "int64 overflow", "empty timestamp", "unknown action",
+            "not UTF-8", "field count", "wide field"])
+    @pytest.mark.parametrize("block_bytes", [64, None])
+    def test_fallback_reads_as_before(self, tmp_path, monkeypatch, case, expected, block_bytes):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"user,item,session,timestamp,action\n"
+                         + b"".join(b"u%d,i%d,s%d,%d,click\n" % (k % 3, k, k, k) for k in range(30))
+                         + case + b"u0,i0,s0,0,exposure\n" * 5)
+        fallbacks = csv_reads(monkeypatch)
+        if block_bytes is not None:
+            monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected.format(path=path))}$"):
+                ingest(str(path))
+        else:
+            log, _ = ingest(str(path))
+            assert log_rows(log)[30:-5] == expected and len(log) == 35 + len(expected)
+        assert fallbacks == [str(path)]
+
+    # with no multiplier a long field's key is its last word, which these share
+    @pytest.mark.parametrize("first, second", [("aaaaaaaa-1", "bbbbbbbb-1"),
+                                               ("aaaaaaaa-1", "bbbbbbbbbbbbbbbb-1")])
+    @pytest.mark.parametrize("block_bytes", [1, None])
+    def test_a_key_two_fields_share_sends_the_log_to_csv_reader(self, tmp_path, monkeypatch,
+                                                                 first, second, block_bytes):
+        monkeypatch.setattr(data, "_KEY_MULTIPLIER", np.uint64(0))
+        if block_bytes is not None:  # a line a block: the second field is the wider, and later
+            monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
+        path = write_csv(tmp_path / "log.csv", [("u1", first, "s1", 1, "click"),
+                                                ("u1", second, "s1", 2, "click")])
+        fallbacks = csv_reads(monkeypatch)
+        assert ingest(path)[0].item.names == [first, second]
+        assert fallbacks == [path]
+
+
+def csv_reads(monkeypatch):
+    """The paths that ``ingest`` reads through csv.reader from now on."""
+    paths = []
+    read_records = data._read_records
+    monkeypatch.setattr(data, "_read_records",
+                        lambda fh, path: paths.append(path) or read_records(fh, path))
+    return paths
+
+
+def log_rows(log):
+    """A Log as one (user, item, session, timestamp, positive) tuple per row."""
+    return list(zip([log.user.names[c] for c in log.user.codes],
+                    [log.item.names[c] for c in log.item.codes],
+                    [log.session.names[c] for c in log.session.codes],
+                    log.timestamp.tolist(), log.positive.tolist()))
 
 
 class TestFilterDataset:
@@ -670,6 +826,17 @@ class TestPersistence:
         for name in ("interactions.npz", "stats.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_save_removes_the_json_files_of_a_format_2_dataset(self, tmp_path):
+        out = tmp_path / "data"
+        out.mkdir()
+        for name in ("meta.json", "users.json", "item_map.json", "notes.json"):
+            (out / name).write_text("{}")
+        sequences, catalog = filter_dataset(*ingest(
+            write_csv(tmp_path / "log.csv", dense_corpus_rows())))
+        save_dataset(str(out), sequences, catalog)
+        assert sorted(os.listdir(out)) == ["interactions.npz", "notes.json", "stats.json"]
+        assert load_dataset(str(out))[0].user_ids == ["u0", "u1", "u2"]
+
     def test_ids_keep_trailing_nul_characters(self, tmp_path):
         # numpy's fixed-width strings would drop them; the JSON header keeps them
         rows = [(u + "\0", i + "\0", *rest) for u, i, *rest in dense_corpus_rows()]
@@ -715,6 +882,16 @@ class TestCorruptDirectory:
     def test_missing_array_names_file_and_array(self, tmp_path):
         out = damaged(prepared(tmp_path), lambda header, arrays: arrays.pop("item"))
         refused(out, "missing array 'item'")
+
+    @pytest.mark.parametrize("name, damage, message", [
+        ("item", lambda a: a + 0.7, "holds float64 values, not integers"),
+        ("timestamp", lambda a: a + 0.5, "holds float64 values, not integers"),
+        ("positive", lambda a: a.astype(np.int8), "holds int8 values, not booleans"),
+    ])
+    def test_row_arrays_of_another_kind_refused(self, tmp_path, name, damage, message):
+        out = damaged(prepared(tmp_path),
+                      lambda header, arrays: arrays.update({name: damage(arrays[name])}))
+        refused(out, f"array {name!r} {message}")
 
     def test_session_without_positive_rows(self, tmp_path):
         def edit(header, arrays):
@@ -942,7 +1119,7 @@ class TestMatchesReference:
                                  bin_count=4 + seed)
 
     def test_random_log_parsed_in_small_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "BLOCK_CHARS", 7)
+        monkeypatch.setattr(data, "BLOCK_BYTES", 7)
         assert_matches_reference(random_log(tmp_path / "log.csv", 11), tmp_path)
 
     def test_filter_needing_several_passes(self, tmp_path):
