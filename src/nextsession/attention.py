@@ -48,8 +48,7 @@ class FeedForward:
         self.b2 = params.new(f"{name}.b2", (dim,), fill=0.0)
 
     def __call__(self, x):
-        h = T.relu(T.add(T.matmul(x, self.w1), self.b1))
-        return T.add(T.matmul(h, self.w2), self.b2)
+        return T.mlp(x, self.w1, self.b1, self.w2, self.b2, "relu")
 
 
 class EncoderBlock:

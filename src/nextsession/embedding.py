@@ -2,11 +2,12 @@
 
 Every item vector is ``fuse([id_embedding ‖ feature_embeddings...])`` where
 fuse is a one-hidden-layer perceptron (width 2d, tanh) ending at the model
-width d.  The same path produces both the input-side vectors consumed by the
-encoders and the catalog-side vectors used for scoring — the tables are tied,
-so ``output_item_vectors()[i]`` and ``embed_items([i])`` are the same
-computation.  The tables and the perceptron's weights are declared in the
-model's ``tensor.Parameters`` store under ``emb.``.
+width d, one ``tensor.mlp`` op.  The same path produces both the input-side
+vectors consumed by the encoders and the catalog-side vectors used for
+scoring — the tables are tied, so ``output_item_vectors()[i]`` and
+``embed_items([i])`` are the same computation.  The tables and the
+perceptron's weights are declared in the model's ``tensor.Parameters``
+store under ``emb.``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ class EmbeddingSpace:
     feature_schema is a list of (name, vocab_size) pairs; item_features, when
     the schema is non-empty, is an (num_items, num_features) int array giving
     each catalog item's feature values, which every item vector uses.
+
+    ``output_item_vectors`` feeds the id table to the perceptron as it is,
+    uncopied: a gather of every row in order would hold the same values in
+    the same layout, so its vectors are the same floats as
+    ``embed_items(arange(num_items))``.
     """
 
     def __init__(self, num_items, dim, params, id_dim=None, feature_schema=(),
@@ -75,13 +81,19 @@ class EmbeddingSpace:
                 f"item id {int(ids[bad][0])} out of vocabulary "
                 f"(catalog size {self.num_items})"
             )
-        parts = [T.gather(self.item_table, ids)]
+        return self._fuse(T.gather(self.item_table, ids), ids)
+
+    def output_item_vectors(self):
+        """Catalog-side vectors for scoring: every item's ``embed_items``
+        vector, computed from the id table itself rather than a gathered
+        copy of all of its rows."""
+        return self._fuse(self.item_table, np.arange(self.num_items))
+
+    def _fuse(self, id_rows, ids):
+        """The perceptron over ``id_rows``, the id embeddings of ``ids``,
+        beside the feature embeddings of the same items."""
+        parts = [id_rows]
         for j, (name, _) in enumerate(self.feature_schema):
             parts.append(T.gather(self.feature_tables[name], self.item_features[ids, j]))
         x = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
-        h = T.tanh(T.add(T.matmul(x, self.fuse_w1), self.fuse_b1))
-        return T.add(T.matmul(h, self.fuse_w2), self.fuse_b2)
-
-    def output_item_vectors(self):
-        """Catalog-side vectors for scoring: embed the whole catalog."""
-        return self.embed_items(np.arange(self.num_items))
+        return T.mlp(x, self.fuse_w1, self.fuse_b1, self.fuse_w2, self.fuse_b2, "tanh")

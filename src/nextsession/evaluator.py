@@ -3,9 +3,16 @@ and the attention-complexity benchmark.
 
 All ranking is exact: every user's vector is scored against the full catalog,
 and the best k ids come out by descending score with ties broken by ascending
-item id, so reports are reproducible across platforms.  Selection is one
-partition that finds the k-th best score plus a sort of the c candidates that
-reach it, O(N + c log c) per user instead of sorting all N scores.
+item id, so reports are reproducible across platforms.  Selection keeps the
+c candidates that reach a bound no higher than the k-th best score and sorts
+only them, O(N + c log c) per user instead of sorting all N scores.  The
+bound is the k-th largest of 2k bucket maxima, one max reduction over the
+scores and a partition of 2k values; a bucket interleaves ids (j, j + 2k,
+...), so scores that trend with id do not crowd into a few buckets.  Where a
+bucket would hold fewer than ``MIN_BUCKET`` scores, one partition of all N
+finds the k-th best score itself.  NaN scores rank last, and a row whose
+bound a NaN could hide takes every id as a candidate (see
+``top_k_candidates``).
 
 ``ranked`` is the one ranking loop: ``evaluate`` and the trainer's
 validation both hand it their users' histories and read back top-k ids.
@@ -42,6 +49,18 @@ from .data import DatasetSplit, Sessions, UserSplit, encoder_views
 DEFAULT_CUTOFFS = (10, 100, 500)
 
 
+# The fewest scores a bucket of ``top_k``'s bound may hold; below that, one
+# partition of the whole row is faster.  Measured with random float32
+# scores, one BLAS thread, 2 vCPUs, 31 alternating top_k calls per size:
+# at k = 100 and s = N // 2k scores a bucket, the partition was 7-17 %
+# faster for s <= 16 (60 and 24 users a block), the two tied at s = 24, and
+# the bound was 6-26 % faster from s = 32 (N = 6.4k) on; at k = 500 and 60
+# users it was 8 % slower at s = 16 and 11 % faster at s = 24.  In paired
+# evaluate() and validation calls, buckets of s = 2 (N = 486, k = 100) were
+# 4-5 % slower than the partition and s = 5 (N = 1000) tied.
+MIN_BUCKET = 24
+
+
 def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int) -> np.ndarray:
     """Exact top-k item ids by dot product, descending; ties by ascending id.
 
@@ -55,38 +74,75 @@ def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int) -> np.ndarray:
     block is a matrix-vector product); the ids differ only where two scores
     are that close.
 
-    A row-wise ``np.partition`` finds each row's k-th best score in one O(N)
-    pass; every id at least that good is a candidate, so a tie group
-    straddling position k is kept whole, and one sort of all the block's
-    candidates by (row, -score, id) orders them: O(b N + c log c).  A row
-    whose k-th score is NaN (fewer than k scores are numbers) takes all N
-    ids as candidates, as does every row when k is N, which keeps the order
-    of a full sort for NaN, +-inf and +-0.0.
+    The c candidates of ``top_k_candidates`` hold every id at least as good
+    as a row's k-th best, so a tie group straddling position k is kept
+    whole; one sort of all the block's candidates by (row, -score, id) then
+    orders them: O(b N + c log c).  Every row takes all N ids when k is N,
+    which keeps the order of a full sort for NaN, +-inf and +-0.0.
     """
     one = np.ndim(user_vecs) == 1
     # an overflowing score is +-inf and a NaN one (inf - inf) is ranked last
     # by contract, so numpy need not warn of either
     with np.errstate(invalid="ignore", over="ignore"):
-        neg = (item_vecs @ user_vecs)[None] if one else user_vecs @ item_vecs.T
-    rows, n = neg.shape
+        scores = (item_vecs @ user_vecs)[None] if one else user_vecs @ item_vecs.T
+    rows, n = scores.shape
     if k < 0:
         raise ValueError(f"k={k} must be non-negative")
     if k > n:
         raise ValueError(f"k={k} exceeds catalog size {n}")
-    np.negative(neg, out=neg)
-    if 0 < k < n:
-        threshold = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-        candidate = neg <= threshold
-        candidate[np.isnan(threshold[:, 0])] = True
+    if k == 0 or k == n:
+        candidate = np.full(scores.shape, k > 0)
     else:
-        candidate = np.full(neg.shape, k > 0)
+        candidate = top_k_candidates(scores, k)
     flat = np.flatnonzero(candidate)
     row, ids = np.divmod(flat, n)
-    order = np.lexsort((ids, neg.ravel()[flat], row))
+    order = np.lexsort((ids, -scores.ravel()[flat], row))
     counts = np.bincount(row, minlength=rows)
     starts = np.cumsum(counts) - counts
     top = ids[order[starts[:, None] + np.arange(k)]]
     return top[0] if one else top
+
+
+def top_k_candidates(scores: np.ndarray, k: int) -> np.ndarray:
+    """A ``(b, N)`` mask of each row's ids whose score reaches a bound no
+    higher than the row's k-th best score, for 0 < k < N.
+
+    The bound comes from bucket maxima: the first ``nb * s`` scores of a row
+    are split into ``nb = 2k`` buckets of ``s = N // nb``, and the k-th
+    largest of the nb bucket maxima is the bound.  Each of the k buckets
+    whose max reaches it holds a score at least that high, so the k-th best
+    score does too; the remainder columns past ``nb * s`` are compared with
+    the bound like the rest.  This is one max reduction over the block and
+    a partition of 2k values per row, instead of a partition of all N.
+    Bucket j holds columns j, j + nb, j + 2 nb, ..., not a run of
+    consecutive ids: ids are the sorted raw item names, which often follow
+    an item's age or popularity, and so can its score.  On a row whose
+    scores rise or fall with id, interleaved buckets keep about k
+    candidates, where runs of consecutive ids would keep about N / 2.
+    When a bucket would hold fewer than ``MIN_BUCKET`` scores, every score
+    is its own bucket: one row-wise ``np.partition`` finds the k-th best
+    score itself.
+
+    A NaN score is ranked last, so it must not set the bound: a row with a
+    NaN bucket max, or whose k-th best score is NaN (fewer than k scores
+    are numbers), takes all N ids.
+    """
+    rows, n = scores.shape
+    nb = 2 * k
+    s = n // nb
+    if s >= MIN_BUCKET:
+        # a view: row r's column j + i nb is element [r, i, j]
+        maxima = scores[:, : nb * s].reshape(rows, s, nb).max(axis=1)
+        bound = np.partition(maxima, nb - k, axis=1)[:, nb - k : nb - k + 1]
+        every = np.isnan(maxima).any(axis=1)
+    else:
+        neg = np.negative(scores)
+        neg.partition(k - 1, axis=1)
+        bound = -neg[:, k - 1 : k]
+        every = np.isnan(bound[:, 0])
+    candidate = scores >= bound
+    candidate[every] = True
+    return candidate
 
 
 def block_metrics(ids, targets, cutoffs) -> tuple[np.ndarray, np.ndarray]:
@@ -182,9 +238,14 @@ RANK_USERS = 6
 
 # Users scored and ranked by one ``top_k`` call in ``ranked``: ten chunks.
 # One (b, d) @ (d, N) product reads the catalog once for b users instead of
-# b times, but holds a (b, N) score block, plus a partition copy of it and a
-# candidate mask: 60 x N x 4 B is 8.6 MB of float32 scores at N = 36k.  A
-# bound keeps that working set fixed however many users are evaluated.
+# b times, but holds a (b, N) score block and a candidate mask (and, below
+# the bucket bound's sizes, a partition copy): 60 x N x 4 B is 8.6 MB of
+# float32 scores at N = 36k.  A bound keeps that working set fixed however
+# many users are evaluated.  Measured on large-catalog (N = 36k, 240 users,
+# 30 alternating evaluate() calls per size, one BLAS thread, 2 vCPUs):
+# blocks of 30 users were 7 % slower than 60 (faster in 6 of 30 calls) and
+# blocks of 120 were 3 % faster (22 of 30), so smaller blocks do not pay,
+# and 60 keeps the score block at half the size of 120's.
 SCORE_USERS = 10 * RANK_USERS
 
 

@@ -2,9 +2,15 @@
 
 The op set is deliberately small: matrix multiply, broadcast add/mul, a
 few activations, layer normalization, the sampled softmax loss over a
-score matrix, segment reductions, gather, and two fused sequence ops,
-``gru`` and ``attention``.  Everything else the model needs is composed
-from these, not added.  ``gru`` exists because a recurrence composed from
+score matrix, segment reductions, gather, a fused perceptron, ``mlp``, and
+two fused sequence ops, ``gru`` and ``attention``.  Everything else the
+model needs is composed from these, not added.  ``mlp`` exists because the
+item embedding and every feed-forward block are one-hidden-layer
+perceptrons: composed, each records five nodes and holds four (n, h) or
+(n, k) intermediates, which over the whole catalog are four copies of its
+size; as one op it records one node, applies the bias and activation in
+place on one hidden buffer, and gives the composed chain's floats.
+``gru`` exists because a recurrence composed from
 the elementary ops records about 17 nodes per row and step, so the graph
 and its backward would grow with sequence length; as one op it takes
 every input projection in one matmul, runs backpropagation through time
@@ -372,6 +378,56 @@ def tanh(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, activation: str) -> Tensor:
+    """One-hidden-layer perceptron ``act(x·w1 + b1)·w2 + b2`` as one node.
+
+    ``x`` is (n, m), ``w1`` (m, h), ``b1`` (h,), ``w2`` (h, k) and ``b2``
+    (k,); ``activation`` is ``"tanh"`` or ``"relu"``.  The bias and the
+    activation are applied in place on the one (n, h) hidden buffer, which
+    backward keeps.  Forward and backward compute what the chain of
+    ``matmul``, ``add``, the activation, ``matmul`` and ``add`` computes,
+    with the same formulas in the same order, so every value and gradient
+    is the same float.
+    """
+    if activation not in ("tanh", "relu"):
+        raise ValueError(f"mlp: unknown activation {activation!r}, expected 'tanh' or 'relu'")
+    m = x.shape[1] if x.ndim == 2 else -1
+    h = w1.shape[1] if w1.ndim == 2 else -1
+    k = w2.shape[1] if w2.ndim == 2 else -1
+    if (x.ndim != 2 or w1.shape != (m, h) or b1.shape != (h,) or w2.shape != (h, k)
+            or b2.shape != (k,)):
+        raise ValueError(f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
+                         f"b2 {b2.shape} must be (n, m), (m, h), (h,), (h, k) and (k,)")
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    if activation == "tanh":
+        np.tanh(hidden, out=hidden)
+    else:
+        np.maximum(hidden, 0, out=hidden)
+    data = hidden @ w2.data
+    data += b2.data
+
+    def backward(g):
+        if b2.requires_grad:
+            b2._accumulate(_unbroadcast(g, b2.shape))
+        if w2.requires_grad:
+            w2._accumulate(hidden.T @ g)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        dh = g @ w2.data.T
+        # the activation's slope, from its output: tanh' = 1 - tanh^2, and
+        # relu(a) > 0 exactly where a > 0
+        dh *= (1.0 - hidden * hidden) if activation == "tanh" else (hidden > 0)
+        if b1.requires_grad:
+            b1._accumulate(_unbroadcast(dh, b1.shape))
+        if x.requires_grad:
+            x._accumulate(dh @ w1.data.T)
+        if w1.requires_grad:
+            w1._accumulate(x.data.T @ dh)
+
+    return _result(data, (x, w1, b1, w2, b2), backward)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-x) for x >= 0, else e^x / (1 + e^x): exp never overflows
     e = np.exp(-np.abs(x))
@@ -380,10 +436,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    # one reduction per statistic; a sum over d divided by d rounds as mean does
+    d = x.shape[-1]
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d  # centred, then scaled in place
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     data = xhat * gain.data + bias.data
 
     def backward(g):
@@ -393,8 +451,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = dxhat.sum(axis=-1, keepdims=True) / d
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
             x._accumulate((dxhat - m1 - xhat * m2) * inv)
 
     return _result(data, (x, gain, bias), backward)
@@ -450,13 +508,11 @@ def sampled_softmax_xent(scores: Tensor, pos_cols, pos_mask, neg_cols, neg_mask)
                                (rows * n_cols + neg_cols).ravel()])
         vals = np.concatenate([-sig.ravel(), d_neg.ravel()])
         vals *= g
-        # sum each touched cell's terms in float64, in the order listed,
-        # round once to the scores' dtype, and add into the gradient in
-        # place: the cells are distinct, and untouched cells stay as they are
-        cells, slot = np.unique(flat, return_inverse=True)
-        sums = np.bincount(slot, weights=vals, minlength=cells.size).astype(s.dtype)
+        # sum each cell's terms in float64, in the order listed, round once
+        # to the scores' dtype, and add into the gradient in place
+        sums = np.bincount(flat, weights=vals, minlength=s.size).astype(s.dtype)
         grad = np.zeros(s.shape, dtype=s.dtype) if scores.grad is None else scores.grad
-        grad.flat[cells] += sums
+        grad += sums.reshape(s.shape)
         scores.grad = grad
 
     return _result(loss, (scores,), backward)

@@ -70,6 +70,13 @@ class TestTiedOutputVectors:
             single = space.embed_items([i]).data[0]
             np.testing.assert_array_equal(full[i], single)
 
+    @pytest.mark.parametrize("features", [False, True])
+    def test_catalog_equals_embedding_every_id_bitwise(self, features):
+        space = make_space(num_items=11, features=features, seed=5)
+        full = space.output_item_vectors().data
+        want = space.embed_items(np.arange(11)).data
+        np.testing.assert_array_equal(full.view(np.uint8), want.view(np.uint8))
+
     def test_rows_finite(self):
         full = make_space().output_item_vectors().data
         assert np.isfinite(full).all()

@@ -1,9 +1,12 @@
+import contextlib
 import json
 import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nextsession.evaluator as evaluator
 import nextsession.tensor as T
@@ -22,6 +25,7 @@ from nextsession.evaluator import (
     sweep_table,
     ranked,
     top_k,
+    top_k_candidates,
 )
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
@@ -33,7 +37,8 @@ from helpers import (history, loop_ndcg_at_k, loop_recall_at_k, loop_report, per
 
 def lexsort_top_k(user_vec, item_vecs, k):
     """The former ``top_k`` body: sort every score by (-score, id), keep k."""
-    scores = item_vecs @ user_vec
+    with np.errstate(invalid="ignore", over="ignore"):
+        scores = item_vecs @ user_vec
     n = scores.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds catalog size {n}")
@@ -54,7 +59,8 @@ def scalar_items(scores, dtype):
 
 def sorted_oracle(user_vec, item_vecs, k):
     """Reference ranking via python sort on (-score, id) pairs."""
-    scores = item_vecs @ user_vec
+    with np.errstate(invalid="ignore", over="ignore"):
+        scores = item_vecs @ user_vec
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return np.asarray(order[:k])
 
@@ -230,6 +236,157 @@ class TestBlockTopK:
             top_k(np.ones((2, 2)), np.ones((3, 2)), 4)
         with pytest.raises(ValueError, match="k=-1"):
             top_k(np.ones((2, 2)), np.ones((3, 2)), -1)
+
+
+# user scalars whose rows of scores against a (n, 1) item matrix are the
+# items themselves, their reverse order, and a rescaled copy
+BOUND_USERS = (1.0, -1.0, 0.5)
+
+
+def assert_bound_matches_the_oracle(scores, k, dtype=np.float32):
+    """``top_k`` of (3, 1) users against the (n, 1) items ``scores``, and of
+    the first user alone, equal the per-row sort of the same scores."""
+    users = np.array(BOUND_USERS, dtype=dtype)[:, None]
+    items = np.asarray(scores, dtype=dtype)[:, None]
+    want = block_oracle(users, items, k)
+    got = top_k(users, items, k)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(top_k(users[0], items, k), want[0])
+
+
+def bucketed(n, k):
+    """Whether ``top_k`` bounds a catalog of n with bucket maxima at this k."""
+    return 0 < k < n and n // (2 * k) >= evaluator.MIN_BUCKET
+
+
+@contextlib.contextmanager
+def min_bucket(size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "MIN_BUCKET", size)
+        yield
+
+
+class TestBucketBound:
+    """``top_k``'s bound from bucket maxima.  Its exactness does not depend
+    on ``MIN_BUCKET``, which only picks the faster path, so most cases lower
+    it to 8: k = 3 then reaches the bound from n = 48 on, six buckets of
+    eight, bucket j holding columns j, j + 6, ..., j + 42."""
+
+    @pytest.fixture(autouse=True)
+    def buckets_of_eight(self):
+        with min_bucket(8):
+            yield
+
+    def test_small_sizes_reach_the_bound(self):
+        assert bucketed(50, 3) and bucketed(16, 1) and not bucketed(47, 3)
+
+    def test_catalog_sizes_at_the_default_bucket(self):
+        with min_bucket(24):
+            assert bucketed(36_000, 100) and bucketed(48_000, 500)
+            assert not bucketed(1000, 100) and not bucketed(47_999, 1000)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(st.sampled_from(SPECIALS), st.integers(-3, 3).map(float),
+                              st.floats(-10.0, 10.0, width=32)), min_size=1, max_size=160),
+           st.integers(0, 9), st.sampled_from(DTYPES), st.sampled_from((1, 2, 8)))
+    def test_matches_the_sort_oracle(self, scores, k, dtype, size):
+        with min_bucket(size):
+            assert_bound_matches_the_oracle(scores, min(k, len(scores)), dtype)
+
+    @pytest.mark.parametrize("n", [48, 50, 53, 100])
+    def test_sorted_catalogs(self, n):
+        # ascending: the best are the last columns of every bucket and the
+        # remainder; the reversed row (the second user) has them first
+        for k in (1, 2, 3):
+            assert_bound_matches_the_oracle(np.arange(n), k)
+
+    @pytest.mark.parametrize("n", [48, 50, 53])
+    def test_all_best_scores_in_one_bucket(self, n):
+        # bucket 0 holds columns 0, 6, ..., 42, and the best eight of them
+        scores = np.zeros(n)
+        scores[0:48:6] = np.arange(1.0, 9.0)
+        for k in (1, 2, 3):
+            assert_bound_matches_the_oracle(scores, k)
+        np.testing.assert_array_equal(top_k(np.ones(1), scores[:, None], 3), [42, 36, 30])
+
+    def test_best_items_only_in_the_remainder_columns(self):
+        # k = 3, n = 53: six buckets of eight cover 48 columns; the five past
+        # them hold the best scores, and no bucket max reaches them
+        scores = np.zeros(53)
+        scores[48:] = [5.0, 7.0, 6.0, 7.0, 4.0]
+        assert_bound_matches_the_oracle(scores, 3)
+        np.testing.assert_array_equal(top_k(np.ones(1), scores[:, None], 3), [49, 51, 50])
+
+    def test_ties_straddle_the_bound_and_the_kth_place(self):
+        # buckets 0, 3, 5, 1 hold columns 0, 9, 17, 25: maxima 2, 1, 1, 1, 0, 0
+        # make the bound 1, and the tie group of ones (9, 17, 25 and the
+        # remainder column 49) straddles place 3
+        scores = np.zeros(50)
+        scores[[0, 9, 17, 25, 49]] = [2.0, 1.0, 1.0, 1.0, 1.0]
+        assert_bound_matches_the_oracle(scores, 3)
+        np.testing.assert_array_equal(top_k(np.ones(1), scores[:, None], 3), [0, 9, 17])
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            n = int(rng.integers(48, 120))
+            assert_bound_matches_the_oracle(rng.integers(-1, 2, size=n), int(rng.integers(1, 4)))
+
+    def test_nan_in_fewer_buckets_than_k(self):
+        rng = np.random.default_rng(19)
+        # one bucket, two buckets, the remainder only, and one bucket's
+        # every column
+        for nan_columns in ([3], [3, 40], [48, 52], [0, 6, 12, 18, 24, 30, 36, 42]):
+            scores = rng.normal(size=53)
+            scores[nan_columns] = np.nan
+            assert_bound_matches_the_oracle(scores, 3)
+
+    def test_an_all_nan_row_and_infinities_and_signed_zeros(self):
+        assert_bound_matches_the_oracle(np.full(50, np.nan), 3)
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            n = int(rng.integers(16, 100))
+            assert_bound_matches_the_oracle(rng.choice(SPECIALS, size=n), int(rng.integers(1, 4)))
+        # -0.0 and 0.0 are one tie group, ordered by id
+        scores = np.full(50, -1.0)
+        scores[[30, 10, 20]] = [0.0, -0.0, 0.0]
+        np.testing.assert_array_equal(top_k(np.ones(1), scores[:, None], 3), [10, 20, 30])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_vector_equals_a_one_row_block(self, dtype):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            items = rng.normal(size=(int(rng.integers(48, 200)), 4)).astype(dtype)
+            u = rng.normal(size=4).astype(dtype)
+            for k in (1, 3):
+                np.testing.assert_array_equal(top_k(u[None], items, k), top_k(u, items, k)[None])
+
+
+class TestCandidateCount:
+    """At the default ``MIN_BUCKET``, the bound keeps about k candidates on
+    a row whose scores trend with id, as on a random row."""
+
+    K = 100
+    N = 2 * K * evaluator.MIN_BUCKET + 37  # 37 remainder columns
+
+    def counts(self, scores):
+        assert bucketed(self.N, self.K)
+        return top_k_candidates(np.asarray(scores, dtype=np.float32), self.K).sum(axis=1)
+
+    def test_scores_falling_or_rising_with_id(self):
+        falling = -np.arange(self.N)
+        # falling: bucket j's max is column j, so the bound is column k - 1;
+        # rising: the maxima are the last 2k bucketed columns, and the
+        # remainder beats them all
+        np.testing.assert_array_equal(self.counts([falling, -falling]), [self.K, self.K + 37])
+
+    def test_noisy_trends_and_random_rows(self):
+        rng = np.random.default_rng(22)
+        trend = np.linspace(3.0, -3.0, self.N)
+        rows = [trend + 0.05 * rng.normal(size=self.N), -trend + 0.05 * rng.normal(size=self.N),
+                rng.normal(size=self.N)]
+        counts = self.counts(rows)
+        assert (counts >= self.K).all() and (counts <= 2 * self.K).all(), counts
 
 
 class TestRecall:

@@ -673,6 +673,86 @@ class TestAttention:
         assert str(err.value) == message
 
 
+MLP_NAMES = ("x", "w1", "b1", "w2", "b2")
+
+
+def composite_mlp(x, w1, b1, w2, b2, activation):
+    """``act(x·w1 + b1)·w2 + b2`` as the chain of elementary ops."""
+    act = nt.tanh if activation == "tanh" else nt.relu
+    return nt.add(nt.matmul(act(nt.add(nt.matmul(x, w1), b1)), w2), b2)
+
+
+def mlp_arrays(seed, dtype=np.float64, n=7, m=6, h=8, k=5):
+    """x, w1, b1, w2 and b2 uniform in [-1, 1], in MLP_NAMES order."""
+    rng = np.random.default_rng(seed)
+    shapes = ((n, m), (m, h), (h,), (h, k), (k,))
+    return [rng.uniform(-1.0, 1.0, shape).astype(dtype) for shape in shapes]
+
+
+class TestMlp:
+    """The fused one-hidden-layer perceptron, ``mlp``."""
+
+    @pytest.mark.parametrize("frozen", [(), ("x",), ("w1", "b1", "w2", "b2")])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_gradient(self, activation, frozen):
+        arrays = dict(zip(MLP_NAMES, mlp_arrays(1, n=4, m=3, h=5, k=2)))
+        constants = {name: Tensor(arrays.pop(name)) for name in frozen}
+        w = rand(4, 2)
+
+        def build(*leaves):
+            given = {**dict(zip(arrays, leaves)), **constants}
+            out = nt.mlp(*(given[name] for name in MLP_NAMES), activation)
+            return nt.sum_all(nt.mul(out, Tensor(w)))
+
+        check_op_gradient(build, list(arrays.values()))
+
+    @pytest.mark.parametrize("frozen", [None] + list(MLP_NAMES))
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_matches_the_composite_chain_bitwise_in_float32(self, activation, frozen):
+        arrays = mlp_arrays(2, np.float32)
+        w = np.random.default_rng(3).normal(size=(7, 5)).astype(np.float32)
+        results = []
+        for run in (nt.mlp, composite_mlp):
+            leaves = [Tensor(a.copy(), requires_grad=name != frozen)
+                      for name, a in zip(MLP_NAMES, arrays)]
+            out = run(*leaves, activation)
+            nt.sum_all(nt.mul(out, Tensor(w))).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for name, got, want in zip(("out",) + MLP_NAMES, *results):
+            if name == frozen:
+                assert got is None and want is None
+                continue
+            assert got.dtype == np.float32, name
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8), err_msg=name)
+
+    def test_no_grad_records_no_parents(self):
+        leaves = [Tensor(a, requires_grad=True) for a in mlp_arrays(4)]
+        want = nt.mlp(*leaves, "relu")
+        with nt.no_grad():
+            out = nt.mlp(*leaves, "relu")
+        assert want._parents and out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, want.data)
+
+    @pytest.mark.parametrize("shapes", [
+        ((7, 6), (5, 8), (8,), (8, 5), (5,)),
+        ((7, 6), (6, 8), (5,), (8, 5), (5,)),
+        ((7, 6), (6, 8), (8,), (7, 5), (5,)),
+        ((7, 6), (6, 8), (8,), (8, 5), (1, 5)),
+        ((6,), (6, 8), (8,), (8, 5), (5,)),
+    ])
+    def test_wrong_weight_shape_is_one_line(self, shapes):
+        with pytest.raises(ValueError) as err:
+            nt.mlp(*(Tensor(np.zeros(s)) for s in shapes), "tanh")
+        x, w1, b1, w2, b2 = shapes
+        assert str(err.value) == (f"mlp: x {x}, w1 {w1}, b1 {b1}, w2 {w2} and b2 {b2} must be "
+                                  f"(n, m), (m, h), (h,), (h, k) and (k,)")
+
+    def test_unknown_activation_is_one_line(self):
+        with pytest.raises(ValueError) as err:
+            nt.mlp(*(Tensor(a) for a in mlp_arrays(5)), "sigmoid")
+        assert str(err.value) == "mlp: unknown activation 'sigmoid', expected 'tanh' or 'relu'"
+
+
 class TestParameters:
     """``Parameters.new``'s ``blocks``: a stacked weight drawn block by block."""
 
