@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 import zipfile
@@ -208,12 +209,17 @@ def ingest(path: str) -> tuple[Log, tuple[str, ...]]:
     The header is one csv record, and blank lines are skipped.  Two paths
     read the log, to the same arrays and the same errors.  The byte path
     (``_read_bytes``) parses the raw bytes with numpy, about
-    ``BLOCK_BYTES`` at a time, when it can show its parse equal to
-    ``csv.reader``'s: no ``"``, no NUL, no CR but in a CRLF line end, the
-    header's field count on every non-blank line, no field over
+    ``BLOCK_BYTES`` at a time, while it can show its parse of a block equal
+    to ``csv.reader``'s: no ``"``, no NUL, no CR but in a CRLF line end,
+    the header's field count on every non-blank line, no field over
     ``WIDEST_FIELD`` bytes, every timestamp ``-?[0-9]{1,18}``, every action
-    label a known one, and every field UTF-8.  Any other log goes whole
-    through ``csv.reader`` (``_read_records``), which raises every error.
+    label a known one, and every field UTF-8.  It codes each run of equal
+    fields in a column once.  From the first block it cannot show that of,
+    ``csv.reader`` (``_read_records``) reads the rest of the log, which
+    raises every error: the rows before keep the byte path's parse, a name
+    they hold keeps its code, and lines are numbered on from there.  A
+    header that the byte path cannot parse sends the whole log to
+    ``csv.reader``.
     A repeated header column, text that is not UTF-8, a field longer than
     ``csv.field_size_limit()`` and malformed rows raise ValueError; a row's
     error names its 1-based line number, with csv records, not physical
@@ -221,35 +227,36 @@ def ingest(path: str) -> tuple[Log, tuple[str, ...]]:
     """
     try:
         with open(path, "rb") as fh:
-            parsed = _read_bytes(fh, path)
-        if parsed is None:
-            with open(path, newline="", encoding="utf-8") as fh:
-                parsed = _read_records(fh, path)
+            return _read_bytes(fh, path)
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x}: "
                          f"{e.reason})") from None
     except csv.Error as e:  # a field longer than csv.field_size_limit()
         raise ValueError(f"{path}: {e}") from None
-    return parsed
 
 
-def _read_records(fh, path: str) -> tuple[Log, tuple[str, ...]]:
+def _read_records(fh, path: str, before: _Columns | None = None) -> tuple[Log, tuple[str, ...]]:
     """``ingest`` through ``csv.reader``, about as many records at a time as
-    a block of short lines holds."""
+    a block of short lines holds.  ``before``, if given, is what the byte
+    path parsed of the log up to where ``fh`` stands: the header, the rows,
+    the names they hold, and the line number of the next record."""
     reader = csv.reader(fh)
-    # an empty file reads as a header with no rows
-    header = [h.strip() for h in next(reader, REQUIRED_COLUMNS)]
-    feature_names = _feature_names(header, path)
-    string_columns = ("user", "item", "session") + feature_names
-    tables = [defaultdict() for _ in string_columns]
-    for table in tables:  # a new key gets the next code: 0, 1, 2, ...
+    if before is None:
+        # an empty file reads as a header with no rows
+        header = [h.strip() for h in next(reader, REQUIRED_COLUMNS)]
+        before = _Columns(header, _feature_names(header, path), 0)
+    header, n = before.header, before.rows
+    # a name seen before keeps its code; a new one gets the next code
+    tables = [defaultdict(None, zip(coder.names, range(len(coder.names))))
+              for coder in before.coders]
+    for table in tables:
         table.default_factory = table.__len__
-    converters = [int, _Polarity().__getitem__] + [t.__getitem__ for t in tables]
+    converters = [int, before.polarity.__getitem__] + [t.__getitem__ for t in tables]
     dtypes = [np.int64, bool] + [np.int64] * len(tables)
-    columns = [header.index(c) for c in ("timestamp", "action") + string_columns]
+    columns = [before.ts, before.act] + before.columns
     width = len(header)
-    chunks = [[np.zeros(0, dtype) for dtype in dtypes]]
-    first_line = 2  # csv records, not physical lines, are numbered
+    chunks = [[before.timestamp[:n], before.positive[:n]] + [codes[:n] for codes in before.codes]]
+    first_line = before.line  # csv records, not physical lines, are numbered
     while records := list(islice(reader, max(1, BLOCK_BYTES // 64))):
         rows = [row for row in records if row]
         try:
@@ -264,7 +271,7 @@ def _read_records(fh, path: str) -> tuple[Log, tuple[str, ...]]:
 
     timestamp, positive, *codes = map(np.concatenate, zip(*chunks))
     user, item, session, *features = map(Codes, codes, map(list, tables))
-    return Log(user, item, session, timestamp, positive, tuple(features)), feature_names
+    return Log(user, item, session, timestamp, positive, tuple(features)), before.feature_names
 
 
 class _Coder:
@@ -423,13 +430,31 @@ def _timestamps(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) ->
     return value
 
 
+def _run_codes(coder: _Coder, words: np.ndarray) -> np.ndarray | None:
+    """``coder.codes(words)``, with each run of equal rows coded once, by
+    its first row (its head): equal rows are equal fields."""
+    rows = len(words)
+    head = np.empty(rows, bool)  # differs from the row before
+    head[:1] = True
+    np.not_equal(words[1:, 0], words[:-1, 0], out=head[1:])
+    for word in words.T[1:]:  # a word at a time: a (rows, words) temporary costs more
+        head[1:] |= word[1:] != word[:-1]
+    heads = np.flatnonzero(head)
+    if len(heads) == rows:  # no runs, as in an item column
+        return coder.codes(words)
+    codes = coder.codes(words[heads])
+    return None if codes is None else np.repeat(codes, np.diff(heads, append=rows))
+
+
 class _Columns:
     """A log's arrays as the byte path fills them, a block at a time: the
     timestamps, the polarities, and per string column its codes and their
-    ``_Coder``."""
+    ``_Coder``.  A string column and the action column code each run of
+    equal fields once (``_run_codes``): in a log grouped by user and
+    session, most user, session and action fields repeat the one above."""
 
     def __init__(self, header: list[str], feature_names: tuple[str, ...], rows: int):
-        self.width = len(header)
+        self.header, self.feature_names, self.width = header, feature_names, len(header)
         self.ts, self.act = header.index("timestamp"), header.index("action")
         self.columns = [header.index(c) for c in ("user", "item", "session") + feature_names]
         self.timestamp, self.positive = np.empty(rows, np.int64), np.empty(rows, bool)
@@ -438,11 +463,23 @@ class _Columns:
         self.actions, self.polarity = _Coder(), _Polarity()
         self.positive_of = np.zeros(0, bool)  # the polarity of each action code
         self.rows = 0
+        self.line = 2  # the line number of the next record; blank ones count, as in csv.reader
 
     def add(self, block: bytes) -> bool:
         """Parse ``block``, whole lines each ending in a line end, onto the
         arrays; False where the parse cannot be shown equal to
-        ``_read_records``'."""
+        ``_read_records``'.  Then the rows and the names are those before
+        ``block``, and the columns take no more blocks."""
+        rows, names = self.rows, [len(coder.names) for coder in self.coders]
+        if self._add(block):
+            self.line += block.count(b"\n")
+            return True
+        self.rows = rows
+        for coder, count in zip(self.coders, names):
+            del coder.names[count:]
+        return False
+
+    def _add(self, block: bytes) -> bool:
         fields = _fields(block, self.width)
         if fields is None:
             return False
@@ -458,7 +495,8 @@ class _Columns:
 
     def _add_rows(self, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
         stamps = _timestamps(windows, starts[:, self.ts], lengths[:, self.ts])
-        labels = self.actions.codes(_field_words(windows, starts[:, self.act], lengths[:, self.act]))
+        labels = _run_codes(self.actions, _field_words(windows, starts[:, self.act],
+                                                        lengths[:, self.act]))
         if stamps is None or labels is None:
             return False
         if len(self.positive_of) < len(self.actions.names):
@@ -469,7 +507,7 @@ class _Columns:
         n, k = self.rows, len(starts)
         self.timestamp[n:n + k], self.positive[n:n + k] = stamps, self.positive_of[labels]
         for j, coder, out in zip(self.columns, self.coders, self.codes):
-            codes = coder.codes(_field_words(windows, starts[:, j], lengths[:, j]))
+            codes = _run_codes(coder, _field_words(windows, starts[:, j], lengths[:, j]))
             if codes is None:
                 return False
             out[n:n + k] = codes
@@ -483,21 +521,24 @@ class _Columns:
         return Log(user, item, session, self.timestamp[:n], self.positive[:n], tuple(features))
 
 
-def _read_bytes(fh, path: str) -> tuple[Log, tuple[str, ...]] | None:
-    """``ingest`` of ``fh``, the log opened in binary, through numpy; None
-    where the parse cannot be shown equal to ``_read_records``'.  Python
-    work is done once per distinct field, in the ``_Coder``s, not once per
-    row."""
+def _read_bytes(fh, path: str) -> tuple[Log, tuple[str, ...]]:
+    """``ingest`` of ``fh``, the log opened in binary, through numpy up to
+    the first block whose parse cannot be shown equal to ``_read_records``':
+    from there ``_read_records`` reads on, after the rows before it, or
+    reads the whole log if that is the header.  Python work is done once
+    per distinct field, in the ``_Coder``s, not once per row."""
     header = list(REQUIRED_COLUMNS)  # an empty file reads as a header with no rows
     if line := fh.readline():
         line = line.removesuffix(b"\n").removesuffix(b"\r")
-        if b'"' in line or b"\r" in line:
-            return None
         try:
             header = [h.strip() for h in line.decode().split(",")] if line else []
             feature_names = _feature_names(header, path)
+            plain = b'"' not in line and b"\r" not in line
         except ValueError:  # also text that is not UTF-8; the csv path names the fault
-            return None
+            plain = False
+        if not plain:
+            fh.seek(0)
+            return _read_text(fh, path)
     else:
         feature_names = ()
     start = fh.tell()
@@ -507,8 +548,16 @@ def _read_bytes(fh, path: str) -> tuple[Log, tuple[str, ...]] | None:
     columns = _Columns(header, feature_names, rows)
     while block := fh.read(BLOCK_BYTES) + fh.readline():
         if not columns.add(block if block.endswith(b"\n") else block + b"\n"):
-            return None
+            fh.seek(-len(block), os.SEEK_CUR)
+            return _read_text(fh, path, columns)
     return columns.log(), feature_names
+
+
+def _read_text(fh, path: str, before: _Columns | None = None) -> tuple[Log, tuple[str, ...]]:
+    """``_read_records`` of ``fh``, the log opened in binary, from where it
+    stands; it closes ``fh``."""
+    with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        return _read_records(text, path, before)
 
 
 def _fixpoint_filter(user, item, session, positive) -> np.ndarray:
@@ -525,17 +574,17 @@ def _fixpoint_filter(user, item, session, positive) -> np.ndarray:
     session_user = np.zeros(sizes[2], np.int64)
     session_user[session] = user
     rows = np.arange(len(user))
+    u, it, s, pos = user, item, session, positive  # the rows left; the first pass reads all
     while True:
-        u, it, s = user[rows], item[rows], session[rows]
         item_ok = np.bincount(it, minlength=sizes[1]) >= MIN_ITEM_FEEDBACKS
-        session_ok = np.bincount(s, weights=positive[rows], minlength=sizes[2]) > 0
+        session_ok = np.bincount(s[pos], minlength=sizes[2]) > 0
         user_sessions = session_user[np.bincount(s, minlength=sizes[2]) > 0]
         user_ok = ((np.bincount(u, minlength=sizes[0]) >= MIN_USER_FEEDBACKS)
                    & (np.bincount(user_sessions, minlength=sizes[0]) >= MIN_USER_SESSIONS))
         ok = item_ok[it] & user_ok[u] & session_ok[s]
         if ok.all():
             return rows
-        rows = rows[ok]
+        rows, u, it, s, pos = rows[ok], u[ok], it[ok], s[ok], pos[ok]
 
 
 def equal_frequency_edges(values: np.ndarray, num_bins: int) -> np.ndarray:
@@ -551,10 +600,12 @@ def equal_frequency_edges(values: np.ndarray, num_bins: int) -> np.ndarray:
 def _ranked(column: Codes, rows: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The sorted distinct names of ``column`` over ``rows``, and each of
     those rows' rank among them."""
-    present = sorted(np.unique(column.codes[rows]).tolist(), key=column.names.__getitem__)
+    codes = column.codes[rows]
+    present = np.flatnonzero(np.bincount(codes, minlength=len(column.names)))
+    present = sorted(present.tolist(), key=column.names.__getitem__)
     rank = np.empty(len(column.names), np.int64)
     rank[present] = np.arange(len(present))
-    return [column.names[c] for c in present], rank[column.codes[rows]]
+    return [column.names[c] for c in present], rank[codes]
 
 
 def _encode_feature(column: Codes, rows: np.ndarray, bin_count: int) -> tuple[dict, np.ndarray]:
@@ -608,10 +659,10 @@ def filter_dataset(log: Log, feature_names: tuple[str, ...] = (),
     first_seen[seen] = first
     order = by_time[np.argsort(first_seen[session[by_time]], kind="stable")]
 
-    # catalog-side feature values: an item's first row in (user, timestamp) order
-    item_first = rows[by_time[np.unique(item[by_time], return_index=True)[1]]]
     catalog = Catalog(item_ids, feature_names,
                       item_features=np.zeros((len(item_ids), len(feature_names)), np.int32))
+    if feature_names:  # catalog-side feature values: an item's first row in (user, timestamp) order
+        item_first = rows[by_time[np.unique(item[by_time], return_index=True)[1]]]
     for j, (name, column) in enumerate(zip(feature_names, log.features)):
         catalog.feature_info[name], value_of = _encode_feature(column, rows, bin_count)
         catalog.item_features[:, j] = value_of[column.codes[item_first]]
@@ -814,9 +865,9 @@ def save_dataset(out_dir: str, dataset: Dataset, catalog: Catalog,
     write_archive(os.path.join(out_dir, "interactions.npz"), header, {
         "session_rows": np.diff(sessions.offsets).astype(np.int64),
         "user_sessions": np.diff(dataset.user_offsets).astype(np.int64),
-        "item": sessions.item.astype(np.int32),
-        "positive": sessions.positive.astype(bool),
-        "timestamp": sessions.timestamp.astype(np.int64),
+        "item": sessions.item.astype(np.int32, copy=False),
+        "positive": sessions.positive.astype(bool, copy=False),
+        "timestamp": sessions.timestamp.astype(np.int64, copy=False),
         "item_features": catalog.item_features,
     })
     with open(os.path.join(out_dir, "stats.json"), "w") as fh:
@@ -874,6 +925,8 @@ def load_dataset(data_dir: str) -> tuple[Dataset, Catalog, dict]:
     feature_names = tuple(header["feature_names"])
     check(arrays["item_features"].shape == (len(item_ids), len(feature_names)),
           "item_features does not hold one row per item and one column per feature")
+    check(arrays["item_features"].dtype.kind in "iu",
+          f"array 'item_features' holds {arrays['item_features'].dtype} values, not integers")
     catalog = Catalog(item_ids, feature_names, header["feature_info"], arrays["item_features"])
     try:
         vocab = catalog.feature_vocab_sizes()

@@ -254,7 +254,7 @@ PLAIN_STRADDLING = ('user,item,session,timestamp,action\n'
                     'u3,ï5,s3,5, Click')
 
 
-def no_csv_path(fh, path):
+def no_csv_path(fh, path, *before):
     pytest.fail(f"{path} went through csv.reader")
 
 
@@ -359,18 +359,29 @@ FIELD = st.text(st.characters(exclude_characters=',"\r\n\0', exclude_categories=
                 max_size=5)
 STAMP = st.builds(lambda value, zeros: "-" * (value < 0) + "0" * zeros + str(abs(value)),
                   st.integers(-10**12, 10**12), st.integers(0, 5))  # at most 18 digits
-ROW = st.tuples(FIELD, FIELD, FIELD, STAMP,
-                st.sampled_from(["click", "exposure", "Purchase", " effective-view", "CLICK "]),
-                FIELD).map(",".join)
+ACTION = st.sampled_from(["click", "exposure", "Purchase", " effective-view", "CLICK "])
+ROW = st.tuples(FIELD, FIELD, FIELD, STAMP, ACTION, FIELD).map(",".join)
+# rows of one user and session, perhaps of one action too, as a log grouped
+# by session has them: the byte path codes each run of equal fields once.
+# Ids that share their first 8 bytes differ only in a later word.
+LONG_FIELD = st.one_of(FIELD, FIELD.map("session-".__add__))
+RUN = st.builds(lambda user, session, action, rest: [
+    ",".join((user, item, session, stamp, action or own, color))
+    for item, stamp, own, color in rest],
+    LONG_FIELD, LONG_FIELD, st.one_of(st.none(), ACTION),
+    st.lists(st.tuples(FIELD, STAMP, ACTION, FIELD), min_size=2, max_size=12))
 
 
 @st.composite
 def quote_free_logs(draw):
     """The UTF-8 text of a log with a feature column and no quote: ids of
-    0-5 characters, many not ASCII, so widths change from line to line; LF
-    and CRLF line ends, mixed; blank lines; perhaps no final line end."""
-    lines = ["user,item,session,timestamp,action,color"] + draw(
-        st.lists(st.one_of(ROW, st.just("")), max_size=30))
+    0-5 characters, many not ASCII, so widths change from line to line;
+    runs of rows with equal user, session and action fields; LF and CRLF
+    line ends, mixed; blank lines, some in runs; perhaps no final line end."""
+    lines = ["user,item,session,timestamp,action,color"] + sum(draw(
+        st.lists(st.one_of(ROW.map(lambda row: [row]), RUN,
+                           st.integers(1, 4).map(lambda blank: [""] * blank)),
+                 max_size=12)), [])
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join(map(str.__add__, lines, ends))
@@ -389,6 +400,7 @@ class TestBytePath:
                 fh.write(text.encode())
             with open(path, newline="", encoding="utf-8") as fh:
                 log, features = data._read_records(fh, path)
+            # at 1 byte, a block of two blank lines has no rows
             for block_bytes in (1, 13, 200, data.BLOCK_BYTES):
                 with mock.patch.object(data, "BLOCK_BYTES", block_bytes), open(path, "rb") as fh:
                     parsed = data._read_bytes(fh, path)
@@ -453,12 +465,73 @@ class TestBytePath:
         assert fallbacks == [path]
 
 
+class TestResume:
+    """A log the byte path refuses part way is read on by csv.reader from
+    the refused block, after the rows before it."""
+
+    @staticmethod
+    def text(tail):
+        """303 plain rows with blank lines among them (LF and CRLF), then
+        ``tail``: the rows are records 2-151, 153-302 and 305-307, and
+        ``tail``'s from 308 on."""
+        rows = [f"u{k // 30},i{k % 17},s{k // 10},{k},{('click', 'exposure')[k % 3 == 2]}\n"
+                for k in range(300)]
+        return ("user,item,session,timestamp,action\n" + "".join(rows[:150]) + "\n"
+                + "".join(rows[150:]) + "\r\n\n" + "".join(rows[:3]) + tail)
+
+    # the rows of the blocks before the quoted line's, which the byte path
+    # parses: at 1 byte a block is a line; the default block is the whole log
+    @pytest.mark.parametrize("block_bytes, as_bytes", [(1, 303), (64, 302), (700, 275),
+                                                       (None, 0)])
+    def test_a_quoted_last_line_gives_the_csv_reader_log(self, tmp_path, monkeypatch,
+                                                           block_bytes, as_bytes):
+        path = tmp_path / "log.csv"
+        path.write_bytes(self.text('u9,"i,9",s9,9,click\n').encode())
+        with open(path, newline="", encoding="utf-8") as fh:
+            want, _ = data._read_records(fh, str(path))
+        assert want.item.names[-1] == "i,9" and len(want) == 304
+        resumed = []
+        read_records = data._read_records
+        monkeypatch.setattr(data, "_read_records", lambda fh, path, before=None:
+                            resumed.append(before.rows) or read_records(fh, path, before))
+        if block_bytes is not None:
+            monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
+        assert_same_log(want, ingest(str(path))[0])
+        assert resumed == [as_bytes]
+
+    @pytest.mark.parametrize("block_bytes", [1, 64, 700, None])
+    @pytest.mark.parametrize("tail, message", [
+        ('u9,"i,9",s9,9,click\nu9,i9,s9,soon,click\n',
+         "line 309: timestamp 'soon' is not a 64-bit integer"),
+        ('u9,"i,9",s9,9,click\n\r\nu9,i9,s9,9\n', "line 310: expected 5 fields, got 4"),
+        ('u9,i9,s9,9,hover\nu9,"i,9",s9,9,click\n', "line 308: unknown action 'hover'"),
+    ], ids=["after the quote", "after a blank line", "before the quote"])
+    def test_a_malformed_row_is_named_by_its_line(self, tmp_path, monkeypatch, block_bytes,
+                                                  tail, message):
+        path = tmp_path / "log.csv"
+        path.write_bytes(self.text(tail).encode())
+        if block_bytes is not None:
+            monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest(str(path))
+
+    def test_a_refused_block_leaves_the_rows_and_names_as_they_were(self):
+        header = list(data.REQUIRED_COLUMNS)
+        columns = data._Columns(header, (), 10)
+        assert columns.add(b"u1,i1,s1,1,click\n\nu1,i2,s1,2,exposure\n")
+        # the new user and the first new item are coded before the bytes of
+        # the second are found not UTF-8
+        assert not columns.add(b"u2,i3,s2,3,click\nu2,i\xc3,s2,4,click\n")
+        assert columns.rows == 2 and columns.line == 5
+        assert [coder.names for coder in columns.coders] == [["u1"], ["i1", "i2"], ["s1"]]
+
+
 def csv_reads(monkeypatch):
     """The paths that ``ingest`` reads through csv.reader from now on."""
     paths = []
     read_records = data._read_records
-    monkeypatch.setattr(data, "_read_records",
-                        lambda fh, path: paths.append(path) or read_records(fh, path))
+    monkeypatch.setattr(data, "_read_records", lambda fh, path, *before:
+                        paths.append(path) or read_records(fh, path, *before))
     return paths
 
 
@@ -586,6 +659,26 @@ class TestFilterDataset:
         assert catalog.feature_vocab_sizes() == [2]
         assert catalog.item_features.shape == (3, 1)
         assert set(catalog.item_features[:, 0]) <= {0, 1}
+
+
+class TestRanked:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(max_size=3), min_size=1, max_size=12, unique=True), st.data())
+    def test_equals_the_unique_formulation(self, names, draw):
+        """Present codes by bincount rank as ``np.unique``'s do, with names
+        that no row holds and rows that skip some codes."""
+        codes = np.array(draw.draw(st.lists(st.integers(0, len(names) - 1), max_size=40)),
+                         np.int64)
+        rows = np.flatnonzero(np.array(draw.draw(st.lists(st.booleans(), min_size=len(codes),
+                                                          max_size=len(codes))), bool))
+        column = data.Codes(codes, names)
+        present = sorted(np.unique(codes[rows]).tolist(), key=names.__getitem__)
+        rank = np.empty(len(names), np.int64)
+        rank[present] = np.arange(len(present))
+        got_names, got_rank = data._ranked(column, rows)
+        assert got_names == [names[c] for c in present]
+        assert got_rank.dtype == np.int64
+        np.testing.assert_array_equal(got_rank, rank[codes[rows]])
 
 
 class TestBinning:
@@ -887,9 +980,12 @@ class TestCorruptDirectory:
         ("item", lambda a: a + 0.7, "holds float64 values, not integers"),
         ("timestamp", lambda a: a + 0.5, "holds float64 values, not integers"),
         ("positive", lambda a: a.astype(np.int8), "holds int8 values, not booleans"),
+        ("item_features", lambda a: a + 0.7, "holds float64 values, not integers"),
     ])
     def test_row_arrays_of_another_kind_refused(self, tmp_path, name, damage, message):
-        out = damaged(prepared(tmp_path),
+        # with a feature column, so item_features holds values: 0.7 and 1.7 once damaged
+        rows = [row + (("red", "blue")[row[1] == "a"],) for row in dense_corpus_rows()]
+        out = damaged(prepared(tmp_path, rows, "user,item,session,timestamp,action,color"),
                       lambda header, arrays: arrays.update({name: damage(arrays[name])}))
         refused(out, f"array {name!r} {message}")
 
