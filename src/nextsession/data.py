@@ -46,7 +46,8 @@ MIN_USER_FEEDBACKS = 5
 MIN_USER_SESSIONS = 3
 
 BLOCK_BYTES = 1 << 17  # log bytes parsed at a time, read on to a line end; a small block keeps little alive
-WIDEST_FIELD = 256  # bytes; a log with a wider field goes through csv.reader, so code tables stay narrow
+WIDEST_FIELD = 256  # bytes; a block with a wider field goes through csv.reader, which holds
+# fields to csv.field_size_limit(); below it, a block's byte matrices stay narrow
 
 
 class Sessions:
@@ -213,8 +214,9 @@ def ingest(path: str) -> tuple[Log, tuple[str, ...]]:
     to ``csv.reader``'s: no ``"``, no NUL, no CR but in a CRLF line end,
     the header's field count on every non-blank line, no field over
     ``WIDEST_FIELD`` bytes, every timestamp ``-?[0-9]{1,18}``, every action
-    label a known one, and every field UTF-8.  It codes each run of equal
-    fields in a column once.  From the first block it cannot show that of,
+    label a known one, and every field UTF-8.  It keeps each run of equal
+    fields in a column once, and codes each column once, by sorting, when
+    the log ends.  From the first block it cannot show that of,
     ``csv.reader`` (``_read_records``) reads the rest of the log, which
     raises every error: the rows before keep the byte path's parse, a name
     they hold keeps its code, and lines are numbered on from there.  A
@@ -239,23 +241,24 @@ def _read_records(fh, path: str, before: _Columns | None = None) -> tuple[Log, t
     """``ingest`` through ``csv.reader``, about as many records at a time as
     a block of short lines holds.  ``before``, if given, is what the byte
     path parsed of the log up to where ``fh`` stands: the header, the rows,
-    the names they hold, and the line number of the next record."""
+    and the line number of the next record."""
     reader = csv.reader(fh)
     if before is None:
         # an empty file reads as a header with no rows
         header = [h.strip() for h in next(reader, REQUIRED_COLUMNS)]
-        before = _Columns(header, _feature_names(header, path), 0)
-    header, n = before.header, before.rows
+        before = _Columns(header, _feature_names(header, path))
+    header, log = before.header, before.log()
+    strings = (log.user, log.item, log.session, *log.features)
     # a name seen before keeps its code; a new one gets the next code
-    tables = [defaultdict(None, zip(coder.names, range(len(coder.names))))
-              for coder in before.coders]
+    tables = [defaultdict(None, zip(column.names, range(len(column.names))))
+              for column in strings]
     for table in tables:
         table.default_factory = table.__len__
     converters = [int, before.polarity.__getitem__] + [t.__getitem__ for t in tables]
     dtypes = [np.int64, bool] + [np.int64] * len(tables)
     columns = [before.ts, before.act] + before.columns
     width = len(header)
-    chunks = [[before.timestamp[:n], before.positive[:n]] + [codes[:n] for codes in before.codes]]
+    chunks = [[log.timestamp, log.positive] + [column.codes for column in strings]]
     first_line = before.line  # csv records, not physical lines, are numbered
     while records := list(islice(reader, max(1, BLOCK_BYTES // 64))):
         rows = [row for row in records if row]
@@ -274,97 +277,6 @@ def _read_records(fh, path: str, before: _Columns | None = None) -> tuple[Log, t
     return Log(user, item, session, timestamp, positive, tuple(features)), before.feature_names
 
 
-class _Coder:
-    """First-appearance codes of one column's fields, given a block at a
-    time as rows of uint64 words, zero-padded: no field holds a NUL, so
-    equal rows are equal fields.  A row's key is its first word, mixed with
-    each later nonzero word.  Keys are looked up in sorted tables, and then
-    each row is compared with the words of its code's first field, so a key
-    that two fields share is caught, never believed: it sends the log to
-    the csv path."""
-
-    def __init__(self):
-        # sorted keys with their codes: a large table, and a small one of
-        # newer keys that is merged into it once it outgrows a sixteenth of it
-        self.tables = [(np.zeros(0, np.uint64), np.zeros(0, np.int64))] * 2
-        self.words = np.zeros((0, 1), np.uint64)  # row c: code c's field; spare rows after
-        self.names: list[str] = []
-
-    def codes(self, words: np.ndarray) -> np.ndarray | None:
-        """The code of each row of ``words``, or None if a new field is not
-        UTF-8 or two fields share a key."""
-        key = words[:, 0]
-        for word in words.T[1:]:  # mix the key so far before a word goes in
-            mixed = (key ^ key >> 29) * _KEY_MULTIPLIER
-            mixed ^= mixed >> 32
-            key = np.where(word != 0, mixed ^ word, key)
-        order = key.argsort()  # not stable, so first appearances come from reduceat
-        ordered = key[order]
-        head = np.empty(len(key), bool)  # starts a run of equal keys in ``ordered``
-        head[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-        runs = np.flatnonzero(head)
-        distinct, first = ordered[runs], np.minimum.reduceat(order, runs)
-        inverse = np.empty(len(key), np.int64)
-        inverse[order] = np.cumsum(head) - 1
-        code = np.full(len(distinct), -1)
-        for keys, key_codes in self.tables:
-            if len(keys):
-                at = np.searchsorted(keys, distinct).clip(max=len(keys) - 1)
-                found = keys[at] == distinct
-                code[found] = key_codes[at[found]]
-        new = np.flatnonzero(code < 0)
-        if new.size:
-            count = len(self.names)
-            fresh = new[np.argsort(first[new])]  # in order of first appearance
-            code[fresh] = np.arange(count, count + len(fresh))
-            rows = words[first[fresh]]
-            try:
-                self.names += map(bytes.decode, rows.view(f"S{rows.shape[1] * 8}").ravel().tolist())
-            except UnicodeDecodeError:
-                return None
-            self._store(count, rows)
-            self._add(distinct[new], code[new])
-        codes = code[inverse]
-        stored, width = self.words[codes], words.shape[1]
-        # a row wider than every stored field can only share a stored field's key
-        if width > stored.shape[1] or (stored[:, :width] != words).any() or stored[:, width:].any():
-            return None
-        return codes
-
-    def _add(self, keys: np.ndarray, codes: np.ndarray) -> None:
-        """Put ``keys``, sorted, and their codes in the small table."""
-        large, small = self.tables
-        small = _merged(small, (keys, codes))
-        if len(small[0]) > max(4096, len(large[0]) // 16):
-            large, small = _merged(large, small), (small[0][:0], small[1][:0])
-        self.tables = [large, small]
-
-    def _store(self, count: int, rows: np.ndarray) -> None:
-        """Make ``rows`` the fields of codes ``count`` on, growing the
-        table's rows at least twofold and its words to the widest field."""
-        need, width = count + len(rows), max(self.words.shape[1], rows.shape[1])
-        if need > len(self.words) or width > self.words.shape[1]:
-            grown = np.zeros((max(need, 2 * len(self.words)), width), np.uint64)
-            grown[:count, :self.words.shape[1]] = self.words[:count]
-            self.words = grown
-        self.words[count:need, :rows.shape[1]] = rows
-
-
-def _merged(table: tuple[np.ndarray, np.ndarray], more: tuple[np.ndarray, np.ndarray]):
-    """The sorted keys and codes of ``table`` with those of ``more``, whose
-    keys are sorted too and not in ``table``, merged in."""
-    (keys, codes), (more_keys, more_codes) = table, more
-    at = np.searchsorted(keys, more_keys) + np.arange(len(more_keys))
-    old = np.ones(len(keys) + len(more_keys), bool)
-    old[at] = False
-    merged = np.empty(len(old), keys.dtype), np.empty(len(old), codes.dtype)
-    for out, values, more_values in zip(merged, table, more):
-        out[old], out[at] = values, more_values
-    return merged
-
-
-_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)  # the mask of n bytes
 
@@ -430,95 +342,163 @@ def _timestamps(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) ->
     return value
 
 
-def _run_codes(coder: _Coder, words: np.ndarray) -> np.ndarray | None:
-    """``coder.codes(words)``, with each run of equal rows coded once, by
-    its first row (its head): equal rows are equal fields."""
-    rows = len(words)
-    head = np.empty(rows, bool)  # differs from the row before
-    head[:1] = True
-    np.not_equal(words[1:, 0], words[:-1, 0], out=head[1:])
+def _new_rows(words: np.ndarray) -> np.ndarray:
+    """Whether each row of ``words`` differs from the row before; the first
+    row does."""
+    new = np.empty(len(words), bool)
+    new[:1] = True
+    np.not_equal(words[1:, 0], words[:-1, 0], out=new[1:])
     for word in words.T[1:]:  # a word at a time: a (rows, words) temporary costs more
-        head[1:] |= word[1:] != word[:-1]
-    heads = np.flatnonzero(head)
-    if len(heads) == rows:  # no runs, as in an item column
-        return coder.codes(words)
-    codes = coder.codes(words[heads])
-    return None if codes is None else np.repeat(codes, np.diff(heads, append=rows))
+        new[1:] |= word[1:] != word[:-1]
+    return new
+
+
+def _runs(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The fields at ``starts`` of ``windows`` with each run of equal fields
+    kept once, by its first field (its head): the head mask, each head's
+    word count as uint8, and per word count w the (heads, w) uint64 words
+    of the heads that have it, in order.  A field of n bytes has
+    n // 8 + 1 words, zero-padded; no field holds a NUL, so equal words
+    are equal fields."""
+    words = _field_words(windows, starts, lengths)
+    head = _new_rows(words)
+    at = np.flatnonzero(head)
+    count = (lengths[at] // 8 + 1).astype(np.uint8)
+    return head, count, {w: words[at[count == w], :w]
+                         for w in np.flatnonzero(np.bincount(count)).tolist()}
+
+
+def _coded(count: np.ndarray, words: dict[int, np.ndarray]) -> tuple[np.ndarray, list[str]]:
+    """First-appearance codes of fields given as ``_runs`` gives its heads:
+    ``count`` each field's word count, and ``words[w]`` the fields of w
+    words, in order.  Each word count's fields are sorted once, so equal
+    ones are neighbours; the distinct fields of all word counts are then
+    ranked by their first appearance.  Returns each field's code (int64)
+    and the names, UTF-8 decoded, in code order."""
+    code = np.empty(len(count), np.int64)
+    first, fields = [np.zeros(0, np.int64)], []  # per distinct field: its first row, its bytes
+    for w, rows in words.items():
+        order = np.lexsort(rows.T)  # stable, so a field's first row leads its equals
+        new = _new_rows(rows[order])
+        known = len(fields)
+        fields += rows[order[new]].view(f"S{8 * w}").ravel().tolist()  # trailing NULs dropped
+        order = np.flatnonzero(count == w)[order]  # the same fields, as rows of ``count``
+        first.append(order[new])
+        code[order] = np.cumsum(new) + (known - 1)
+    by_first = np.argsort(np.concatenate(first))
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    return rank[code], [fields[k].decode() for k in by_first.tolist()]
+
+
+class _Column:
+    """A string column as the byte path keeps it until the log ends: per
+    chunk of rows, the run heads that ``_runs`` gives."""
+
+    def __init__(self):
+        self.head, self.count = [np.zeros(0, bool)], [np.zeros(0, np.uint8)]
+        self.words = defaultdict(list)  # word count -> per chunk, its heads' words
+        self.heads = 0
+
+    def add(self, head: np.ndarray, count: np.ndarray, words: dict[int, np.ndarray]) -> None:
+        self.head.append(head)
+        self.count.append(count)
+        for w, rows in words.items():
+            self.words[w].append(rows)
+        self.heads += len(count)
+
+    def codes(self) -> Codes:
+        """The column's codes, one per row.  The chunks are let go, so this
+        is called once, at the end."""
+        head, count = np.concatenate(self.head), np.concatenate(self.count)
+        words = {w: np.concatenate(rows) for w, rows in self.words.items()}
+        self.__init__()  # the chunks go before the sort's temporaries come
+        codes, names = _coded(count, words)
+        return Codes(codes[np.cumsum(head) - 1], names)
 
 
 class _Columns:
-    """A log's arrays as the byte path fills them, a block at a time: the
-    timestamps, the polarities, and per string column its codes and their
-    ``_Coder``.  A string column and the action column code each run of
-    equal fields once (``_run_codes``): in a log grouped by user and
-    session, most user, session and action fields repeat the one above."""
+    """A log's rows as the byte path keeps them, a block at a time: the
+    timestamps, the polarities, and per string column a ``_Column``.  A
+    block is kept only once all of it has parsed.  The action column is
+    coded a chunk of rows at a time, to find each label's polarity; every
+    other string column is coded once, in ``log``.  Each keeps a run of
+    equal fields once: in a log grouped by user and session, most user,
+    session and action fields repeat the one above."""
 
-    def __init__(self, header: list[str], feature_names: tuple[str, ...], rows: int):
+    def __init__(self, header: list[str], feature_names: tuple[str, ...]):
         self.header, self.feature_names, self.width = header, feature_names, len(header)
         self.ts, self.act = header.index("timestamp"), header.index("action")
         self.columns = [header.index(c) for c in ("user", "item", "session") + feature_names]
-        self.timestamp, self.positive = np.empty(rows, np.int64), np.empty(rows, bool)
-        self.codes = [np.empty(rows, np.int64) for _ in self.columns]
-        self.coders = [_Coder() for _ in self.columns]
-        self.actions, self.polarity = _Coder(), _Polarity()
-        self.positive_of = np.zeros(0, bool)  # the polarity of each action code
+        self.timestamp, self.positive = [np.zeros(0, np.int64)], [np.zeros(0, bool)]
+        self.strings = [_Column() for _ in self.columns]
+        self.polarity = _Polarity()
         self.rows = 0
         self.line = 2  # the line number of the next record; blank ones count, as in csv.reader
 
     def add(self, block: bytes) -> bool:
         """Parse ``block``, whole lines each ending in a line end, onto the
-        arrays; False where the parse cannot be shown equal to
-        ``_read_records``'.  Then the rows and the names are those before
-        ``block``, and the columns take no more blocks."""
-        rows, names = self.rows, [len(coder.names) for coder in self.coders]
-        if self._add(block):
-            self.line += block.count(b"\n")
-            return True
-        self.rows = rows
-        for coder, count in zip(self.coders, names):
-            del coder.names[count:]
-        return False
+        rows; False, and nothing kept, where the parse cannot be shown equal
+        to ``_read_records``'.  Then the columns take no more blocks."""
+        chunks = self._parse(block)
+        if chunks is None:
+            return False
+        for stamps, positive, *runs in chunks:
+            self.timestamp.append(stamps)
+            self.positive.append(positive)
+            for column, heads in zip(self.strings, runs):
+                column.add(*heads)
+            self.rows += len(stamps)
+        self.line += block.count(b"\n")
+        return True
 
-    def _add(self, block: bytes) -> bool:
+    def _parse(self, block: bytes) -> list | None:
         fields = _fields(block, self.width)
         if fields is None:
-            return False
+            return None
+        if not block.isascii():
+            try:  # fields split at ASCII bytes, so this checks every field
+                block.decode()
+            except UnicodeDecodeError:
+                return None
         starts, lengths = fields
         longest = int(lengths.max(initial=0))
         if longest > WIDEST_FIELD:
-            return False
+            return None
         size = 8 * (longest // 8 + 1)  # whole words, with a zero byte after the longest field
         windows = sliding_window_view(np.frombuffer(block + bytes(size), np.uint8), size)
         step = max(1, 4 * len(block) // size)  # rows whose byte matrices stay within 4 blocks
-        return all(self._add_rows(windows, starts[lo:lo + step], lengths[lo:lo + step])
-                   for lo in range(0, len(starts), step))
+        chunks = []
+        for lo in range(0, len(starts), step):
+            chunks.append(self._parse_rows(windows, starts[lo:lo + step], lengths[lo:lo + step]))
+            if chunks[-1] is None:
+                return None
+        return chunks
 
-    def _add_rows(self, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
+    def _parse_rows(self, windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
         stamps = _timestamps(windows, starts[:, self.ts], lengths[:, self.ts])
-        labels = _run_codes(self.actions, _field_words(windows, starts[:, self.act],
-                                                        lengths[:, self.act]))
-        if stamps is None or labels is None:
-            return False
-        if len(self.positive_of) < len(self.actions.names):
-            try:
-                self.positive_of = np.array([self.polarity[name] for name in self.actions.names])
-            except KeyError:
-                return False
-        n, k = self.rows, len(starts)
-        self.timestamp[n:n + k], self.positive[n:n + k] = stamps, self.positive_of[labels]
-        for j, coder, out in zip(self.columns, self.coders, self.codes):
-            codes = _run_codes(coder, _field_words(windows, starts[:, j], lengths[:, j]))
-            if codes is None:
-                return False
-            out[n:n + k] = codes
-        self.rows += k
-        return True
+        if stamps is None:
+            return None
+        head, count, words = _runs(windows, starts[:, self.act], lengths[:, self.act])
+        codes, labels = _coded(count, words)
+        try:
+            polarity = np.array([self.polarity[label] for label in labels], bool)
+        except KeyError:
+            return None
+        return [stamps, polarity[codes][np.cumsum(head) - 1]] + [
+            _runs(windows, starts[:, j], lengths[:, j]) for j in self.columns]
 
     def log(self) -> Log:
-        n = self.rows
-        user, item, session, *features = (Codes(codes[:n], coder.names)
-                                          for codes, coder in zip(self.codes, self.coders))
-        return Log(user, item, session, self.timestamp[:n], self.positive[:n], tuple(features))
+        """The rows kept, as a ``Log``.  The chunks are let go as they are
+        joined and coded, so this is called once, at the end."""
+        timestamp, positive = np.concatenate(self.timestamp), np.concatenate(self.positive)
+        self.timestamp, self.positive = [timestamp[:0]], [positive[:0]]
+        coded = [None] * len(self.strings)
+        # the column with the most heads first: its temporaries are the largest
+        for j in sorted(range(len(coded)), key=lambda j: -self.strings[j].heads):
+            coded[j] = self.strings[j].codes()
+        user, item, session, *features = coded
+        return Log(user, item, session, timestamp, positive, tuple(features))
 
 
 def _read_bytes(fh, path: str) -> tuple[Log, tuple[str, ...]]:
@@ -526,7 +506,8 @@ def _read_bytes(fh, path: str) -> tuple[Log, tuple[str, ...]]:
     the first block whose parse cannot be shown equal to ``_read_records``':
     from there ``_read_records`` reads on, after the rows before it, or
     reads the whole log if that is the header.  Python work is done once
-    per distinct field, in the ``_Coder``s, not once per row."""
+    per distinct field, when ``_coded`` decodes the names, not once per
+    row."""
     header = list(REQUIRED_COLUMNS)  # an empty file reads as a header with no rows
     if line := fh.readline():
         line = line.removesuffix(b"\n").removesuffix(b"\r")
@@ -541,11 +522,7 @@ def _read_bytes(fh, path: str) -> tuple[Log, tuple[str, ...]]:
             return _read_text(fh, path)
     else:
         feature_names = ()
-    start = fh.tell()
-    # every line but the last ends in "\n", so no more rows than this
-    rows = 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(BLOCK_BYTES), b""))
-    fh.seek(start)
-    columns = _Columns(header, feature_names, rows)
+    columns = _Columns(header, feature_names)
     while block := fh.read(BLOCK_BYTES) + fh.readline():
         if not columns.add(block if block.endswith(b"\n") else block + b"\n"):
             fh.seek(-len(block), os.SEEK_CUR)

@@ -55,6 +55,54 @@ class TestVerdict:
             bench_pairs.verdict(parent, change, better)
 
 
+class TestRegression:
+    # PARENT's median 0.715 and a bound of 0.25: a margin of 0.17875
+    @pytest.mark.parametrize("shift, verdict", [(0.1, "within bound"), (0.17, "within bound"),
+                                                (0.2, "regressed"), (-0.1, "within bound")])
+    def test_the_median_against_the_margin(self, shift, verdict):
+        r = bench_pairs.regression(PARENT, [p + shift for p in PARENT], "lower", 0.25)
+        assert r["margin"] == pytest.approx(0.17875) and r["worse"] == pytest.approx(shift)
+        assert r["verdict"] == verdict
+
+    def test_a_spread_wider_than_the_margin_is_unresolved(self):
+        # a bound of 0.02 gives a margin of 0.0143, below the parent's IQR of 0.025
+        r = bench_pairs.regression(PARENT, [p + 0.01 for p in PARENT], "lower", 0.02)
+        assert r["parent_iqr"] == pytest.approx(0.025) and r["verdict"] == "unresolved"
+        assert bench_pairs.regression(PARENT, PARENT, "lower", 0.02)["verdict"] == "unresolved"
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        assert bench_pairs.regression(PARENT, [0.69] * 10, "lower", 0.02)["verdict"] == \
+            "within bound"
+        # one change run no better than the parent's best leaves it unresolved
+        assert bench_pairs.regression(PARENT, [0.69] * 9 + [0.70], "lower", 0.02)["verdict"] \
+            == "unresolved"
+
+    def test_higher_is_better(self):
+        parent = [100.0 + k for k in range(10)]  # median 104.5, IQR 4.5
+        # a bound of 0.06: a margin of 6.27
+        for shift, verdict in ((-5, "within bound"), (-7, "regressed"), (3, "within bound")):
+            r = bench_pairs.regression(parent, [p + shift for p in parent], "higher", 0.06)
+            assert r["margin"] == pytest.approx(6.27) and r["verdict"] == verdict
+        assert bench_pairs.regression(parent, [p - 1 for p in parent], "higher",
+                                      0.01)["verdict"] == "unresolved"
+
+    @pytest.mark.parametrize("parent, change, better", [([], [1.0], "lower"),
+                                                        ([1.0], [1.0], "faster")])
+    def test_bad_input_is_refused(self, parent, change, better):
+        with pytest.raises(ValueError):
+            bench_pairs.regression(parent, change, better, 0.25)
+
+    def test_the_report_gives_the_verdict_of_end_to_end_metrics_only(self):
+        runs = [{"side": side, "seed": seed, "result": {"correct": True, "metrics": {
+                    "prepare_s": {"value": value}, "data.ingest_s": {"value": value}}}}
+                for seed, p in enumerate(PARENT)
+                for side, value in (("parent", p), ("change", p + 0.2))]
+        lines = bench_pairs.report(runs, {"prepare_s": "lower", "data.ingest_s": "lower"},
+                                   {"prepare_s": 0.25})
+        assert "no regression (bound 0.25): regressed" in lines[0]
+        assert "no regression" not in lines[1]
+
+
 def test_sides_alternate_which_runs_first():
     calls = []
     runs = bench_pairs.run_pairs([5, 6, 7], lambda side, seed: calls.append((side, seed))

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -354,6 +354,33 @@ class TestTokenizers:
         assert len(log) == 36_288
         assert peak <= 3_539_926
 
+    def test_transient_memory_stays_low_beside_a_wide_field(self, tmp_path):
+        """The tracemalloc peak of ingesting the log above with its first
+        item id 250 bytes long.  The bound is the peak that the hashed coder
+        this one replaced gave on this log (4.09 MB; CPython 3.11, numpy
+        2.4): its table of stored fields widened to the widest.  Padding
+        every stored field to its column's widest would exceed it."""
+        path = tmp_path / "log.csv"
+        rng = np.random.default_rng(0)
+        with open(path, "w", newline="") as fh:
+            fh.write("user,item,session,timestamp,action\n")
+            for u, sessions in enumerate(np.linspace(3, 60, 96).round().astype(int).tolist()):
+                for s in range(sessions):
+                    for pos, item in enumerate(rng.integers(0, 1000, 12).tolist()):
+                        item = "w" * 250 if u == s == pos == 0 else f"i{item:05d}"
+                        fh.write(f"u{u:05d},{item},u{u:05d}-s{s:03d},"
+                                 f"{s * 10_000_000 + u * 1_000 + pos},"
+                                 f"{'click' if pos < 4 else 'exposure'}\n")
+        assert path.stat().st_size == 1_582_349
+        tracemalloc.start()
+        try:
+            log, _ = ingest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 36_288 and log.item.names[0] == "w" * 250
+        assert peak <= 4_086_924
+
 
 FIELD = st.text(st.characters(exclude_characters=',"\r\n\0', exclude_categories=["Cs"]),
                 max_size=5)
@@ -449,20 +476,25 @@ class TestBytePath:
             assert log_rows(log)[30:-5] == expected and len(log) == 35 + len(expected)
         assert fallbacks == [str(path)]
 
-    # with no multiplier a long field's key is its last word, which these share
+    # 40-byte blocks: the first two rows, then the third beside the wide
+    # field, then the last, alone
     @pytest.mark.parametrize("first, second", [("aaaaaaaa-1", "bbbbbbbb-1"),
                                                ("aaaaaaaa-1", "bbbbbbbbbbbbbbbb-1")])
-    @pytest.mark.parametrize("block_bytes", [1, None])
-    def test_a_key_two_fields_share_sends_the_log_to_csv_reader(self, tmp_path, monkeypatch,
-                                                                 first, second, block_bytes):
-        monkeypatch.setattr(data, "_KEY_MULTIPLIER", np.uint64(0))
-        if block_bytes is not None:  # a line a block: the second field is the wider, and later
+    @pytest.mark.parametrize("block_bytes", [1, 40, None])
+    def test_ids_that_share_a_word_keep_their_own_codes(self, tmp_path, monkeypatch,
+                                                         first, second, block_bytes):
+        if block_bytes is not None:
             monkeypatch.setattr(data, "BLOCK_BYTES", block_bytes)
         path = write_csv(tmp_path / "log.csv", [("u1", first, "s1", 1, "click"),
-                                                ("u1", second, "s1", 2, "click")])
+                                                ("u1", second, "s1", 2, "click"),
+                                                ("u1", first, "s1", 3, "click"),
+                                                ("u1", "w" * 250, "s1", 4, "click"),
+                                                ("u1", first, "s1", 5, "click")])
         fallbacks = csv_reads(monkeypatch)
-        assert ingest(path)[0].item.names == [first, second]
-        assert fallbacks == [path]
+        log = ingest(path)[0]
+        assert log.item.names == [first, second, "w" * 250]
+        assert log.item.codes.tolist() == [0, 1, 0, 2, 0]
+        assert fallbacks == []
 
 
 class TestResume:
@@ -516,14 +548,38 @@ class TestResume:
             ingest(str(path))
 
     def test_a_refused_block_leaves_the_rows_and_names_as_they_were(self):
-        header = list(data.REQUIRED_COLUMNS)
-        columns = data._Columns(header, (), 10)
+        columns = data._Columns(list(data.REQUIRED_COLUMNS), ())
         assert columns.add(b"u1,i1,s1,1,click\n\nu1,i2,s1,2,exposure\n")
-        # the new user and the first new item are coded before the bytes of
-        # the second are found not UTF-8
+        # a new user and item, in the row before the bytes that are not UTF-8
         assert not columns.add(b"u2,i3,s2,3,click\nu2,i\xc3,s2,4,click\n")
+        # the wide field parts this block into chunks of 15 rows; the third
+        # holds the unknown action
+        assert not columns.add(b"u2," + b"w" * 250 + b",s2,3,click\n"
+                               + b"u2,i3,s2,3,click\n" * 40 + b"u2,i3,s2,3,hover\n")
         assert columns.rows == 2 and columns.line == 5
-        assert [coder.names for coder in columns.coders] == [["u1"], ["i1", "i2"], ["s1"]]
+        log = columns.log()
+        assert log_rows(log) == [("u1", "i1", "s1", 1, True), ("u1", "i2", "s1", 2, False)]
+        assert [c.names for c in (log.user, log.item, log.session)] == [["u1"], ["i1", "i2"], ["s1"]]
+
+
+class TestCoded:
+    """The byte path's coder against a dict, the codes ``_read_records``
+    gives: a field's code is its rank in order of first appearance."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text("aé-", max_size=20), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=40)))
+    @example(fields=[])
+    def test_matches_first_appearance(self, fields):
+        raw = [f.encode() for f in fields]  # up to 40 bytes: 1 to 6 words
+        count = np.array([len(b) // 8 + 1 for b in raw], np.uint8)
+        words = {w: np.frombuffer(b"".join(b.ljust(8 * w, b"\0") for b in raw
+                                           if len(b) // 8 + 1 == w), "<u8").reshape(-1, w)
+                 for w in sorted(set(count.tolist()))}
+        table = {}
+        want = [table.setdefault(f, len(table)) for f in fields]
+        codes, names = data._coded(count, words)
+        assert codes.dtype == np.int64 and codes.tolist() == want and names == list(table)
 
 
 def csv_reads(monkeypatch):

@@ -15,7 +15,12 @@ result lines.  ``--append`` adds the runs to an existing file instead.
 For each metric both sides report, it prints both sides' medians and
 quartiles, the pairs the change won, and whether a gain claim on it holds:
 the change better in at least 9 of every 10 pairs, over at least 10 pairs,
-and the medians apart by more than the parent's interquartile range.
+and the medians apart by more than the parent's interquartile range.  For
+each end-to-end metric it also prints whether the change holds its
+``bound``: the change's median no worse than the parent's by more than
+``bound`` times the parent's median.  That is unresolved when the parent's
+interquartile range is wider than that margin, unless every run of the
+change beats every run of the parent.
 Nothing under ``perfbench/`` is imported or written.
 """
 
@@ -63,6 +68,28 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
             "holds": len(parent) >= MIN_PAIRS and 10 * wins >= 9 * len(parent) and gap > p3 - p1}
 
 
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The no-regression rule on one end-to-end metric's runs: the margin
+    is ``bound`` times the parent's median, and the change's median may be
+    worse than the parent's by at most that.  ``verdict`` is "within bound"
+    or "regressed", or "unresolved" when the parent's interquartile range is
+    wider than the margin, unless every change run beats every parent run."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    if not parent or not change:
+        raise ValueError(f"need runs on both sides, got {len(parent)} and {len(change)}")
+    sign = 1.0 if better == "higher" else -1.0
+    (p1, p2, p3), c2 = np.percentile(parent, [25, 50, 75]).tolist(), float(np.median(change))
+    margin, worse = bound * abs(p2), sign * (p2 - c2)
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        verdict = "within bound"
+    elif p3 - p1 > margin:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound" if worse <= margin else "regressed"
+    return {"margin": margin, "worse": worse, "parent_iqr": p3 - p1, "verdict": verdict}
+
+
 def run_once(checkout: str, command: list[str], workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     """One benchmark run in ``checkout``: its ``machine`` record and its
@@ -99,10 +126,12 @@ def paired_values(runs: list[dict], metric: str) -> tuple[list[float], list[floa
     return [v["parent"] for v in both], [v["change"] for v in both]
 
 
-def report(runs: list[dict], directions: dict[str, str]) -> list[str]:
+def report(runs: list[dict], directions: dict[str, str],
+           bounds: dict[str, float] | None = None) -> list[str]:
     """One line per metric that both sides report: medians with quartiles,
-    pair wins and the claim verdict."""
-    lines = []
+    pair wins and the claim verdict, and for a metric with a bound in
+    ``bounds`` (the end-to-end ones) the no-regression verdict."""
+    lines, bounds = [], bounds or {}
     metrics = {m for r in runs for m in r["result"].get("metrics", {})}
     for metric in [m for m in directions if m in metrics]:
         parent, change = paired_values(runs, metric)
@@ -114,6 +143,11 @@ def report(runs: list[dict], directions: dict[str, str]) -> list[str]:
                      f"[{c1:.4g}, {c3:.4g}] ({directions[metric]} is better); change better in "
                      f"{v['wins']}/{v['pairs']} pairs; gap {v['gap']:.4g} against parent IQR "
                      f"{v['parent_iqr']:.4g}; claim {'holds' if v['holds'] else 'does not hold'}")
+        if metric in bounds:
+            r = regression(parent, change, directions[metric], bounds[metric])
+            lines[-1] += (f"; no regression (bound {bounds[metric]:g}): {r['verdict']}, change "
+                          f"worse by {r['worse']:.4g} against margin {r['margin']:.4g}, parent "
+                          f"IQR {r['parent_iqr']:.4g}")
     return lines
 
 
@@ -139,6 +173,7 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
 
     def run(side, seed):
@@ -167,7 +202,7 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    print("\n".join(report(runs, directions)))
+    print("\n".join(report(runs, directions, bounds)))
     return 0
 
 
