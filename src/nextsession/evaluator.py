@@ -336,16 +336,16 @@ def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash=""
 def alpha_sweep(split: DatasetSplit, cfg, alphas, catalog=None, log_fn=None):
     """Train one model per rank-loss weight (same seed) and evaluate each.
 
-    Returns one row per alpha; a failed cell carries an "error" field and the
-    sweep continues.
+    Returns one row per alpha; every cell's config is checked before the first
+    cell trains, and a cell that fails carries an "error" field and the sweep continues.
     """
     from .trainer import train
 
     if len(alphas) < 1:
         raise ValueError("alpha_sweep needs at least one alpha")
+    cells = [replace(cfg, loss=replace(cfg.loss, alpha=float(alpha))) for alpha in alphas]
     rows = []
-    for alpha in alphas:
-        cell_cfg = replace(cfg, loss=replace(cfg.loss, alpha=float(alpha)))
+    for alpha, cell_cfg in zip(alphas, cells):
         try:
             result = train(split, cell_cfg, catalog=catalog, log_fn=log_fn)
             report = evaluate(result.model, split)
@@ -507,6 +507,7 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
     the two sides alternate repeat by repeat.
     """
     from .sequence_encoder import SequenceEncoder, SseConfig
+    from .trainer import TrainConfig
 
     if min(n_items, session_len, repeats) < 1:
         raise ValueError(f"n_items, session_len and repeats must be >= 1, "
@@ -521,16 +522,10 @@ def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,
     pair_ratio = item_pairs / session_pairs
 
     rng = np.random.default_rng(seed)
-    enc = SequenceEncoder(
-        SseConfig(
-            backbone="causal_attention",
-            layers=layers,
-            heads=heads,
-            max_positions=n_items,
-        ),
-        dim,
-        T.Parameters(rng),
-    )
+    sse = SseConfig(backbone="causal_attention", layers=layers, heads=heads,
+                    max_positions=n_items)
+    TrainConfig(dim=dim, sse=sse)  # checks heads against dim
+    enc = SequenceEncoder(sse, dim, T.Parameters(rng))
 
     sides = [T.Tensor(rng.normal(0, 1, size=(m, dim)).astype(np.float32))
              for m in (n_items, m_sessions)]

@@ -24,12 +24,18 @@ BACKBONES = ("causal_attention", "recurrent")
 
 @dataclass
 class SseConfig:
+    """Rules: ``backbone`` in ``BACKBONES``, ``layers`` >= 0,
+    ``max_positions`` >= 1 (``heads``: ``TrainConfig``)."""
+
     backbone: str = "causal_attention"
     layers: int = 4
-    heads: int = 2
+    heads: int = 2  # causal_attention only
     max_positions: int = 512
 
     def __post_init__(self):
+        if self.backbone not in BACKBONES:
+            raise ValueError(f"sse.backbone must be one of {', '.join(BACKBONES)}; "
+                             f"got {self.backbone!r}")
         if self.layers < 0:
             raise ValueError(f"sse.layers must be >= 0, got {self.layers}")
         if self.max_positions < 1:
@@ -39,10 +45,6 @@ class SseConfig:
 class SequenceEncoder:
     def __init__(self, cfg: SseConfig, dim: int, params, dropout: float = 0.0):
         """``dropout`` is the rate applied in training between layers."""
-        if cfg.backbone not in BACKBONES:
-            raise ValueError(f"unknown sequence backbone {cfg.backbone!r}")
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {dropout}")
         self.cfg = cfg
         self.dropout = dropout
         self.blocks = []

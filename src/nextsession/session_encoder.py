@@ -34,19 +34,21 @@ KINDS = ("mean", "max", "max_relu", "recurrent", "attention")
 
 @dataclass
 class IseConfig:
+    """Rules: ``kind`` in ``KINDS``, ``layers`` >= 0 (``heads``: ``TrainConfig``)."""
+
     kind: str = "mean"
     layers: int = 1  # attention only
     heads: int = 2   # attention only
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"ise.kind must be one of {', '.join(KINDS)}; got {self.kind!r}")
         if self.layers < 0:
             raise ValueError(f"ise.layers must be >= 0, got {self.layers}")
 
 
 class SessionEncoder:
     def __init__(self, cfg: IseConfig, dim: int, params):
-        if cfg.kind not in KINDS:
-            raise ValueError(f"unknown session aggregator {cfg.kind!r}")
         self.cfg = cfg
         self.gru = None
         self.blocks = []

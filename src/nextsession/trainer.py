@@ -42,6 +42,11 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """Checked when made, each nested config checking its own fields: ``batch_size``,
+    ``dim``, ``val_k``, ``feature_dim`` and ``id_dim`` (unless None) >= 1; ``epochs``,
+    ``val_interval`` and ``seed`` >= 0; ``learning_rate`` positive and finite; ``dropout``
+    in [0, 1); ``heads`` >= 1 dividing ``dim`` for attention ISE or SSE ``layers`` >= 1."""
+
     batch_size: int = 64
     learning_rate: float = 0.001
     epochs: int = 200
@@ -71,6 +76,15 @@ class TrainConfig:
         if self.val_interval < 0:
             raise ValueError(f"val_interval must be >= 0 (0 turns validation off), "
                              f"got {self.val_interval}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.dropout < 1.0:  # also a NaN rate
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name, sub, attends in (("ise", self.ise, self.ise.kind == "attention"),
+                                   ("sse", self.sse, self.sse.backbone == "causal_attention")):
+            if attends and sub.layers and (sub.heads < 1 or self.dim % sub.heads):
+                raise ValueError(f"{name}.heads ({sub.heads}) must be >= 1 and divide "
+                                 f"dim ({self.dim})")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -110,6 +124,14 @@ def config_from_dict(blob: dict) -> TrainConfig:
                 raise ValueError(f"config field {key!r} must be a mapping")
             kwargs[key] = cls(**_field_values(cls, blob[key], f"{key}."))
     return TrainConfig(**kwargs)
+
+
+def _dotted(cfg: TrainConfig) -> dict:
+    """The config's values by dotted path, such as ``sse.heads``."""
+    out = config_to_dict(cfg)
+    for key in [key for key, value in out.items() if isinstance(value, dict)]:
+        out.update({f"{key}.{sub}": value for sub, value in out.pop(key).items()})
+    return out
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -393,21 +415,15 @@ def restore_model(
     Every parameter is a copy of the stored tensor of its name, so the
     model shares no memory with ``ckpt`` and draws no random numbers.  A
     missing, extra or wrongly shaped tensor is a ValueError naming it.
-    When expected_config is given and hashes differ, refuses unless force;
-    the error names the first differing field.
+    When expected_config is given and a field differs, refuses unless
+    force; the error names the first differing field by its dotted path.
     """
     if expected_config is not None and not force:
-        if config_hash(expected_config) != config_hash(ckpt.config):
-            want = config_to_dict(expected_config)
-            got = config_to_dict(ckpt.config)
-            for key in sorted(want):
-                if want[key] != got.get(key):
-                    raise ValueError(
-                        f"checkpoint config mismatch on {key!r}: "
-                        f"checkpoint has {got.get(key)!r}, expected {want[key]!r} "
-                        f"(pass force to override)"
-                    )
-            raise ValueError("checkpoint config hash mismatch (pass force to override)")
+        want, got = _dotted(expected_config), _dotted(ckpt.config)
+        for path in sorted(want):
+            if want[path] != got[path]:
+                raise ValueError(f"checkpoint config mismatch on {path!r}: checkpoint has "
+                                 f"{got[path]!r}, expected {want[path]!r} (pass force to override)")
 
     table = ckpt.tensors.get("emb.item_table")
     if table is None:

@@ -413,6 +413,70 @@ class TestErrors:
         assert repr(damage.split(":")[1]) in err
 
 
+# configs no model can be built from, each with the field its error names
+REFUSED_CONFIGS = {
+    "negative-seed": ({"seed": -1}, "seed"),
+    "dropout-one": ({"dropout": 1.0}, "dropout"),
+    "negative-dropout": ({"dropout": -0.1}, "dropout"),
+    "nan-dropout": ({"dropout": float("nan")}, "dropout"),
+    "unknown-ise-kind": ({"ise": {"kind": "bogus"}}, "ise.kind"),
+    "unknown-sse-backbone": ({"sse": {"backbone": "conv"}}, "sse.backbone"),
+    "sse-heads-not-dividing-dim": ({"dim": 8, "sse": {"heads": 3}}, "sse.heads"),
+    "zero-attention-ise-heads": ({"ise": {"kind": "attention", "heads": 0}}, "ise.heads"),
+}
+TRAINING_COMMANDS = {"train": [], "sweep-alpha": ["--alphas", "0,0.2"],
+                     "scaling": ["--fractions", "0.5,1.0"]}
+
+
+class TestConfigCheckedBeforeData:
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    @pytest.mark.parametrize("refused", REFUSED_CONFIGS)
+    def test_refused_config_is_one_line_naming_the_field(self, tmp_path, capsys, command,
+                                                         refused):
+        blob, field = REFUSED_CONFIGS[refused]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blob))
+        out = tmp_path / "run"
+        code = main([command, "--data", str(tmp_path / "missing"), "--out", str(out),
+                     "--config", str(cfg), *TRAINING_COMMANDS[command]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+        for name in ("history.jsonl", "sweep.tsv", "scaling.tsv"):
+            assert not (out / name).exists()
+
+    def test_negative_seed_flag_names_the_field(self, tmp_path, capsys):
+        code = main(["train", "--data", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "run"), "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_negative_alpha_in_the_list_fails_the_sweep(self, workspace, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep-alpha", "--data", workspace["data"], "--out", str(out),
+                     "--alphas", "0,-1", "--config", workspace["cfg"], "--epochs", "1",
+                     "--dim", "8", "--val-k", "10"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: alpha must be a finite number >= 0, "
+                                           "got -1.0\n")
+        assert not (out / "sweep.tsv").exists()
+        assert load_json(out / "manifest.json")["status"] == "failed"
+
+    @pytest.mark.parametrize("blob", [
+        {"sse": {"backbone": "recurrent", "heads": 0}},
+        {"ise": {"kind": "attention", "layers": 0, "heads": 3}},
+    ], ids=["recurrent-sse-zero-heads", "attention-ise-no-layers-three-heads"])
+    def test_heads_of_encoders_without_attention_blocks_still_train(self, workspace,
+                                                                    tmp_path, capsys, blob):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**load_json(workspace["cfg"]), **blob}))
+        out = tmp_path / "run"
+        code = main(["train", "--data", workspace["data"], "--out", str(out),
+                     "--config", str(cfg), "--epochs", "1", "--dim", "8", "--val-k", "10"])
+        assert code == 0
+        assert (out / "checkpoint.bin").exists()
+
+
 class TestBench:
     @pytest.mark.parametrize("flags, got", [(["--n", "0", "--m", "2"], "got 0, 2 and 1"),
                                             (["--n", "8", "--m", "0"], "got 8, 0 and 1"),
@@ -434,6 +498,16 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: dim must be >= 1, got {dim}\n"
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--heads", "3"], "sse.heads (3) must be >= 1 and divide dim (8)"),
+        (["--heads", "0"], "sse.heads (0) must be >= 1 and divide dim (8)"),
+        (["--layers", "-1"], "sse.layers must be >= 0, got -1"),
+    ])
+    def test_bad_encoder_shape_is_one_line(self, capsys, flags, named):
+        code = main(["bench", "--n", "8", "--m", "2", "--dim", "8", "--repeats", "1", *flags])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {named}\n")
 
     def test_bench_reports_analytic_ratio(self, capsys):
         code = main(["bench", "--n", "64", "--m", "8", "--dim", "8",

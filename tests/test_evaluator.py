@@ -29,6 +29,7 @@ from nextsession.evaluator import (
 )
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
+import nextsession.trainer as trainer_mod
 from nextsession.trainer import TrainConfig
 
 from helpers import (history, loop_ndcg_at_k, loop_recall_at_k, loop_report, per_user_ranked, ragged,
@@ -727,6 +728,21 @@ class TestAlphaSweep:
     def test_empty_alphas_rejected(self):
         with pytest.raises(ValueError):
             alpha_sweep(toy_split(), sweep_config(), [])
+
+    def test_every_alpha_is_checked_before_the_first_cell_trains(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(trainer_mod, "train", lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(ValueError, match=r"^alpha must be a finite number >= 0, got -1.0$"):
+            alpha_sweep(toy_split(), sweep_config(), [0.0, -1.0])
+        assert trained == []
+
+    def test_diverged_cell_recorded_not_raised(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise trainer_mod.TrainingDiverged("non-finite loss at epoch 0")
+
+        monkeypatch.setattr(trainer_mod, "train", diverge)
+        rows = alpha_sweep(toy_split(), sweep_config(), [0.0, 0.5])
+        assert [r["error"] for r in rows] == ["TrainingDiverged: non-finite loss at epoch 0"] * 2
 
     def test_table_renders_errors_and_values(self):
         rows = [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nextsession.tensor as T
-from nextsession.attention import GRUCell, MultiHeadAttention
+from nextsession.attention import EncoderBlock, GRUCell
 from nextsession.model import NextSessionModel
 from nextsession.sequence_encoder import BACKBONES, SequenceEncoder, SseConfig
 from nextsession.session_encoder import KINDS, IseConfig, SessionEncoder
@@ -38,8 +38,8 @@ def call_gru(lengths):
 
 
 def call_attention(lengths):
-    mha = MultiHeadAttention(DIM, 2, store(), "mha")
-    return T.attention(rows(), lengths, False, mha.heads, mha.wqkv, mha.wo)
+    block = EncoderBlock(DIM, 2, store(), "block")
+    return T.attention(rows(), lengths, False, block.heads, block.wqkv, block.wo)
 
 
 def call_encode_sessions(kind):

@@ -3,6 +3,7 @@ import pytest
 
 import nextsession.tensor as T
 from nextsession.sequence_encoder import SequenceEncoder, SseConfig
+from nextsession.trainer import TrainConfig
 
 from helpers import finite_difference
 
@@ -51,8 +52,9 @@ class TestShapesAndErrors:
             encoder(backbone="conv")
 
     def test_bad_dropout(self):
+        # the rate is a TrainConfig field, refused when the config is made
         with pytest.raises(ValueError, match="dropout"):
-            encoder(dropout=1.0)
+            TrainConfig(dropout=1.0)
 
 
 class TestCausality:

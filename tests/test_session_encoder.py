@@ -67,8 +67,8 @@ class TestPooling:
 
 class TestContracts:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown session aggregator"):
-            encoder("median")
+        with pytest.raises(ValueError, match=r"^ise.kind must be one of .*; got 'median'$"):
+            IseConfig(kind="median")
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_output_shape(self, kind):

@@ -132,13 +132,42 @@ class TestConfig:
                                               ("id_dim", 0), ("id_dim", -2),
                                               ("feature_dim", 0),
                                               ("val_interval", -1), ("sse.layers", -1),
-                                              ("sse.max_positions", 0), ("ise.layers", -1)])
+                                              ("sse.max_positions", 0), ("ise.layers", -1),
+                                              ("seed", -1), ("dropout", 1.0),
+                                              ("dropout", float("nan")), ("ise.kind", "bogus"),
+                                              ("sse.backbone", "conv"), ("sse.heads", 3)])
     def test_values_that_cannot_train_a_model_rejected(self, field, value):
         blob = config_to_dict(small_config())
         group, _, key = field.rpartition(".")
         (blob[group] if group else blob)[key] = value
         with pytest.raises(ValueError, match=f"{re.escape(field)}.* must be"):
             config_from_dict(blob)
+
+    @pytest.mark.parametrize("ise, sse", [
+        ({"kind": "attention", "heads": 0}, {}),
+        ({"kind": "attention", "heads": 3}, {}),
+        ({}, {"heads": 0}),
+        ({}, {"heads": 5}),
+    ], ids=["ise-0", "ise-3", "sse-0", "sse-5"])
+    def test_attention_heads_must_divide_dim(self, ise, sse):
+        blob = config_to_dict(small_config())
+        blob["ise"].update(ise)
+        blob["sse"].update(sse)
+        name, heads = ("ise", ise["heads"]) if ise else ("sse", sse["heads"])
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(blob)
+        assert str(exc.value) == f"{name}.heads ({heads}) must be >= 1 and divide dim (8)"
+
+    @pytest.mark.parametrize("ise, sse", [
+        ({"kind": "mean", "heads": 0}, {"backbone": "recurrent", "heads": 0}),
+        ({"kind": "attention", "layers": 0, "heads": 3}, {"layers": 0, "heads": 0}),
+    ], ids=["no-attention", "no-layers"])
+    def test_heads_of_encoders_without_attention_blocks_are_free(self, ise, sse):
+        blob = config_to_dict(small_config())
+        blob["ise"].update(ise)
+        blob["sse"].update(sse)
+        cfg = config_from_dict(blob)
+        NextSessionModel(cfg, 5, T.Parameters(np.random.default_rng(0)))
 
     def test_infinite_learning_rate_is_one_line(self):
         with pytest.raises(ValueError) as exc:
@@ -587,6 +616,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="'dim'"):
             restore_model(ckpt, expected_config=other)
 
+    def test_nested_config_mismatch_names_the_dotted_field(self, tmp_path):
+        result, cfg, path = self.trained(tmp_path)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        ckpt = load_checkpoint(path)
+        other = dataclasses.replace(cfg, sse=dataclasses.replace(cfg.sse, heads=4))
+        with pytest.raises(ValueError) as err:
+            restore_model(ckpt, expected_config=other)
+        assert str(err.value) == ("checkpoint config mismatch on 'sse.heads': checkpoint has 2, "
+                                  "expected 4 (pass force to override)")
+
+    def test_an_int_and_an_equal_float_do_not_mismatch(self, tmp_path):
+        # their JSON, and so their config hashes, differ
+        result, cfg, path = self.trained(tmp_path, dropout=0)
+        save_checkpoint(path, result.model, cfg, epoch=0)
+        other = dataclasses.replace(cfg, dropout=0.0)
+        assert config_hash(other) != config_hash(cfg)
+        restore_model(load_checkpoint(path), expected_config=other)
+
     def test_force_overrides_mismatch(self, tmp_path):
         result, cfg, path = self.trained(tmp_path)
         save_checkpoint(path, result.model, cfg, epoch=0)
@@ -644,16 +691,15 @@ class TestBuildModel:
         model = NextSessionModel(cfg, 10, T.Parameters(np.random.default_rng(0)))
         assert model.cfg.dropout == model.sequence_encoder.dropout == 0.35
 
+    # the config refuses these when it is made, before any model is built
     @pytest.mark.parametrize("rate", [1.0, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got "):
-            NextSessionModel(small_config(dropout=rate), 10,
-                             T.Parameters(np.random.default_rng(0)))
+            small_config(dropout=rate)
 
     def test_zero_heads_rejected(self):
-        cfg = config_from_dict({"sse": {"heads": 0}})
         with pytest.raises(ValueError, match=r"heads \(0\) must be >= 1"):
-            NextSessionModel(cfg, 10, T.Parameters(np.random.default_rng(0)))
+            config_from_dict({"sse": {"heads": 0}})
 
     def test_same_rng_same_init(self):
         cfg = small_config()
