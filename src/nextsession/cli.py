@@ -43,8 +43,8 @@ class Manifest:
             "resolved_config": config,
             "args": {k: v for k, v in vars(args).items() if k != "func"},
             "seed": getattr(args, "seed", None),
-            # whether --threads took effect: the cap needs threadpoolctl
-            "blas_threads_capped": evaluator.blas_threads_capped(),
+            # what --threads set, read back; None where numpy's BLAS is not OpenBLAS
+            "blas_threads": evaluator.blas_threads(),
             "git": _git_describe(),
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(self.started)),
             "status": "running",
@@ -113,12 +113,10 @@ def _resolve_train_config(args) -> trainer.TrainConfig:
     for key, value in overrides.items():
         if value is not None:
             blob[key] = value
-    if getattr(args, "alpha", None) is not None:
-        blob.setdefault("loss", {})["alpha"] = args.alpha
-    if getattr(args, "ise", None) is not None:
-        blob.setdefault("ise", {})["kind"] = args.ise
-    if getattr(args, "backbone", None) is not None:
-        blob.setdefault("sse", {})["backbone"] = args.backbone
+    for section, key, value in (("loss", "alpha", args.alpha), ("ise", "kind", args.ise),
+                                ("sse", "backbone", args.backbone)):
+        if value is not None and isinstance(blob.setdefault(section, {}), dict):
+            blob[section][key] = value  # else config_from_dict names the section
     return trainer.config_from_dict(blob)
 
 
@@ -129,7 +127,20 @@ def _load_split(args):
     return split, catalog
 
 
+@contextlib.contextmanager
+def _training_run(args):
+    """The training commands' prologue: resolve the config, open the run
+    manifest in ``args.out`` and load the split; yields ``(cfg, split,
+    catalog)`` inside the manifest's scope."""
+    cfg = _resolve_train_config(args)
+    with _manifest_scope(os.path.join(args.out, "manifest.json"), args.command, args,
+                         config=trainer.config_to_dict(cfg)):
+        yield (cfg, *_load_split(args))
+
+
 def _add_train_flags(p):
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--protocol", choices=["session", "item"], default="session")
     p.add_argument("--epochs", type=int)
@@ -209,12 +220,7 @@ def cmd_prepare_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_train_config(args)
-    with _manifest_scope(
-        os.path.join(args.out, "manifest.json"), "train", args,
-        config=trainer.config_to_dict(cfg),
-    ):
-        split, catalog = _load_split(args)
+    with _training_run(args) as (cfg, split, catalog):
         log = open(os.path.join(args.out, "history.jsonl"), "w")
 
         def log_fn(entry):
@@ -268,42 +274,33 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep_alpha(args) -> int:
-    cfg = _resolve_train_config(args)
-    with _manifest_scope(
-        os.path.join(args.out, "manifest.json"), "sweep-alpha", args,
-        config=trainer.config_to_dict(cfg),
-    ):
-        split, catalog = _load_split(args)
-        alphas = _float_list(args.alphas)
-        rows = evaluator.alpha_sweep(split, cfg, alphas, catalog=catalog)
-        table = evaluator.sweep_table(rows)
-        print(table)
-        with open(os.path.join(args.out, "sweep.tsv"), "w") as fh:
-            fh.write(table + "\n")
-        with open(os.path.join(args.out, "sweep.json"), "w") as fh:
+def _sweep(args, name, sweep, table) -> int:
+    """The sweeps' one command body: ``sweep(split, cfg, catalog)`` gives the
+    rows, and ``table(rows)`` is printed and written to ``<name>.tsv`` beside
+    ``<name>.json``.  A sweep none of whose cells produced a result fails."""
+    with _training_run(args) as (cfg, split, catalog):
+        rows = sweep(split, cfg, catalog)
+        text = table(rows)
+        print(text)
+        tsv = os.path.join(args.out, f"{name}.tsv")
+        with open(tsv, "w") as fh:
+            fh.write(text + "\n")
+        with open(os.path.join(args.out, f"{name}.json"), "w") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
+        if not any("num_users" in row for row in rows):
+            raise ValueError(f"no {args.command} cell produced a result; {tsv} says why")
     return 0
+
+
+def cmd_sweep_alpha(args) -> int:
+    return _sweep(args, "sweep", lambda split, cfg, catalog: evaluator.alpha_sweep(
+        split, cfg, _float_list(args.alphas), catalog), evaluator.sweep_table)
 
 
 def cmd_scaling(args) -> int:
-    cfg = _resolve_train_config(args)
-    with _manifest_scope(
-        os.path.join(args.out, "manifest.json"), "scaling", args,
-        config=trainer.config_to_dict(cfg),
-    ):
-        split, catalog = _load_split(args)
-        fractions = _float_list(args.fractions)
-        rows = evaluator.scaling_run(
-            split, cfg, fractions, catalog=catalog, recall_k=args.recall_k
-        )
-        table = evaluator.scaling_table(rows, recall_k=args.recall_k)
-        print(table)
-        with open(os.path.join(args.out, "scaling.tsv"), "w") as fh:
-            fh.write(table + "\n")
-        with open(os.path.join(args.out, "scaling.json"), "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-    return 0
+    return _sweep(args, "scaling", lambda split, cfg, catalog: evaluator.scaling_run(
+        split, cfg, _float_list(args.fractions), catalog, recall_k=args.recall_k),
+        lambda rows: evaluator.scaling_table(rows, recall_k=args.recall_k))
 
 
 def cmd_bench(args) -> int:
@@ -353,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare_data)
 
     p = sub.add_parser("train", help="train a model on a prepared dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -367,15 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep-alpha", help="train and evaluate across rank-loss weights")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--alphas", required=True, help="comma list, e.g. 0,0.1,0.2")
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("scaling", help="train on chronological fractions")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--fractions", required=True, help="comma list in (0,1]")
     p.add_argument("--recall-k", type=int, default=500, dest="recall_k")
     _add_train_flags(p)

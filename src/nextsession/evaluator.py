@@ -36,6 +36,7 @@ order differently than a per-user loop would order it.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import json
 import numbers
 import time
@@ -333,56 +334,66 @@ def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash=""
 # ---------------------------------------------------------------------------
 
 
-def alpha_sweep(split: DatasetSplit, cfg, alphas, catalog=None, log_fn=None):
-    """Train one model per rank-loss weight (same seed) and evaluate each.
+def _train_cells(cells, catalog, fields, failed: str) -> list:
+    """The sweeps' one cell loop: train and evaluate each ``(row, split, cfg,
+    cutoffs)`` cell in turn and return the rows.  A trained cell's row takes
+    ``fields(report)``; a cell whose own training fails (divergence, or no
+    trainable user) takes the error as ``row[failed]``, and the loop goes on."""
+    from .trainer import TrainingDiverged, train
 
-    Returns one row per alpha; every cell's config is checked before the first
-    cell trains, and a cell that fails carries an "error" field and the sweep continues.
-    """
-    from .trainer import train
-
-    if len(alphas) < 1:
-        raise ValueError("alpha_sweep needs at least one alpha")
-    cells = [replace(cfg, loss=replace(cfg.loss, alpha=float(alpha))) for alpha in alphas]
     rows = []
-    for alpha, cell_cfg in zip(alphas, cells):
+    for row, split, cfg, cutoffs in cells:
         try:
-            result = train(split, cell_cfg, catalog=catalog, log_fn=log_fn)
-            report = evaluate(result.model, split)
-            rows.append(
-                {
-                    "alpha": float(alpha),
-                    "recall": dict(report.recall),
-                    "ndcg": dict(report.ndcg),
-                    "num_users": report.num_users,
-                }
-            )
-        except Exception as e:  # keep sweeping; record the failure
-            rows.append({"alpha": float(alpha), "error": f"{type(e).__name__}: {e}"})
-        if log_fn is not None:
-            log_fn({"sweep_alpha": float(alpha), "done": True})
+            result = train(split, cfg, catalog=catalog)
+        except (ValueError, TrainingDiverged) as e:
+            row[failed] = f"{type(e).__name__}: {e}"
+        else:
+            row.update(fields(evaluate(result.model, split, cutoffs=cutoffs)))
+        rows.append(row)
     return rows
 
 
-def sweep_table(rows, cutoffs=DEFAULT_CUTOFFS) -> str:
-    """Delimited (tab) table of sweep rows, plot-ready."""
-    header = ["alpha"]
-    for k in cutoffs:
-        header.append(f"recall@{k}")
-    for k in cutoffs:
-        header.append(f"ndcg@{k}")
-    header.append("error")
+def alpha_sweep(split: DatasetSplit, cfg, alphas, catalog=None):
+    """Train one model per rank-loss weight (same seed) and evaluate each.
+
+    Before the first cell trains, every cell's config is checked and so is
+    the split (``trainer.trainable_users``); a fault there raises the
+    ValueError that ``train`` would.  Returns one row per alpha; a cell
+    whose training diverges carries an "error" field and the sweep goes on.
+    """
+    from .trainer import trainable_users
+
+    if len(alphas) < 1:
+        raise ValueError("alpha_sweep needs at least one alpha")
+    cells = [replace(cfg, loss=replace(cfg.loss, alpha=alpha)) for alpha in alphas]
+    trainable_users(split, cfg)
+    return _train_cells(
+        [({"alpha": cell.loss.alpha}, split, cell, DEFAULT_CUTOFFS) for cell in cells],
+        catalog,
+        lambda report: {"recall": dict(report.recall), "ndcg": dict(report.ndcg),
+                        "num_users": report.num_users},
+        "error",
+    )
+
+
+def _tsv(header, rows) -> str:
+    """A tab-separated table: the ``header`` line, then one line per row
+    dict with its value of each header column, a str as it is, any other
+    value by its ``repr``, and an absent one as an empty cell."""
     lines = ["\t".join(header)]
     for row in rows:
-        cells = [repr(row["alpha"])]
-        if "error" in row:
-            cells += [""] * (2 * len(cutoffs)) + [row["error"]]
-        else:
-            cells += [repr(row["recall"][k]) for k in cutoffs]
-            cells += [repr(row["ndcg"][k]) for k in cutoffs]
-            cells.append("")
-        lines.append("\t".join(cells))
+        cells = (row.get(name, "") for name in header)
+        lines.append("\t".join(cell if isinstance(cell, str) else repr(cell) for cell in cells))
     return "\n".join(lines)
+
+
+def sweep_table(rows, cutoffs=DEFAULT_CUTOFFS) -> str:
+    """Delimited (tab) table of sweep rows, plot-ready; a failed cell's
+    metric cells are empty."""
+    metrics = [(name, k) for name in ("recall", "ndcg") for k in cutoffs]
+    flat = [{**row, **{f"{name}@{k}": row[name][k] for name, k in metrics if name in row}}
+            for row in rows]
+    return _tsv(["alpha", *(f"{name}@{k}" for name, k in metrics), "error"], flat)
 
 
 def _clip_sessions_to(sessions: Sessions, max_ts: int) -> Sessions:
@@ -400,62 +411,50 @@ def _clip_sessions_to(sessions: Sessions, max_ts: int) -> Sessions:
                     sessions.timestamp[rows][keep], np.unique(kept_before))
 
 
-def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500, log_fn=None):
+def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500):
     """Train on chronological prefixes of the train views, evaluate on the
     fixed targets, and report (train_items, Recall@recall_k) per fraction.
 
     train_items counts the positive interactions available for training at
-    that fraction.  A fraction whose prefix leaves no trainable user is
-    marked skipped.
+    that fraction.  Before the first cell trains, the split as a whole is
+    checked (``trainer.trainable_users``), so a fault there, such as a view
+    longer than ``sse.max_positions``, raises the ValueError that ``train``
+    would, whichever fractions are asked for.  A fraction whose prefix
+    leaves no trainable user, or whose training diverges, is marked skipped.
     """
-    from .trainer import train
+    from .trainer import trainable_users
 
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ValueError(f"fractions must be in (0, 1], got {f}")
     if recall_k < 1:
         raise ValueError(f"recall_k must be >= 1, got {recall_k}")
+    trainable_users(split, cfg)
+    k = min(recall_k, split.catalog_size)
 
-    views = [user.train_sessions for user in split.users]
-    all_ts = np.concatenate([np.zeros(0, np.int64)] + [v.timestamp[v.rows()] for v in views])
-    if not all_ts.size:
-        raise ValueError("split has no train interactions")
+    all_ts = np.concatenate([u.train_sessions.timestamp[u.train_sessions.rows()]
+                             for u in split.users])
     t0, t1 = int(all_ts.min()), int(all_ts.max())
 
-    rows = []
-    for f in sorted(fractions):
-        max_ts = t1 if f == 1.0 else int(t0 + f * (t1 - t0))
-        users = []
-        train_items = 0
-        for user in split.users:
-            clipped = _clip_sessions_to(user.train_sessions, max_ts)
-            if not len(clipped):
-                continue
-            train_items += int(np.count_nonzero(clipped.positive))
-            users.append(UserSplit(user.user_id, clipped, user.targets))
-        row = {"fraction": f, "train_items": train_items}
-        if not users:
-            row["skipped"] = "no users with train data at this fraction"
-            rows.append(row)
-            continue
-        sub = DatasetSplit(
-            protocol=split.protocol,
-            users=users,
-            catalog_size=split.catalog_size,
-            stats={**split.stats, "skipped_users": 0},
-        )
-        try:
-            result = train(sub, cfg, catalog=catalog, log_fn=log_fn)
-            report = evaluate(
-                result.model, sub, cutoffs=(min(recall_k, split.catalog_size),)
-            )
-            row[f"recall@{recall_k}"] = report.recall[min(recall_k, split.catalog_size)]
-            row["num_users"] = report.num_users
-        except Exception as e:
-            row["skipped"] = f"{type(e).__name__}: {e}"
-        rows.append(row)
-        if log_fn is not None:
-            log_fn(row)
+    def cells():  # one fraction's prefix at a time
+        for f in sorted(fractions):
+            max_ts = t1 if f == 1.0 else int(t0 + f * (t1 - t0))
+            clipped = [(user, _clip_sessions_to(user.train_sessions, max_ts))
+                       for user in split.users]
+            users = [UserSplit(user.user_id, view, user.targets)
+                     for user, view in clipped if len(view)]
+            train_items = sum(int(np.count_nonzero(user.train_sessions.positive))
+                              for user in users)
+            sub = DatasetSplit(split.protocol, users, split.catalog_size,
+                               {**split.stats, "skipped_users": 0})
+            yield {"fraction": f, "train_items": train_items}, sub, cfg, (k,)
+
+    rows = _train_cells(
+        cells(),
+        catalog,
+        lambda report: {f"recall@{recall_k}": report.recall[k], "num_users": report.num_users},
+        "skipped",
+    )
     rows.sort(key=lambda r: r["train_items"])
     return rows
 
@@ -463,38 +462,40 @@ def scaling_run(split: DatasetSplit, cfg, fractions, catalog=None, recall_k=500,
 def scaling_table(rows, recall_k=500) -> str:
     """Delimited (tab) table of scaling rows; a skipped fraction's recall
     cell is empty."""
-    key = f"recall@{recall_k}"
-    lines = ["\t".join(["fraction", "train_items", key, "skipped"])]
-    for row in rows:
-        lines.append(
-            "\t".join(
-                [
-                    repr(row["fraction"]),
-                    str(row["train_items"]),
-                    repr(row[key]) if key in row else "",
-                    row.get("skipped", ""),
-                ]
-            )
-        )
-    return "\n".join(lines)
+    return _tsv(["fraction", "train_items", f"recall@{recall_k}", "skipped"], rows)
 
 
-def blas_threads_capped() -> bool:
-    """Whether ``blas_thread_limits`` caps anything: it needs threadpoolctl."""
+def _openblas_thread_calls():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS bundled in
+    numpy's wheels, looked up when called.  Where numpy links another BLAS,
+    they are stand-ins: ``get`` gives None and ``set`` does nothing."""
     try:
-        import threadpoolctl  # noqa: F401
-    except ImportError:
-        return False
-    return True
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):  # numpy < 2, or another BLAS
+        return (lambda: None), (lambda threads: None)
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
+def blas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS; None when numpy links another BLAS."""
+    return _openblas_thread_calls()[0]()
+
+
+@contextlib.contextmanager
 def blas_thread_limits(threads: int):
-    """Context manager capping BLAS threads; a no-op without threadpoolctl."""
-    if not blas_threads_capped():
-        return contextlib.nullcontext()
-    from threadpoolctl import threadpool_limits
-
-    return threadpool_limits(limits=threads)
+    """Run the body with numpy's OpenBLAS at ``threads`` threads (below 1,
+    OpenBLAS takes its default) and restore the old count after; a no-op
+    when numpy links another BLAS."""
+    get, put = _openblas_thread_calls()
+    old = get()
+    put(threads)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 def complexity_bench(n_items: int, session_len: int, dim=64, layers=2, heads=2,

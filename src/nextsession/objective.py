@@ -40,6 +40,7 @@ class LossConfig:
     num_sampled_negatives: int = 128
 
     def __post_init__(self):
+        self.alpha = float(self.alpha)  # so equal configs hash equal
         if not 0 <= self.alpha < math.inf:  # also a NaN weight
             raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha}")
         if self.num_sampled_negatives < 1:

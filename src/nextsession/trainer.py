@@ -62,6 +62,8 @@ class TrainConfig:
     sse: SseConfig = field(default_factory=SseConfig)
 
     def __post_init__(self):
+        # a float field holds a float, so equal configs hash equal
+        self.learning_rate, self.dropout = float(self.learning_rate), float(self.dropout)
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if not 0 < self.learning_rate < math.inf:  # also a NaN rate
@@ -135,15 +137,12 @@ def _dotted(cfg: TrainConfig) -> dict:
 
 
 def config_hash(cfg: TrainConfig) -> str:
-    return hashlib.sha256(
-        json.dumps(config_to_dict(cfg), sort_keys=True).encode()
-    ).hexdigest()[:16]
+    return stats_hash(config_to_dict(cfg))
 
 
 def stats_hash(stats: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(stats, sort_keys=True).encode()
-    ).hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of ``stats`` as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()[:16]
 
 
 class Adam:
@@ -231,6 +230,23 @@ def _validation_recall(model, train_users, val_k):
     return mean_in_user_order(recalls)
 
 
+def trainable_users(split: DatasetSplit, cfg: TrainConfig) -> list:
+    """The split's users with at least two train sessions, in split order; a
+    ValueError when there are none, or when any train view holds more than
+    ``cfg.sse.max_positions`` sessions, since evaluation encodes whole views."""
+    users = [user for user in split.users if len(user.train_sessions) >= 2]
+    if not users:
+        raise ValueError("no trainable users: every train view has < 2 sessions")
+    longest = max(len(user.train_sessions) for user in split.users)
+    if longest > cfg.sse.max_positions:
+        raise ValueError(
+            f"a train view holds {longest} sessions, more than sse.max_positions="
+            f"{cfg.sse.max_positions}; raise sse.max_positions or re-run prepare-data "
+            f"with --max-pos-len {cfg.sse.max_positions} or less"
+        )
+    return users
+
+
 def train(
     split: DatasetSplit,
     cfg: TrainConfig,
@@ -251,10 +267,10 @@ def train(
     before the minibatch's one optimizer step.  Model selection is by
     validation recall on each user's final train session; when no
     validation runs, the final epoch's model is returned with no metric.
-    Users whose train view has fewer than two sessions are left out.  Every
-    split user's train view must fit ``cfg.sse.max_positions``, since
-    evaluation encodes the whole view; that is checked before epoch 0.
+    Only ``trainable_users`` train, and its checks of the split run before
+    the model is built.
     """
+    train_users = [(user.user_id, user.train_sessions) for user in trainable_users(split, cfg)]
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, neg_rng, drop_rng, shuffle_rng = (
         np.random.default_rng(s) for s in ss.spawn(4)
@@ -262,18 +278,6 @@ def train(
     model = NextSessionModel(cfg, split.catalog_size, T.Parameters(init_rng), catalog)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)
-
-    train_users = [(user.user_id, user.train_sessions) for user in split.users
-                   if len(user.train_sessions) >= 2]
-    if not train_users:
-        raise ValueError("no trainable users: every train view has < 2 sessions")
-    longest = max(len(user.train_sessions) for user in split.users)
-    if longest > cfg.sse.max_positions:
-        raise ValueError(
-            f"a train view holds {longest} sessions, more than sse.max_positions="
-            f"{cfg.sse.max_positions}; raise sse.max_positions or re-run prepare-data "
-            f"with --max-pos-len {cfg.sse.max_positions} or less"
-        )
 
     session_counts = np.array([len(sessions) for _, sessions in train_users])
     history = []

@@ -1,9 +1,6 @@
-import contextlib
 import json
 import os
 import shutil
-import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +8,7 @@ import pytest
 
 from helpers import (FILE_DAMAGE, TENSOR_DAMAGE, broken_checkpoint, damaged_checkpoint,
                      read_dataset_archive, write_dataset_archive)
-from nextsession import trainer
+from nextsession import evaluator, trainer
 from nextsession.cli import main
 
 
@@ -95,6 +92,20 @@ class TestPipeline:
         ckpt = trainer.load_checkpoint(str(run / "checkpoint.bin"))
         assert ckpt.epoch == 1 and ckpt.metrics == {}
 
+    def test_an_int_learning_rate_in_the_config_file_hashes_as_the_flag(self, workspace,
+                                                                          tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**load_json(workspace["cfg"]), "learning_rate": 1}))
+        hashes = []
+        for name, flags in (("file", ["--config", str(cfg)]),
+                            ("flag", ["--config", workspace["cfg"], "--lr", "1"])):
+            run = tmp_path / name
+            assert main(["train", "--data", workspace["data"], "--out", str(run), *flags,
+                         "--epochs", "0", "--dim", "8"]) == 0
+            ckpt = trainer.load_checkpoint(str(run / "checkpoint.bin"))
+            hashes.append(trainer.config_hash(ckpt.config))
+        assert hashes[0] == hashes[1]
+
     def test_flags_override_config_file(self, workspace):
         manifest = load_json(os.path.join(workspace["run"], "manifest.json"))
         resolved = manifest["resolved_config"]
@@ -161,6 +172,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, section", [("--alpha", "loss"), ("--ise", "ise"),
+                                               ("--backbone", "sse")])
+    def test_a_flag_into_a_section_that_is_not_an_object_is_one_line(self, tmp_path, capsys,
+                                                                     flag, section):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: 5}))
+        code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                     "--config", str(bad), flag, "0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config field '{section}' must be a mapping\n"
 
     def test_corrupt_config_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -311,19 +333,22 @@ class TestErrors:
         assert f"{flag} does not apply to copy-last-session" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep-alpha", "scaling"])
     def test_history_longer_than_max_positions_is_one_line_before_training(
-            self, workspace, tmp_path, capsys):
+            self, workspace, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sse": {"layers": 1, "max_positions": 2}}))
+        cfg.write_text(json.dumps({"sse": {"max_positions": 2}}))
         run = tmp_path / "run"
-        code = main(["train", "--data", workspace["data"], "--out", str(run),
-                     "--config", str(cfg), "--dim", "8"])
+        code = main([command, "--data", workspace["data"], "--out", str(run),
+                     "--config", str(cfg), *TRAINING_COMMANDS[command]])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "more than sse.max_positions=2" in captured.err
-        assert "--max-pos-len 2" in captured.err
-        assert "epoch" not in captured.out and not (run / "checkpoint.bin").exists()
+        assert captured.err == ("error: a train view holds 4 sessions, more than "
+                                "sse.max_positions=2; raise sse.max_positions or re-run "
+                                "prepare-data with --max-pos-len 2 or less\n")
+        assert captured.out == "" and not (run / "checkpoint.bin").exists()
+        assert not list(run.glob("*.tsv"))
+        assert load_json(run / "manifest.json")["status"] == "failed"
 
     def test_max_pos_len_below_one_is_one_line_before_the_log_is_read(self, tmp_path, capsys):
         code = main(["prepare-data", "--input", str(tmp_path / "missing.csv"),
@@ -529,18 +554,25 @@ class TestBench:
 
 
 class TestThreadCap:
-    @pytest.mark.parametrize("installed", [False, True])
-    def test_manifest_records_whether_the_cap_applied(self, tmp_path, monkeypatch, capsys,
-                                                      installed):
-        fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_limits = lambda limits: contextlib.nullcontext()
-        # None in sys.modules makes the import fail, as if it were not installed
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake if installed else None)
+    def test_the_count_reads_back_inside_the_limit_and_is_restored_after(self):
+        before = evaluator.blas_threads()
+        if before is None:
+            pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+        with evaluator.blas_thread_limits(2):
+            with evaluator.blas_thread_limits(1):
+                assert evaluator.blas_threads() == 1
+            assert evaluator.blas_threads() == 2
+        assert evaluator.blas_threads() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_manifest_records_the_count_in_effect(self, tmp_path, capsys, threads):
         out = str(tmp_path / "bench")
-        assert main(["--threads", "1", "bench", "--n", "8", "--m", "4", "--dim", "4",
+        assert main(["--threads", str(threads), "bench", "--n", "8", "--m", "4", "--dim", "4",
                      "--layers", "1", "--repeats", "1", "--out", out]) == 0
         manifest = load_json(os.path.join(out, "manifest.json"))
-        assert manifest["blas_threads_capped"] is installed
+        assert "blas_threads_capped" not in manifest
+        assert manifest["blas_threads"] == (None if evaluator.blas_threads() is None
+                                            else threads)
 
 
 class TestSweepAndScaling:
@@ -556,6 +588,28 @@ class TestSweepAndScaling:
         tsv = Path(out, "sweep.tsv").read_text().splitlines()
         assert tsv[0].startswith("alpha\t")
         assert len(tsv) == 3
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("sweep-alpha", ["--alphas", "0,0.2"], "sweep"),
+        ("scaling", ["--fractions", "0.6,1.0", "--recall-k", "10"], "scaling"),
+    ])
+    def test_a_sweep_whose_every_cell_diverges_fails(self, workspace, tmp_path, monkeypatch,
+                                                     capsys, command, flags, name):
+        def diverge(*args, **kwargs):
+            raise trainer.TrainingDiverged("non-finite loss at epoch 0")
+
+        monkeypatch.setattr(trainer, "train", diverge)
+        out = tmp_path / name
+        code = main([command, "--data", workspace["data"], "--out", str(out), *flags,
+                     "--config", workspace["cfg"], "--dim", "8"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: no {command} cell produced a result; "
+                                           f"{out / name}.tsv says why\n")
+        rows = load_json(out / f"{name}.json")
+        assert len(rows) == 2 and all(
+            "TrainingDiverged: non-finite loss at epoch 0" in row.values() for row in rows)
+        assert len((out / f"{name}.tsv").read_text().splitlines()) == 3
+        assert load_json(out / "manifest.json")["status"] == "failed"
 
     def test_scaling_end_to_end(self, workspace, capsys):
         out = str(workspace["root"] / "scaling")

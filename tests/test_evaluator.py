@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import math
 import types
@@ -717,13 +718,12 @@ class TestAlphaSweep:
             assert "error" not in row
             assert set(row["recall"]) == {10, 100, 500}
 
-    def test_failed_cell_recorded_not_raised(self):
+    def test_split_without_trainable_user_fails_before_any_cell(self):
         bad = toy_split(num_users=2)
         for user in bad.users:
             user.train_sessions = user.train_sessions[:1]
-        rows = alpha_sweep(bad, sweep_config(), [0.0])
-        assert "error" in rows[0]
-        assert "ValueError" in rows[0]["error"]
+        with pytest.raises(ValueError, match="^no trainable users"):
+            alpha_sweep(bad, sweep_config(), [0.0])
 
     def test_empty_alphas_rejected(self):
         with pytest.raises(ValueError):
@@ -755,6 +755,22 @@ class TestAlphaSweep:
         assert lines[0].startswith("alpha\trecall@10")
         assert "0.5" in lines[1]
         assert "ValueError: boom" in lines[2]
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda split, cfg: alpha_sweep(split, cfg, [0.0, 0.2]),
+    lambda split, cfg: scaling_run(split, cfg, fractions=[0.5, 1.0], recall_k=10),
+], ids=["alpha_sweep", "scaling_run"])
+def test_a_view_longer_than_max_positions_fails_the_sweep_before_any_cell(monkeypatch,
+                                                                           sweep):
+    trained = []
+    monkeypatch.setattr(trainer_mod, "train", lambda *args, **kwargs: trained.append(args))
+    cfg = dataclasses.replace(sweep_config(), sse=SseConfig(layers=1, heads=2,
+                                                            max_positions=2))
+    with pytest.raises(ValueError, match=r"^a train view holds 4 sessions, more than "
+                                         r"sse\.max_positions=2; "):
+        sweep(toy_split(num_users=6), cfg)
+    assert trained == []
 
 
 class TestScalingRun:

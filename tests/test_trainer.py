@@ -116,6 +116,14 @@ class TestConfig:
     def test_hash_sensitive_to_values(self):
         assert config_hash(small_config(seed=1)) != config_hash(small_config(seed=2))
 
+    @pytest.mark.parametrize("whole, real", [
+        (TrainConfig(learning_rate=1), TrainConfig(learning_rate=1.0)),
+        (TrainConfig(loss=LossConfig(alpha=0)), TrainConfig(loss=LossConfig(alpha=0.0))),
+    ], ids=["learning_rate", "alpha"])
+    def test_equal_configs_hash_equal(self, whole, real):
+        assert whole == real
+        assert config_hash(whole) == config_hash(real)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(batch_size=0)
@@ -627,11 +635,10 @@ class TestCheckpoint:
                                   "expected 4 (pass force to override)")
 
     def test_an_int_and_an_equal_float_do_not_mismatch(self, tmp_path):
-        # their JSON, and so their config hashes, differ
         result, cfg, path = self.trained(tmp_path, dropout=0)
         save_checkpoint(path, result.model, cfg, epoch=0)
         other = dataclasses.replace(cfg, dropout=0.0)
-        assert config_hash(other) != config_hash(cfg)
+        assert config_hash(other) == config_hash(cfg)
         restore_model(load_checkpoint(path), expected_config=other)
 
     def test_force_overrides_mismatch(self, tmp_path):
