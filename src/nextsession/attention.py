@@ -8,9 +8,12 @@ computes in and drawn block by block (``Parameters.new``'s ``blocks``): an
 encoder block's ``wqkv`` per head and projection, a recurrent cell's ``w``
 per gate.  Both take packed ragged sequences, (n, d) rows plus the row
 count of each sequence, and keep the sequences apart: an encoder block is
-one ``tensor.attention`` op, within each sequence and, when ``causal``,
-only to the rows up to its own, and one ``tensor.mlp`` op; the recurrent
-cell is one ``tensor.gru`` op per call and returns every hidden state.
+one ``tensor.encoder_block`` op per call, its attention within each
+sequence and, when ``causal``, only to the rows up to its own; the
+recurrent cell is one ``tensor.gru`` op per call and returns every hidden
+state.  One node per block, rather than the six of its composed layer
+norms, attention, feed-forward and residual adds, keeps a training graph's
+fixed cost per block low on the short session sequences it encodes.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from . import tensor as T
 
 
 class EncoderBlock:
-    """Pre-normalization block: x + MHA(LN(x)), then x + FFN(LN(x)).
+    """Pre-normalization block: x + MHA(LN(x)), then x + FFN(LN(x)), with
+    dropout on each branch in training; one ``tensor.encoder_block`` op.
 
-    MHA is one ``tensor.attention`` op, its ``wqkv`` drawn one (dim, dim /
+    MHA is multi-head self-attention, its ``wqkv`` drawn one (dim, dim /
     heads) block at a time, q of every head, then k, then v, its weights
-    named ``<name>.mha.*``; FFN is one ``tensor.mlp`` op, ReLU, of hidden
-    width 4 * dim, its weights named ``<name>.ffn.*``."""
+    named ``<name>.mha.*``; FFN is a ReLU perceptron of hidden width 4 *
+    dim, its weights named ``<name>.ffn.*``."""
 
     def __init__(self, dim, heads, params, name):
         self.heads = heads
@@ -40,12 +44,9 @@ class EncoderBlock:
         self.ln2_b = params.new(f"{name}.ln2_b", (dim,), fill=0.0)
 
     def __call__(self, x, lengths, causal, dropout_rate=0.0, dropout_rng=None):
-        a = T.attention(T.layer_norm(x, self.ln1_g, self.ln1_b), lengths, causal,
-                        self.heads, self.wqkv, self.wo)
-        x = T.add(x, T.dropout(a, dropout_rate, dropout_rng))
-        f = T.mlp(T.layer_norm(x, self.ln2_g, self.ln2_b),
-                  self.w1, self.b1, self.w2, self.b2, "relu")
-        return T.add(x, T.dropout(f, dropout_rate, dropout_rng))
+        return T.encoder_block(x, lengths, causal, self.heads, (self.ln1_g, self.ln1_b),
+                               (self.wqkv, self.wo), (self.ln2_g, self.ln2_b),
+                               (self.w1, self.b1, self.w2, self.b2), dropout_rate, dropout_rng)
 
 
 class GRUCell:

@@ -221,6 +221,7 @@ def cmd_prepare_data(args) -> int:
 
 def cmd_train(args) -> int:
     with _training_run(args) as (cfg, split, catalog):
+        trainer.trainable_users(split, cfg)  # a refused split leaves no history.jsonl
         log = open(os.path.join(args.out, "history.jsonl"), "w")
 
         def log_fn(entry):

@@ -16,9 +16,9 @@ bound a NaN could hide takes every id as a candidate (see
 
 ``ranked`` is the one ranking loop: ``evaluate`` and the trainer's
 validation both hand it their users' histories and read back top-k ids.
-It encodes users in packed chunks of ``RANK_USERS``, one ``user_vector``
-call per chunk, and ranks them in blocks of ``SCORE_USERS``, one ``top_k``
-call per block: the block's vectors are scored with one matrix product, so
+It encodes users in packed chunks, one ``user_vector`` call per chunk, of
+``RANK_USERS`` for ``evaluate`` and of ``SCORE_USERS`` for validation,
+and ranks them in blocks of ``SCORE_USERS``, one ``top_k`` call per block: the block's vectors are scored with one matrix product, so
 the catalog is read once per block, and selected row by row in one pass.
 Chunks and blocks are formed in ascending order of session count, ties in
 input order, since a chunk's recurrent encoder takes as many steps as its
@@ -228,16 +228,18 @@ class EvalReport:
         return "\n".join(lines)
 
 
-# Users encoded by one ``user_vector`` call in ``ranked``, taken in
-# ascending order of session count (ties in input order), so a chunk's
-# histories are of similar length.  Larger chunks are faster, but
+# Users encoded by one ``user_vector`` call in evaluate()'s ``ranked``,
+# taken in ascending order of session count (ties in input order), so a
+# chunk's histories are of similar length.  Larger chunks are faster, but
 # perfbench's eval latency takes one sample per ``user_vector`` call under
 # evaluate() and needs at least 20: the traced long-history-gru smoke run
 # evaluates 24 users x 3 passes x 2 traced rounds, so 6 gives it 24 samples
-# and 8 only 18.
+# and 8 only 18.  Validation inside train() is not sampled per call, so it
+# encodes a whole ``SCORE_USERS`` block per call instead.
 RANK_USERS = 6
 
-# Users scored and ranked by one ``top_k`` call in ``ranked``: ten chunks.
+# Users scored and ranked by one ``top_k`` call in ``ranked``: ten of
+# evaluate()'s chunks, and one of validation's.
 # One (b, d) @ (d, N) product reads the catalog once for b users instead of
 # b times, but holds a (b, N) score block and a candidate mask (and, below
 # the bucket bound's sizes, a partition copy): 60 x N x 4 B is 8.6 MB of
@@ -250,7 +252,7 @@ RANK_USERS = 6
 SCORE_USERS = 10 * RANK_USERS
 
 
-def ranked(model, views, k: int):
+def ranked(model, views, k: int, encode_users: int):
     """Yield ``(index, ids)`` per block of users: ``index``, an int64 array
     into the sequence ``views``, and ``ids``, the ``(len(index), k)`` exact
     top-k item ids of those views, row by row.
@@ -258,9 +260,9 @@ def ranked(model, views, k: int):
     The catalog is embedded once, on the first request.  The ``(ids,
     lengths)`` views are then taken in ascending order of session count,
     ``len(lengths)``, with ties in input order, and in chunks of
-    ``RANK_USERS``: a chunk is appended into one packed view and encoded by
-    one ``user_vector`` call.  Each block of up to ``SCORE_USERS`` users is
-    then ranked with one ``top_k`` call.  Views of equal session count
+    ``encode_users``: a chunk is appended into one packed view and encoded
+    by one ``user_vector`` call.  Each block of up to ``SCORE_USERS`` users
+    is then ranked with one ``top_k`` call.  Views of equal session count
     therefore come out in input order.
     """
     with T.no_grad():
@@ -270,8 +272,8 @@ def ranked(model, views, k: int):
     for lo in range(0, len(order), SCORE_USERS):
         block = order[lo : lo + SCORE_USERS]
         user_vecs = []
-        for c in range(0, len(block), RANK_USERS):
-            chunk = block[c : c + RANK_USERS]
+        for c in range(0, len(block), encode_users):
+            chunk = block[c : c + encode_users]
             packed = tuple(np.concatenate(part) for part in zip(*(views[i] for i in chunk)))
             with T.no_grad():
                 user_vecs.append(
@@ -315,7 +317,8 @@ def evaluate(model, split: DatasetSplit, cutoffs=DEFAULT_CUTOFFS, config_hash=""
     recall = np.empty((len(cutoffs), n))
     ndcg = np.empty((len(cutoffs), n))
     views = [encoder_views(user.train_sessions) for user in split.users]
-    for index, ids in ranked(model, views, min(cutoffs[-1], split.catalog_size)):
+    for index, ids in ranked(model, views, min(cutoffs[-1], split.catalog_size),
+                             RANK_USERS):
         recall[:, index], ndcg[:, index] = block_metrics(
             ids, [split.users[i].targets for i in index], cutoffs)
     return EvalReport(

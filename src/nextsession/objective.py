@@ -10,6 +10,16 @@ position's sibling positives), and the rank loss contrasts it against the
 target session's own exposure negatives.  Positions whose target session has
 no exposures simply contribute nothing to the rank term.
 
+Targets are built in two steps.  ``user_targets`` turns every trainable
+user's sessions into a ``UserTargets`` record once per training run, in
+one pass over all users: the user's model input and each position's
+sorted distinct positives and in-session negatives, which are the same in
+every epoch.  ``build_targets`` then runs once per training graph: it only
+appends the records of the graph's users and makes the graph's one draw of
+sampled negatives, the one part that changes from epoch to epoch, so a
+graph reads no session rows.  Validation reads
+its views and last-session targets from the same records.
+
 How a minibatch's loss is computed: its users' positions are packed one
 after another, as ``build_targets`` returns them, so the batch is scored
 as one set of positions; a user alone is a batch of one.  The distinct ids
@@ -69,31 +79,35 @@ def sample_negatives(catalog_size: int, count, rng: np.random.Generator) -> np.n
     return rng.integers(0, catalog_size, size=count, dtype=np.int64)
 
 
-def build_targets(
-    users: Sequence[Sessions],
-    catalog_size: int,
-    num_sampled: int,
-    rng: np.random.Generator,
-):
-    """Turn the session sequences of a minibatch's users into one packed
-    model input and the targets of every supervised position.
+@dataclass
+class UserTargets:
+    """One user's training record: ``view``, the ``(ids, lengths)`` of
+    ``encoder_views(sessions[:-1])``, and the ``(items, counts)`` positives
+    and in-session negatives of its positions, as ``TrainingTargets``
+    holds them; position i is the one of input session i."""
 
-    Returns ``(view, sessions_per_user, targets)``: ``view`` appends the
-    users' ``encoder_views(sessions[:-1])`` into one ``(ids, lengths)``
-    pair, and ``sessions_per_user`` counts each user's input sessions,
-    which is also its number of positions.  One user is a list of one.
+    view: tuple[np.ndarray, np.ndarray]
+    positives: tuple[np.ndarray, np.ndarray]
+    in_session_negatives: tuple[np.ndarray, np.ndarray]
+
+    def last_positives(self) -> np.ndarray:
+        """The last position's positives: the distinct positive items of the
+        user's last session, sorted."""
+        items, counts = self.positives
+        return items[len(items) - counts[-1]:]
+
+
+def user_targets(users: Sequence[Sessions]) -> list[UserTargets]:
+    """The ``UserTargets`` of each user's session sequence, in one pass
+    over all of them.
 
     A user's position i takes its targets from the rows of its session
-    i+1: its distinct positive items, its distinct exposed items that are
-    not also positive (an item both exposed and positively interacted
-    within one session counts as positive only), and ``num_sampled``
-    catalog draws.  The first two are ``(items, counts)`` pairs with each
-    position's items sorted.  The draws of all positions are one
-    (positions, num_sampled) call, row i for position i, which yields the
-    same numbers as one call per position or per user, in order.  Each
-    user needs >= 2 sessions, each with >= 1 positive.
+    i+1: its distinct positive items and its distinct exposed items that
+    are not also positive (an item both exposed and positively interacted
+    within one session counts as positive only), each position's items
+    sorted.  Each user needs >= 2 sessions, each with >= 1 positive.
     """
-    inputs, items, positives, rows_per_position = [], [], [], []
+    items, positives, rows_per_position = [], [], []
     for sessions in users:
         if len(sessions) < 2:
             raise ValueError("need at least two sessions to build training targets")
@@ -105,7 +119,6 @@ def build_targets(
             raise ValueError(
                 f"{role} {k} of the view has no positives; filtering violated"
             )
-        inputs.append(encoder_views(sessions[:-1]))
         targets = sessions[1:]
         rows = targets.rows()
         items.append(targets.item[rows])
@@ -113,18 +126,51 @@ def build_targets(
         rows_per_position.append(np.diff(targets.offsets))
     item = np.concatenate(items).astype(np.int64)
     positive = np.concatenate(positives)
-    sessions_per_user = np.array([len(sessions) - 1 for sessions in users], dtype=np.int64)
-    m, width = int(sessions_per_user.sum()), int(item.max()) + 1
+    positions = np.array([len(sessions) - 1 for sessions in users], dtype=np.int64)
+    m, width = int(positions.sum()), int(item.max()) + 1
     # one key per (position, item), so a sorted key array groups by position
     key = np.repeat(np.arange(m), np.concatenate(rows_per_position)) * width + item
     pos = np.unique(key[positive])
     neg = np.unique(key[~positive])
     neg = neg[pos[np.searchsorted(pos, neg).clip(max=len(pos) - 1)] != neg]  # not also positive
-    pos_targets, in_session = ((keys % width, np.bincount(keys // width, minlength=m))
-                               for keys in (pos, neg))
-    sampled = sample_negatives(catalog_size, (m, num_sampled), rng)
-    view = tuple(np.concatenate(part) for part in zip(*inputs))
-    return view, sessions_per_user, TrainingTargets(pos_targets, in_session, sampled)
+    bounds = np.cumsum(positions)[:-1]
+    per_user = []
+    for keys in (pos, neg):
+        counts = np.bincount(keys // width, minlength=m)
+        cuts = np.cumsum(counts)[bounds - 1]  # where each later user's items start
+        per_user.append(zip(np.split(keys % width, cuts), np.split(counts, bounds)))
+    return [UserTargets(encoder_views(sessions[:-1]), p, n)
+            for sessions, p, n in zip(users, *per_user)]
+
+
+def _joined(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """``(items, counts)`` pairs appended into one."""
+    return tuple(np.concatenate(part) for part in zip(*pairs))
+
+
+def build_targets(
+    records: Sequence[UserTargets],
+    catalog_size: int,
+    num_sampled: int,
+    rng: np.random.Generator,
+):
+    """Pack the ``user_targets`` records of one graph's users into one model
+    input and the targets of every supervised position.
+
+    Returns ``(view, sessions_per_user, targets)``: ``view`` appends the
+    users' views into one ``(ids, lengths)`` pair, and
+    ``sessions_per_user`` counts each user's input sessions, which is also
+    its number of positions.  ``targets`` appends their positives and
+    in-session negatives, and takes ``num_sampled`` catalog draws per
+    position in one (positions, num_sampled) call, row i for position i,
+    which yields the same numbers as one call per position or per user, in
+    order.
+    """
+    sessions_per_user = np.array([len(r.view[1]) for r in records], dtype=np.int64)
+    sampled = sample_negatives(catalog_size, (int(sessions_per_user.sum()), num_sampled), rng)
+    targets = TrainingTargets(_joined(r.positives for r in records),
+                              _joined(r.in_session_negatives for r in records), sampled)
+    return _joined(r.view for r in records), sessions_per_user, targets
 
 
 def _padded(items: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -69,7 +69,7 @@ class SequenceEncoder:
         packed row-wise in ``tokens``; by default the rows are one user's.
         Row i of a user is conditioned on that user's tokens up to i only.
         Each backbone runs every user as one sequence of one op per layer,
-        ``tensor.gru`` or causal ``tensor.attention``; the attention
+        ``tensor.gru`` or causal ``tensor.encoder_block``; the attention
         backbone gives each user positions from 0.
         """
         m = tokens.shape[0]

@@ -13,7 +13,7 @@ one ``tensor.segment_reduce`` over all sessions.  The recurrent kind runs
 every session through one ``tensor.gru`` op, each session a sequence of
 its own, and gathers each session's last state: two graph nodes, whatever
 the number and length of the sessions.  The attention kind runs the items
-of every session through its blocks at once, one ``tensor.attention`` op
+of every session through its blocks at once, one ``tensor.encoder_block`` op
 per block with one sequence per session, so an item attends only within
 its session, then mean-pools each session.  Its cost is the sum of the
 squared session lengths, and its graph does not grow with the number of

@@ -2,9 +2,10 @@
 
 The op set is deliberately small: matrix multiply, broadcast add/mul, a
 few activations, layer normalization, the sampled softmax loss over a
-score matrix, segment reductions, gather, a fused perceptron, ``mlp``, and
-two fused sequence ops, ``gru`` and ``attention``.  Everything else the
-model needs is composed from these, not added.  ``mlp`` exists because the
+score matrix, segment reductions, gather, a fused perceptron, ``mlp``,
+two fused sequence ops, ``gru`` and ``attention``, and a fused encoder
+block, ``encoder_block``.  Everything else the model needs is composed
+from these, not added.  ``mlp`` exists because the
 item embedding and every feed-forward block are one-hidden-layer
 perceptrons: composed, each records five nodes and holds four (n, h) or
 (n, k) intermediates, which over the whole catalog are four copies of its
@@ -22,12 +23,20 @@ length; as one op it takes every projection in one matmul, scores each
 sequence only against itself, and is one node whatever the number and
 length of the sequences.  Both take each weight in the layout they
 compute in, and backward accumulates one gradient into it.
+``encoder_block`` exists because a pre-normalization block composed from
+``layer_norm``, ``attention``, ``dropout``, ``add`` and ``mlp`` records six
+nodes, and on the short session sequences of training each costs more in
+per-node overhead than in arithmetic; as one op its backward runs the same
+steps in the same order inside one closure.  The fused ops share their
+math through private array-level helpers (``_layer_norm``, ``_attention``,
+``_mlp`` and their backwards), so each formula has one copy, and the
+block's floats are those of the chain it fuses.
 
 Ragged data has one form: sequences packed row-wise in an (n, ...) array
 plus ``lengths``, the int64 row count of each, in packing order.
-``segment_reduce``, ``gru`` and ``attention`` all take it, and
-``check_lengths`` is its one check, so a bad lengths array gets the same
-message from every op and every encoder built on them.
+``segment_reduce``, ``gru``, ``attention`` and ``encoder_block`` all take
+it, and ``check_lengths`` is its one check, so a bad lengths array gets the
+same message from every op and every encoder built on them.
 
 Each op records its parents and a closure that pushes the output
 gradient back to them. ``Tensor.backward`` replays the reachable nodes
@@ -378,6 +387,50 @@ def tanh(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
+def _check_mlp(x_shape, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> None:
+    m = x_shape[1] if len(x_shape) == 2 else -1
+    h = w1.shape[1] if w1.ndim == 2 else -1
+    k = w2.shape[1] if w2.ndim == 2 else -1
+    if (len(x_shape) != 2 or w1.shape != (m, h) or b1.shape != (h,) or w2.shape != (h, k)
+            or b2.shape != (k,)):
+        raise ValueError(f"mlp: x {x_shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
+                         f"b2 {b2.shape} must be (n, m), (m, h), (h,), (h, k) and (k,)")
+
+
+def _mlp(x: np.ndarray, w1, b1, w2, b2, activation: str):
+    """``mlp``'s forward on arrays: the output and the hidden buffer."""
+    hidden = x @ w1
+    hidden += b1
+    if activation == "tanh":
+        np.tanh(hidden, out=hidden)
+    else:
+        np.maximum(hidden, 0, out=hidden)
+    data = hidden @ w2
+    data += b2
+    return data, hidden
+
+
+def _mlp_backward(g, x: np.ndarray, hidden, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                  activation: str, want_dx: bool):
+    """``mlp``'s backward: accumulates into the weights that need it and
+    returns the gradient of the input ``x`` when ``want_dx``, else None."""
+    if b2.requires_grad:
+        b2._accumulate(_unbroadcast(g, b2.shape))
+    if w2.requires_grad:
+        w2._accumulate(hidden.T @ g)
+    if not (want_dx or w1.requires_grad or b1.requires_grad):
+        return None
+    dh = g @ w2.data.T
+    # the activation's slope, from its output: tanh' = 1 - tanh^2, and
+    # relu(a) > 0 exactly where a > 0
+    dh *= (1.0 - hidden * hidden) if activation == "tanh" else (hidden > 0)
+    if b1.requires_grad:
+        b1._accumulate(_unbroadcast(dh, b1.shape))
+    if w1.requires_grad:
+        w1._accumulate(x.T @ dh)
+    return dh @ w1.data.T if want_dx else None
+
+
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, activation: str) -> Tensor:
     """One-hidden-layer perceptron ``act(x·w1 + b1)·w2 + b2`` as one node.
 
@@ -391,39 +444,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, activation: s
     """
     if activation not in ("tanh", "relu"):
         raise ValueError(f"mlp: unknown activation {activation!r}, expected 'tanh' or 'relu'")
-    m = x.shape[1] if x.ndim == 2 else -1
-    h = w1.shape[1] if w1.ndim == 2 else -1
-    k = w2.shape[1] if w2.ndim == 2 else -1
-    if (x.ndim != 2 or w1.shape != (m, h) or b1.shape != (h,) or w2.shape != (h, k)
-            or b2.shape != (k,)):
-        raise ValueError(f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
-                         f"b2 {b2.shape} must be (n, m), (m, h), (h,), (h, k) and (k,)")
-    hidden = x.data @ w1.data
-    hidden += b1.data
-    if activation == "tanh":
-        np.tanh(hidden, out=hidden)
-    else:
-        np.maximum(hidden, 0, out=hidden)
-    data = hidden @ w2.data
-    data += b2.data
+    _check_mlp(x.shape, w1, b1, w2, b2)
+    data, hidden = _mlp(x.data, w1.data, b1.data, w2.data, b2.data, activation)
 
     def backward(g):
-        if b2.requires_grad:
-            b2._accumulate(_unbroadcast(g, b2.shape))
-        if w2.requires_grad:
-            w2._accumulate(hidden.T @ g)
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-            return
-        dh = g @ w2.data.T
-        # the activation's slope, from its output: tanh' = 1 - tanh^2, and
-        # relu(a) > 0 exactly where a > 0
-        dh *= (1.0 - hidden * hidden) if activation == "tanh" else (hidden > 0)
-        if b1.requires_grad:
-            b1._accumulate(_unbroadcast(dh, b1.shape))
-        if x.requires_grad:
-            x._accumulate(dh @ w1.data.T)
-        if w1.requires_grad:
-            w1._accumulate(x.data.T @ dh)
+        dx = _mlp_backward(g, x.data, hidden, w1, b1, w2, b2, activation, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
 
     return _result(data, (x, w1, b1, w2, b2), backward)
 
@@ -434,26 +461,42 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(x.dtype, copy=False)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row over the last axis, then scale and shift."""
+def _layer_norm(x: np.ndarray, gain, bias, eps: float = 1e-5):
+    """``layer_norm``'s forward on arrays: the output, and the normalized
+    rows and inverse deviations that backward needs."""
     # one reduction per statistic; a sum over d divided by d rounds as mean does
     d = x.shape[-1]
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d  # centred, then scaled in place
+    xhat = x - x.sum(axis=-1, keepdims=True) / d  # centred, then scaled in place
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    data = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_backward(g, xhat, inv, gain: Tensor, bias: Tensor, want_dx: bool):
+    """``layer_norm``'s backward: accumulates into ``gain`` and ``bias`` when
+    they need it and returns the input's gradient when ``want_dx``, else None."""
+    if gain.requires_grad:
+        gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+    if bias.requires_grad:
+        bias._accumulate(_unbroadcast(g, bias.shape))
+    if not want_dx:
+        return None
+    d = xhat.shape[-1]
+    dxhat = g * gain.data
+    m1 = dxhat.sum(axis=-1, keepdims=True) / d
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+    return (dxhat - m1 - xhat * m2) * inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize each row over the last axis, then scale and shift."""
+    data, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-        if x.requires_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.sum(axis=-1, keepdims=True) / d
-            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-            x._accumulate((dxhat - m1 - xhat * m2) * inv)
+        dx = _layer_norm_backward(g, xhat, inv, gain, bias, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
 
     return _result(data, (x, gain, bias), backward)
 
@@ -523,7 +566,8 @@ def check_lengths(lengths, rows: int) -> np.ndarray:
     packed in ``rows`` rows: one-dimensional, non-empty, every count >= 1,
     summing to ``rows``.  Anything else raises a one-line ValueError that
     shows the lengths.  This is the one check of the ragged form that
-    ``segment_reduce``, ``gru``, ``attention`` and the encoders take.
+    ``segment_reduce``, ``gru``, ``attention``, ``encoder_block`` and the
+    encoders take.
     """
     try:
         arr = np.asarray(lengths, dtype=np.int64)
@@ -678,6 +722,79 @@ def gru(x: Tensor, lengths, w: Tensor, b: Tensor) -> Tensor:
     return _result(data, parents, backward)
 
 
+def _check_attention(x: Tensor, lengths, heads: int, wqkv: Tensor, wo: Tensor) -> np.ndarray:
+    """Raise on inputs ``attention`` cannot take; return ``lengths`` checked."""
+    if x.ndim != 2:
+        raise ValueError(f"attention: x must be a matrix, got shape {x.shape}")
+    lengths = check_lengths(lengths, x.shape[0])
+    d = x.shape[1]
+    if heads < 1 or d % heads:
+        raise ValueError(f"attention: heads ({heads}) must be >= 1 and divide d = {d}")
+    if wqkv.shape != (d, 3 * d):
+        raise ValueError(f"attention: wqkv has shape {wqkv.shape}, expected {(d, 3 * d)}")
+    if wo.ndim != 2 or wo.shape[0] != d:
+        raise ValueError(f"attention: wo has shape {wo.shape}, expected ({d}, k)")
+    return lengths
+
+
+def _attention(x: np.ndarray, lengths: np.ndarray, causal: bool, heads: int, wqkv, wo,
+               keep: bool):
+    """``attention``'s forward on arrays: the output and what backward
+    needs, ``(qkv, merged, groups)``, whose ``groups`` are empty unless
+    ``keep``."""
+    n, d = x.shape
+    hd = d // heads
+    qkv = x @ wqkv
+    scale = 1.0 / np.sqrt(hd)
+    starts = np.cumsum(lengths) - lengths
+    groups = []  # (rows, probabilities) of each length's sequences
+    merged = np.empty((n, d), dtype=qkv.dtype)
+    for ln in np.unique(lengths):
+        rows = starts[lengths == ln][:, None] + np.arange(ln)  # (b, ln)
+        # (3, b, heads, ln, hd): queries, keys, values per sequence and head
+        q, k, v = qkv[rows].reshape(rows.shape + (3, heads, hd)).transpose(2, 0, 3, 1, 4)
+        s = q @ k.swapaxes(-1, -2)
+        s *= scale
+        if causal:
+            np.copyto(s, -np.inf, where=~np.tri(ln, dtype=bool))
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        merged[rows] = (s @ v).transpose(0, 2, 1, 3).reshape(rows.shape + (d,))
+        if keep:
+            groups.append((rows, s))
+    return merged @ wo, (qkv, merged, groups)
+
+
+def _attention_backward(g, x: np.ndarray, saved, heads: int, wqkv: Tensor, wo: Tensor,
+                        want_dx: bool):
+    """``attention``'s backward: accumulates into ``wqkv`` and ``wo`` when
+    they need it and returns the input's gradient when ``want_dx``, else None."""
+    qkv, merged, groups = saved
+    d = x.shape[1]
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+    d_merged = g @ wo.data.T
+    d_qkv = np.empty_like(qkv)
+    for rows, p in groups:
+        q, k, v = qkv[rows].reshape(rows.shape + (3, heads, hd)).transpose(2, 0, 3, 1, 4)
+        d_o = d_merged[rows].reshape(rows.shape + (heads, hd)).transpose(0, 2, 1, 3)
+        d_v = p.swapaxes(-1, -2) @ d_o
+        # softmax backward: p * (dp - rowsum(dp * p)), then the scale
+        d_s = d_o @ v.swapaxes(-1, -2)
+        d_s -= (d_s * p).sum(axis=-1, keepdims=True)
+        d_s *= p
+        d_s *= scale
+        d_q, d_k = d_s @ k, d_s.swapaxes(-1, -2) @ q
+        d_qkv[rows] = np.stack([d_q, d_k, d_v], axis=2).transpose(0, 3, 2, 1, 4).reshape(
+            rows.shape + (3 * d,))
+    if wqkv.requires_grad:
+        wqkv._accumulate(x.T @ d_qkv)
+    if wo.requires_grad:
+        wo._accumulate(merged.T @ g)
+    return d_qkv @ wqkv.data.T if want_dx else None
+
+
 def attention(x: Tensor, lengths, causal: bool, heads: int, wqkv: Tensor, wo: Tensor) -> Tensor:
     """Multi-head scaled dot-product self-attention within each of the
     sequences packed row-wise in x.
@@ -698,74 +815,105 @@ def attention(x: Tensor, lengths, causal: bool, heads: int, wqkv: Tensor, wo: Te
     lengths, and no mask is formed but the causal triangle.  Backward runs
     inside the op.
     """
-    if x.ndim != 2:
-        raise ValueError(f"attention: x must be a matrix, got shape {x.shape}")
-    lengths = check_lengths(lengths, x.shape[0])
-    n, d = x.shape
-    if heads < 1 or d % heads:
-        raise ValueError(f"attention: heads ({heads}) must be >= 1 and divide d = {d}")
-    if wqkv.shape != (d, 3 * d):
-        raise ValueError(f"attention: wqkv has shape {wqkv.shape}, expected {(d, 3 * d)}")
-    if wo.ndim != 2 or wo.shape[0] != d:
-        raise ValueError(f"attention: wo has shape {wo.shape}, expected ({d}, k)")
-    hd = d // heads
+    lengths = _check_attention(x, lengths, heads, wqkv, wo)
     parents = (x, wqkv, wo)
     keep = _grad_enabled and any(p.requires_grad for p in parents)
-
-    qkv = x.data @ wqkv.data
-    scale = 1.0 / np.sqrt(hd)
-    starts = np.cumsum(lengths) - lengths
-    groups = []  # (rows, probabilities) of each length's sequences
-    merged = np.empty((n, d), dtype=qkv.dtype)
-    for ln in np.unique(lengths):
-        rows = starts[lengths == ln][:, None] + np.arange(ln)  # (b, ln)
-        # (3, b, heads, ln, hd): queries, keys, values per sequence and head
-        q, k, v = qkv[rows].reshape(rows.shape + (3, heads, hd)).transpose(2, 0, 3, 1, 4)
-        s = q @ k.swapaxes(-1, -2)
-        s *= scale
-        if causal:
-            np.copyto(s, -np.inf, where=~np.tri(ln, dtype=bool))
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        merged[rows] = (s @ v).transpose(0, 2, 1, 3).reshape(rows.shape + (d,))
-        if keep:
-            groups.append((rows, s))
-    data = merged @ wo.data
+    data, saved = _attention(x.data, lengths, causal, heads, wqkv.data, wo.data, keep)
     if not keep:
         return Tensor(data)
 
     def backward(g):
-        d_merged = g @ wo.data.T
-        d_qkv = np.empty_like(qkv)
-        for rows, p in groups:
-            q, k, v = qkv[rows].reshape(rows.shape + (3, heads, hd)).transpose(2, 0, 3, 1, 4)
-            d_o = d_merged[rows].reshape(rows.shape + (heads, hd)).transpose(0, 2, 1, 3)
-            d_v = p.swapaxes(-1, -2) @ d_o
-            # softmax backward: p * (dp - rowsum(dp * p)), then the scale
-            d_s = d_o @ v.swapaxes(-1, -2)
-            d_s -= (d_s * p).sum(axis=-1, keepdims=True)
-            d_s *= p
-            d_s *= scale
-            d_q, d_k = d_s @ k, d_s.swapaxes(-1, -2) @ q
-            d_qkv[rows] = np.stack([d_q, d_k, d_v], axis=2).transpose(0, 3, 2, 1, 4).reshape(
-                rows.shape + (3 * d,))
-        if x.requires_grad:
-            x._accumulate(d_qkv @ wqkv.data.T)
-        if wqkv.requires_grad:
-            wqkv._accumulate(x.data.T @ d_qkv)
-        if wo.requires_grad:
-            wo._accumulate(merged.T @ g)
+        dx = _attention_backward(g, x.data, saved, heads, wqkv, wo, x.requires_grad)
+        if dx is not None:
+            x._accumulate(dx)
 
     return _result(data, parents, backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the mask is a constant, so this is just a mul."""
+def encoder_block(x: Tensor, lengths, causal: bool, heads: int, ln1, attn, ln2, ffn,
+                  dropout_rate: float = 0.0, dropout_rng: np.random.Generator | None = None
+                  ) -> Tensor:
+    """A pre-normalization encoder block over the sequences packed row-wise
+    in x, as one node:
+
+        h   = x + dropout(attention(layer_norm(x, *ln1), lengths, causal, heads, *attn))
+        out = h + dropout(mlp(layer_norm(h, *ln2), *ffn, "relu"))
+
+    ``ln1`` and ``ln2`` are ``(gain, bias)`` pairs, ``attn`` is ``(wqkv,
+    wo)`` and ``ffn`` is ``(w1, b1, w2, b2)``, each in the layout of its op.
+    Forward and backward run the formulas of ``layer_norm``, ``attention``
+    and ``mlp`` through the helpers those ops run, in the order of the chain
+    that composes them from ``layer_norm``, ``attention``, ``dropout``,
+    ``add`` and ``mlp``, so every value and gradient is that chain's float;
+    the two dropout masks are drawn from ``dropout_rng`` as the chain draws
+    them, first the attention's, then the feed-forward's.
+    """
+    (ln1_g, ln1_b), (wqkv, wo), (ln2_g, ln2_b), (w1, b1, w2, b2) = ln1, attn, ln2, ffn
+    lengths = _check_attention(x, lengths, heads, wqkv, wo)
+    _check_mlp(x.shape, w1, b1, w2, b2)
+    parents = (x, ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, w1, b1, w2, b2)
+    keep = _grad_enabled and any(p.requires_grad for p in parents)
+
+    # each branch's output is a fresh array that backward does not read, so
+    # its dropout and residual add are applied in place (x + y == y + x in
+    # floats); fewer allocations
+    a, xhat1, inv1 = _layer_norm(x.data, ln1_g.data, ln1_b.data)
+    h, saved = _attention(a, lengths, causal, heads, wqkv.data, wo.data, keep)
+    mask1 = _dropout_mask(dropout_rate, dropout_rng, h.shape, h.dtype)
+    if mask1 is not None:
+        h *= mask1
+    h += x.data
+    if not keep:
+        # freed before the feed-forward runs, as the composed chain frees
+        # them: held, they slowed a 60-user validation block's forward by a
+        # third (one BLAS thread, 2 vCPUs)
+        a = xhat1 = inv1 = saved = None
+    e, xhat2, inv2 = _layer_norm(h, ln2_g.data, ln2_b.data)
+    data, hidden = _mlp(e, w1.data, b1.data, w2.data, b2.data, "relu")
+    mask2 = _dropout_mask(dropout_rate, dropout_rng, data.shape, data.dtype)
+    if mask2 is not None:
+        data *= mask2
+    data += h
+    if not keep:
+        return Tensor(data)
+    # which of the chain's intermediates need a gradient: a = layer_norm(x),
+    # h, and e = layer_norm(h)
+    a_grad = any(p.requires_grad for p in (x, ln1_g, ln1_b))
+    h_grad = a_grad or wqkv.requires_grad or wo.requires_grad
+    e_grad = h_grad or ln2_g.requires_grad or ln2_b.requires_grad
+
+    def backward(g):
+        de = _mlp_backward(g if mask2 is None else g * mask2, e, hidden, w1, b1, w2, b2, "relu",
+                           e_grad)
+        if not e_grad:
+            return
+        dh = _layer_norm_backward(de, xhat2, inv2, ln2_g, ln2_b, h_grad)
+        if not h_grad:
+            return
+        dh += g  # h's gradient: the norm's plus the second residual's
+        if x.requires_grad:
+            x._accumulate(dh)  # the first residual's share comes first
+        da = _attention_backward(dh if mask1 is None else dh * mask1, a, saved, heads, wqkv, wo,
+                                 a_grad)
+        if a_grad:
+            dx = _layer_norm_backward(da, xhat1, inv1, ln1_g, ln1_b, x.requires_grad)
+            if dx is not None:
+                x._accumulate(dx)
+
+    return _result(data, parents, backward)
+
+
+def _dropout_mask(rate: float, rng: np.random.Generator | None, shape, dtype):
+    """The inverted-dropout mask of one draw from ``rng``, or None at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return x
-    keep = rng.random(x.shape) >= rate
-    mask = keep.astype(x.dtype) / (1.0 - rate)
-    return mul(x, Tensor(mask))
+        return None
+    keep = rng.random(shape) >= rate
+    return keep.astype(dtype) / (1.0 - rate)
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout; the mask is a constant, so this is just a mul."""
+    mask = _dropout_mask(rate, rng, x.shape, x.dtype)
+    return x if mask is None else mul(x, Tensor(mask))

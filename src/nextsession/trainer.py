@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import Catalog, DatasetSplit, encoder_views, read_archive, write_archive
+from .data import Catalog, DatasetSplit, read_archive, write_archive
 from .model import NextSessionModel
-from .objective import LossConfig, build_targets, total_loss
+from .objective import LossConfig, build_targets, total_loss, user_targets
 from .session_encoder import IseConfig
 from .sequence_encoder import SseConfig
 
@@ -32,7 +32,10 @@ from .sequence_encoder import SseConfig
 # batch 8: 2.4x one graph per user, against 1.3x at 2), but the traced
 # smoke runs in perfbench/tests, with 3 to 5 minibatches per round, need at
 # least 20 graphs for a step-latency percentile, and 2 is the largest size
-# that gives them that.
+# that gives them that.  What a graph costs whatever its size is kept
+# small instead: its targets are joined from per-user records built once
+# per train() call (``objective.user_targets``), and each encoder block is
+# one node.
 PACK_USERS = 2
 
 
@@ -216,16 +219,18 @@ class TrainResult:
     best_metric: float | None  # None when no validation ran
 
 
-def _validation_recall(model, train_users, val_k):
+def _validation_recall(model, records, val_k):
     """Recall@val_k of each user's last train session given the earlier
-    ones; every user has at least two sessions."""
-    from .evaluator import block_metrics, mean_in_user_order, ranked
+    ones, read from the users' ``objective.user_targets`` records: each
+    record's view is ranked against its ``last_positives``.  Each block of
+    ``evaluator.SCORE_USERS`` views is encoded by one ``user_vector`` call:
+    unlike ``evaluate()``, validation has no per-call latency to sample."""
+    from .evaluator import SCORE_USERS, block_metrics, mean_in_user_order, ranked
 
     k = min(val_k, model.embedding.num_items)
-    views = [encoder_views(sessions[:-1]) for sessions in train_users]
-    recalls = np.empty(len(train_users))
-    for index, ids in ranked(model, views, k):
-        targets = [encoder_views(train_users[i][-1:])[0] for i in index]
+    recalls = np.empty(len(records))
+    for index, ids in ranked(model, [r.view for r in records], k, SCORE_USERS):
+        targets = [records[i].last_positives() for i in index]
         recalls[index] = block_metrics(ids, targets, (k,))[0][0]
     return mean_in_user_order(recalls)
 
@@ -271,6 +276,7 @@ def train(
     the model is built.
     """
     train_users = [(user.user_id, user.train_sessions) for user in trainable_users(split, cfg)]
+    records = user_targets([sessions for _, sessions in train_users])
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, neg_rng, drop_rng, shuffle_rng = (
         np.random.default_rng(s) for s in ss.spawn(4)
@@ -299,7 +305,7 @@ def train(
             batch_total = 0.0
             for lo in range(0, len(batch), PACK_USERS):
                 view, sessions_per_user, targets = build_targets(
-                    [train_users[ui][1] for ui in batch[lo : lo + PACK_USERS]],
+                    [records[ui] for ui in batch[lo : lo + PACK_USERS]],
                     split.catalog_size, cfg.loss.num_sampled_negatives, neg_rng,
                 )
                 outputs = model.forward_sessions(
@@ -330,7 +336,7 @@ def train(
             "train_rank_mean": epoch_rank / max(n_rank, 1),
         }
         if cfg.val_interval > 0 and (epoch + 1) % cfg.val_interval == 0:
-            val = _validation_recall(model, [s for _, s in train_users], cfg.val_k)
+            val = _validation_recall(model, records, cfg.val_k)
             entry["val_recall"] = val
             if best_metric is None or val > best_metric:
                 best_metric = val

@@ -9,9 +9,9 @@ from typing import NamedTuple
 import numpy as np
 
 from nextsession import tensor as T
-from nextsession.data import Dataset, Sessions, make_split, write_archive
+from nextsession.data import Dataset, Sessions, encoder_views, make_split, write_archive
 from nextsession.evaluator import EvalReport, top_k
-from nextsession.objective import build_targets, total_loss
+from nextsession.objective import build_targets, sample_negatives, total_loss, user_targets
 from nextsession.tensor import Tensor
 
 
@@ -198,7 +198,7 @@ def per_user_step(model, users, catalog_size, loss_cfg, rng):
     (total, retrieval, rank, retrieval count, rank count)."""
     sums = np.zeros(5)
     for sessions in users:
-        view, _, targets = build_targets([sessions], catalog_size,
+        view, _, targets = build_targets(user_targets([sessions]), catalog_size,
                                          loss_cfg.num_sampled_negatives, rng)
         losses = total_loss(model.forward_sessions(view), targets, model.embedding, loss_cfg)
         losses.total.backward()
@@ -590,6 +590,34 @@ def reference_build_targets(sessions, catalog_size, num_sampled, rng):
         in_session.append(np.asarray(neg, dtype=np.int64))
         sampled.append(rng.integers(0, catalog_size, size=num_sampled, dtype=np.int64))
     return views, positives, in_session, sampled
+
+
+def sessions_build_targets(users, catalog_size, num_sampled, rng):
+    """``objective.build_targets`` as it was before per-user records: one
+    graph's users' ``Sessions`` straight to ``(view, sessions_per_user,
+    targets)`` in one pass.  The reference that joining ``user_targets``
+    records must match, arrays and rng stream alike."""
+    inputs, items, positives, rows_per_position = [], [], [], []
+    for sessions in users:
+        inputs.append(encoder_views(sessions[:-1]))
+        targets = sessions[1:]
+        rows = targets.rows()
+        items.append(targets.item[rows])
+        positives.append(targets.positive[rows])
+        rows_per_position.append(np.diff(targets.offsets))
+    item = np.concatenate(items).astype(np.int64)
+    positive = np.concatenate(positives)
+    sessions_per_user = np.array([len(sessions) - 1 for sessions in users], dtype=np.int64)
+    m, width = int(sessions_per_user.sum()), int(item.max()) + 1
+    key = np.repeat(np.arange(m), np.concatenate(rows_per_position)) * width + item
+    pos = np.unique(key[positive])
+    neg = np.unique(key[~positive])
+    neg = neg[pos[np.searchsorted(pos, neg).clip(max=len(pos) - 1)] != neg]
+    pos_targets, in_session = ((keys % width, np.bincount(keys // width, minlength=m))
+                               for keys in (pos, neg))
+    sampled = sample_negatives(catalog_size, (m, num_sampled), rng)
+    view = tuple(np.concatenate(part) for part in zip(*inputs))
+    return view, sessions_per_user, (pos_targets, in_session, sampled)
 
 
 def reference_clip_sessions_to(sessions, max_ts):

@@ -35,7 +35,8 @@ from nextsession.evaluator import (
     top_k,
 )
 from nextsession.model import NextSessionModel
-from nextsession.objective import LossConfig, TrainingTargets, build_targets, total_loss
+from nextsession.objective import (LossConfig, TrainingTargets, build_targets, total_loss,
+                                  user_targets)
 from nextsession.session_encoder import IseConfig
 from nextsession.sequence_encoder import SequenceEncoder, SseConfig
 from nextsession.synth import generate, write_log
@@ -96,7 +97,8 @@ def test_criterion_01_gradients_match_finite_differences():
             sessions.append((items, [True] * len(pos) + [False] * len(neg),
                              list(range(s * 100, s * 100 + len(items)))))
         num_sampled = int(rng.integers(2, 9))
-        view, _, targets = build_targets([history(*sessions)], num_items, num_sampled, rng)
+        view, _, targets = build_targets(user_targets([history(*sessions)]), num_items,
+                                         num_sampled, rng)
         loss_cfg = LossConfig(alpha=float(rng.choice([0.0, 0.25, 0.8])),
                               num_sampled_negatives=num_sampled)
 

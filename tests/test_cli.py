@@ -346,8 +346,8 @@ class TestErrors:
         assert captured.err == ("error: a train view holds 4 sessions, more than "
                                 "sse.max_positions=2; raise sse.max_positions or re-run "
                                 "prepare-data with --max-pos-len 2 or less\n")
-        assert captured.out == "" and not (run / "checkpoint.bin").exists()
-        assert not list(run.glob("*.tsv"))
+        assert captured.out == ""
+        assert [path.name for path in run.iterdir()] == ["manifest.json"]
         assert load_json(run / "manifest.json")["status"] == "failed"
 
     def test_max_pos_len_below_one_is_one_line_before_the_log_is_read(self, tmp_path, capsys):

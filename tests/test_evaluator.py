@@ -28,7 +28,7 @@ from nextsession.evaluator import (
     top_k,
     top_k_candidates,
 )
-from nextsession.objective import LossConfig
+from nextsession.objective import LossConfig, user_targets
 from nextsession.sequence_encoder import SseConfig
 import nextsession.trainer as trainer_mod
 from nextsession.trainer import TrainConfig
@@ -611,7 +611,7 @@ class TestRanked:
         model.embedding.output_item_vectors = lambda: calls.append(1) or embed()
         views = [ragged([[3]]), ragged([[1, 5]]), ragged([[2], [6]])]
         got = []
-        for index, ids in ranked(model, views, 3):
+        for index, ids in ranked(model, views, 3, RANK_USERS):
             assert T._grad_enabled, "no_grad is held across a yield"
             got.append((index, ids))
         assert len(calls) == 1
@@ -620,9 +620,10 @@ class TestRanked:
         assert ids.shape == (3, 3) and ids[:, 0].tolist() == [3, 5, 6]
         np.testing.assert_array_equal(ids[0], top_k(np.eye(8)[3], np.eye(8), 3))
 
+    @pytest.mark.parametrize("encode_users", [RANK_USERS, SCORE_USERS])
     @pytest.mark.parametrize("n", [0, 1, SCORE_USERS - 1, SCORE_USERS,
                                    SCORE_USERS + RANK_USERS + 1])
-    def test_block_boundaries(self, n, monkeypatch):
+    def test_block_boundaries(self, n, encode_users, monkeypatch):
         rng = np.random.default_rng(n)
         model = StubModel(rng.normal(size=(8, 4)))
         encoded, user_vector = [], model.user_vector
@@ -636,10 +637,10 @@ class TestRanked:
         monkeypatch.setattr(evaluator, "top_k", spy)
         views = [ragged([[(u + 2) % 8]] * int(rng.integers(1, 4)) + [[u % 8]]) for u in range(n)]
         got = {}
-        for index, ids in ranked(model, views, 5):
+        for index, ids in ranked(model, views, 5, encode_users):
             assert ids.shape == (len(index), 5)
             got.update(zip(index.tolist(), ids))
-        assert len(encoded) == math.ceil(n / RANK_USERS)
+        assert len(encoded) == math.ceil(n / encode_users)
         assert scored == [SCORE_USERS] * (n // SCORE_USERS) + [n % SCORE_USERS] * (n % SCORE_USERS > 0)
         del model.user_vector
         want, _ = per_user_ranked(model, views, 5)
@@ -663,7 +664,7 @@ class TestRanked:
             return out
 
         model.user_vector = recorded
-        yielded = [i for index, _ in ranked(model, views, 1) for i in index]
+        yielded = [i for index, _ in ranked(model, views, 1, RANK_USERS) for i in index]
         want = sorted(range(n), key=lambda u: (counts[u], u))
         assert [len(chunk) for chunk in chunks] == [RANK_USERS] * 3 + [2]
         assert [u for chunk in chunks for u in chunk] == want
@@ -674,16 +675,17 @@ class TestRanked:
 
         blocks = []
 
-        def spy(model, views, k):
-            for index, ids in ranked(model, views, k):
-                blocks.append((index.tolist(), ids.shape))
+        def spy(model, views, k, encode_users):
+            for index, ids in ranked(model, views, k, encode_users):
+                blocks.append((index.tolist(), ids.shape, encode_users))
                 yield index, ids
 
         monkeypatch.setattr(evaluator, "ranked", spy)
         evaluate(StubModel(np.eye(8)), TestEvaluate().oracle_split(), cutoffs=(1, 3))
         users = [history(([3], [True]), ([3], [True])), history(([1], [True]), ([5], [True]))]
-        assert trainer_mod._validation_recall(StubModel(np.eye(8)), users, val_k=100) == 1.0
-        assert blocks == [([0, 1], (2, 3)), ([0, 1], (2, 8))]
+        records = user_targets(users)
+        assert trainer_mod._validation_recall(StubModel(np.eye(8)), records, val_k=100) == 1.0
+        assert blocks == [([0, 1], (2, 3), RANK_USERS), ([0, 1], (2, 8), SCORE_USERS)]
 
 
 def toy_split(num_users=10, num_sessions=4, catalog=20):

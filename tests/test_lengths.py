@@ -42,6 +42,11 @@ def call_attention(lengths):
     return T.attention(rows(), lengths, False, block.heads, block.wqkv, block.wo)
 
 
+def call_encoder_block(lengths):
+    block = EncoderBlock(DIM, 2, store(), "block")
+    return block(rows(), lengths, causal=True)
+
+
 def call_encode_sessions(kind):
     return lambda lengths: SessionEncoder(IseConfig(kind=kind), DIM, store()).encode_sessions(
         rows(), lengths)
@@ -60,6 +65,7 @@ def model():
 ENTRY_POINTS = {
     "tensor.gru": call_gru,
     "tensor.attention": call_attention,
+    "tensor.encoder_block": call_encoder_block,
     "tensor.segment_reduce.mean": lambda lengths: T.segment_reduce(rows(), lengths, "mean"),
     "tensor.segment_reduce.max": lambda lengths: T.segment_reduce(rows(), lengths, "max"),
     **{f"encode_sessions.{kind}": call_encode_sessions(kind) for kind in KINDS},

@@ -9,6 +9,7 @@ from nextsession.objective import (
     build_targets,
     sample_negatives,
     total_loss,
+    user_targets,
 )
 from helpers import (
     finite_difference,
@@ -17,6 +18,7 @@ from helpers import (
     ragged,
     random_train_views,
     reference_build_targets,
+    sessions_build_targets,
     sessions_of,
 )
 
@@ -137,7 +139,7 @@ class TestBuildTargets:
         )
 
     def test_alignment_and_dedupe(self):
-        (ids, lengths), _, tg = build_targets([self.sequences()], catalog_size=10,
+        (ids, lengths), _, tg = build_targets(user_targets([self.sequences()]), catalog_size=10,
                                               num_sampled=4, rng=np.random.default_rng(0))
         assert ids.tolist() == [1, 2, 3, 3] and lengths.tolist() == [2, 2]
         positives, pos_counts = tg.positives
@@ -151,24 +153,23 @@ class TestBuildTargets:
 
     def test_requires_two_sessions(self):
         with pytest.raises(ValueError, match="two sessions"):
-            build_targets([self.sequences()[:1]], 10, 4, np.random.default_rng(0))
+            user_targets([self.sequences(), self.sequences()[:1]])
 
     def test_positive_free_session_rejected(self):
         seqs = history(([1, 2, 9], [True, True, False]), ([9], [False]),
                        ([4, 5, 4], [True, False, False]))
         with pytest.raises(ValueError, match="session 1 of the view has no positives"):
-            build_targets([seqs], 10, 4, np.random.default_rng(0))
+            user_targets([self.sequences(), seqs])
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 4])
     def test_matches_the_list_reference_on_random_users(self, seed):
         views, cases = random_train_views(seed)
         assert all(cases.values()), cases
-        for k, view in enumerate(views):
-            if len(view) < 2:
-                continue
+        users = [view for view in views if len(view) >= 2]
+        for k, record in enumerate(user_targets(users)):
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            want = reference_build_targets(sessions_of(view), 12, 5, ref_rng)
-            got_view, _, tg = build_targets([view], 12, 5, rng)
+            want = reference_build_targets(sessions_of(users[k]), 12, 5, ref_rng)
+            got_view, _, tg = build_targets([record], 12, 5, rng)
             for got, ref in zip((got_view, tg.positives, tg.in_session_negatives), want[:3]):
                 for a, b in zip(got, ragged(ref)):  # items, then counts
                     assert a.dtype == np.int64
@@ -177,13 +178,37 @@ class TestBuildTargets:
             np.testing.assert_array_equal(tg.sampled_negatives, np.array(want[3]))
             assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_joined_records_equal_one_pass_over_the_sessions_on_ragged_packs(self, seed):
+        views, _ = random_train_views(seed)
+        users = [view for view in views if len(view) >= 2]
+        records = user_targets(users)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bounds = np.cumsum([0] + [1, 2, 3, 5] * len(users))
+        packs = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < len(users)]
+        ragged_packs = 0
+        for lo, hi in packs:  # consecutive packs of 1, 2, 3 and 5 users
+            (ids, lengths), per_user, tg = build_targets(records[lo:hi], 12, 5, rng)
+            (want_ids, want_lengths), want_per_user, want = sessions_build_targets(
+                users[lo:hi], 12, 5, ref_rng)
+            got = [ids, lengths, per_user, *tg.positives, *tg.in_session_negatives,
+                   tg.sampled_negatives]
+            want = [want_ids, want_lengths, want_per_user, *want[0], *want[1], want[2]]
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype == np.int64
+                np.testing.assert_array_equal(a, b)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            ragged_packs += len(set(per_user.tolist())) > 1
+        assert ragged_packs >= 3
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_batch_appends_its_users_in_order(self, seed):
         views, _ = random_train_views(seed)
         users = [view for view in views if len(view) >= 2]
+        records = user_targets(users)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        (ids, lengths), per_user, tg = build_targets(users, 12, 5, rng)
-        want = [build_targets([u], 12, 5, ref_rng) for u in users]
+        (ids, lengths), per_user, tg = build_targets(records, 12, 5, rng)
+        want = [build_targets([r], 12, 5, ref_rng) for r in records]
         assert per_user.tolist() == [len(u) - 1 for u in users]
         for got, parts in ((ids, [v[0] for v, _, _ in want]),
                            (lengths, [v[1] for v, _, _ in want]),
@@ -195,6 +220,15 @@ class TestBuildTargets:
                     getattr(tg, field)[k],
                     np.concatenate([getattr(t, field)[k] for _, _, t in want]))
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+    def test_one_pass_records_equal_records_made_one_user_at_a_time(self):
+        views, _ = random_train_views(3)
+        users = [view for view in views if len(view) >= 2]
+        for record, user in zip(user_targets(users), users):
+            [alone] = user_targets([user])
+            for field in ("view", "positives", "in_session_negatives"):
+                for a, b in zip(getattr(record, field), getattr(alone, field)):
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestRetrievalLoss:

@@ -9,7 +9,7 @@ import nextsession.tensor as T
 from nextsession.data import DatasetSplit, UserSplit, encoder_views
 from nextsession.evaluator import RANK_USERS, SCORE_USERS, evaluate, ranked
 from nextsession.model import NextSessionModel
-from nextsession.objective import LossConfig, build_targets, total_loss
+from nextsession.objective import LossConfig, build_targets, total_loss, user_targets
 from nextsession.sequence_encoder import BACKBONES, SseConfig
 from nextsession.session_encoder import KINDS, IseConfig
 from nextsession.trainer import TrainConfig
@@ -47,7 +47,7 @@ def ragged_users(seed, count, max_sessions=7):
 
 def packed_step(model, users, loss_cfg, rng):
     """The training step of ``train()``: one graph over all of ``users``."""
-    view, per_user, targets = build_targets(users, CATALOG, loss_cfg.num_sampled_negatives, rng)
+    view, per_user, targets = build_targets(user_targets(users), CATALOG, loss_cfg.num_sampled_negatives, rng)
     out = model.forward_sessions(view, training=True, dropout_rng=np.random.default_rng(1),
                                  sessions_per_user=per_user)
     losses = total_loss(out, targets, model.embedding, loss_cfg)
@@ -73,7 +73,7 @@ class TestMatchesThePerUserStep:
         model = float64_model(ise, backbone, max_positions=8)
         users = ragged_users(seed=1280 + KINDS.index(ise), count=6)
         loss_cfg = LossConfig(alpha=0.7, num_sampled_negatives=5)
-        targets = build_targets(users, CATALOG, 5, np.random.default_rng(0))[2]
+        targets = build_targets(user_targets(users), CATALOG, 5, np.random.default_rng(0))[2]
         assert (targets.in_session_negatives[1] == 0).any()
 
         want = per_user_step(model, users, CATALOG, loss_cfg, np.random.default_rng(0))
@@ -95,7 +95,7 @@ class TestMatchesThePerUserStep:
         # five users of 2..7 input sessions, more tokens than max_positions=8
         model = float64_model("attention", backbone, max_positions=8, seed=2)
         users = ragged_users(seed=5, count=5, max_sessions=8)
-        view, per_user, _ = build_targets(users, CATALOG, 1, np.random.default_rng(0))
+        view, per_user, _ = build_targets(user_targets(users), CATALOG, 1, np.random.default_rng(0))
         assert per_user.sum() > 8 and per_user.max() <= 8
         with T.no_grad():
             got = model.forward_sessions(view, sessions_per_user=per_user).data
@@ -116,7 +116,7 @@ class TestGradientOfAPackedBatch:
                 p.data = p.data * 20.0
         users = ragged_users(seed=21, count=4, max_sessions=5)
         loss_cfg = LossConfig(alpha=0.5, num_sampled_negatives=3)
-        view, per_user, targets = build_targets(users, CATALOG, 3, np.random.default_rng(4))
+        view, per_user, targets = build_targets(user_targets(users), CATALOG, 3, np.random.default_rng(4))
         params = list(model.parameters().values())
         total_loss(model.forward_sessions(view, sessions_per_user=per_user), targets,
                    model.embedding, loss_cfg).total.backward()
@@ -155,6 +155,29 @@ class TestGraphSize:
         users = ragged_users(seed=4, count=16)
         assert self.nodes(model, users[:2]) == self.nodes(model, users)
 
+    def test_a_graph_shaped_like_the_small_catalog_benchmark_records_16_ops(self):
+        # two users of 10 sessions, a mean ISE and two causal attention
+        # blocks of dim 32: each block is one node
+        cfg = TrainConfig(dim=32, dropout=0.0, ise=IseConfig(kind="mean"),
+                          sse=SseConfig(backbone="causal_attention", layers=2, heads=2))
+        model = NextSessionModel(cfg, 500, T.Parameters(np.random.default_rng(0)))
+        rng = np.random.default_rng(1)
+        users = [history(*[(list(rng.choice(500, 3, replace=False)), [True] * 3)
+                           for _ in range(10)]) for _ in range(2)]
+        view, per_user, targets = build_targets(user_targets(users), 500, 128, rng)
+        out = model.forward_sessions(view, training=True, dropout_rng=rng,
+                                     sessions_per_user=per_user)
+        root = total_loss(out, targets, model.embedding, cfg.loss).total
+        seen, stack, ops = {id(root)}, [root], 0
+        while stack:
+            node = stack.pop()
+            ops += bool(node._parents)
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert ops == 16
+
 
 def ragged_views(seed, count, max_positions):
     """``(ids, lengths)`` views of 1..max_positions sessions of 1-4 items;
@@ -177,14 +200,34 @@ class TestRankedMatchesThePerUserLoop:
     @pytest.mark.parametrize("backbone", BACKBONES)
     @pytest.mark.parametrize("ise", KINDS)
     def test_top_k_in_float32_and_user_vectors_in_float64(self, ise, backbone, n):
-        views = ragged_views(seed=1400 + n, count=n, max_positions=8)
+        self.check(ise, backbone, ragged_views(seed=1400 + n, count=n, max_positions=8),
+                   RANK_USERS)
+
+    @pytest.mark.parametrize("n", BOUNDARY_USERS)
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @pytest.mark.parametrize("ise", KINDS)
+    def test_validation_blocks_encoded_by_one_call_on_histories_of_equal_length(
+        self, ise, backbone, n
+    ):
+        # every view holds 6 sessions of 1-4 items
+        rng = np.random.default_rng(1450 + n)
+        views = []
+        for _ in range(n):
+            lengths = rng.integers(1, 5, size=6)
+            views.append((rng.integers(0, CATALOG, size=int(lengths.sum())), lengths))
+        self.check(ise, backbone, views, SCORE_USERS)
+
+    def check(self, ise, backbone, views, encode_users):
+        """``ranked`` at ``encode_users`` users per call against the per-user
+        loop: the same float32 top-k, and float64 vectors within 1e-12."""
+        n = len(views)
         model32 = float64_model(ise, backbone, max_positions=8, seed=7)
         model64 = float64_model(ise, backbone, max_positions=8, seed=7)
         for p in model32.parameters().values():
             p.data = p.data.astype(np.float32)
 
         want, _ = per_user_ranked(model32, views, 10)
-        got = {i: row for index, ids in ranked(model32, views, 10)
+        got = {i: row for index, ids in ranked(model32, views, 10, encode_users)
                for i, row in zip(index.tolist(), ids)}
         assert sorted(got) == list(range(n))
         for i, ids in enumerate(want):
@@ -200,7 +243,8 @@ class TestRankedMatchesThePerUserLoop:
 
         model64.user_vector = recorded
         # the order of packing
-        order = [i for index, _ in ranked(model64, views, 10) for i in index.tolist()]
+        order = [i for index, _ in ranked(model64, views, 10, encode_users)
+                 for i in index.tolist()]
         assert len(seen) == n
         for i, vec in zip(order, seen):
             assert vec.dtype == np.float64

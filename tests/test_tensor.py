@@ -753,6 +753,108 @@ class TestMlp:
         assert str(err.value) == "mlp: unknown activation 'sigmoid', expected 'tanh' or 'relu'"
 
 
+BLOCK_NAMES = ("x", "ln1_g", "ln1_b", "wqkv", "wo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+
+
+def block_arrays(seed, dtype=np.float64, lengths=(1, 3, 2), d=4):
+    """An encoder block's input and ten weights, in BLOCK_NAMES order, off
+    the initial scale: entries uniform in [-1, 1], gains in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    shapes = {"x": (sum(lengths), d), "wqkv": (d, 3 * d), "wo": (d, d), "w1": (d, 4 * d),
+              "b1": (4 * d,), "w2": (4 * d, d)}
+    out = []
+    for name in BLOCK_NAMES:
+        a = rng.uniform(-1.0, 1.0, shapes.get(name, (d,)))
+        out.append((a + 1.0 if name.endswith("_g") else a).astype(dtype))
+    return out
+
+
+def composite_block(x, lengths, causal, heads, ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b,
+                    w1, b1, w2, b2, rate, rng):
+    """The encoder block as the chain of ``layer_norm``, ``attention``,
+    ``dropout``, ``add`` and ``mlp`` nodes that ``encoder_block`` fuses."""
+    a = nt.attention(nt.layer_norm(x, ln1_g, ln1_b), lengths, causal, heads, wqkv, wo)
+    x = nt.add(x, nt.dropout(a, rate, rng))
+    f = nt.mlp(nt.layer_norm(x, ln2_g, ln2_b), w1, b1, w2, b2, "relu")
+    return nt.add(x, nt.dropout(f, rate, rng))
+
+
+def fused_block(x, lengths, causal, heads, ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b,
+                w1, b1, w2, b2, rate, rng):
+    return nt.encoder_block(x, lengths, causal, heads, (ln1_g, ln1_b), (wqkv, wo),
+                            (ln2_g, ln2_b), (w1, b1, w2, b2), rate, rng)
+
+
+class TestEncoderBlock:
+    """The fused pre-normalization encoder block, ``encoder_block``."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_gradient_of_every_leaf(self, causal, rate):
+        lengths = [1, 3, 2]
+        w = rand(6, 4)
+
+        def build(*leaves):
+            out = fused_block(leaves[0], lengths, causal, 2, *leaves[1:], rate,
+                              np.random.default_rng(5))  # the same masks on every call
+            return nt.sum_all(nt.mul(out, Tensor(w)))
+
+        check_op_gradient(build, block_arrays(1))
+
+    @pytest.mark.parametrize("frozen", [None] + list(BLOCK_NAMES))
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_matches_the_composite_chain_bitwise_in_float32(self, rate, frozen):
+        lengths, causal = [3, 1, 5, 5, 2], True
+        arrays = block_arrays(2, np.float32, lengths, d=8)
+        w = np.random.default_rng(3).normal(size=(16, 8)).astype(np.float32)
+        results, states = [], []
+        for run in (fused_block, composite_block):
+            leaves = [Tensor(a.copy(), requires_grad=name != frozen)
+                      for name, a in zip(BLOCK_NAMES, arrays)]
+            rng = np.random.default_rng(6)
+            out = run(leaves[0], lengths, causal, 2, *leaves[1:], rate, rng)
+            nt.sum_all(nt.mul(out, Tensor(w))).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+        for name, got, want in zip(("out",) + BLOCK_NAMES, *results):
+            if name == frozen:
+                assert got is None and want is None
+                continue
+            assert got.dtype == np.float32, name
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8), err_msg=name)
+
+    def test_gradients_add_to_what_the_input_already_holds_as_the_chain_adds_them(self):
+        # the input also feeds a later op, so its gradient has three terms
+        arrays = block_arrays(4, np.float32)
+        results = []
+        for run in (fused_block, composite_block):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            x = nt.mul(leaves[0], 3.0)
+            out = run(x, [1, 3, 2], False, 2, *leaves[1:], 0.0, None)
+            nt.sum_all(nt.add(nt.mul(out, out), nt.tanh(x))).backward()
+            results.append(leaves[0].grad)
+        np.testing.assert_array_equal(results[0].view(np.uint8), results[1].view(np.uint8))
+
+    def test_one_node_whatever_the_lengths(self):
+        leaves = [Tensor(a, requires_grad=True) for a in block_arrays(5)]
+        out = fused_block(leaves[0], [1, 3, 2], True, 2, *leaves[1:], 0.0, None)
+        assert out._parents == tuple(leaves)
+
+    def test_no_grad_records_no_parents(self):
+        leaves = [Tensor(a, requires_grad=True) for a in block_arrays(7)]
+        want = fused_block(leaves[0], [4, 2], False, 2, *leaves[1:], 0.0, None)
+        with nt.no_grad():
+            out = fused_block(leaves[0], [4, 2], False, 2, *leaves[1:], 0.0, None)
+        assert want._parents and out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, want.data)
+
+    def test_bad_dropout_rate_is_refused(self):
+        leaves = [Tensor(a) for a in block_arrays(8)]
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\), got 1.0"):
+            fused_block(leaves[0], [6], False, 2, *leaves[1:], 1.0, np.random.default_rng(0))
+
+
 class TestParameters:
     """``Parameters.new``'s ``blocks``: a stacked weight drawn block by block."""
 

@@ -10,14 +10,14 @@ import pytest
 
 import nextsession.tensor as T
 import nextsession.trainer as trainer_mod
-from nextsession.data import Catalog, DatasetSplit, UserSplit, make_split
+from nextsession.data import Catalog, DatasetSplit, UserSplit, encoder_views, make_split
 from nextsession.evaluator import evaluate
 from nextsession.model import NextSessionModel
 from nextsession.objective import LossConfig
 from nextsession.sequence_encoder import SseConfig
 from nextsession.session_encoder import IseConfig
 from helpers import (FILE_DAMAGE, TENSOR_DAMAGE, broken_checkpoint, damaged_checkpoint,
-                     dataset_of, history, ragged, sessions_of)
+                     dataset_of, history, loop_recall_at_k, per_user_ranked, ragged, sessions_of)
 from nextsession.trainer import (
     Adam,
     TrainConfig,
@@ -439,9 +439,9 @@ class TestTrain:
         real_build, real_backward = trainer_mod.build_targets, T.Tensor.backward
         real_step = trainer_mod.Adam.step
 
-        def build(users, *args):
-            built.append(len(users))
-            return real_build(users, *args)
+        def build(records, *args):
+            built.append(len(records))
+            return real_build(records, *args)
 
         def backward(self):
             backwards.append(1)
@@ -464,13 +464,19 @@ class TestTrain:
         counts = [2, 4, 3, 2, 4, 4, 3, 2, 2, 3, 4, 2]  # ties in every batch
         for user, c in zip(split.users, counts):
             user.train_sessions = user.train_sessions[:c]
-        index = {id(user.train_sessions): u for u, user in enumerate(split.users)}
+        index, real_records = {}, trainer_mod.user_targets
         graphs, real_build = [], trainer_mod.build_targets
 
-        def build(users, *args):
-            graphs.append([index[id(sessions)] for sessions in users])
-            return real_build(users, *args)
+        def records(users):
+            out = real_records(users)
+            index.update({id(record): u for u, record in enumerate(out)})
+            return out
 
+        def build(records, *args):
+            graphs.append([index[id(record)] for record in records])
+            return real_build(records, *args)
+
+        monkeypatch.setattr(trainer_mod, "user_targets", records)
         monkeypatch.setattr(trainer_mod, "build_targets", build)
         cfg = small_config(epochs=2, batch_size=5, val_interval=0)
         train(split, cfg)
@@ -499,6 +505,36 @@ class TestTrain:
         for name, p in trained[0].items():
             np.testing.assert_allclose(trained[1][name].data, p.data, rtol=0, atol=1e-3,
                                        err_msg=name)
+
+    def test_user_records_are_built_once_per_train_call(self, monkeypatch):
+        calls, real_records = [], trainer_mod.user_targets
+
+        def records(users):
+            calls.append(len(users))
+            return real_records(users)
+
+        monkeypatch.setattr(trainer_mod, "user_targets", records)
+        result = train(toy_split(), small_config(epochs=3, val_interval=1))
+        assert calls == [12] and len(result.history) == 3
+
+    def test_validation_recall_equals_the_per_user_loop_on_the_last_sessions(self):
+        # last sessions with a repeated positive and an exposed positive: the
+        # records' sorted distinct positives are the same target set
+        rng = np.random.default_rng(11)
+        users = []
+        for _ in range(13):
+            rows = [([int(i) for i in rng.choice(24, 2, replace=False)], [True, True])
+                    for _ in range(3)]
+            last = [int(i) for i in rng.choice(24, 3, replace=False)]
+            rows.append(([last[0], last[1], last[0], last[2], last[1]],
+                         [True, True, True, False, False]))
+            users.append(history(*rows))
+        model = NextSessionModel(small_config(), 24, T.Parameters(np.random.default_rng(0)))
+        tops, _ = per_user_ranked(model, [encoder_views(u[:-1]) for u in users], 5)
+        want = [loop_recall_at_k(top, encoder_views(u[-1:])[0], 5)
+                for top, u in zip(tops, users)]
+        got = trainer_mod._validation_recall(model, trainer_mod.user_targets(users), 5)
+        assert got == sum(want) / len(want)
 
     def test_without_validation_the_final_epoch_is_returned_with_no_metric(self):
         # val_interval 0 turns validation off; 3 > epochs means none ran
